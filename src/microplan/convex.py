@@ -90,7 +90,8 @@ class ConvexProgram:
             if not cone.cols:
                 raise EngineError(f"cone {k} has no columns")
             cols = set(cone.cols)
-            if len(cols) != len(cone.cols) or not cols <= set(range(self.n)):
+            if len(cols) != len(cone.cols) \
+                    or min(cols) < 0 or max(cols) >= self.n:
                 raise EngineError(f"cone {k} has invalid columns")
             if cone.radius_col is None:
                 if cone.radius < 0:
@@ -101,40 +102,34 @@ class ConvexProgram:
     def objective(self, x):
         return 0.5 * float(x @ (self.p_diag * x)) + float(self.q @ x) + self.const
 
-    def with_rows(self, extra_a, extra_l, extra_u):
-        """New program with rows appended (cones carried over unchanged)."""
-        a = sp.vstack([self.a, extra_a], format="csr") if extra_a.shape[0] else self.a
-        return ConvexProgram(self.p_diag, self.q, a,
-                             np.concatenate([self.l, extra_l]),
-                             np.concatenate([self.u, extra_u]),
-                             self.lb, self.ub, self.cones, self.const)
+
+# ADMM constants: convergence tolerances, step size and its adaptation,
+# relaxation, equilibration, polish, and the infeasibility certificates
+EPS_ABS = 1e-8
+EPS_REL = 1e-6
+RHO = 0.1
+RHO_EQ_SCALE = 1e3
+RHO_MIN = 1e-6
+RHO_MAX = 1e6
+SIGMA = 1e-6
+ALPHA = 1.6
+SCALING_ITERS = 10
+ADAPTIVE_RHO_TOL = 5.0
+ADAPTIVE_RHO_INTERVAL = 200
+ADAPTIVE_RHO_MAX_UPDATES = 6
+POLISH_DELTA = 1e-6
+POLISH_LOOSE_FACTOR = 1e3
+POLISH_RETRY_GAP = 250
+REFINE_STEPS = 3
+EPS_PINF = 1e-7
+EPS_DINF = 1e-7
 
 
 @dataclass(frozen=True)
 class Settings:
-    eps_abs: float = 1e-8
-    eps_rel: float = 1e-6
     max_iter: int = 200_000
-    rho: float = 0.1
-    rho_eq_scale: float = 1e3
-    rho_min: float = 1e-6
-    rho_max: float = 1e6
-    sigma: float = 1e-6
-    alpha: float = 1.6
     check_interval: int = 25
-    scaling_iters: int = 10
-    adaptive_rho: bool = True
-    adaptive_rho_tol: float = 5.0
-    adaptive_rho_interval: int = 200
-    adaptive_rho_max_updates: int = 6
     polish: bool = True
-    polish_delta: float = 1e-6
-    polish_loose_factor: float = 1e3
-    polish_retry_gap: int = 250
-    refine_steps: int = 3
-    eps_pinf: float = 1e-7
-    eps_dinf: float = 1e-7
-    time_limit: float | None = None
     log_path: str | None = None
 
 
@@ -215,7 +210,7 @@ class QpWorkspace:
         eq = np.isclose(self.l, self.u, rtol=0.0, atol=1e-12) \
             & np.isfinite(self.l) & np.isfinite(self.u)
         self.eq_rows = eq
-        self.rho_scalar = settings.rho if rho0 is None else rho0
+        self.rho_scalar = RHO if rho0 is None else rho0
         self._rho_updated_at = 0
         self._build_rho()
         self._factorize()
@@ -224,7 +219,6 @@ class QpWorkspace:
 
     def _scale(self):
         """Modified Ruiz equilibration plus cost normalization."""
-        st = self.settings
         n, mt = self.n, self.mt
         d = np.ones(n)
         e = np.ones(mt)
@@ -232,7 +226,7 @@ class QpWorkspace:
         p = self.prog.p_diag.copy()
         q = self.prog.q.copy()
         a = self.a_full.copy().astype(float)
-        for _ in range(st.scaling_iters):
+        for _ in range(SCALING_ITERS):
             a_abs = abs(a)
             col_a = np.asarray(a_abs.max(axis=0).todense()).ravel()
             row_a = np.asarray(a_abs.max(axis=1).todense()).ravel()
@@ -256,15 +250,14 @@ class QpWorkspace:
         self.ps, self.qs, self.As = p, q, sp.csc_matrix(a)
 
     def _build_rho(self):
-        st = self.settings
         rho = np.full(self.mt, self.rho_scalar)
-        rho[self.eq_rows] *= st.rho_eq_scale
-        self.rho = np.clip(rho, st.rho_min, st.rho_max * st.rho_eq_scale)
+        rho[self.eq_rows] *= RHO_EQ_SCALE
+        self.rho = np.clip(rho, RHO_MIN, RHO_MAX * RHO_EQ_SCALE)
 
     def _factorize(self):
         n = self.n
         kkt = sp.bmat([
-            [sp.diags(self.ps + self.settings.sigma), self.As.T],
+            [sp.diags(self.ps + SIGMA), self.As.T],
             [self.As, -sp.diags(1.0 / self.rho)],
         ], format="csc")
         self.lu = spla.splu(kkt)
@@ -296,7 +289,7 @@ class QpWorkspace:
         us = self.u * e
         self._rho_updated_at = 0
         self._rho_updates = 0
-        self._rho_interval = st.adaptive_rho_interval
+        self._rho_interval = ADAPTIVE_RHO_INTERVAL
         t0 = time.perf_counter()
 
         if warm_start is not None:
@@ -314,10 +307,10 @@ class QpWorkspace:
         detail = ""
         it = 0
         tighten = 0
-        eps_abs, eps_rel = st.eps_abs, st.eps_rel
+        eps_abs, eps_rel = EPS_ABS, EPS_REL
         prim_res = dual_res = np.inf
         last_polish = -(10 ** 9)
-        retry_gap = st.polish_retry_gap
+        retry_gap = POLISH_RETRY_GAP
         last_fail_score = None
         converged = None  # first iterate meeting the configured tolerances
         converged_at = 0
@@ -335,14 +328,14 @@ class QpWorkspace:
 
         while it < st.max_iter:
             it += 1
-            rhs = np.concatenate([st.sigma * x - self.qs, z - y / self.rho])
+            rhs = np.concatenate([SIGMA * x - self.qs, z - y / self.rho])
             sol = self.lu.solve(rhs)
             xt = sol[:n]
             nu = sol[n:]
             zt = z + (nu - y) / self.rho
             x_prev = x
-            x = st.alpha * xt + (1.0 - st.alpha) * x
-            z_cand = st.alpha * zt + (1.0 - st.alpha) * z + y / self.rho
+            x = ALPHA * xt + (1.0 - ALPHA) * x
+            z_cand = ALPHA * zt + (1.0 - ALPHA) * z + y / self.rho
             z_new = np.clip(z_cand, ls, us)
             y_prev = y
             y = self.rho * (z_cand - z_new)
@@ -397,7 +390,7 @@ class QpWorkspace:
             # guess, so try the resolve and accept it if it meets the
             # strict tolerances on its own.  Failures back off
             # exponentially to keep the factorization cost bounded.
-            loose = st.polish_loose_factor
+            loose = POLISH_LOOSE_FACTOR
             if st.polish and it - last_polish >= retry_gap \
                     and bool(np.all(np.abs(rp_vec)
                                     <= eps_abs * loose
@@ -409,22 +402,19 @@ class QpWorkspace:
                     status = "optimal"
                     detail = "polished"
                     break
-                retry_gap = min(retry_gap * 2, 8 * st.polish_retry_gap)
+                retry_gap = min(retry_gap * 2, 8 * POLISH_RETRY_GAP)
 
             cert = self._infeasibility(y - y_prev, x - x_prev)
             if cert:
                 status = cert
                 break
-            if st.adaptive_rho and prim_res > 0 and dual_res > 0 \
-                    and self._rho_updates < st.adaptive_rho_max_updates \
+            if prim_res > 0 and dual_res > 0 \
+                    and self._rho_updates < ADAPTIVE_RHO_MAX_UPDATES \
                     and it - self._rho_updated_at >= self._rho_interval:
                 self._maybe_update_rho(
                     it, prim_res, dual_res,
                     max(float(prim_ref.max(initial=0.0)), 1e-12),
                     max(float(dual_ref.max(initial=0.0)), 1e-12))
-            if st.time_limit is not None and time.perf_counter() - t0 > st.time_limit:
-                detail = "time limit"
-                break
             # the tolerances were already met once; cap how long the
             # tightening ladder may chase a cleaner active set
             if converged is not None and it - converged_at >= 20_000:
@@ -498,7 +488,6 @@ class QpWorkspace:
         return rp_vec, rd_vec, prim_ref, dual_ref
 
     def _infeasibility(self, dy_sc, dx_sc):
-        st = self.settings
         # primal certificate: a dual direction proving the rows conflict
         dy = dy_sc * self.e / self.c
         norm = np.abs(dy).max(initial=0.0)
@@ -507,23 +496,23 @@ class QpWorkspace:
             at_t = np.abs(self.a_full.T @ t).max(initial=0.0)
             pos = np.maximum(t, 0.0)
             neg = np.minimum(t, 0.0)
-            open_up = np.isinf(self.u) & (pos > st.eps_pinf)
-            open_lo = np.isinf(self.l) & (neg < -st.eps_pinf)
-            if at_t <= st.eps_pinf and not open_up.any() and not open_lo.any():
+            open_up = np.isinf(self.u) & (pos > EPS_PINF)
+            open_lo = np.isinf(self.l) & (neg < -EPS_PINF)
+            if at_t <= EPS_PINF and not open_up.any() and not open_lo.any():
                 sup = float(np.where(pos > 0, np.where(np.isinf(self.u), 0.0, self.u) * pos, 0.0).sum()
                             + np.where(neg < 0, np.where(np.isinf(self.l), 0.0, self.l) * neg, 0.0).sum())
-                if sup < -st.eps_pinf:
+                if sup < -EPS_PINF:
                     return "infeasible"
         # dual certificate: a recession direction with strictly negative cost
         dx = dx_sc * self.d
         norm = np.abs(dx).max(initial=0.0)
         if norm > 1e-14:
             t = dx / norm
-            if np.abs(self.prog.p_diag * t).max(initial=0.0) <= st.eps_dinf \
-                    and float(self.prog.q @ t) < -st.eps_dinf:
+            if np.abs(self.prog.p_diag * t).max(initial=0.0) <= EPS_DINF \
+                    and float(self.prog.q @ t) < -EPS_DINF:
                 at = self.a_full @ t
-                up_ok = np.where(np.isfinite(self.u), at <= st.eps_dinf, True)
-                lo_ok = np.where(np.isfinite(self.l), at >= -st.eps_dinf, True)
+                up_ok = np.where(np.isfinite(self.u), at <= EPS_DINF, True)
+                lo_ok = np.where(np.isfinite(self.l), at >= -EPS_DINF, True)
                 if up_ok.all() and lo_ok.all():
                     return "unbounded"
         return None
@@ -533,22 +522,21 @@ class QpWorkspace:
         tolerances.  Returns (accepted candidate with residuals, None) on
         success, else (None, failure score) where the score is the worst
         residual excess ratio (None if no candidate was produced)."""
-        st = self.settings
         polished = self._polish(y_sc, x_sc)
         if polished is None:
             return None, None
         xp, yp, zp = polished
         rpp, rdp, prp, drp = self._residuals(xp, yp, zp)
-        if _meets(rpp, rdp, prp, drp, st.eps_abs, st.eps_rel) \
+        if _meets(rpp, rdp, prp, drp, EPS_ABS, EPS_REL) \
                 and self._obj_guard(xp, x_sc):
             return (xp, yp, zp,
                     float(np.abs(rpp).max(initial=0.0)),
                     float(np.abs(rdp).max(initial=0.0))), None
         score = max(
             float((np.abs(rpp)
-                   / (st.eps_abs + st.eps_rel * prp)).max(initial=0.0)),
+                   / (EPS_ABS + EPS_REL * prp)).max(initial=0.0)),
             float((np.abs(rdp)
-                   / (st.eps_abs + st.eps_rel * drp)).max(initial=0.0)))
+                   / (EPS_ABS + EPS_REL * drp)).max(initial=0.0)))
         return None, score
 
     def _polish(self, y_sc, x_sc):
@@ -564,7 +552,6 @@ class QpWorkspace:
         the inactive rows; at an exact optimum it is consistent with the
         unmodified optimality conditions, so nondegenerate solutions are
         unaffected."""
-        st = self.settings
         n = self.n
         ls = self.l * self.e
         us = self.u * self.e
@@ -588,13 +575,13 @@ class QpWorkspace:
             nact = idx.size
             a_red = self.As[idx]
             k_reg = sp.bmat([
-                [sp.diags(self.ps + st.polish_delta),
+                [sp.diags(self.ps + POLISH_DELTA),
                  a_red.T if nact else sp.csc_matrix((n, 0))],
                 [a_red if nact else sp.csc_matrix((0, n)),
-                 -st.polish_delta * sp.eye(nact)],
+                 -POLISH_DELTA * sp.eye(nact)],
             ], format="csc")
             if nact == 0:
-                k_reg = sp.csc_matrix(sp.diags(self.ps + st.polish_delta))
+                k_reg = sp.csc_matrix(sp.diags(self.ps + POLISH_DELTA))
             try:
                 lu = spla.splu(k_reg)
             except RuntimeError:
@@ -602,7 +589,7 @@ class QpWorkspace:
             # refinement targets the anchored system: only the dual-block
             # regularization is refined away, the proximal term stays
             k_plain = sp.bmat([
-                [sp.diags(self.ps + st.polish_delta),
+                [sp.diags(self.ps + POLISH_DELTA),
                  a_red.T if nact else sp.csc_matrix((n, 0))],
                 [a_red if nact else sp.csc_matrix((0, n)),
                  sp.csc_matrix((nact, nact))],
@@ -615,7 +602,7 @@ class QpWorkspace:
             anchor = x_sc
             sol = None
             for _ in range(10):
-                rhs = np.concatenate([st.polish_delta * anchor - self.qs,
+                rhs = np.concatenate([POLISH_DELTA * anchor - self.qs,
                                       vals])
                 cand = lu.solve(rhs)
                 if not np.all(np.isfinite(cand)):
@@ -624,7 +611,7 @@ class QpWorkspace:
                 # directions; refinement can then diverge, so keep the best
                 ref_sol = cand
                 ref_res = float(np.abs(rhs - k_plain @ cand).max(initial=0.0))
-                for _ in range(st.refine_steps):
+                for _ in range(REFINE_STEPS):
                     if ref_res < 1e-15:
                         break
                     cand = cand + lu.solve(rhs - k_plain @ cand)
@@ -645,8 +632,8 @@ class QpWorkspace:
             z_pol[idx] = vals
             rp, rd, pr, dr = self._residuals(x_pol, y_pol, z_pol)
             score = max(
-                float((np.abs(rp) / (st.eps_abs + st.eps_rel * pr)).max(initial=0.0)),
-                float((np.abs(rd) / (st.eps_abs + st.eps_rel * dr)).max(initial=0.0)))
+                float((np.abs(rp) / (EPS_ABS + EPS_REL * pr)).max(initial=0.0)),
+                float((np.abs(rd) / (EPS_ABS + EPS_REL * dr)).max(initial=0.0)))
             if score < best_score:
                 best, best_score = (x_pol, y_pol, z_pol), score
 
@@ -670,13 +657,12 @@ class QpWorkspace:
         return best
 
     def _maybe_update_rho(self, it, prim_res, dual_res, prim_scale, dual_scale):
-        st = self.settings
         ratio = np.sqrt((prim_res / prim_scale) / (dual_res / dual_scale))
         if not np.isfinite(ratio) or ratio <= 0:
             return
-        new_scalar = float(np.clip(self.rho_scalar * ratio, st.rho_min, st.rho_max))
+        new_scalar = float(np.clip(self.rho_scalar * ratio, RHO_MIN, RHO_MAX))
         change = new_scalar / self.rho_scalar
-        if change > st.adaptive_rho_tol or change < 1.0 / st.adaptive_rho_tol:
+        if change > ADAPTIVE_RHO_TOL or change < 1.0 / ADAPTIVE_RHO_TOL:
             self.rho_scalar = new_scalar
             self._rho_updated_at = it
             self._rho_updates += 1
@@ -756,9 +742,12 @@ def solve_qcqp(prog: ConvexProgram, cut_tol: float = 1e-7, max_rounds: int = 50,
             vals.extend(c_vals)
             his.append(hi)
         extra = sp.csr_matrix((vals, (rows, cols)), shape=(len(cuts), n))
-        aug = prog.with_rows(extra, np.full(len(cuts), -np.inf), np.array(his))
-        aug = ConvexProgram(aug.p_diag, aug.q, aug.a, aug.l, aug.u,
-                            aug.lb, aug.ub, (), aug.const)
+        # the cut rows stand in for the cones, which the QP never sees
+        aug = ConvexProgram(
+            prog.p_diag, prog.q,
+            sp.vstack([prog.a, extra], format="csr") if cuts else prog.a,
+            np.concatenate([prog.l, np.full(len(cuts), -np.inf)]),
+            np.concatenate([prog.u, his]), prog.lb, prog.ub, (), prog.const)
         # successive rounds differ by a few tangent rows; the adapted step
         # size from the last round is a far better start than the default
         if ws_cache is None:

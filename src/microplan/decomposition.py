@@ -1,16 +1,19 @@
 """Stage partitioning and the dual-communicating forward sweep.
 
-The horizon is split into contiguous stage windows.  A sweep solves the
-stages in order: each stage starts from the previous stage's terminal
+The horizon is split into contiguous stage windows.  One routine runs a
+forward sweep: each stage starts from the previous stage's terminal
 state, and prices its own terminal state with the boundary duals the
-downstream stage produced in the previous iteration (the last stage is
-never priced).  Build decisions belong to the first stage; later stages
-receive them as pinned boundary data.  One sweep with zero prices is
-the receding-horizon baseline; repeated sweeps refine the prices.
+downstream stage produced in the previous sweep (the last stage is never
+priced).  Build decisions belong to the first stage; later stages
+receive them as pinned boundary data.
 
-The same machinery run on the relaxed stage problems is a Gauss-Seidel
-pass over the continuous monolith; its progress is measured by the KKT
-residual of the merged primal-dual point on the seam-joined model.
+Two stage solvers drive that sweep.  With branch and bound (followed by
+a fixed-binary resolve for the pin duals), one unpriced sweep is the
+receding-horizon baseline and repeated sweeps refine the prices; the
+best stitched plan is kept.  With the relaxed stage problems, the sweep
+is a block Gauss-Seidel pass over the continuous monolith, and its
+progress is the KKT residual of the merged primal-dual point on the
+seam-joined model.
 """
 
 import logging
@@ -247,7 +250,7 @@ def stitch(instance, loads, plan: StagePlan, stage_models, stage_xs,
 
 
 # ---------------------------------------------------------------------------
-# shared sweep machinery
+# the forward sweep
 
 
 def _warn_short_windows(instance, plan):
@@ -272,31 +275,62 @@ def _relaxed_monolith(instance, loads, plan, settings, cut_tol):
     return seamed, sol
 
 
-def init_duals(instance, loads, plan: StagePlan,
-               settings: Settings = Settings(), cut_tol: float = 1e-7):
-    """Boundary prices seeded from the relaxed monolith.
+def _seam_prices(seamed, sol):
+    """One DualVector per interior boundary from the seam-row duals.
 
     The dual of a seam equality is the negative marginal cost of state
     arriving at that boundary; negating it prices the upstream terminal
     variables so the first sweep already sees downstream scarcity.
-    Returns one DualVector per interior boundary (stage count minus 1).
     """
-    seamed, sol = _relaxed_monolith(instance, loads, plan, settings, cut_tol)
-    slots = coupling_slots(instance)
+    slots = seamed.model.coupling.slots
     return [DualVector(values=-get_duals(sol, list(rows)), slots=slots)
             for rows in seamed.seam_rows]
 
 
-def _solve_stage_mip(model, gap_tol, node_limit, time_limit, settings,
-                     cut_tol):
-    res = solve_miqcqp(model, gap_tol=gap_tol, node_limit=node_limit,
-                       time_limit=time_limit, settings=settings,
-                       cut_tol=cut_tol)
-    if res.binaries is None:
-        raise DecompositionError(f"stage search ended {res.status}")
-    fixed = solve_fixed_then_duals(model, res.binaries, settings=settings,
-                                   cut_tol=cut_tol)
-    return res, fixed
+def init_duals(instance, loads, plan: StagePlan,
+               settings: Settings = Settings(), cut_tol: float = 1e-7):
+    """Boundary prices seeded from the relaxed monolith, one DualVector
+    per interior boundary (stage count minus 1)."""
+    seamed, sol = _relaxed_monolith(instance, loads, plan, settings, cut_tol)
+    return _seam_prices(seamed, sol)
+
+
+def _sweep(instance, loads, plan: StagePlan, prices, solve_stage, snap,
+           sweep):
+    """One forward pass over the stage windows.
+
+    Stage s starts from stage s-1's terminal state and prices its own
+    terminal state with ``prices[s]``; the last stage is never priced.
+    ``solve_stage(s, model)`` returns an optimal PrimalDualSolution of
+    the stage model.  The negated duals of stage s's boundary pins are
+    the price stage s-1 sees in the next sweep.  ``snap`` rounds binary
+    terminal slots to exact integers before they are handed on.
+    Returns the stage models, their solutions and the new prices.
+    """
+    boundary = BoundaryState.horizon_start(instance)
+    models, sols, new_prices = [], [], []
+    for s, window in enumerate(plan.windows):
+        duals_in = prices[s].values if s < plan.stage_count - 1 else None
+        try:
+            model = assemble(instance, loads, window=window,
+                             boundary=boundary.values, duals_in=duals_in,
+                             own_builds=(s == 0))
+            sol = solve_stage(s, model)
+        except Exception as exc:
+            raise DecompositionError(
+                f"sweep {sweep}, stage {s}: {exc}") from exc
+        models.append(model)
+        sols.append(sol)
+        if s > 0:
+            pins = list(model.coupling.init_pin_rows)
+            new_prices.append(DualVector(values=-get_duals(sol, pins),
+                                         slots=model.coupling.slots))
+        boundary = BoundaryState.from_terminal(model, sol.x, snap=snap)
+    return models, sols, new_prices
+
+
+# ---------------------------------------------------------------------------
+# mixed-integer sweeps
 
 
 def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
@@ -306,67 +340,49 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
               cut_tol: float = 1e-7) -> PlanSolution:
     """Iterated forward sweeps with boundary-price feedback.
 
-    Each sweep solves the stages in order; stage s is pinned to stage
-    s-1's terminal state from this sweep and priced with the boundary
-    duals stage s+1 produced in the previous sweep.  `dual-init` seeds
-    the first sweep's prices from the relaxed monolith; `zero-init`
-    starts unpriced, which makes the first sweep the receding-horizon
-    baseline.  The best stitched plan over all sweeps is returned; its
-    bound comes from the relaxed monolith.
+    Each stage is solved by branch and bound, then re-solved with its
+    binaries fixed for the pin duals.  `dual-init` seeds the first
+    sweep's prices from the relaxed monolith; `zero-init` starts
+    unpriced, which makes the first sweep the receding-horizon baseline.
+    The best stitched plan over all sweeps is returned; its bound comes
+    from the relaxed monolith.
     """
     if iterations < 1:
         raise DecompositionError("iteration count must be >= 1")
     if mode not in ("dual-init", "zero-init"):
         raise DecompositionError(f"unknown mode {mode!r}")
     _warn_short_windows(instance, plan)
-    s_count = plan.stage_count
-    slots = coupling_slots(instance)
-
     seamed, relaxed_sol = _relaxed_monolith(instance, loads, plan, settings,
                                             cut_tol)
     lower_bound = relaxed_sol.objective
-    if mode == "dual-init" and s_count > 1:
-        prices = [DualVector(values=-get_duals(relaxed_sol, list(rows)),
-                             slots=slots)
-                  for rows in seamed.seam_rows]
+    if mode == "dual-init":
+        prices = _seam_prices(seamed, relaxed_sol)
     else:
-        prices = [DualVector.zero(instance) for _ in range(s_count - 1)]
+        prices = [DualVector.zero(instance)
+                  for _ in range(plan.stage_count - 1)]
+
+    stats = []
+
+    def solve_stage(s, model):
+        res = solve_miqcqp(model, gap_tol=gap_tol, node_limit=node_limit,
+                           time_limit=time_limit, settings=settings,
+                           cut_tol=cut_tol)
+        if res.binaries is None:
+            raise DecompositionError(f"stage search ended {res.status}")
+        fixed = solve_fixed_then_duals(model, res.binaries,
+                                       settings=settings, cut_tol=cut_tol)
+        stats.append(StageStat(sweep=sweep, stage=s, status=res.status,
+                               objective=res.objective, nodes=res.nodes,
+                               gap=res.gap, solve_time=res.solve_time))
+        return fixed
 
     best = None
-    stats = []
     sweep_objectives = []
     for sweep in range(1, iterations + 1):
-        stage_models = []
-        stage_xs = []
-        new_prices = []
-        boundary = BoundaryState.horizon_start(instance)
-        for s, window in enumerate(plan.windows):
-            duals_in = prices[s].values if s < s_count - 1 else None
-            try:
-                model = assemble(instance, loads, window=window,
-                                 boundary=boundary.values,
-                                 duals_in=duals_in, own_builds=(s == 0))
-                res, fixed = _solve_stage_mip(model, gap_tol, node_limit,
-                                              time_limit, settings, cut_tol)
-            except Exception as exc:
-                raise DecompositionError(
-                    f"sweep {sweep}, stage {s}: {exc}") from exc
-            stats.append(StageStat(sweep=sweep, stage=s, status=res.status,
-                                   objective=res.objective, nodes=res.nodes,
-                                   gap=res.gap, solve_time=res.solve_time))
-            stage_models.append(model)
-            stage_xs.append(fixed.x)
-            if s > 0:
-                pins = list(model.coupling.init_pin_rows)
-                new_prices.append(DualVector(values=-get_duals(fixed, pins),
-                                             slots=slots))
-            boundary = BoundaryState.from_terminal(model, fixed.x)
-        # the price consumed by stage s next sweep is the one stage s+1
-        # just produced
-        prices = new_prices
-
-        stitched = stitch(instance, loads, plan, stage_models, stage_xs,
-                          lower_bound=lower_bound)
+        models, sols, prices = _sweep(instance, loads, plan, prices,
+                                      solve_stage, snap=True, sweep=sweep)
+        stitched = stitch(instance, loads, plan, models,
+                          [sol.x for sol in sols], lower_bound=lower_bound)
         sweep_objectives.append(stitched.objective)
         if best is None or stitched.objective < best.objective:
             best = stitched
@@ -440,81 +456,57 @@ def gauss_seidel_relaxed(instance, loads, plan: StagePlan,
     """Forward sweeps over the relaxed stage problems until the merged
     point satisfies the monolithic KKT system to `tol`.
 
-    Stage solves alternate with boundary-price updates exactly as in the
-    mixed-integer sweep; with every piece convex the iteration is a
-    block Gauss-Seidel pass over the monolith's optimality system, and
-    the merged residual is the convergence measure.  A single stage
+    Each stage is solved relaxed, warm-started from its own previous
+    solve with its own cut pool.  With every piece convex the iteration
+    is a block Gauss-Seidel pass over the monolith's optimality system,
+    and the merged residual is the convergence measure.  A single stage
     satisfies the system in one sweep.  Divergence (the residual growing
     tenfold over five sweeps) raises DecompositionError.
     """
     _warn_short_windows(instance, plan)
-    s_count = plan.stage_count
-    slots = coupling_slots(instance)
     seamed = build_seamed(instance, loads, plan.windows)
     merged_model = relax_integrality(seamed.model)
     merged_prog = merged_model.to_convex()
+    prices = [DualVector.zero(instance) for _ in range(plan.stage_count - 1)]
+    warm = [None] * plan.stage_count
+    pools = [[] for _ in range(plan.stage_count)]
 
-    # the merged row layout is the first window's rows (boundary pins
-    # included), later windows' rows without their pins, then the seams
-    probes = [assemble(instance, loads, window=w, own_builds=(s == 0))
-              for s, w in enumerate(plan.windows)]
-    n_rows = []
-    for s, m in enumerate(probes):
-        pins = sum(p is not None for p in m.coupling.init_pin_rows)
-        n_rows.append(len(m.row_coefs) - (0 if s == 0 else pins))
-    col_off = np.concatenate([[0], np.cumsum([m.n for m in probes])])
-    row_off = np.concatenate([[0], np.cumsum(n_rows)])
-    cone_off = np.concatenate([[0], np.cumsum([len(m.cones)
-                                               for m in probes])])
-
-    prices = [DualVector.zero(instance) for _ in range(max(s_count - 1, 0))]
-    warm = [None] * s_count
-    pools = [[] for _ in range(s_count)]
+    def solve_stage(s, model):
+        sol = solve_qcqp(relax_integrality(model).to_convex(),
+                         cut_tol=cut_tol, settings=settings,
+                         warm_start=warm[s], cuts=pools[s])
+        if sol.status != "optimal":
+            raise DecompositionError(
+                f"relaxed solve ended {sol.status} ({sol.detail})")
+        warm[s] = sol.warm
+        return sol
 
     residuals = []
     result = None
     for sweep in range(1, max_sweeps + 1):
-        boundary = BoundaryState.horizon_start(instance)
-        stage_sols = []
-        new_prices = []
-        for s, window in enumerate(plan.windows):
-            duals_in = prices[s].values if s < s_count - 1 else None
-            model = relax_integrality(
-                assemble(instance, loads, window=window,
-                         boundary=boundary.values, duals_in=duals_in,
-                         own_builds=(s == 0)))
-            sol = solve_qcqp(model.to_convex(), cut_tol=cut_tol,
-                             settings=settings, warm_start=warm[s],
-                             cuts=pools[s])
-            if sol.status != "optimal":
-                raise DecompositionError(
-                    f"sweep {sweep}, stage {s}: relaxed solve ended "
-                    f"{sol.status} ({sol.detail})")
-            warm[s] = sol.warm
-            stage_sols.append((model, sol))
-            if s > 0:
-                pins = list(model.coupling.init_pin_rows)
-                new_prices.append(DualVector(values=-get_duals(sol, pins),
-                                             slots=slots))
-            boundary = BoundaryState.from_terminal(model, sol.x, snap=False)
-        prices = new_prices
-
+        models, sols, prices = _sweep(instance, loads, plan, prices,
+                                      solve_stage, snap=False, sweep=sweep)
+        # each stage is one block of the seam-joined layout; a stage's
+        # pins stand in for the seam rows in front of it
         x = np.zeros(merged_prog.n)
         y_rows = np.zeros(merged_prog.m)
         y_bounds = np.zeros(merged_prog.n)
         cone_duals = np.zeros(len(merged_prog.cones))
-        for s, (model, sol) in enumerate(stage_sols):
-            a, b = col_off[s], col_off[s + 1]
-            x[a:b] = sol.x
-            y_bounds[a:b] = sol.y_bounds
-            y_rows[row_off[s]:row_off[s + 1]] = sol.y_rows[:n_rows[s]]
-            cone_duals[cone_off[s]:cone_off[s + 1]] = sol.cone_duals
+        col = row = cone = 0
+        for s, (model, sol) in enumerate(zip(models, sols)):
+            pins = list(model.coupling.init_pin_rows)
+            n_rows = len(model.row_coefs) - (len(pins) if s else 0)
+            x[col:col + model.n] = sol.x
+            y_bounds[col:col + model.n] = sol.y_bounds
+            y_rows[row:row + n_rows] = sol.y_rows[:n_rows]
+            cone_duals[cone:cone + len(model.cones)] = sol.cone_duals
             if s > 0:
-                # a stage's boundary pins are the monolith's seam rows;
-                # their fresh duals make the upstream terminal residual
-                # the price-update mismatch
-                for k, pin in enumerate(model.coupling.init_pin_rows):
-                    y_rows[seamed.seam_rows[s - 1][k]] = sol.y_rows[pin]
+                # fresh pin duals on the seam rows make the upstream
+                # terminal residual the price-update mismatch
+                y_rows[list(seamed.seam_rows[s - 1])] = sol.y_rows[pins]
+            col += model.n
+            row += n_rows
+            cone += len(model.cones)
         res = _system_residual(merged_prog, x, y_rows, y_bounds, cone_duals)
         residuals.append(res)
         result = RelaxedSweepResult(

@@ -16,6 +16,17 @@ balance and enters the receiving one, and drops the receiving voltage by
 storage-side power ``phat`` relates to the grid-side ``p`` through the
 efficiency relaxation ``p <= eta_dis * phat`` and ``p <= phat / eta_ch``.
 Diesel fuel-side power ``phat`` delivers ``p = efficiency * phat``.
+
+Seam-joined layout
+------------------
+Every window is built by one routine, so a stage model from
+:func:`assemble` and the matching block of the seam-joined model from
+:func:`build_seamed` agree column for column, row for row and cone for
+cone.  A stage model lists its window's rows and then the boundary pins.
+The seam-joined model lists window 0 with its horizon-start pins, then
+each later window without pins, then one seam row per coupling slot at
+every interior boundary.  A stage's block is therefore found by offsets
+alone, and its pin rows stand in for that boundary's seam rows.
 """
 
 from __future__ import annotations
@@ -515,6 +526,10 @@ class ModelBuilder:
             self.add_terminal_prices(duals_in, terminal)
         meta = CouplingMeta(slots=slots, terminal_cols=terminal,
                             init_pin_rows=tuple(pins))
+        return self.model(meta, self.window)
+
+    def model(self, coupling: CouplingMeta, window) -> MdopModel:
+        """Freeze the accumulated columns, rows and cones."""
         return MdopModel(
             n=len(self.col_refs),
             col_refs=self.col_refs,
@@ -531,10 +546,21 @@ class ModelBuilder:
             lb=np.array(self.lb_list),
             ub=np.array(self.ub_list),
             binaries=frozenset(self.binaries),
-            coupling=meta,
-            window=self.window,
+            coupling=coupling,
+            window=window,
             dt=self.loads.dt,
         )
+
+
+def _window_builder(instance, loads, window, own_builds) -> ModelBuilder:
+    """Every constraint family of one window, boundary pins not yet added."""
+    builder = ModelBuilder(instance, loads, window, own_builds=own_builds)
+    builder.build_columns()
+    builder.build_power_flow()
+    builder.build_resource_limits()
+    builder.build_unit_commitment()
+    builder.build_battery()
+    return builder
 
 
 def assemble(instance: NetworkInstance, loads: LoadProfile, window=None,
@@ -550,13 +576,8 @@ def assemble(instance: NetworkInstance, loads: LoadProfile, window=None,
     """
     if window is None:
         window = (0, loads.horizon)
-    builder = ModelBuilder(instance, loads, window, own_builds=own_builds)
-    builder.build_columns()
-    builder.build_power_flow()
-    builder.build_resource_limits()
-    builder.build_unit_commitment()
-    builder.build_battery()
-    return builder.finish(boundary=boundary, duals_in=duals_in)
+    return _window_builder(instance, loads, window, own_builds).finish(
+        boundary=boundary, duals_in=duals_in)
 
 
 def relax_integrality(model: MdopModel) -> MdopModel:
@@ -598,6 +619,8 @@ class SeamedModel:
 
 def build_seamed(instance: NetworkInstance, loads: LoadProfile,
                  windows) -> SeamedModel:
+    """Join consecutive windows into one model over the horizon, in the
+    layout described in the module docstring."""
     windows = [tuple(w) for w in windows]
     for (a, b_), (c, _) in zip(windows, windows[1:]):
         if b_ != c:
@@ -605,15 +628,8 @@ def build_seamed(instance: NetworkInstance, loads: LoadProfile,
     if windows[0][0] != 0:
         raise FormulationError("first window must start at 0")
 
-    builders = []
-    for s, win in enumerate(windows):
-        b = ModelBuilder(instance, loads, win, own_builds=(s == 0))
-        b.build_columns()
-        b.build_power_flow()
-        b.build_resource_limits()
-        b.build_unit_commitment()
-        b.build_battery()
-        builders.append(b)
+    builders = [_window_builder(instance, loads, win, own_builds=(s == 0))
+                for s, win in enumerate(windows)]
 
     slots = coupling_slots(instance)
     merged = builders[0]
@@ -660,26 +676,7 @@ def build_seamed(instance: NetworkInstance, loads: LoadProfile,
                      for s in slots)
     meta = CouplingMeta(slots=slots, terminal_cols=terminal,
                         init_pin_rows=tuple(pins0))
-    model = MdopModel(
-        n=len(merged.col_refs),
-        col_refs=merged.col_refs,
-        col_index=merged.col_index,
-        p_diag=np.array(merged.p_list),
-        q=np.array(merged.q_list),
-        const=merged.const,
-        row_coefs=merged.row_coefs,
-        row_lo=np.array(merged.row_lo),
-        row_hi=np.array(merged.row_hi),
-        row_labels=merged.row_labels,
-        cones=merged.cones,
-        cone_labels=merged.cone_labels,
-        lb=np.array(merged.lb_list),
-        ub=np.array(merged.ub_list),
-        binaries=frozenset(merged.binaries),
-        coupling=meta,
-        window=(0, loads.horizon),
-        dt=loads.dt,
-    )
+    model = merged.model(meta, (0, loads.horizon))
     return SeamedModel(model=model, windows=tuple(windows),
                        seam_rows=tuple(seam_rows))
 

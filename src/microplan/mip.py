@@ -133,15 +133,13 @@ class _NodeSolver:
 
 def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
                  node_limit: int = 100_000, time_limit: float = 600.0,
-                 seed: int = 0, settings: Settings = Settings(),
+                 settings: Settings = Settings(),
                  cut_tol: float = 1e-7, log_path=None) -> MipResult:
     """Solve the mixed-binary model to the requested relative gap.
 
-    The search is deterministic for fixed inputs; `seed` is accepted
-    for interface stability and not consumed.  `log_path`, when given,
-    receives a CSV trace with one row per explored node.
+    The search is deterministic for fixed inputs.  `log_path`, when
+    given, receives a CSV trace with one row per explored node.
     """
-    del seed
     t0 = time.perf_counter()
     solver = _NodeSolver(model, settings, cut_tol)
     log = []

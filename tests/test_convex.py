@@ -124,6 +124,12 @@ class TestValidation:
             make_prog([1.0, 1.0], [0.0, 0.0],
                       cones=[ConeRow(cols=(0,), radius_col=0)])
 
+    @pytest.mark.parametrize("cols", [(0, 2), (-1, 1), (1, 1)])
+    def test_out_of_range_or_repeated_cone_columns_rejected(self, cols):
+        with pytest.raises(EngineError, match="cone 0 has invalid columns"):
+            make_prog([1.0, 1.0], [0.0, 0.0],
+                      cones=[ConeRow(cols=cols, radius=1.0)])
+
     def test_qp_rejects_cone_rows(self):
         prog = make_prog([1.0, 1.0], [0.0, 0.0],
                          cones=[ConeRow(cols=(0,), radius=1.0)])

@@ -12,7 +12,10 @@ import itertools
 import numpy as np
 import pytest
 
-cp = pytest.importorskip("cvxpy")
+try:
+    import cvxpy as cp
+except ImportError:     # the oracles skip the cross-check without it
+    cp = None
 
 from microplan.formulation import (
     FormulationError, INIT_KINDS, ModelBuilder, assemble, build_seamed,
@@ -33,6 +36,8 @@ INF = np.inf
 def cvx_solve(prog, pins=()):
     """Solve a ConvexProgram with cvxpy/CLARABEL, optionally pinning
     columns to values.  Returns (status, objective incl. constant, x)."""
+    if cp is None:
+        pytest.skip("cvxpy is not installed")
     x = cp.Variable(prog.n)
     cons = []
     fin_l = np.isfinite(prog.l)
