@@ -1,4 +1,4 @@
-"""Convex QP/QCQP engine: operator splitting with active-set polish.
+"""Convex QP/QCQP engine: interior point, tangent cuts, active-set polish.
 
 Solves programs of the form
 
@@ -8,10 +8,16 @@ Solves programs of the form
                 sum_j x[c_j]^2 <= r^2 (norm-ball rows; r a constant or a
                                        designated radius variable)
 
-by an over-relaxed ADMM splitting with Ruiz equilibration, adaptive step
-size, and an equality-constrained polish solve on the identified active
-set so that duals come out at near-machine accuracy.  Norm-ball rows are
-enforced by tangent cuts generated on demand.
+in three layers.  Each QP is Ruiz-equilibrated and solved from a cold
+start by a homogeneous primal-dual interior-point iteration with
+Mehrotra predictor-corrector steps (the form Clarabel uses): one
+regularized, refined KKT factorization per step, and infeasibility or
+unboundedness read off the homogeneous certificates.  Norm-ball rows
+never reach the QP: an outer loop enforces them by tangent cuts
+generated on demand, one QP solve per round.  Each QP solve ends with
+the polish: the interior point's active set is resolved as an
+equality-constrained system, so that solutions and duals come out at
+near-machine accuracy.
 
 Dual sign convention.  Multipliers y satisfy the stationarity condition
 
@@ -103,32 +109,24 @@ class ConvexProgram:
         return 0.5 * float(x @ (self.p_diag * x)) + float(self.q @ x) + self.const
 
 
-# ADMM constants: convergence tolerances, step size and its adaptation,
-# relaxation, equilibration, polish, and the infeasibility certificates
+# Interior-point constants: termination and certificate tolerances,
+# static KKT regularization, step damping and the stall window; then
+# equilibration, and the polish's acceptance tolerances and proximal weight
+EPS_OPT = 1e-9
+EPS_INF = 1e-8
+KKT_REG = 1e-8
+STEP_FRACTION = 0.99
+STALL_ITERS = 10
+SCALING_ITERS = 10
 EPS_ABS = 1e-8
 EPS_REL = 1e-6
-RHO = 0.1
-RHO_EQ_SCALE = 1e3
-RHO_MIN = 1e-6
-RHO_MAX = 1e6
-SIGMA = 1e-6
-ALPHA = 1.6
-SCALING_ITERS = 10
-ADAPTIVE_RHO_TOL = 5.0
-ADAPTIVE_RHO_INTERVAL = 200
-ADAPTIVE_RHO_MAX_UPDATES = 6
 POLISH_DELTA = 1e-6
-POLISH_LOOSE_FACTOR = 1e3
-POLISH_RETRY_GAP = 250
 REFINE_STEPS = 3
-EPS_PINF = 1e-7
-EPS_DINF = 1e-7
 
 
 @dataclass(frozen=True)
 class Settings:
-    max_iter: int = 200_000
-    check_interval: int = 25
+    max_iter: int = 100
     polish: bool = True
     log_path: str | None = None
 
@@ -148,7 +146,6 @@ class PrimalDualSolution:
     polished: bool = False
     detail: str = ""
     program: ConvexProgram | None = None
-    warm: tuple | None = None   # (x, y over rows then bounds) for warm starts
 
     @property
     def lower_bound_duals(self):
@@ -188,36 +185,51 @@ def _meets(rp_vec, rd_vec, prim_ref, dual_ref, eps_abs, eps_rel):
                 and np.all(np.abs(rd_vec) <= eps_abs + eps_rel * dual_ref))
 
 
-class QpWorkspace:
-    """Factorized ADMM workspace for one program structure.
+def _refined(lu, mat, rhs):
+    """Back-solve with iterative refinement against `mat`.  A singular
+    `mat` can make refinement diverge, so the best solution is kept."""
+    sol = lu.solve(rhs)
+    if not np.all(np.isfinite(sol)):
+        return sol
+    best = sol
+    best_res = float(np.abs(rhs - mat @ sol).max(initial=0.0))
+    for _ in range(REFINE_STEPS):
+        if best_res < 1e-15:
+            break
+        sol = sol + lu.solve(rhs - mat @ sol)
+        res = float(np.abs(rhs - mat @ sol).max(initial=0.0))
+        if res < best_res:
+            best, best_res = sol, res
+    return best
 
-    Row and variable bounds may be replaced between solves; the matrix,
-    scaling, and KKT factorization are computed once and reused, which is
-    what makes branch-and-bound bound updates cheap.
+
+def _max_step(v, dv):
+    """Largest step in (0, 1] keeping v + step * dv nonnegative."""
+    neg = dv < 0.0
+    return min(1.0, float((-v[neg] / dv[neg]).min(initial=np.inf)))
+
+
+class QpWorkspace:
+    """Scaled problem data for one program structure.
+
+    Row and variable bounds may be replaced between solves; the matrix
+    and its equilibration are computed once and reused, which is what
+    makes branch-and-bound bound updates cheap.
     """
 
-    def __init__(self, prog: ConvexProgram, settings: Settings = Settings(),
-                 rho0: float | None = None):
+    def __init__(self, prog: ConvexProgram, settings: Settings = Settings()):
         self.prog = prog
         self.settings = settings
         n, m = prog.n, prog.m
         self.n = n
         self.mt = m + n                      # caller rows plus bound rows
-        self.a_full = sp.vstack([prog.a, sp.eye(n, format="csr")], format="csc")
-        self._scale()
+        self._scale(sp.vstack([prog.a, sp.eye(n, format="csr")], format="csr"))
         self.l = np.concatenate([prog.l, prog.lb])
         self.u = np.concatenate([prog.u, prog.ub])
-        eq = np.isclose(self.l, self.u, rtol=0.0, atol=1e-12) \
-            & np.isfinite(self.l) & np.isfinite(self.u)
-        self.eq_rows = eq
-        self.rho_scalar = RHO if rho0 is None else rho0
-        self._rho_updated_at = 0
-        self._build_rho()
-        self._factorize()
 
     # -- setup ------------------------------------------------------------
 
-    def _scale(self):
+    def _scale(self, a):
         """Modified Ruiz equilibration plus cost normalization."""
         n, mt = self.n, self.mt
         d = np.ones(n)
@@ -225,7 +237,7 @@ class QpWorkspace:
         c = 1.0
         p = self.prog.p_diag.copy()
         q = self.prog.q.copy()
-        a = self.a_full.copy().astype(float)
+        a = a.astype(float)
         for _ in range(SCALING_ITERS):
             a_abs = abs(a)
             col_a = np.asarray(a_abs.max(axis=0).todense()).ravel()
@@ -247,25 +259,12 @@ class QpWorkspace:
             p *= c_step
             q *= c_step
         self.d, self.e, self.c = d, e, c
-        self.ps, self.qs, self.As = p, q, sp.csc_matrix(a)
-
-    def _build_rho(self):
-        rho = np.full(self.mt, self.rho_scalar)
-        rho[self.eq_rows] *= RHO_EQ_SCALE
-        self.rho = np.clip(rho, RHO_MIN, RHO_MAX * RHO_EQ_SCALE)
-
-    def _factorize(self):
-        n = self.n
-        kkt = sp.bmat([
-            [sp.diags(self.ps + SIGMA), self.As.T],
-            [self.As, -sp.diags(1.0 / self.rho)],
-        ], format="csc")
-        self.lu = spla.splu(kkt)
+        self.ps, self.qs, self.As = p, q, sp.csr_matrix(a)
 
     # -- bound updates ----------------------------------------------------
 
     def update_bounds(self, l=None, u=None, lb=None, ub=None):
-        """Replace row/variable bounds without refactorizing."""
+        """Replace row/variable bounds; the next solve reclassifies rows."""
         m = self.prog.m
         if l is not None:
             self.l[:m] = l
@@ -279,159 +278,197 @@ class QpWorkspace:
             bad = int(np.argmax(self.l - self.u))
             raise EngineError(f"updated bounds cross at row {bad}")
 
-    # -- main loop --------------------------------------------------------
+    # -- solve ------------------------------------------------------------
 
-    def solve(self, warm_start=None) -> PrimalDualSolution:
+    def solve(self) -> PrimalDualSolution:
+        """Interior-point solve, then the active-set polish of its point."""
         st = self.settings
-        n, mt = self.n, self.mt
-        d, e, c = self.d, self.e, self.c
-        ls = self.l * e
-        us = self.u * e
-        self._rho_updated_at = 0
-        self._rho_updates = 0
-        self._rho_interval = ADAPTIVE_RHO_INTERVAL
         t0 = time.perf_counter()
-
-        if warm_start is not None:
-            wx, wy = warm_start
-            x = np.asarray(wx) / d
-            y = np.asarray(wy) * self.c / e if wy is not None else np.zeros(mt)
-            z = np.clip(self.As @ x, ls, us)
-        else:
-            x = np.zeros(n)
-            y = np.zeros(mt)
-            z = np.clip(np.zeros(mt), ls, us)
+        ls = self.l * self.e
+        us = self.u * self.e
+        # rows are classified from the current bounds, which branch and
+        # bound replaces between solves: equalities, then the upper and
+        # lower sides of the remaining rows as `g x <= h` inequalities
+        eq = (ls == us) & np.isfinite(us)
+        i_eq = np.flatnonzero(eq)
+        i_up = np.flatnonzero(np.isfinite(us) & ~eq)
+        i_lo = np.flatnonzero(np.isfinite(ls) & ~eq)
+        rows = np.concatenate([i_eq, i_up, i_lo])
+        sign = np.ones(rows.size)
+        sign[i_eq.size + i_up.size:] = -1.0
+        g = sp.diags(sign) @ self.As[rows]
+        h = sign * np.concatenate([us[i_eq], us[i_up], ls[i_lo]])
 
         log_rows = []
-        status = "iteration-limit"
+        status, it, (x, z, s, prim_res, dual_res) = self._interior_point(
+            g, h, i_eq.size, self.e[rows], log_rows)
+        y = np.zeros(self.mt)
+        np.add.at(y, rows, sign * z)
         detail = ""
-        it = 0
-        tighten = 0
-        eps_abs, eps_rel = EPS_ABS, EPS_REL
-        prim_res = dual_res = np.inf
-        last_polish = -(10 ** 9)
-        retry_gap = POLISH_RETRY_GAP
-        last_fail_score = None
-        converged = None  # first iterate meeting the configured tolerances
-        converged_at = 0
-
-        # warm multipliers usually carry a nearly correct active set (a
-        # previous cut round's or neighboring node's polished duals); one
-        # resolve often settles the whole solve before any iteration
-        if st.polish and warm_start is not None and warm_start[1] is not None:
-            acc, _ = self._polish_accept(y, x)
+        if st.polish and status in ("optimal", "iteration-limit"):
+            # a row is pinned on the side whose multiplier exceeds its
+            # slack; the multiplier sign alone misreads near-zero duals
+            act = z[i_eq.size:] > s[i_eq.size:]
+            up = np.zeros(self.mt, dtype=bool)
+            low = np.zeros(self.mt, dtype=bool)
+            up[i_up[act[:i_up.size]]] = True
+            low[i_lo[act[i_up.size:]]] = True
+            acc = self._polish_accept(low, up, x)
             if acc is not None:
-                xp, yp, zp, rp0, rd0 = acc
-                return self._package("optimal", "polished", xp * d, yp,
-                                     rp0, rd0, 0,
-                                     time.perf_counter() - t0, log_rows)
+                x, y, prim_res, dual_res = acc
+                status, detail = "optimal", "polished"
+            elif status == "optimal":
+                detail = "polish rejected"
+        return self._package(status, detail, x, y, prim_res, dual_res, it,
+                             time.perf_counter() - t0, log_rows)
 
-        while it < st.max_iter:
-            it += 1
-            rhs = np.concatenate([SIGMA * x - self.qs, z - y / self.rho])
-            sol = self.lu.solve(rhs)
-            xt = sol[:n]
-            nu = sol[n:]
-            zt = z + (nu - y) / self.rho
-            x_prev = x
-            x = ALPHA * xt + (1.0 - ALPHA) * x
-            z_cand = ALPHA * zt + (1.0 - ALPHA) * z + y / self.rho
-            z_new = np.clip(z_cand, ls, us)
-            y_prev = y
-            y = self.rho * (z_cand - z_new)
-            z = z_new
+    def _interior_point(self, g, h, me, e_g, log_rows):
+        """Homogeneous self-dual primal-dual iteration with Mehrotra
+        predictor-corrector steps on the scaled QP
 
-            if it % st.check_interval and it != st.max_iter:
-                continue
+            minimize 1/2 x' diag(ps) x + qs' x   s.t.  g x + s = h,
+            s = 0 on the first `me` rows, s >= 0 on the rest,
 
-            rp_vec, rd_vec, prim_ref, dual_ref = self._residuals(x, y, z)
-            prim_res = float(np.abs(rp_vec).max(initial=0.0))
-            dual_res = float(np.abs(rd_vec).max(initial=0.0))
+        embedded with the homogenizing pair (tau, kappa) so that the
+        limit is either a solution (tau > 0) or an infeasibility
+        certificate (kappa > 0).  Returns the status, the step count and
+        the point (x, z, s, primal residual, dual residual): the iterate
+        meeting the tolerances, or the best iterate seen otherwise.
+        """
+        st = self.settings
+        n, mg = self.n, g.shape[0]
+        mi = mg - me
+        ps, qs, d, c = self.ps, self.qs, self.d, self.c
+        gt = g.T.tocsr()
+        static = sp.bmat([[sp.diags(ps), gt], [g, None]], format="csc")
+        reg = KKT_REG * sp.diags(np.concatenate([np.ones(n), -np.ones(mg)]))
+        w = np.zeros(mg)
 
+        def factor():
+            """Quasi-definite KKT [[P, G'], [G, -W]], statically regularized
+            for the factorization and refined against the exact matrix."""
+            exact = static - sp.diags(np.concatenate([np.zeros(n), w]))
+            return spla.splu((exact + reg).tocsc()), exact
+
+        # start from the least-squares point of the rows, with slacks and
+        # inequality multipliers shifted into the interior
+        w[me:] = 1.0
+        lu, exact = factor()
+        sol = _refined(lu, exact, np.concatenate([-qs, h]))
+        x, z = sol[:n], sol[n:]
+        s = np.zeros(mg)
+        s[me:] = -z[me:]
+        for v in (s, z):
+            lowest = float(v[me:].min(initial=1.0))
+            if lowest < 1.0:
+                v[me:] += 1.0 - lowest
+        tau = kappa = 1.0
+
+        status = "iteration-limit"
+        best = None
+        mus = []
+        it = 0
+        while True:
+            xh, zh, sh = x / tau, z / tau, s / tau
+            gx, px, gtz = g @ xh, ps * xh, gt @ zh
+            prim_res = float((np.abs(gx + sh - h) / e_g).max(initial=0.0))
+            dual_res = float((np.abs(px + qs + gtz) / (d * c)).max(initial=0.0))
+            prim_ref = 1.0 + max(float((np.abs(gx) / e_g).max(initial=0.0)),
+                                 float((np.abs(h) / e_g).max(initial=0.0)))
+            dual_ref = 1.0 + max(float((np.abs(px) / d).max(initial=0.0)),
+                                 float((np.abs(gtz) / d).max(initial=0.0)),
+                                 float((np.abs(qs) / d).max(initial=0.0))) / c
+            pobj = (0.5 * float(xh @ px) + float(qs @ xh)) / c
+            gap = abs(float(xh @ px) + float(qs @ xh) + float(h @ zh)) / c
             if st.log_path:
                 log_rows.append((it, prim_res, dual_res,
-                                 self.prog.objective(x * d)))
-
-            if _meets(rp_vec, rd_vec, prim_ref, dual_ref, eps_abs, eps_rel):
+                                 self.prog.objective(xh * d)))
+            # the gap is in objective units (dollars) with a unit floor
+            merit = max(prim_res / prim_ref, dual_res / dual_ref,
+                        gap / max(1.0, abs(pobj)))
+            if best is None or merit < best[0]:
+                best = (merit, (xh, zh, sh, prim_res, dual_res))
+            if merit <= EPS_OPT:
                 status = "optimal"
-                if converged is None:
-                    converged = (x.copy(), y.copy(), z.copy(), prim_res, dual_res)
-                    converged_at = it
-                if st.polish:
-                    # acceptance is always against the configured
-                    # tolerances; tightening below only pushes the
-                    # iterate toward cleaner multiplier signs
-                    acc, cand_score = self._polish_accept(y, x)
-                    if acc is not None:
-                        x, y, z, prim_res, dual_res = acc
-                        detail = "polished"
-                        break
-                    stagnant = (cand_score is not None
-                                and last_fail_score is not None
-                                and abs(cand_score - last_fail_score)
-                                <= 1e-9 * max(1.0, cand_score))
-                    last_fail_score = cand_score
-                    if not stagnant and tighten < 2:
-                        # active set not clean yet; push the splitting
-                        # further before giving up on the polish step
-                        tighten += 1
-                        eps_abs *= 1e-2
-                        eps_rel *= 1e-2
-                        status = "iteration-limit"
-                        continue
-                    detail = "polish rejected"
                 break
-
-            # degenerate programs approach the optimum long before the
-            # splitting iteration can certify it; dual components in
-            # particular may slosh between multiple dual optima with
-            # slowly decaying amplitude.  Once the primal side is loosely
-            # converged the multiplier signs are a usable active-set
-            # guess, so try the resolve and accept it if it meets the
-            # strict tolerances on its own.  Failures back off
-            # exponentially to keep the factorization cost bounded.
-            loose = POLISH_LOOSE_FACTOR
-            if st.polish and it - last_polish >= retry_gap \
-                    and bool(np.all(np.abs(rp_vec)
-                                    <= eps_abs * loose
-                                    + eps_rel * loose * prim_ref)):
-                last_polish = it
-                acc, _ = self._polish_accept(y, x)
-                if acc is not None:
-                    x, y, z, prim_res, dual_res = acc
-                    status = "optimal"
-                    detail = "polished"
-                    break
-                retry_gap = min(retry_gap * 2, 8 * POLISH_RETRY_GAP)
-
-            cert = self._infeasibility(y - y_prev, x - x_prev)
-            if cert:
-                status = cert
+            # homogeneous certificates: a dual ray proving the rows
+            # inconsistent, or a primal ray of decreasing cost
+            htz, qx = float(h @ z), float(qs @ x)
+            if htz < 0.0 and float((np.abs(gt @ z) / d).max(initial=0.0)) \
+                    <= EPS_INF * -htz:
+                return "infeasible", it, best[1]
+            if qx < 0.0:
+                curv = float((np.abs(ps * x) / d).max(initial=0.0))
+                slip = float((np.abs(g @ x + s) / e_g).max(initial=0.0))
+                if curv <= EPS_INF * -qx and slip <= EPS_INF * -qx / c:
+                    return "unbounded", it, best[1]
+            mu = (float(s[me:] @ z[me:]) + tau * kappa) / (mi + 1)
+            mus.append(mu)
+            # a stalled iteration (mu not halving over the window) hands
+            # its best iterate to the polish
+            if it >= st.max_iter or (len(mus) > STALL_ITERS
+                                     and mu > 0.5 * mus[-1 - STALL_ITERS]):
                 break
-            if prim_res > 0 and dual_res > 0 \
-                    and self._rho_updates < ADAPTIVE_RHO_MAX_UPDATES \
-                    and it - self._rho_updated_at >= self._rho_interval:
-                self._maybe_update_rho(
-                    it, prim_res, dual_res,
-                    max(float(prim_ref.max(initial=0.0)), 1e-12),
-                    max(float(dual_ref.max(initial=0.0)), 1e-12))
-            # the tolerances were already met once; cap how long the
-            # tightening ladder may chase a cleaner active set
-            if converged is not None and it - converged_at >= 20_000:
+            it += 1
+
+            w[me:] = s[me:] / z[me:]
+            try:
+                lu, exact = factor()
+            except RuntimeError:
                 break
+            rx = ps * x + gt @ z + qs * tau
+            rz = g @ x + s - h * tau
+            xpx = float(x @ (ps * x))
+            rtau = xpx / tau + qx + htz + kappa
+            cx = 2.0 * ps * x / tau + qs
+            # the tau direction: one back-solve shared by both steps
+            u_tau = _refined(lu, exact, np.concatenate([-qs, h]))
+            denom = float(cx @ u_tau[:n] + h @ u_tau[n:]) \
+                - xpx / tau ** 2 - kappa / tau
 
-        if status != "optimal" and converged is not None:
-            # the configured tolerances were met; the extra budget spent
-            # chasing a cleaner active set for polish just ran out
-            x, y, z, prim_res, dual_res = converged
-            status = "optimal"
-            detail = "polish rejected"
-        return self._package(status, detail, x * d, y, prim_res, dual_res,
-                             it, time.perf_counter() - t0, log_rows)
+            def direction(eta, ds, dk):
+                """Newton step with residuals scaled by eta and
+                complementarity targets ds (inequality rows), dk."""
+                rhs = np.concatenate([-eta * rx, -eta * rz])
+                rhs[n + me:] += ds / z[me:]
+                u = _refined(lu, exact, rhs)
+                dtau = (-eta * rtau + dk / tau - float(cx @ u[:n])
+                        - float(h @ u[n:])) / denom
+                u += dtau * u_tau
+                dz = u[n:]
+                ds_vec = np.zeros(mg)
+                ds_vec[me:] = -(ds + s[me:] * dz[me:]) / z[me:]
+                dkappa = -(dk + kappa * dtau) / tau
+                step = min(_max_step(s[me:], ds_vec[me:]),
+                           _max_step(z[me:], dz[me:]),
+                           _max_step(np.array([tau, kappa]),
+                                     np.array([dtau, dkappa])))
+                return u[:n], dz, ds_vec, dtau, dkappa, step
 
-    def _package(self, status, detail, x_un, y_sc, prim_res, dual_res,
+            _, dz_a, ds_a, dtau_a, dkappa_a, step_a = direction(
+                1.0, s[me:] * z[me:], tau * kappa)
+            sigma = (1.0 - step_a) ** 3
+            dx, dz, ds_vec, dtau, dkappa, step = direction(
+                1.0 - sigma,
+                s[me:] * z[me:] + ds_a[me:] * dz_a[me:] - sigma * mu,
+                tau * kappa + dtau_a * dkappa_a - sigma * mu)
+            step *= STEP_FRACTION
+            x = x + step * dx
+            z = z + step * dz
+            s = s + step * ds_vec
+            tau += step * dtau
+            kappa += step * dkappa
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))
+                    and tau > 0.0):
+                break
+        return status, it, best[1]
+
+    def _package(self, status, detail, x_sc, y_sc, prim_res, dual_res,
                  it, elapsed, log_rows):
         m = self.prog.m
+        # interior and polished points may stray from a bound by rounding;
+        # downstream stages take these values as exact boundary data
+        x_un = np.clip(x_sc * self.d, self.l[m:], self.u[m:])
         y_un = y_sc * self.e / self.c
         if self.settings.log_path and log_rows:
             with open(self.settings.log_path, "w") as fh:
@@ -451,10 +488,9 @@ class QpWorkspace:
             polished=(detail == "polished"),
             detail=detail,
             program=self.prog,
-            warm=(x_un, y_un),
         )
 
-    # -- diagnostics ------------------------------------------------------
+    # -- polish -----------------------------------------------------------
 
     def _obj_guard(self, x_pol, x_it):
         """A mis-pinned active set passes the residual test with a point
@@ -467,7 +503,7 @@ class QpWorkspace:
     def _residuals(self, x, y, z):
         """Unscaled residual vectors plus per-component reference scales.
 
-        The convergence test is applied component-wise: each residual
+        The acceptance test is applied component-wise: each residual
         entry is compared against eps_abs + eps_rel * (the magnitude of
         the terms feeding that entry).  A single huge coefficient, such
         as a load-shedding penalty, then buys slack only for its own
@@ -487,62 +523,26 @@ class QpWorkspace:
         dual_ref = np.maximum(dual_ref, 1.0)
         return rp_vec, rd_vec, prim_ref, dual_ref
 
-    def _infeasibility(self, dy_sc, dx_sc):
-        # primal certificate: a dual direction proving the rows conflict
-        dy = dy_sc * self.e / self.c
-        norm = np.abs(dy).max(initial=0.0)
-        if norm > 1e-14:
-            t = dy / norm
-            at_t = np.abs(self.a_full.T @ t).max(initial=0.0)
-            pos = np.maximum(t, 0.0)
-            neg = np.minimum(t, 0.0)
-            open_up = np.isinf(self.u) & (pos > EPS_PINF)
-            open_lo = np.isinf(self.l) & (neg < -EPS_PINF)
-            if at_t <= EPS_PINF and not open_up.any() and not open_lo.any():
-                sup = float(np.where(pos > 0, np.where(np.isinf(self.u), 0.0, self.u) * pos, 0.0).sum()
-                            + np.where(neg < 0, np.where(np.isinf(self.l), 0.0, self.l) * neg, 0.0).sum())
-                if sup < -EPS_PINF:
-                    return "infeasible"
-        # dual certificate: a recession direction with strictly negative cost
-        dx = dx_sc * self.d
-        norm = np.abs(dx).max(initial=0.0)
-        if norm > 1e-14:
-            t = dx / norm
-            if np.abs(self.prog.p_diag * t).max(initial=0.0) <= EPS_DINF \
-                    and float(self.prog.q @ t) < -EPS_DINF:
-                at = self.a_full @ t
-                up_ok = np.where(np.isfinite(self.u), at <= EPS_DINF, True)
-                lo_ok = np.where(np.isfinite(self.l), at >= -EPS_DINF, True)
-                if up_ok.all() and lo_ok.all():
-                    return "unbounded"
-        return None
-
-    def _polish_accept(self, y_sc, x_sc):
+    def _polish_accept(self, low, up, x_sc):
         """Run the active-set resolve and test it against the configured
-        tolerances.  Returns (accepted candidate with residuals, None) on
-        success, else (None, failure score) where the score is the worst
-        residual excess ratio (None if no candidate was produced)."""
-        polished = self._polish(y_sc, x_sc)
+        tolerances.  Returns the accepted (x, y, primal residual, dual
+        residual) in scaled form, or None."""
+        polished = self._polish(low, up, x_sc)
         if polished is None:
-            return None, None
+            return None
         xp, yp, zp = polished
         rpp, rdp, prp, drp = self._residuals(xp, yp, zp)
         if _meets(rpp, rdp, prp, drp, EPS_ABS, EPS_REL) \
                 and self._obj_guard(xp, x_sc):
-            return (xp, yp, zp,
-                    float(np.abs(rpp).max(initial=0.0)),
-                    float(np.abs(rdp).max(initial=0.0))), None
-        score = max(
-            float((np.abs(rpp)
-                   / (EPS_ABS + EPS_REL * prp)).max(initial=0.0)),
-            float((np.abs(rdp)
-                   / (EPS_ABS + EPS_REL * drp)).max(initial=0.0)))
-        return None, score
+            return (xp, yp, float(np.abs(rpp).max(initial=0.0)),
+                    float(np.abs(rdp).max(initial=0.0)))
+        return None
 
-    def _polish(self, y_sc, x_sc):
-        """Equality-constrained resolve on the active set; returns the
-        scaled candidate (x, y, z) or None if the factorization fails.
-        Acceptance is the caller's decision.
+    def _polish(self, low, up, x_sc):
+        """Equality-constrained resolve on the active set `low`/`up` (plus
+        every equality row); returns the scaled candidate (x, y, z) or
+        None if the factorization fails.  Acceptance is the caller's
+        decision.
 
         The resolve is anchored at the iterate: the objective carries a
         proximal term (delta/2)|x - x_it|^2.  On a flat optimal face the
@@ -556,16 +556,12 @@ class QpWorkspace:
         ls = self.l * self.e
         us = self.u * self.e
         eq = ls == us          # always pinned, whatever the multiplier sign
-        # a wrong-signed multiplier on a one-sided row must not pin the
-        # missing side, there is no finite value to pin it at
-        low = (y_sc < 0.0) & ~eq & np.isfinite(ls)
-        up = (y_sc > 0.0) & ~eq & np.isfinite(us)
 
-        # The multiplier signs of a loose iterate are only a guess at the
-        # active set.  Each pass solves the pinned KKT system, then adds
-        # rows the candidate violates and drops pins whose multiplier came
-        # out wrong-signed (those were slack, or redundant with other
-        # pins).  The best candidate over all passes is returned.
+        # The handed-over active set is only a guess.  Each pass solves
+        # the pinned KKT system, then adds rows the candidate violates
+        # and drops pins whose multiplier came out wrong-signed (those
+        # were slack, or redundant with other pins).  The best candidate
+        # over all passes is returned.
         best = None
         best_score = np.inf
         for _ in range(6):
@@ -604,21 +600,11 @@ class QpWorkspace:
             for _ in range(10):
                 rhs = np.concatenate([POLISH_DELTA * anchor - self.qs,
                                       vals])
-                cand = lu.solve(rhs)
-                if not np.all(np.isfinite(cand)):
+                # redundant pins make the plain system singular along
+                # dual directions, which the refinement tolerates
+                sol = _refined(lu, k_plain, rhs)
+                if not np.all(np.isfinite(sol)):
                     return best
-                # redundant pins make the plain system singular along dual
-                # directions; refinement can then diverge, so keep the best
-                ref_sol = cand
-                ref_res = float(np.abs(rhs - k_plain @ cand).max(initial=0.0))
-                for _ in range(REFINE_STEPS):
-                    if ref_res < 1e-15:
-                        break
-                    cand = cand + lu.solve(rhs - k_plain @ cand)
-                    res = float(np.abs(rhs - k_plain @ cand).max(initial=0.0))
-                    if res < ref_res:
-                        ref_sol, ref_res = cand, res
-                sol = ref_sol
                 move = float(np.abs(sol[:n] - anchor).max(initial=0.0))
                 anchor = sol[:n]
                 if move <= 1e-14 * (1.0 + float(np.abs(anchor).max(initial=0.0))):
@@ -656,29 +642,13 @@ class QpWorkspace:
             low = (low | grow_lo) & ~shrink_lo
         return best
 
-    def _maybe_update_rho(self, it, prim_res, dual_res, prim_scale, dual_scale):
-        ratio = np.sqrt((prim_res / prim_scale) / (dual_res / dual_scale))
-        if not np.isfinite(ratio) or ratio <= 0:
-            return
-        new_scalar = float(np.clip(self.rho_scalar * ratio, RHO_MIN, RHO_MAX))
-        change = new_scalar / self.rho_scalar
-        if change > ADAPTIVE_RHO_TOL or change < 1.0 / ADAPTIVE_RHO_TOL:
-            self.rho_scalar = new_scalar
-            self._rho_updated_at = it
-            self._rho_updates += 1
-            # exponential backoff keeps a final fixed-rho phase, without
-            # which the flip-flopping operator can cycle forever
-            self._rho_interval *= 2
-            self._build_rho()
-            self._factorize()
 
-
-def solve_qp(prog: ConvexProgram, warm_start=None,
+def solve_qp(prog: ConvexProgram,
              settings: Settings = Settings()) -> PrimalDualSolution:
     """One-shot QP solve; `prog` must have no cone rows."""
     if prog.cones:
         raise EngineError("program has cone rows; use solve_qcqp")
-    return QpWorkspace(prog, settings).solve(warm_start=warm_start)
+    return QpWorkspace(prog, settings).solve()
 
 
 def _cut_row(prog, cone_idx, direction):
@@ -696,7 +666,7 @@ def _cut_row(prog, cone_idx, direction):
 
 
 def solve_qcqp(prog: ConvexProgram, cut_tol: float = 1e-7, max_rounds: int = 50,
-               warm_start=None, settings: Settings = Settings(),
+               settings: Settings = Settings(),
                cuts: list | None = None,
                ws_cache: dict | None = None) -> PrimalDualSolution:
     """Outer-approximation loop for programs with norm-ball rows.
@@ -718,21 +688,6 @@ def solve_qcqp(prog: ConvexProgram, cut_tol: float = 1e-7, max_rounds: int = 50,
     m_base = prog.m
     n = prog.n
     sol = None
-    warm = warm_start
-    if warm is not None and warm[1] is not None:
-        # the pool may have grown since this warm vector was produced; pad
-        # the cut-row block with zeros so lengths line up
-        wx, wy = warm
-        k_old = len(wy) - m_base - n
-        if k_old < 0:
-            warm = (wx, None)
-        elif k_old != len(cuts):
-            pad = np.zeros(max(len(cuts) - k_old, 0))
-            wy = np.concatenate([wy[:m_base + min(k_old, len(cuts))], pad,
-                                 wy[m_base + k_old:]])
-            warm = (wx, wy)
-
-    rho_carry = None
     for round_no in range(max_rounds + 1):
         rows, cols, vals, his = [], [], [], []
         for r, (cone_idx, direction) in enumerate(cuts):
@@ -748,20 +703,17 @@ def solve_qcqp(prog: ConvexProgram, cut_tol: float = 1e-7, max_rounds: int = 50,
             sp.vstack([prog.a, extra], format="csr") if cuts else prog.a,
             np.concatenate([prog.l, np.full(len(cuts), -np.inf)]),
             np.concatenate([prog.u, his]), prog.lb, prog.ub, (), prog.const)
-        # successive rounds differ by a few tangent rows; the adapted step
-        # size from the last round is a far better start than the default
         if ws_cache is None:
-            ws = QpWorkspace(aug, settings, rho0=rho_carry)
+            ws = QpWorkspace(aug, settings)
         else:
             key = (len(cuts), ws_cache.get("_version", 0))
             ws = ws_cache.get(key)
             if ws is None:
-                ws = QpWorkspace(aug, settings, rho0=rho_carry)
+                ws = QpWorkspace(aug, settings)
                 ws_cache[key] = ws
             else:
                 ws.update_bounds(l=aug.l, u=aug.u, lb=aug.lb, ub=aug.ub)
-        sol = ws.solve(warm_start=warm)
-        rho_carry = ws.rho_scalar
+        sol = ws.solve()
         if sol.status != "optimal":
             return _finish_qcqp(prog, sol, cuts, m_base)
 
@@ -799,9 +751,7 @@ def solve_qcqp(prog: ConvexProgram, cut_tol: float = 1e-7, max_rounds: int = 50,
         # place (every kept cut stays a valid tangent).  The cap is
         # generous so eviction only ever hits a near-twin of the new cut,
         # never the far side of a bracket around the optimum.
-        wx, wy = sol.warm
         max_cuts_per_cone = 24
-        appended = 0
         rotated = False
         for k, direction in new_cuts:
             mine = [r for r, (ci, _) in enumerate(cuts) if ci == k]
@@ -812,17 +762,10 @@ def solve_qcqp(prog: ConvexProgram, cut_tol: float = 1e-7, max_rounds: int = 50,
                 rotated = True
             else:
                 cuts.append((k, direction))
-                appended += 1
         if rotated and ws_cache is not None:
             version = ws_cache.get("_version", 0) + 1
             ws_cache.clear()
             ws_cache["_version"] = version
-        # multipliers of kept and rotated rows carry over; appended cuts
-        # start at zero
-        y_new = np.concatenate([wy[:m_base + len(cuts) - appended],
-                                np.zeros(appended),
-                                wy[m_base + len(cuts) - appended:]])
-        warm = (wx, y_new)
 
     return _finish_qcqp(prog, sol, cuts, m_base)
 
@@ -839,8 +782,6 @@ def _finish_qcqp(prog, sol, cuts, m_base):
     sol.program = prog
     if sol.status == "optimal" and prog.cones:
         _dual_refit(prog, sol)
-    wx, wy = sol.warm if sol.warm else (sol.x, None)
-    sol.warm = (wx, wy)
     return sol
 
 

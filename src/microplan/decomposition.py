@@ -456,8 +456,8 @@ def gauss_seidel_relaxed(instance, loads, plan: StagePlan,
     """Forward sweeps over the relaxed stage problems until the merged
     point satisfies the monolithic KKT system to `tol`.
 
-    Each stage is solved relaxed, warm-started from its own previous
-    solve with its own cut pool.  With every piece convex the iteration
+    Each stage is solved relaxed from a cold start, with its own cut pool
+    carried from sweep to sweep.  With every piece convex the iteration
     is a block Gauss-Seidel pass over the monolith's optimality system,
     and the merged residual is the convergence measure.  A single stage
     satisfies the system in one sweep.  Divergence (the residual growing
@@ -468,17 +468,14 @@ def gauss_seidel_relaxed(instance, loads, plan: StagePlan,
     merged_model = relax_integrality(seamed.model)
     merged_prog = merged_model.to_convex()
     prices = [DualVector.zero(instance) for _ in range(plan.stage_count - 1)]
-    warm = [None] * plan.stage_count
     pools = [[] for _ in range(plan.stage_count)]
 
     def solve_stage(s, model):
         sol = solve_qcqp(relax_integrality(model).to_convex(),
-                         cut_tol=cut_tol, settings=settings,
-                         warm_start=warm[s], cuts=pools[s])
+                         cut_tol=cut_tol, settings=settings, cuts=pools[s])
         if sol.status != "optimal":
             raise DecompositionError(
                 f"relaxed solve ended {sol.status} ({sol.detail})")
-        warm[s] = sol.warm
         return sol
 
     residuals = []

@@ -295,7 +295,7 @@ class ModelBuilder:
             for b in inst.battery_specs:
                 # storage-side power is already limited through the SoC
                 # recursion and the efficiency rows; these bounds restate
-                # the implied box to help the splitting iteration
+                # the implied box and never bind on their own
                 phat_lo = max(b.eta_ch * b.p_min, -b.max_energy / self.loads.dt)
                 phat_hi = b.max_energy / self.loads.dt
                 self.add_col("phat_b", b.id, t, phat_lo, phat_hi)
@@ -633,10 +633,15 @@ def build_seamed(instance: NetworkInstance, loads: LoadProfile,
 
     slots = coupling_slots(instance)
     merged = builders[0]
-    # pin the true horizon start while the column index is still window
-    # 0's own: short windows reuse import time keys, and after the merge
-    # the index resolves them to the latest window
+    # pin the true horizon start and read every window's slot columns
+    # while window 0's column index is still its own: short windows reuse
+    # import time keys, and after the merge the index resolves them to
+    # the latest window
     pins0 = merged.pin_boundary(horizon_start_boundary(instance))
+    init_cols = [[b._slot_init_col(slot) for slot in slots]
+                 for b in builders]
+    term_cols = [[b._slot_terminal_col(slot) for slot in slots]
+                 for b in builders]
     offsets = [0]
     for b in builders[1:]:
         off = len(merged.col_refs)
@@ -662,18 +667,16 @@ def build_seamed(instance: NetworkInstance, loads: LoadProfile,
     # later windows are sewn to their predecessor's terminal state
     seam_rows = []
     for s in range(1, len(windows)):
-        prev, cur = builders[s - 1], builders[s]
         rows = []
-        for slot in slots:
-            j_in = cur._slot_init_col(slot) + offsets[s]
-            j_out = prev._slot_terminal_col(slot) + offsets[s - 1]
+        for k, slot in enumerate(slots):
+            j_in = init_cols[s][k] + offsets[s]
+            j_out = term_cols[s - 1][k] + offsets[s - 1]
             rows.append(merged.add_row(
                 ("seam", s, slot.kind, slot.owner, slot.hist),
                 {j_in: 1.0, j_out: -1.0}, 0.0, 0.0))
         seam_rows.append(tuple(rows))
 
-    terminal = tuple(builders[-1]._slot_terminal_col(s) + offsets[-1]
-                     for s in slots)
+    terminal = tuple(j + offsets[-1] for j in term_cols[-1])
     meta = CouplingMeta(slots=slots, terminal_cols=terminal,
                         init_pin_rows=tuple(pins0))
     model = merged.model(meta, (0, loads.horizon))

@@ -7,9 +7,9 @@ first) until the chain is pruned, infeasible, or integral.  Plunging
 finds incumbents early; the heap keeps the global bound honest.
 
 All node relaxations share one outer-approximation cut pool (tangent
-planes stay valid under bound changes) and one factorized workspace
-cache, so a node solve usually costs a warm-started resolve rather
-than a cold start.
+planes stay valid under bound changes) and one cache of scaled
+workspaces, so a node solve usually skips both the cut rounds its
+ancestors already ran and the equilibration.
 """
 
 import heapq
@@ -109,7 +109,7 @@ class _NodeSolver:
             return None
         return lb, ub
 
-    def solve(self, fixings, warm=None):
+    def solve(self, fixings):
         made = self.bounds(fixings)
         if made is None:
             return None
@@ -117,8 +117,7 @@ class _NodeSolver:
         prog = ConvexProgram(self.base.p_diag, self.base.q, self.base.a,
                              self.base.l, self.base.u, lb, ub,
                              self.base.cones, self.base.const)
-        return solve_qcqp(prog, cut_tol=self.cut_tol,
-                          settings=self.settings, warm_start=warm,
+        return solve_qcqp(prog, cut_tol=self.cut_tol, settings=self.settings,
                           cuts=self.cuts, ws_cache=self.cache)
 
     def fractional(self, x):
@@ -151,7 +150,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
     nodes = 0
     heap = []
     seq = 0
-    heapq.heappush(heap, (-np.inf, seq, BnbNode((), -np.inf, 0), None))
+    heapq.heappush(heap, (-np.inf, seq, BnbNode((), -np.inf, 0)))
 
     def prunable(bound):
         return (np.isfinite(ub) and np.isfinite(bound)
@@ -176,7 +175,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
         for j in extra:
             full[j] = float(round(sol.x[j]))
         if extra or sol.status != "optimal":
-            cand = solver.solve(tuple(full.items()), warm=(sol.x, None))
+            cand = solver.solve(tuple(full.items()))
             if cand is None or cand.status != "optimal":
                 return
         else:
@@ -188,24 +187,24 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
 
     interrupted = False
     while heap:
-        bound0, _, node, warm = heapq.heappop(heap)
+        bound0, _, node = heapq.heappop(heap)
         if prunable(bound0):
             lb_floor = min(lb_floor, bound0)
             continue
         if out_of_budget():
-            heapq.heappush(heap, (bound0, 0, node, warm))
+            heapq.heappush(heap, (bound0, 0, node))
             interrupted = True
             break
 
         # plunge: follow the rounded child until the chain dies
-        cur, cur_warm = node, warm
+        cur = node
         while cur is not None:
             if out_of_budget():
-                heapq.heappush(heap, (cur.bound, seq + 10 ** 9, cur, cur_warm))
+                heapq.heappush(heap, (cur.bound, seq + 10 ** 9, cur))
                 interrupted = True
                 break
             nodes += 1
-            sol = solver.solve(cur.fixings, warm=cur_warm)
+            sol = solver.solve(cur.fixings)
             if sol is None or sol.status == "infeasible":
                 log.append((nodes, cur.depth, best_bound(), ub,
                             _relative_gap(ub, best_bound())))
@@ -230,14 +229,12 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
             seq += 1
             heapq.heappush(heap, (bound, seq,
                                   BnbNode(cur.fixings + ((jstar, 1.0 - near),),
-                                          bound, cur.depth + 1),
-                                  sol.warm))
+                                          bound, cur.depth + 1)))
             cur = BnbNode(cur.fixings + ((jstar, near),), bound, cur.depth + 1)
-            cur_warm = sol.warm
         if interrupted:
             break
 
-    cands = [b for b, _, _, _ in heap]
+    cands = [b for b, _, _ in heap]
     if np.isfinite(lb_floor):
         cands.append(lb_floor)
     if np.isfinite(ub):
@@ -278,16 +275,14 @@ def write_node_log(result: MipResult, path):
 
 def solve_fixed_then_duals(model: MdopModel, binaries,
                            settings: Settings = Settings(),
-                           cut_tol: float = 1e-7,
-                           warm_start=None) -> PrimalDualSolution:
+                           cut_tol: float = 1e-7) -> PrimalDualSolution:
     """Convex solve with every binary fixed; the returned solution
     carries duals for all model rows, including the boundary pins.
 
     Shed variables make any binary assignment servable, so a
     non-optimal outcome is an engine failure, not a model property."""
     fixed = fix_binaries(model, binaries)
-    sol = solve_qcqp(fixed.to_convex(), cut_tol=cut_tol, settings=settings,
-                     warm_start=warm_start)
+    sol = solve_qcqp(fixed.to_convex(), cut_tol=cut_tol, settings=settings)
     if sol.status != "optimal":
         raise EngineError(
             f"fixed-binary solve ended {sol.status} ({sol.detail})")

@@ -867,6 +867,27 @@ def test_seam_rows_tie_adjacent_windows():
     assert model.col_refs[j_in].kind == INIT_KINDS["p"]
 
 
+def test_every_seam_row_ties_a_window_to_its_predecessor():
+    # one-step windows are shorter than the commitment history, so the
+    # start and stop history passes through the seams; every seam row
+    # still holds +1 on window s and -1 on window s-1
+    inst = gen_bat_instance()
+    loads = flat_loads(inst, 4)
+    windows = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    seamed = build_seamed(inst, loads, windows)
+    sizes = [assemble(inst, loads, window=w, own_builds=(s == 0)).n
+             for s, w in enumerate(windows)]
+    starts = np.cumsum([0] + sizes)
+    assert starts[-1] == seamed.model.n
+    for s, rows in enumerate(seamed.seam_rows, start=1):
+        for i in rows:
+            coefs = seamed.model.row_coefs[i]
+            owners = {int(np.searchsorted(starts, j, side="right")) - 1: c
+                      for j, c in coefs.items()}
+            assert len(coefs) == 2, seamed.model.row_labels[i]
+            assert owners == {s: 1.0, s - 1: -1.0}, seamed.model.row_labels[i]
+
+
 def test_seamed_relaxation_matches_monolith_optimum():
     for inst, windows in [
         (gen_bat_instance(), [(0, 2), (2, 4)]),
