@@ -1,27 +1,36 @@
-"""Convex QP/QCQP engine: interior point, tangent cuts, active-set polish.
+"""Convex QCQP engine: a conic interior point, then an active-set polish.
 
 Solves programs of the form
 
     minimize    1/2 x' diag(P) x + q' x + const
     subject to  l  <= A x <= u        (linear rows)
                 lb <=   x <= ub       (variable bounds)
-                sum_j x[c_j]^2 <= r^2 (norm-ball rows; r a constant or a
+                |x[cols]|_2 <= r      (norm-ball rows; r a constant or a
                                        designated radius variable)
 
-in three layers.  Each QP is Ruiz-equilibrated and solved from a cold
-start by a homogeneous primal-dual interior-point iteration with
-Mehrotra predictor-corrector steps (the form Clarabel uses): one
-regularized, refined KKT factorization per step, and infeasibility or
-unboundedness read off the homogeneous certificates.  Norm-ball rows
-never reach the QP: an outer loop enforces them by tangent cuts
-generated on demand, one QP solve per round.  Each QP solve ends with
-the polish: the interior point's active set is resolved as an
-equality-constrained system, so that solutions and duals come out at
-near-machine accuracy.
+in two layers.  The first is a homogeneous primal-dual interior-point
+iteration with Mehrotra predictor-corrector steps, in the form ECOS and
+Clarabel use.  The program is Ruiz-equilibrated and written as
+``g x + s = h`` with s in a product of nonnegative rows and second-order
+cones, one cone (r, x[cols]) per ball; the rows of a ball share one
+scale, so the scaled cone is the same cone.  Each step factors one
+regularized, refined KKT system whose (2,2) block holds the
+Nesterov-Todd scaling of every cone, and infeasibility or unboundedness
+is read off the homogeneous certificates.
+
+The second layer is the polish: the interior point's active set is
+resolved as an equality-constrained system, so that solutions and duals
+come out at near-machine accuracy.  An active ball is pinned by its
+tangent at the current point, with its curvature in the objective, and
+re-linearized at each pass's point until that point stops moving off
+the ball; a ball at its apex, where no tangent exists, has its columns
+pinned to zero.  A polished point is accepted only if its residuals and
+every ball meet the tolerances; otherwise the interior point's own
+point and duals are returned.
 
 Dual sign convention.  Multipliers y satisfy the stationarity condition
 
-    diag(P) x + q + A' y_rows + y_bounds = 0,
+    diag(P) x + q + A' y_rows + y_bounds + sum_k lambda_k n_k = 0,
 
 i.e. the Lagrangian is f + y·(row value − attained bound).  For an
 equality row ``a·x = b`` the reported dual is y itself; for a one-sided
@@ -29,7 +38,9 @@ equality row ``a·x = b`` the reported dual is y itself; for a one-sided
 (and is nonnegative at optimality); for ``a·x <= b`` it is +y.
 :func:`get_duals` applies this mapping.  Variable-bound multipliers
 follow the same rule: ``max(−y_bounds, 0)`` belongs to lower bounds and
-``max(y_bounds, 0)`` to upper bounds.
+``max(y_bounds, 0)`` to upper bounds.  ``cone_duals[k]`` is lambda_k >= 0,
+the multiplier of ``|x[cols]| - r <= 0``; its normal n_k is x[cols]/|x[cols]|
+on the ball's columns and −1 on its radius variable.
 """
 
 from __future__ import annotations
@@ -111,7 +122,8 @@ class ConvexProgram:
 
 # Interior-point constants: termination and certificate tolerances,
 # static KKT regularization, step damping and the stall window; then
-# equilibration, and the polish's acceptance tolerances and proximal weight
+# equilibration, and the polish's acceptance tolerances, proximal weight
+# and pass limit
 EPS_OPT = 1e-9
 EPS_INF = 1e-8
 KKT_REG = 1e-8
@@ -121,6 +133,7 @@ SCALING_ITERS = 10
 EPS_ABS = 1e-8
 EPS_REL = 1e-6
 POLISH_DELTA = 1e-6
+POLISH_PASSES = 8
 REFINE_STEPS = 3
 
 
@@ -203,18 +216,103 @@ def _refined(lu, mat, rhs):
     return best
 
 
-def _max_step(v, dv):
-    """Largest step in (0, 1] keeping v + step * dv nonnegative."""
-    neg = dv < 0.0
-    return min(1.0, float((-v[neg] / dv[neg]).min(initial=np.inf)))
+class _Cones:
+    """A product of second-order cones {v : v[0] >= |v[1:]|}, laid out
+    block after block in one vector; a block of size 1 is a nonnegative
+    row.  The methods act block-wise on vectors in that layout."""
+
+    def __init__(self, sizes):
+        self.sizes = np.asarray(sizes, dtype=int)
+        self.count = self.sizes.size
+        self.heads = np.cumsum(self.sizes) - self.sizes
+        self.owner = np.repeat(np.arange(self.count), self.sizes)
+        self.tail = np.ones(self.owner.size, dtype=bool)
+        self.tail[self.heads] = False
+        self.unit = (~self.tail).astype(float)      # the Jordan identity
+        # every (i, j) pair inside a block: the pattern of W^2
+        rep = self.sizes[self.owner]
+        self.pi = np.repeat(np.arange(self.owner.size), rep)
+        self.pj = np.repeat(self.heads[self.owner], rep) \
+            + np.arange(self.pi.size) - np.repeat(np.cumsum(rep) - rep, rep)
+
+    def _sum(self, v):
+        return np.bincount(self.owner, weights=v, minlength=self.count)
+
+    def tail_dot(self, u, v):
+        return self._sum(np.where(self.tail, u * v, 0.0))
+
+    def tail_norm(self, v):
+        return np.sqrt(self.tail_dot(v, v))
+
+    def margin(self, v):
+        """Distance of each block to its cone's boundary, head minus
+        tail norm: positive inside."""
+        return v[self.heads] - self.tail_norm(v)
+
+    def _det(self, v):
+        tn = self.tail_norm(v)
+        return (v[self.heads] - tn) * (v[self.heads] + tn)
+
+    def prod(self, u, v):
+        """Jordan product u o v."""
+        out = u[self.heads][self.owner] * v + v[self.heads][self.owner] * u
+        out[self.heads] = self._sum(u * v)
+        return out
+
+    def div(self, lam, v):
+        """Jordan division: the x with lam o x = v, for lam inside."""
+        l0 = lam[self.heads]
+        x0 = (l0 * v[self.heads] - self.tail_dot(lam, v)) / self._det(lam)
+        out = (v - lam * x0[self.owner]) / l0[self.owner]
+        out[self.heads] = x0
+        return out
+
+    def scaling(self, s, z):
+        """Nesterov-Todd scaling of interior s and z: W = eta * Wbar with
+        Wbar the hyperbolic reflection by wbar, W z = W^-1 s = lam."""
+        det_s, det_z = self._det(s), self._det(z)
+        sb = s / np.sqrt(det_s)[self.owner]
+        zb = z / np.sqrt(det_z)[self.owner]
+        gamma = np.sqrt(0.5 * (1.0 + self._sum(sb * zb)))
+        wbar = (sb + np.where(self.tail, -zb, zb)) / (2.0 * gamma)[self.owner]
+        eta = np.sqrt(np.sqrt(det_s) / np.sqrt(det_z))
+        return eta, wbar, self.apply_w(eta, wbar, z)
+
+    def apply_w(self, eta, wbar, v, inverse=False):
+        """W v, or W^-1 v."""
+        sign = -1.0 if inverse else 1.0
+        w0, v0 = wbar[self.heads], v[self.heads]
+        td = self.tail_dot(wbar, v)
+        out = v + (sign * v0 + td / (1.0 + w0))[self.owner] * wbar
+        out[self.heads] = w0 * v0 + sign * td
+        return out / eta[self.owner] if inverse else out * eta[self.owner]
+
+    def w2(self, eta, wbar):
+        """Entries of W^2 = eta^2 (2 wbar wbar' - J) on (pi, pj)."""
+        jdiag = np.where(self.pi == self.pj, 2.0 * self.unit[self.pi] - 1.0, 0.0)
+        return (eta * eta)[self.owner[self.pi]] \
+            * (2.0 * wbar[self.pi] * wbar[self.pj] - jdiag)
+
+    def max_step(self, v, dv):
+        """Largest step in (0, 1] keeping v + step * dv in the cones: the
+        reflection taking v/|v|_J to the identity maps dv to y, and the
+        step reaches the boundary at |v|_J / (|y[1:]| - y[0])."""
+        sq = np.sqrt(self._det(v))
+        vb = v / sq[self.owner]
+        b0, d0 = vb[self.heads], dv[self.heads]
+        y0 = b0 * d0 - self.tail_dot(vb, dv)
+        y1 = dv - ((y0 + d0) / (b0 + 1.0))[self.owner] * vb
+        lim = self.tail_norm(y1) - y0
+        hit = lim > 0.0
+        return min(1.0, float((sq[hit] / lim[hit]).min(initial=np.inf)))
 
 
 class QpWorkspace:
-    """Scaled problem data for one program structure.
+    """Scaled problem data of one program.
 
-    Row and variable bounds may be replaced between solves; the matrix
-    and its equilibration are computed once and reused, which is what
-    makes branch-and-bound bound updates cheap.
+    The stacked rows are the caller rows, one bound row per variable,
+    then one block per ball: its radius row, then one row per column.
+    A block's values h + As x lie in the second-order cone.
     """
 
     def __init__(self, prog: ConvexProgram, settings: Settings = Settings()):
@@ -222,26 +320,50 @@ class QpWorkspace:
         self.settings = settings
         n, m = prog.n, prog.m
         self.n = n
-        self.mt = m + n                      # caller rows plus bound rows
-        self._scale(sp.vstack([prog.a, sp.eye(n, format="csr")], format="csr"))
-        self.l = np.concatenate([prog.l, prog.lb])
-        self.u = np.concatenate([prog.u, prog.ub])
+        self.cones = _Cones([1 + len(c.cols) for c in prog.cones])
+        self.cone0 = m + n                   # first cone row
+        self.mt = m + n + self.cones.owner.size
+        rows, cols, h = [], [], np.zeros(self.cones.owner.size)
+        self.radius_col = np.full(self.cones.count, -1)
+        for k, (cone, head) in enumerate(zip(prog.cones, self.cones.heads)):
+            if cone.radius_col is None:
+                h[head] = cone.radius
+            else:
+                rows.append(head)
+                cols.append(cone.radius_col)
+                self.radius_col[k] = cone.radius_col
+            rows.extend(range(head + 1, head + 1 + len(cone.cols)))
+            cols.extend(cone.cols)
+        cone_a = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                               shape=(h.size, n))
+        self._scale(sp.vstack([prog.a, sp.eye(n, format="csr"), cone_a],
+                              format="csr"))
+        self.h_cone = self.e[self.cone0:] * h
+        self.l = np.concatenate([prog.l, prog.lb, np.full(h.size, -np.inf)])
+        self.u = np.concatenate([prog.u, prog.ub, np.full(h.size, np.inf)])
 
     # -- setup ------------------------------------------------------------
 
     def _scale(self, a):
-        """Modified Ruiz equilibration plus cost normalization."""
-        n, mt = self.n, self.mt
+        """Modified Ruiz equilibration plus cost normalization.  The rows
+        of a ball share the largest scale among them, so the scaled
+        block lies in the same cone."""
+        n, mt, c0 = self.n, self.mt, self.cone0
         d = np.ones(n)
         e = np.ones(mt)
         c = 1.0
         p = self.prog.p_diag.copy()
         q = self.prog.q.copy()
-        a = a.astype(float)
+        a = a.tocoo()
+        row, col_of, mag = a.row, a.col, np.abs(a.data)
+        group = np.concatenate([np.arange(c0), c0 + self.cones.owner])
         for _ in range(SCALING_ITERS):
-            a_abs = abs(a)
-            col_a = np.asarray(a_abs.max(axis=0).todense()).ravel()
-            row_a = np.asarray(a_abs.max(axis=1).todense()).ravel()
+            scaled = mag * e[row] * d[col_of]
+            col_a = np.zeros(n)
+            np.maximum.at(col_a, col_of, scaled)
+            row_a = np.zeros(mt)
+            np.maximum.at(row_a, group[row], scaled)
+            row_a = row_a[group]
             col = np.maximum(np.abs(p), col_a)
             d_step = 1.0 / np.sqrt(np.where(col > 1e-12, col, 1.0))
             e_step = 1.0 / np.sqrt(np.where(row_a > 1e-12, row_a, 1.0))
@@ -249,7 +371,6 @@ class QpWorkspace:
             e *= e_step
             p = p * d_step * d_step
             q = q * d_step
-            a = sp.diags(e_step) @ a @ sp.diags(d_step)
             # cost normalization keeps the objective and constraint scales
             # comparable, which matters with very large penalty terms
             norm_cost = max(float(np.mean(np.abs(p))), float(np.abs(q).max(initial=0.0)))
@@ -259,24 +380,9 @@ class QpWorkspace:
             p *= c_step
             q *= c_step
         self.d, self.e, self.c = d, e, c
-        self.ps, self.qs, self.As = p, q, sp.csr_matrix(a)
-
-    # -- bound updates ----------------------------------------------------
-
-    def update_bounds(self, l=None, u=None, lb=None, ub=None):
-        """Replace row/variable bounds; the next solve reclassifies rows."""
-        m = self.prog.m
-        if l is not None:
-            self.l[:m] = l
-        if u is not None:
-            self.u[:m] = u
-        if lb is not None:
-            self.l[m:] = lb
-        if ub is not None:
-            self.u[m:] = ub
-        if np.any(self.l > self.u + 1e-12):
-            bad = int(np.argmax(self.l - self.u))
-            raise EngineError(f"updated bounds cross at row {bad}")
+        self.ps, self.qs = p, q
+        self.As = sp.csr_matrix((a.data * e[row] * d[col_of], (row, col_of)),
+                                shape=(mt, n))
 
     # -- solve ------------------------------------------------------------
 
@@ -286,34 +392,39 @@ class QpWorkspace:
         t0 = time.perf_counter()
         ls = self.l * self.e
         us = self.u * self.e
-        # rows are classified from the current bounds, which branch and
-        # bound replaces between solves: equalities, then the upper and
-        # lower sides of the remaining rows as `g x <= h` inequalities
+        # g x + s = h: equalities (s = 0), the upper and lower sides of
+        # the other linear rows (s >= 0), then the ball blocks, whose
+        # values h + As x enter negated
         eq = (ls == us) & np.isfinite(us)
         i_eq = np.flatnonzero(eq)
         i_up = np.flatnonzero(np.isfinite(us) & ~eq)
         i_lo = np.flatnonzero(np.isfinite(ls) & ~eq)
-        rows = np.concatenate([i_eq, i_up, i_lo])
+        n_lin = i_up.size + i_lo.size
+        rows = np.concatenate([i_eq, i_up, i_lo, np.arange(self.cone0, self.mt)])
         sign = np.ones(rows.size)
         sign[i_eq.size + i_up.size:] = -1.0
         g = sp.diags(sign) @ self.As[rows]
-        h = sign * np.concatenate([us[i_eq], us[i_up], ls[i_lo]])
+        h = np.concatenate([us[i_eq], us[i_up], -ls[i_lo], self.h_cone])
+        cones = _Cones(np.concatenate([np.ones(n_lin, dtype=int),
+                                       self.cones.sizes]))
 
         log_rows = []
         status, it, (x, z, s, prim_res, dual_res) = self._interior_point(
-            g, h, i_eq.size, self.e[rows], log_rows)
+            g, h, i_eq.size, cones, self.e[rows], log_rows)
         y = np.zeros(self.mt)
         np.add.at(y, rows, sign * z)
         detail = ""
         if st.polish and status in ("optimal", "iteration-limit"):
-            # a row is pinned on the side whose multiplier exceeds its
-            # slack; the multiplier sign alone misreads near-zero duals
-            act = z[i_eq.size:] > s[i_eq.size:]
+            # a row or ball is pinned when its multiplier exceeds its
+            # slack (a ball's slack is its distance to the cone boundary);
+            # the multiplier sign alone misreads near-zero duals
+            z0 = z[i_eq.size:][cones.heads]
+            act = z0 > cones.margin(s[i_eq.size:])
             up = np.zeros(self.mt, dtype=bool)
             low = np.zeros(self.mt, dtype=bool)
             up[i_up[act[:i_up.size]]] = True
-            low[i_lo[act[i_up.size:]]] = True
-            acc = self._polish_accept(low, up, x)
+            low[i_lo[act[i_up.size:n_lin]]] = True
+            acc = self._polish_accept(low, up, act[n_lin:], z0[n_lin:], x)
             if acc is not None:
                 x, y, prim_res, dual_res = acc
                 status, detail = "optimal", "polished"
@@ -322,12 +433,12 @@ class QpWorkspace:
         return self._package(status, detail, x, y, prim_res, dual_res, it,
                              time.perf_counter() - t0, log_rows)
 
-    def _interior_point(self, g, h, me, e_g, log_rows):
+    def _interior_point(self, g, h, me, cones, e_g, log_rows):
         """Homogeneous self-dual primal-dual iteration with Mehrotra
-        predictor-corrector steps on the scaled QP
+        predictor-corrector steps on the scaled program
 
             minimize 1/2 x' diag(ps) x + qs' x   s.t.  g x + s = h,
-            s = 0 on the first `me` rows, s >= 0 on the rest,
+            s = 0 on the first `me` rows, s in `cones` on the rest,
 
         embedded with the homogenizing pair (tau, kappa) so that the
         limit is either a solution (tau > 0) or an infeasibility
@@ -337,31 +448,41 @@ class QpWorkspace:
         """
         st = self.settings
         n, mg = self.n, g.shape[0]
-        mi = mg - me
         ps, qs, d, c = self.ps, self.qs, self.d, self.c
         gt = g.T.tocsr()
-        static = sp.bmat([[sp.diags(ps), gt], [g, None]], format="csc")
-        reg = KKT_REG * sp.diags(np.concatenate([np.ones(n), -np.ones(mg)]))
-        w = np.zeros(mg)
+        # the KKT pattern is fixed: [[P, G'], [G, 0]], the W^2 blocks and
+        # the diagonal are summed into one CSC data array per step
+        static = sp.bmat([[sp.diags(ps), gt], [g, None]], format="coo")
+        dim = n + mg
+        diag = np.arange(dim)
+        rows = np.concatenate([static.row, n + me + cones.pi, diag])
+        cols = np.concatenate([static.col, n + me + cones.pj, diag])
+        slots, slot_of = np.unique(cols * dim + rows, return_inverse=True)
+        indptr = np.searchsorted(slots // dim, np.arange(dim + 1))
+        reg = KKT_REG * np.concatenate([np.ones(n), -np.ones(mg)])
 
-        def factor():
-            """Quasi-definite KKT [[P, G'], [G, -W]], statically regularized
-            for the factorization and refined against the exact matrix."""
-            exact = static - sp.diags(np.concatenate([np.zeros(n), w]))
-            return spla.splu((exact + reg).tocsc()), exact
+        def kkt(w2, diagonal):
+            data = np.bincount(slot_of, np.concatenate([static.data, -w2, diagonal]),
+                               slots.size)
+            return sp.csc_matrix((data, slots % dim, indptr), shape=(dim, dim))
 
-        # start from the least-squares point of the rows, with slacks and
-        # inequality multipliers shifted into the interior
-        w[me:] = 1.0
-        lu, exact = factor()
+        def factor(w2):
+            """Quasi-definite KKT [[P, G'], [G, -W^2]], statically
+            regularized for the factorization and refined against the
+            exact matrix."""
+            return spla.splu(kkt(w2, reg)), kkt(w2, np.zeros(dim))
+
+        # start from the least-squares point of the rows (W = I), with
+        # slacks and multipliers shifted into the cones' interior
+        lu, exact = factor(cones.w2(np.ones(cones.count), cones.unit))
         sol = _refined(lu, exact, np.concatenate([-qs, h]))
         x, z = sol[:n], sol[n:]
         s = np.zeros(mg)
         s[me:] = -z[me:]
         for v in (s, z):
-            lowest = float(v[me:].min(initial=1.0))
+            lowest = float(cones.margin(v[me:]).min(initial=1.0))
             if lowest < 1.0:
-                v[me:] += 1.0 - lowest
+                v[me + cones.heads] += 1.0 - lowest
         tau = kappa = 1.0
 
         status = "iteration-limit"
@@ -402,18 +523,22 @@ class QpWorkspace:
                 slip = float((np.abs(g @ x + s) / e_g).max(initial=0.0))
                 if curv <= EPS_INF * -qx and slip <= EPS_INF * -qx / c:
                     return "unbounded", it, best[1]
-            mu = (float(s[me:] @ z[me:]) + tau * kappa) / (mi + 1)
+            mu = (float(s[me:] @ z[me:]) + tau * kappa) / (cones.count + 1)
             mus.append(mu)
             # a stalled iteration (mu not halving over the window) hands
-            # its best iterate to the polish
+            # its best iterate to the polish, and so does an iterate that
+            # rounding has put on a cone's boundary, where the scaling
+            # below is undefined
             if it >= st.max_iter or (len(mus) > STALL_ITERS
-                                     and mu > 0.5 * mus[-1 - STALL_ITERS]):
+                                     and mu > 0.5 * mus[-1 - STALL_ITERS]) \
+                    or not (cones.margin(s[me:]).min(initial=1.0) > 0.0
+                            and cones.margin(z[me:]).min(initial=1.0) > 0.0):
                 break
             it += 1
 
-            w[me:] = s[me:] / z[me:]
+            eta, wbar, lam = cones.scaling(s[me:], z[me:])
             try:
-                lu, exact = factor()
+                lu, exact = factor(cones.w2(eta, wbar))
             except RuntimeError:
                 break
             rx = ps * x + gt @ z + qs * tau
@@ -426,31 +551,38 @@ class QpWorkspace:
             denom = float(cx @ u_tau[:n] + h @ u_tau[n:]) \
                 - xpx / tau ** 2 - kappa / tau
 
-            def direction(eta, ds, dk):
-                """Newton step with residuals scaled by eta and
-                complementarity targets ds (inequality rows), dk."""
-                rhs = np.concatenate([-eta * rx, -eta * rz])
-                rhs[n + me:] += ds / z[me:]
+            def direction(weight, ds, dk):
+                """Newton step with residuals scaled by `weight` and
+                complementarity targets lam o (W^-1 ds + W dz) = -ds on
+                the cones and kappa dtau + tau dkappa = -dk."""
+                shift = cones.apply_w(eta, wbar, cones.div(lam, ds))
+                rhs = np.concatenate([-weight * rx, -weight * rz])
+                rhs[n + me:] += shift
                 u = _refined(lu, exact, rhs)
-                dtau = (-eta * rtau + dk / tau - float(cx @ u[:n])
+                dtau = (-weight * rtau + dk / tau - float(cx @ u[:n])
                         - float(h @ u[n:])) / denom
                 u += dtau * u_tau
                 dz = u[n:]
                 ds_vec = np.zeros(mg)
-                ds_vec[me:] = -(ds + s[me:] * dz[me:]) / z[me:]
+                ds_vec[me:] = -shift - cones.apply_w(
+                    eta, wbar, cones.apply_w(eta, wbar, dz[me:]))
                 dkappa = -(dk + kappa * dtau) / tau
-                step = min(_max_step(s[me:], ds_vec[me:]),
-                           _max_step(z[me:], dz[me:]),
-                           _max_step(np.array([tau, kappa]),
-                                     np.array([dtau, dkappa])))
+                step = min(cones.max_step(s[me:], ds_vec[me:]),
+                           cones.max_step(z[me:], dz[me:]))
+                for v, dv in ((tau, dtau), (kappa, dkappa)):
+                    if dv < 0.0:
+                        step = min(step, -v / dv)
                 return u[:n], dz, ds_vec, dtau, dkappa, step
 
             _, dz_a, ds_a, dtau_a, dkappa_a, step_a = direction(
-                1.0, s[me:] * z[me:], tau * kappa)
+                1.0, cones.prod(lam, lam), tau * kappa)
             sigma = (1.0 - step_a) ** 3
             dx, dz, ds_vec, dtau, dkappa, step = direction(
                 1.0 - sigma,
-                s[me:] * z[me:] + ds_a[me:] * dz_a[me:] - sigma * mu,
+                cones.prod(lam, lam)
+                + cones.prod(cones.apply_w(eta, wbar, ds_a[me:], inverse=True),
+                             cones.apply_w(eta, wbar, dz_a[me:]))
+                - sigma * mu * cones.unit,
                 tau * kappa + dtau_a * dkappa_a - sigma * mu)
             step *= STEP_FRACTION
             x = x + step * dx
@@ -465,10 +597,10 @@ class QpWorkspace:
 
     def _package(self, status, detail, x_sc, y_sc, prim_res, dual_res,
                  it, elapsed, log_rows):
-        m = self.prog.m
+        m, n = self.prog.m, self.n
         # interior and polished points may stray from a bound by rounding;
         # downstream stages take these values as exact boundary data
-        x_un = np.clip(x_sc * self.d, self.l[m:], self.u[m:])
+        x_un = np.clip(x_sc * self.d, self.l[m:m + n], self.u[m:m + n])
         y_un = y_sc * self.e / self.c
         if self.settings.log_path and log_rows:
             with open(self.settings.log_path, "w") as fh:
@@ -479,12 +611,14 @@ class QpWorkspace:
             status=status,
             x=x_un,
             y_rows=y_un[:m],
-            y_bounds=y_un[m:],
+            y_bounds=y_un[m:m + n],
             objective=self.prog.objective(x_un),
             prim_res=prim_res,
             dual_res=dual_res,
             iterations=it,
             solve_time=elapsed,
+            # a ball block's multipliers are -lambda (1, -normal)
+            cone_duals=np.maximum(-y_un[self.cone0 + self.cones.heads], 0.0),
             polished=(detail == "polished"),
             detail=detail,
             program=self.prog,
@@ -500,6 +634,11 @@ class QpWorkspace:
         obj_pol = self.prog.objective(x_pol * self.d)
         return obj_pol <= obj_it + 1e-3 * (1.0 + abs(obj_it))
 
+    def _balls(self, ax):
+        """Radius and column norm of every ball, scaled, from As x."""
+        val = self.h_cone + ax[self.cone0:]
+        return val, val[self.cones.heads], self.cones.tail_norm(val)
+
     def _residuals(self, x, y, z):
         """Unscaled residual vectors plus per-component reference scales.
 
@@ -507,15 +646,21 @@ class QpWorkspace:
         entry is compared against eps_abs + eps_rel * (the magnitude of
         the terms feeding that entry).  A single huge coefficient, such
         as a load-shedding penalty, then buys slack only for its own
-        column instead of loosening the whole test.
+        column instead of loosening the whole test.  Each ball adds one
+        primal entry, the amount by which its column norm exceeds its
+        radius.
         """
         d, e, c = self.d, self.e, self.c
         ax = self.As @ x
         px = self.ps * x
         aty = self.As.T @ y
-        rp_vec = (ax - z) / e
+        _, radius, norm = self._balls(ax)
+        e_k = e[self.cone0 + self.cones.heads]
+        rp_vec = np.concatenate([(ax - z) / e,
+                                 np.maximum(norm - radius, 0.0) / e_k])
         rd_vec = (px + self.qs + aty) / d / c
-        prim_ref = np.maximum(np.abs(ax / e), np.abs(z / e))
+        prim_ref = np.concatenate([np.maximum(np.abs(ax / e), np.abs(z / e)),
+                                   np.maximum(radius, norm) / e_k])
         # the dollar-per-unit floor keeps the test attainable when the cost
         # normalization has squeezed the scaled problem by many orders
         dual_ref = np.maximum(np.maximum(np.abs(px / d), np.abs(aty / d)) / c,
@@ -523,11 +668,11 @@ class QpWorkspace:
         dual_ref = np.maximum(dual_ref, 1.0)
         return rp_vec, rd_vec, prim_ref, dual_ref
 
-    def _polish_accept(self, low, up, x_sc):
+    def _polish_accept(self, low, up, act, lam, x_sc):
         """Run the active-set resolve and test it against the configured
         tolerances.  Returns the accepted (x, y, primal residual, dual
         residual) in scaled form, or None."""
-        polished = self._polish(low, up, x_sc)
+        polished = self._polish(low, up, act, lam, x_sc)
         if polished is None:
             return None
         xp, yp, zp = polished
@@ -538,11 +683,19 @@ class QpWorkspace:
                     float(np.abs(rdp).max(initial=0.0)))
         return None
 
-    def _polish(self, low, up, x_sc):
-        """Equality-constrained resolve on the active set `low`/`up` (plus
-        every equality row); returns the scaled candidate (x, y, z) or
-        None if the factorization fails.  Acceptance is the caller's
-        decision.
+    def _polish(self, low, up, act, lam, x_sc):
+        """Equality-constrained resolve on the active rows `low`/`up`
+        (plus every equality row) and the active balls `act`, whose
+        interior-point multipliers are `lam`; returns the scaled
+        candidate (x, y, z) or None if the factorization fails.
+        Acceptance is the caller's decision.
+
+        An active ball is pinned by its tangent u·v = r at the current
+        point (u the unit direction of its columns v), and its
+        curvature lam (I - u u') / |v| joins the objective, so that each
+        pass is a Newton step on the ball and the re-linearized passes
+        settle on it.  A ball at its apex has no tangent: its columns
+        are pinned to zero, and its multiplier is the norm of theirs.
 
         The resolve is anchored at the iterate: the objective carries a
         proximal term (delta/2)|x - x_it|^2.  On a flat optimal face the
@@ -552,50 +705,73 @@ class QpWorkspace:
         the inactive rows; at an exact optimum it is consistent with the
         unmodified optimality conditions, so nondegenerate solutions are
         unaffected."""
-        n = self.n
+        n, m, c0, cones = self.n, self.prog.m, self.cone0, self.cones
+        owner, heads, tail = cones.owner, cones.heads, cones.tail
         ls = self.l * self.e
         us = self.u * self.e
         eq = ls == us          # always pinned, whatever the multiplier sign
+        e_k = self.e[c0 + heads]
+        a_cone = self.As[c0:]
+        lam = np.maximum(lam, 0.0)
 
         # The handed-over active set is only a guess.  Each pass solves
-        # the pinned KKT system, then adds rows the candidate violates
-        # and drops pins whose multiplier came out wrong-signed (those
-        # were slack, or redundant with other pins).  The best candidate
-        # over all passes is returned.
+        # the pinned KKT system, then adds rows and balls the candidate
+        # violates, drops pins whose multiplier came out wrong-signed
+        # (those were slack, or redundant with other pins), and moves the
+        # tangents to the candidate.  The best candidate over all passes
+        # is returned.
         best = None
         best_score = np.inf
-        for _ in range(6):
+        x_lin = x_sc
+        val, radius, norm = self._balls(self.As @ x_lin)
+
+        def tangent(val, norm):
+            """Block weights (-1, u) turning a ball's rows into its tangent
+            row at `val`, u the unit direction of its columns."""
+            return np.where(tail, val / np.where(norm > 0.0, norm, 1.0)[owner],
+                            -1.0)
+
+        for _ in range(POLISH_PASSES):
+            apex = act & ((radius <= EPS_ABS * e_k) | (norm <= EPS_ABS * e_k))
+            tan = act & ~apex
+            coef = tangent(val, norm)
+            in_t = tan[owner]
+            pos = np.cumsum(tan)[owner[in_t]] - 1
+            tangents = sp.csr_matrix(
+                (coef[in_t], (pos, np.flatnonzero(in_t))),
+                shape=(int(tan.sum()), owner.size)) @ a_cone
+            t_vals = -np.bincount(pos, weights=(coef * self.h_cone)[in_t],
+                                  minlength=int(tan.sum()))
+            pinned = c0 + np.flatnonzero(tail & apex[owner])
             idx = np.concatenate([np.flatnonzero(eq), np.flatnonzero(low),
-                                  np.flatnonzero(up)])
-            vals = np.concatenate([ls[eq], ls[low], us[up]])
-            nact = idx.size
-            a_red = self.As[idx]
-            k_reg = sp.bmat([
-                [sp.diags(self.ps + POLISH_DELTA),
-                 a_red.T if nact else sp.csc_matrix((n, 0))],
-                [a_red if nact else sp.csc_matrix((0, n)),
-                 -POLISH_DELTA * sp.eye(nact)],
-            ], format="csc")
-            if nact == 0:
-                k_reg = sp.csc_matrix(sp.diags(self.ps + POLISH_DELTA))
-            try:
-                lu = spla.splu(k_reg)
-            except RuntimeError:
-                return best
+                                  np.flatnonzero(up), pinned])
+            vals = np.concatenate([ls[eq], ls[low], us[up],
+                                   np.zeros(pinned.size), t_vals])
+            a_red = sp.vstack([self.As[idx], tangents], format="csr")
+            nact = vals.size
+            # the ball's curvature lam (I - u u') / |v| on its columns
+            pi, pj = cones.pi, cones.pj
+            pair = tan[owner[pi]] & tail[pi] & tail[pj]
+            weight = (lam / np.where(norm > 0.0, norm, 1.0))[owner[pi]]
+            curv = sp.csr_matrix(
+                ((weight * ((pi == pj) - coef[pi] * coef[pj]))[pair],
+                 (pi[pair], pj[pair])), shape=(owner.size, owner.size))
+            top = sp.diags(self.ps + POLISH_DELTA) + a_cone.T @ curv @ a_cone
             # refinement targets the anchored system: only the dual-block
             # regularization is refined away, the proximal term stays
-            k_plain = sp.bmat([
-                [sp.diags(self.ps + POLISH_DELTA),
-                 a_red.T if nact else sp.csc_matrix((n, 0))],
-                [a_red if nact else sp.csc_matrix((0, n)),
-                 sp.csc_matrix((nact, nact))],
-            ], format="csc") if nact else k_reg
+            k_plain = sp.bmat([[top, a_red.T], [a_red, None]], format="csc")
+            k_reg = k_plain - POLISH_DELTA * sp.diags(
+                np.concatenate([np.zeros(n), np.ones(nact)]))
+            try:
+                lu = spla.splu(k_reg.tocsc())
+            except RuntimeError:
+                return best
             # proximal-point iteration on the pinned subproblem, reusing
             # one factorization: re-anchoring at each solution drives the
             # anchor error to zero (finitely, on polyhedral pieces), so
             # the accepted point is stationary for the unmodified
             # objective rather than stationary-up-to-delta
-            anchor = x_sc
+            anchor = x_lin
             sol = None
             for _ in range(10):
                 rhs = np.concatenate([POLISH_DELTA * anchor - self.qs,
@@ -610,12 +786,31 @@ class QpWorkspace:
                 if move <= 1e-14 * (1.0 + float(np.abs(anchor).max(initial=0.0))):
                     break
 
-            x_pol = sol[:n]
-            y_pol = np.zeros(self.mt)
-            y_pol[idx] = sol[n:]
+            # a column pinned at a bound sits on it exactly, so that no
+            # rounding residue reaches its cost
+            x_pol = sol[:n].copy()
+            on = (idx >= m) & (idx < c0)
+            rows = idx[on]
+            x_pol[rows - m] = vals[:idx.size][on] / self.e[rows] / self.d[rows - m]
             ax = self.As @ x_pol
+            val, radius, norm = self._balls(ax)
+            y_pol = np.zeros(self.mt)
+            y_pol[idx] = sol[n:n + idx.size]
+            # a pinned ball's multipliers take its normal at the candidate,
+            # which cancels the curvature term to first order
+            t_full = np.zeros(cones.count)
+            t_full[tan] = sol[n + idx.size:]
+            y_pol[c0:] += np.where(in_t, tangent(val, norm) * t_full[owner], 0.0)
+            # an apex ball's multiplier is the norm of its column pins;
+            # the radius variable's bound row carries it back
+            z0 = np.where(apex, cones.tail_norm(y_pol[c0:]), 0.0)
+            y_pol[c0 + heads] -= z0
+            rc = self.radius_col
+            shift = apex & (rc >= 0)
+            np.add.at(y_pol, m + rc[shift],
+                      z0[shift] * e_k[shift] / self.e[m + rc[shift]])
             z_pol = np.clip(ax, ls, us)
-            z_pol[idx] = vals
+            z_pol[idx] = vals[:idx.size]
             rp, rd, pr, dr = self._residuals(x_pol, y_pol, z_pol)
             score = max(
                 float((np.abs(rp) / (EPS_ABS + EPS_REL * pr)).max(initial=0.0)),
@@ -626,20 +821,35 @@ class QpWorkspace:
             stol = 1e-9 + 1e-6 * float(np.abs(y_pol).max(initial=0.0))
             shrink_up = up & (y_pol < -stol)
             shrink_lo = low & (y_pol > stol)
+            shrink_c = tan & (t_full < -stol)
             # growing by the dominant violations only keeps the system
             # consistent; noise-level violations rejoin in later passes
             viol_up = ax - us
             viol_lo = ls - ax
+            viol_c = norm - radius
             worst = max(float(viol_up.max(initial=0.0)),
-                        float(viol_lo.max(initial=0.0)))
+                        float(viol_lo.max(initial=0.0)),
+                        float(viol_c.max(initial=0.0)))
             gtol = max(1e-9, 1e-3 * worst)
             grow_up = (viol_up > gtol) & ~eq & ~up
             grow_lo = (viol_lo > gtol) & ~eq & ~low
-            if not (grow_up.any() or grow_lo.any()
-                    or shrink_up.any() or shrink_lo.any()):
+            grow_c = (viol_c > gtol) & ~act
+            # the tangents and their curvature are re-linearized at each
+            # candidate until it meets the tolerances with every pinned
+            # ball holding to rounding; once a candidate has met the
+            # tolerances, one that fails them ends the search
+            if best_score <= 1.0 < score:
+                break
+            if not (grow_up.any() or grow_lo.any() or grow_c.any()
+                    or shrink_up.any() or shrink_lo.any() or shrink_c.any()) \
+                    and (not tan.any() or score <= 1.0
+                         and np.all(viol_c[tan] <= 1e-12 * (1.0 + radius[tan]))):
                 break
             up = (up | grow_up) & ~shrink_up
             low = (low | grow_lo) & ~shrink_lo
+            act = (act | grow_c) & ~shrink_c
+            lam = np.where(tan, np.maximum(t_full, 0.0), lam)
+            x_lin = x_pol
         return best
 
 
@@ -651,276 +861,9 @@ def solve_qp(prog: ConvexProgram,
     return QpWorkspace(prog, settings).solve()
 
 
-def _cut_row(prog, cone_idx, direction):
-    """Tangent cut Σ a_j x_j (− radius var) <= const radius, as sparse data."""
-    cone = prog.cones[cone_idx]
-    cols = list(cone.cols)
-    vals = list(direction)
-    if cone.radius_col is None:
-        hi = cone.radius
-    else:
-        cols.append(cone.radius_col)
-        vals.append(-1.0)
-        hi = 0.0
-    return cols, vals, hi
-
-
-def solve_qcqp(prog: ConvexProgram, cut_tol: float = 1e-7, max_rounds: int = 50,
-               settings: Settings = Settings(),
-               cuts: list | None = None,
-               ws_cache: dict | None = None) -> PrimalDualSolution:
-    """Outer-approximation loop for programs with norm-ball rows.
-
-    `cuts` is an optional externally owned pool of (cone index, unit
-    direction) pairs; cuts discovered here are appended to it, and pool
-    cuts are enforced from the first round.  Cuts are tangent planes of
-    the ball so they remain valid for any bound changes, which lets a
-    branch-and-bound search share one pool across nodes.
-
-    `ws_cache` is an optional dict reusing factorized workspaces across
-    calls that differ only in variable/row bounds (the branch-and-bound
-    case).  Entries are keyed by cut-pool state; rotating a cut in place
-    invalidates the cache.  Callers must pass the same `cuts` list
-    whenever they pass the same cache.
-    """
-    if cuts is None:
-        cuts = []
-    m_base = prog.m
-    n = prog.n
-    sol = None
-    for round_no in range(max_rounds + 1):
-        rows, cols, vals, his = [], [], [], []
-        for r, (cone_idx, direction) in enumerate(cuts):
-            c_cols, c_vals, hi = _cut_row(prog, cone_idx, direction)
-            rows.extend([r] * len(c_cols))
-            cols.extend(c_cols)
-            vals.extend(c_vals)
-            his.append(hi)
-        extra = sp.csr_matrix((vals, (rows, cols)), shape=(len(cuts), n))
-        # the cut rows stand in for the cones, which the QP never sees
-        aug = ConvexProgram(
-            prog.p_diag, prog.q,
-            sp.vstack([prog.a, extra], format="csr") if cuts else prog.a,
-            np.concatenate([prog.l, np.full(len(cuts), -np.inf)]),
-            np.concatenate([prog.u, his]), prog.lb, prog.ub, (), prog.const)
-        if ws_cache is None:
-            ws = QpWorkspace(aug, settings)
-        else:
-            key = (len(cuts), ws_cache.get("_version", 0))
-            ws = ws_cache.get(key)
-            if ws is None:
-                ws = QpWorkspace(aug, settings)
-                ws_cache[key] = ws
-            else:
-                ws.update_bounds(l=aug.l, u=aug.u, lb=aug.lb, ub=aug.ub)
-        sol = ws.solve()
-        if sol.status != "optimal":
-            return _finish_qcqp(prog, sol, cuts, m_base)
-
-        new_cuts = []
-        worst = 0.0
-        for k, cone in enumerate(prog.cones):
-            v = sol.x[list(cone.cols)]
-            radius = cone.radius if cone.radius_col is None else sol.x[cone.radius_col]
-            norm = float(np.linalg.norm(v))
-            violation = norm - radius
-            worst = max(worst, violation)
-            if violation > cut_tol:
-                if norm > 1e-12:
-                    direction = tuple(v / norm)
-                else:
-                    direction = tuple(1.0 if j == 0 else 0.0
-                                      for j in range(len(cone.cols)))
-                dup = any(ci == k and max(abs(a - b) for a, b in zip(d, direction)) < 1e-9
-                          for ci, d in cuts)
-                if not dup:
-                    new_cuts.append((k, direction))
-        if not new_cuts:
-            if worst > cut_tol:
-                sol.status = "iteration-limit"
-                sol.detail = f"cut rounds stalled; worst violation {worst:.3e}"
-            return _finish_qcqp(prog, sol, cuts, m_base)
-        if round_no == max_rounds:
-            sol.status = "iteration-limit"
-            sol.detail = f"cut-round limit; worst violation {worst:.3e}"
-            return _finish_qcqp(prog, sol, cuts, m_base)
-        # an active cone draws ever-closer tangents round after round;
-        # letting them pile up without bound leaves near-parallel row
-        # stacks whose dual mass can slosh freely.  Once a cone holds
-        # `max_cuts_per_cone` cuts, the most parallel one is rotated in
-        # place (every kept cut stays a valid tangent).  The cap is
-        # generous so eviction only ever hits a near-twin of the new cut,
-        # never the far side of a bracket around the optimum.
-        max_cuts_per_cone = 24
-        rotated = False
-        for k, direction in new_cuts:
-            mine = [r for r, (ci, _) in enumerate(cuts) if ci == k]
-            if len(mine) >= max_cuts_per_cone:
-                r = max(mine, key=lambda r: sum(a * b for a, b in
-                                                zip(cuts[r][1], direction)))
-                cuts[r] = (k, direction)
-                rotated = True
-            else:
-                cuts.append((k, direction))
-        if rotated and ws_cache is not None:
-            version = ws_cache.get("_version", 0) + 1
-            ws_cache.clear()
-            ws_cache["_version"] = version
-
-    return _finish_qcqp(prog, sol, cuts, m_base)
-
-
-def _finish_qcqp(prog, sol, cuts, m_base):
-    """Split cut-row duals out of the row vector and aggregate per cone."""
-    cone_duals = np.zeros(len(prog.cones))
-    y_all = sol.y_rows
-    for r, (cone_idx, _) in enumerate(cuts):
-        if m_base + r < y_all.shape[0]:
-            cone_duals[cone_idx] += max(float(y_all[m_base + r]), 0.0)
-    sol.y_rows = y_all[:m_base]
-    sol.cone_duals = cone_duals
-    sol.program = prog
-    if sol.status == "optimal" and prog.cones:
-        _dual_refit(prog, sol)
-    return sol
-
-
-def _cone_normal(prog, cone, x):
-    """Outward unit normal of the ball at (the projection of) x, as a
-    dense length-n vector including the radius-variable entry."""
-    v = x[list(cone.cols)]
-    norm = float(np.linalg.norm(v))
-    a = np.zeros(prog.n)
-    if norm > 1e-12:
-        a[list(cone.cols)] = v / norm
-    else:
-        a[cone.cols[0]] = 1.0
-    if cone.radius_col is not None:
-        a[cone.radius_col] = -1.0
-    return a, norm
-
-
-def _dual_refit(prog, sol):
-    """Re-derive the duals against the original cone geometry.
-
-    The cut LP's optimum sits on a vertex of near-parallel tangent
-    planes, so its multipliers differ from the ball multiplier at first
-    order in the final cut angle.  A least-squares stationarity solve
-    over the active rows, bounds, and one tangent normal per active cone
-    removes that error.  Each multiplier is held on its feasible side
-    (one-sided rows and bounds have signed multipliers, equalities are
-    free); components that come out wrong-signed are pruned and the
-    system re-solved, so the result is always a valid dual certificate,
-    not just a stationary one.  It replaces the incoming duals when it
-    improves the stationarity residual, or when the incoming vector is
-    itself wrong-signed somewhere (degenerate active sets let the
-    pinned-system polish split dual mass across redundant rows with
-    arbitrary signs).
-    """
-    x = sol.x
-    n = prog.n
-    grad = prog.p_diag * x + prog.q
-
-    normals = {}
-    act_cones = []
-    for k, cone in enumerate(prog.cones):
-        a, norm = _cone_normal(prog, cone, x)
-        radius = cone.radius if cone.radius_col is None else x[cone.radius_col]
-        if sol.cone_duals[k] > 0.0 or norm >= radius - 1e-6 * (1.0 + radius):
-            act_cones.append(k)
-            normals[k] = a
-
-    ax = prog.a @ x if prog.m else np.zeros(0)
-    with np.errstate(invalid="ignore"):
-        eq = prog.l == prog.u
-        near_u = np.isfinite(prog.u) & (prog.u - ax <= 1e-6 * (1.0 + np.abs(prog.u)))
-        near_l = np.isfinite(prog.l) & (ax - prog.l <= 1e-6 * (1.0 + np.abs(prog.l)))
-        act_rows = np.flatnonzero(eq | near_u | near_l)
-        lb_hit = np.isfinite(prog.lb) & (x - prog.lb <= 1e-6 * (1.0 + np.abs(prog.lb)))
-        ub_hit = np.isfinite(prog.ub) & (prog.ub - x <= 1e-6 * (1.0 + np.abs(prog.ub)))
-        act_lb = np.flatnonzero(lb_hit)
-        act_ub = np.flatnonzero(ub_hit)
-
-    parts = []
-    if act_rows.size:
-        parts.append(prog.a[act_rows].T.tocsc())
-    bound_cols = np.concatenate([act_lb, act_ub])
-    if bound_cols.size:
-        parts.append(sp.eye(n, format="csc")[:, bound_cols])
-    if act_cones:
-        parts.append(sp.csc_matrix(
-            np.column_stack([normals[k] for k in act_cones])))
-    if not parts:
-        return
-    mat = sp.hstack(parts, format="csc")
-
-    # sign each component: +1 nonnegative (upper-side rows, upper bounds,
-    # cones), -1 nonpositive (lower-side rows, lower bounds), 0 free
-    row_sign = np.zeros(act_rows.size)
-    only_u = (near_u & ~near_l & ~eq)[act_rows]
-    only_l = (near_l & ~near_u & ~eq)[act_rows]
-    row_sign[only_u] = 1.0
-    row_sign[only_l] = -1.0
-    signs = np.concatenate([row_sign, -np.ones(act_lb.size),
-                            np.ones(act_ub.size), np.ones(len(act_cones))])
-
-    res_old = grad + (prog.a.T @ sol.y_rows if prog.m else 0.0) + sol.y_bounds
-    for k in act_cones:
-        res_old = res_old + sol.cone_duals[k] * normals[k]
-    res_old_norm = float(np.abs(res_old).max(initial=0.0))
-
-    # how badly the incoming duals break sign or slackness conditions
-    old_bad = 0.0
-    if prog.m:
-        y = sol.y_rows
-        inactive = np.ones(prog.m, dtype=bool)
-        inactive[act_rows] = False
-        old_bad = float(np.abs(y[inactive]).max(initial=0.0))
-        old_bad = max(old_bad,
-                      float((-y[near_u & ~near_l & ~eq]).max(initial=0.0)),
-                      float(y[near_l & ~near_u & ~eq].max(initial=0.0)))
-    yb = sol.y_bounds
-    loose = ~lb_hit & ~ub_hit
-    old_bad = max(old_bad, float(np.abs(yb[loose]).max(initial=0.0)),
-                  float(yb[lb_hit & ~ub_hit].max(initial=0.0)),
-                  float((-yb[ub_hit & ~lb_hit]).max(initial=0.0)))
-
-    keep = np.ones(mat.shape[1], dtype=bool)
-    mu_full = np.zeros(mat.shape[1])
-    for _ in range(8):
-        sub = mat[:, keep]
-        out = spla.lsqr(sub, -grad, atol=1e-14, btol=1e-14,
-                        iter_lim=8 * (sub.shape[1] + 10))
-        mu = out[0]
-        if not np.all(np.isfinite(mu)):
-            return
-        mu_full[:] = 0.0
-        mu_full[np.flatnonzero(keep)] = mu
-        stol = 1e-9 * (1.0 + float(np.abs(mu).max(initial=0.0)))
-        bad = ((signs > 0) & (mu_full < -stol)) \
-            | ((signs < 0) & (mu_full > stol))
-        if not bad.any():
-            break
-        keep &= ~bad
-    np.clip(mu_full, np.where(signs > 0, 0.0, -np.inf),
-            np.where(signs < 0, 0.0, np.inf), out=mu_full)
-
-    res_new_norm = float(np.abs(grad + mat @ mu_full).max(initial=0.0))
-    if not np.isfinite(res_new_norm):
-        return
-    if res_new_norm > res_old_norm and old_bad <= 1e-7:
-        return
-
-    y_rows = np.zeros(prog.m)
-    y_rows[act_rows] = mu_full[:act_rows.size]
-    off = act_rows.size
-    y_bounds = np.zeros(n)
-    np.add.at(y_bounds, bound_cols, mu_full[off:off + bound_cols.size])
-    off += bound_cols.size
-    cone_duals = np.zeros(len(prog.cones))
-    for k in act_cones:
-        cone_duals[k] = max(float(mu_full[off]), 0.0)
-        off += 1
-    sol.y_rows = y_rows
-    sol.y_bounds = y_bounds
-    sol.cone_duals = cone_duals
+def solve_qcqp(prog: ConvexProgram,
+               settings: Settings = Settings()) -> PrimalDualSolution:
+    """Solve a program with norm-ball rows: one workspace, one conic
+    interior-point solve and its polish.  `cone_duals` holds one
+    multiplier per ball (see the module docstring)."""
+    return QpWorkspace(prog, settings).solve()

@@ -263,12 +263,12 @@ def _warn_short_windows(instance, plan):
                     "history", shortest, depth)
 
 
-def _relaxed_monolith(instance, loads, plan, settings, cut_tol):
+def _relaxed_monolith(instance, loads, plan, settings):
     """Seam-joined continuous relaxation: the lower bound, and the seam
     duals that seed the boundary prices."""
     seamed = build_seamed(instance, loads, plan.windows)
     relaxed = relax_integrality(seamed.model)
-    sol = solve_qcqp(relaxed.to_convex(), cut_tol=cut_tol, settings=settings)
+    sol = solve_qcqp(relaxed.to_convex(), settings=settings)
     if sol.status != "optimal":
         raise DecompositionError(
             f"monolithic relaxation ended {sol.status} ({sol.detail})")
@@ -288,10 +288,10 @@ def _seam_prices(seamed, sol):
 
 
 def init_duals(instance, loads, plan: StagePlan,
-               settings: Settings = Settings(), cut_tol: float = 1e-7):
+               settings: Settings = Settings()):
     """Boundary prices seeded from the relaxed monolith, one DualVector
     per interior boundary (stage count minus 1)."""
-    seamed, sol = _relaxed_monolith(instance, loads, plan, settings, cut_tol)
+    seamed, sol = _relaxed_monolith(instance, loads, plan, settings)
     return _seam_prices(seamed, sol)
 
 
@@ -336,8 +336,7 @@ def _sweep(instance, loads, plan: StagePlan, prices, solve_stage, snap,
 def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
               mode: str = "dual-init", gap_tol: float = 1e-4,
               node_limit: int = 100_000, time_limit: float = 600.0,
-              settings: Settings = Settings(),
-              cut_tol: float = 1e-7) -> PlanSolution:
+              settings: Settings = Settings()) -> PlanSolution:
     """Iterated forward sweeps with boundary-price feedback.
 
     Each stage is solved by branch and bound, then re-solved with its
@@ -352,8 +351,7 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
     if mode not in ("dual-init", "zero-init"):
         raise DecompositionError(f"unknown mode {mode!r}")
     _warn_short_windows(instance, plan)
-    seamed, relaxed_sol = _relaxed_monolith(instance, loads, plan, settings,
-                                            cut_tol)
+    seamed, relaxed_sol = _relaxed_monolith(instance, loads, plan, settings)
     lower_bound = relaxed_sol.objective
     if mode == "dual-init":
         prices = _seam_prices(seamed, relaxed_sol)
@@ -365,12 +363,10 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
 
     def solve_stage(s, model):
         res = solve_miqcqp(model, gap_tol=gap_tol, node_limit=node_limit,
-                           time_limit=time_limit, settings=settings,
-                           cut_tol=cut_tol)
+                           time_limit=time_limit, settings=settings)
         if res.binaries is None:
             raise DecompositionError(f"stage search ended {res.status}")
-        fixed = solve_fixed_then_duals(model, res.binaries,
-                                       settings=settings, cut_tol=cut_tol)
+        fixed = solve_fixed_then_duals(model, res.binaries, settings=settings)
         stats.append(StageStat(sweep=sweep, stage=s, status=res.status,
                                objective=res.objective, nodes=res.nodes,
                                gap=res.gap, solve_time=res.solve_time))
@@ -395,13 +391,11 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
 
 def rh_solve(instance, loads, plan: StagePlan, gap_tol: float = 1e-4,
              node_limit: int = 100_000, time_limit: float = 600.0,
-             settings: Settings = Settings(),
-             cut_tol: float = 1e-7) -> PlanSolution:
+             settings: Settings = Settings()) -> PlanSolution:
     """One forward sweep with zero boundary prices."""
     return mpc_solve(instance, loads, plan, iterations=1, mode="zero-init",
                      gap_tol=gap_tol, node_limit=node_limit,
-                     time_limit=time_limit, settings=settings,
-                     cut_tol=cut_tol)
+                     time_limit=time_limit, settings=settings)
 
 
 # ---------------------------------------------------------------------------
@@ -451,28 +445,27 @@ def _system_residual(prog, x, y_rows, y_bounds, cone_duals):
 
 def gauss_seidel_relaxed(instance, loads, plan: StagePlan,
                          max_sweeps: int = 200, tol: float = 1e-5,
-                         settings: Settings = Settings(),
-                         cut_tol: float = 1e-7) -> RelaxedSweepResult:
+                         settings: Settings = Settings()) -> RelaxedSweepResult:
     """Forward sweeps over the relaxed stage problems until the merged
     point satisfies the monolithic KKT system to `tol`.
 
-    Each stage is solved relaxed from a cold start, with its own cut pool
-    carried from sweep to sweep.  With every piece convex the iteration
-    is a block Gauss-Seidel pass over the monolith's optimality system,
-    and the merged residual is the convergence measure.  A single stage
-    satisfies the system in one sweep.  Divergence (the residual growing
-    tenfold over five sweeps) raises DecompositionError.
+    Each stage is solved relaxed by one cold conic solve, whose ball
+    multipliers enter the merged point as they are.  With every piece
+    convex the iteration is a block Gauss-Seidel pass over the
+    monolith's optimality system, and the merged residual is the
+    convergence measure.  A single stage satisfies the system in one
+    sweep.  Divergence (the residual growing tenfold over five sweeps)
+    raises DecompositionError.
     """
     _warn_short_windows(instance, plan)
     seamed = build_seamed(instance, loads, plan.windows)
     merged_model = relax_integrality(seamed.model)
     merged_prog = merged_model.to_convex()
     prices = [DualVector.zero(instance) for _ in range(plan.stage_count - 1)]
-    pools = [[] for _ in range(plan.stage_count)]
 
     def solve_stage(s, model):
         sol = solve_qcqp(relax_integrality(model).to_convex(),
-                         cut_tol=cut_tol, settings=settings, cuts=pools[s])
+                         settings=settings)
         if sol.status != "optimal":
             raise DecompositionError(
                 f"relaxed solve ended {sol.status} ({sol.detail})")

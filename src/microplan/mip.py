@@ -6,10 +6,9 @@ downward (rounding the branch variable toward the relaxation value
 first) until the chain is pruned, infeasible, or integral.  Plunging
 finds incumbents early; the heap keeps the global bound honest.
 
-All node relaxations share one outer-approximation cut pool (tangent
-planes stay valid under bound changes) and one cache of scaled
-workspaces, so a node solve usually skips both the cut rounds its
-ancestors already ran and the equilibration.
+Each node relaxation is one cold solve of the conic interior point on
+the base program with the node's bounds; nothing else passes between
+nodes.
 """
 
 import heapq
@@ -88,17 +87,14 @@ class _Tightener:
 
 
 class _NodeSolver:
-    """Shared relaxation machinery: base program, cut pool, workspace
-    cache, and bound construction from fixings."""
+    """Shared relaxation machinery: the base program and bound
+    construction from fixings."""
 
-    def __init__(self, model, settings, cut_tol):
+    def __init__(self, model, settings):
         self.base = relax_integrality(model).to_convex()
         self.binaries = sorted(model.binaries)
         self.tightener = _Tightener(model)
         self.settings = settings
-        self.cut_tol = cut_tol
-        self.cuts = []
-        self.cache = {}
 
     def bounds(self, fixings):
         lb = self.base.lb.copy()
@@ -117,8 +113,7 @@ class _NodeSolver:
         prog = ConvexProgram(self.base.p_diag, self.base.q, self.base.a,
                              self.base.l, self.base.u, lb, ub,
                              self.base.cones, self.base.const)
-        return solve_qcqp(prog, cut_tol=self.cut_tol, settings=self.settings,
-                          cuts=self.cuts, ws_cache=self.cache)
+        return solve_qcqp(prog, settings=self.settings)
 
     def fractional(self, x):
         """Unfixed binary farthest from integer, lowest column on ties."""
@@ -132,15 +127,14 @@ class _NodeSolver:
 
 def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
                  node_limit: int = 100_000, time_limit: float = 600.0,
-                 settings: Settings = Settings(),
-                 cut_tol: float = 1e-7, log_path=None) -> MipResult:
+                 settings: Settings = Settings(), log_path=None) -> MipResult:
     """Solve the mixed-binary model to the requested relative gap.
 
     The search is deterministic for fixed inputs.  `log_path`, when
     given, receives a CSV trace with one row per explored node.
     """
     t0 = time.perf_counter()
-    solver = _NodeSolver(model, settings, cut_tol)
+    solver = _NodeSolver(model, settings)
     log = []
 
     ub = np.inf
@@ -274,15 +268,14 @@ def write_node_log(result: MipResult, path):
 
 
 def solve_fixed_then_duals(model: MdopModel, binaries,
-                           settings: Settings = Settings(),
-                           cut_tol: float = 1e-7) -> PrimalDualSolution:
+                           settings: Settings = Settings()) -> PrimalDualSolution:
     """Convex solve with every binary fixed; the returned solution
     carries duals for all model rows, including the boundary pins.
 
     Shed variables make any binary assignment servable, so a
     non-optimal outcome is an engine failure, not a model property."""
     fixed = fix_binaries(model, binaries)
-    sol = solve_qcqp(fixed.to_convex(), cut_tol=cut_tol, settings=settings)
+    sol = solve_qcqp(fixed.to_convex(), settings=settings)
     if sol.status != "optimal":
         raise EngineError(
             f"fixed-binary solve ended {sol.status} ({sol.detail})")

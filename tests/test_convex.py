@@ -13,8 +13,8 @@ import pytest
 import scipy.sparse as sp
 
 from microplan.convex import (
-    ConeRow, ConvexProgram, EngineError, PrimalDualSolution, QpWorkspace,
-    Settings, get_duals, solve_qp, solve_qcqp,
+    ConeRow, ConvexProgram, EngineError, PrimalDualSolution, Settings,
+    get_duals, solve_qp, solve_qcqp,
 )
 from microplan.formulation import assemble, relax_integrality
 from microplan.instance import synth_load
@@ -289,16 +289,6 @@ class TestDeterminismAndWarmth:
         assert np.array_equal(a.y_rows, b.y_rows)
         assert np.array_equal(a.y_bounds, b.y_bounds)
 
-    def test_bound_update_reuses_factorization(self):
-        prog = make_prog([2.0], [0.0], lb=[1.0])
-        ws = QpWorkspace(prog)
-        first = ws.solve()
-        assert first.x[0] == pytest.approx(1.0, abs=1e-7)
-        ws.update_bounds(lb=np.array([2.0]), ub=np.array([INF]))
-        second = ws.solve()
-        assert second.x[0] == pytest.approx(2.0, abs=1e-7)
-        assert second.lower_bound_duals[0] == pytest.approx(4.0, abs=1e-6)
-
     def test_iteration_log_written(self, tmp_path):
         log = tmp_path / "iters.csv"
         solve_qp(make_prog([1.0], [-1.0]), settings=Settings(log_path=str(log)))
@@ -329,9 +319,7 @@ class TestQcqp:
         assert abs(sol.x[1]) <= 1e-6
 
     def test_variable_radius(self):
-        # min -p + 2 s s.t. ||(p, q)|| <= s, q = 0.3: p* = sqrt(0.03).
-        # Tangent cuts pin the objective and ball tightness much more
-        # precisely than the primal point along the flat directions.
+        # min -p + 2 s s.t. ||(p, q)|| <= s, q = 0.3: p* = sqrt(0.03)
         prog = make_prog([0.0, 0.0, 0.0], [-1.0, 0.0, 2.0],
                          rows=[([0.0, 1.0, 0.0], 0.3, 0.3)],
                          lb=[-10.0, -10.0, 0.0], ub=[10.0, 10.0, 10.0],
@@ -340,34 +328,22 @@ class TestQcqp:
         assert sol.status == "optimal"
         exact = -np.sqrt(0.03) + 2.0 * np.sqrt(0.12)
         assert sol.objective == pytest.approx(exact, abs=1e-6)
-        assert sol.x[0] == pytest.approx(np.sqrt(0.03), abs=5e-3)
+        assert sol.x[0] == pytest.approx(np.sqrt(0.03), abs=1e-6)
         norm = np.hypot(sol.x[0], sol.x[1])
         assert norm <= sol.x[2] + 1e-6
 
-    def test_cut_soundness_by_sampling(self):
-        prog = make_prog([0.0, 0.0], [-1.0, -0.3],
-                         lb=[-5.0, -5.0], ub=[5.0, 5.0],
-                         cones=[ConeRow(cols=(0, 1), radius=1.5)])
-        cuts = []
-        solve_qcqp(prog, cuts=cuts)
-        assert cuts, "expected at least one tangent cut"
-        rng = np.random.default_rng(11)
-        pts = rng.standard_normal((200, 2))
-        pts *= (rng.uniform(0.0, 1.5, 200) / np.linalg.norm(pts, axis=1))[:, None]
-        for _, direction in cuts:
-            assert (pts @ np.asarray(direction) <= 1.5 + 1e-9).all()
-
-    def test_shared_pool_reuse(self):
-        prog = make_prog([0.0, 0.0], [-1.0, 0.0],
-                         rows=[([0.0, 1.0], 0.6, 0.6)],
-                         lb=[-2.0, -2.0], ub=[2.0, 2.0],
-                         cones=[ConeRow(cols=(0, 1), radius=1.0)])
-        cuts = []
-        first = solve_qcqp(prog, cuts=cuts)
-        n_cuts = len(cuts)
-        second = solve_qcqp(prog, cuts=cuts)
-        assert len(cuts) == n_cuts  # pool already supports the optimum
-        assert second.x[0] == pytest.approx(first.x[0], abs=1e-8)
+    def test_battery_not_built_stays_at_the_apex(self):
+        # a battery whose rating is fixed to zero (every branch-and-bound
+        # node with z_b = 0): the ball is its apex, where no tangent
+        # exists, and a linear cost pulls (p, q) outward
+        prog = make_prog([0.0, 0.0, 0.0], [-1.0, -0.5, 0.0],
+                         lb=[-5.0, -5.0, 0.0], ub=[5.0, 5.0, 0.0],
+                         cones=[ConeRow(cols=(0, 1), radius_col=2)])
+        sol = solve_qcqp(prog)
+        assert sol.status == "optimal"
+        assert abs(sol.x[0]) <= 1e-9
+        assert abs(sol.x[1]) <= 1e-9
+        assert sol.cone_duals[0] >= 0.0
 
     def test_relaxed_monolith_at_eight_steps(self):
         # the benchmark's relax-ladder T=8 rung; the point and its duals
@@ -400,7 +376,7 @@ class TestQcqp:
                 if cone.radius_col is not None:
                     stat[cone.radius_col] -= sol.cone_duals[k]
                     scale[cone.radius_col] += sol.cone_duals[k]
-        assert np.all(np.abs(stat) <= 1e-5 * (1.0 + scale))
+        assert np.all(np.abs(stat) <= 1e-6 * (1.0 + scale))
 
     def test_infeasible_qcqp(self):
         prog = make_prog([0.0, 0.0], [0.0, 0.0],
