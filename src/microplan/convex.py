@@ -24,9 +24,19 @@ come out at near-machine accuracy.  An active ball is pinned by its
 tangent at the current point, with its curvature in the objective, and
 re-linearized at each pass's point until that point stops moving off
 the ball; a ball at its apex, where no tangent exists, has its columns
-pinned to zero.  A polished point is accepted only if its residuals and
-every ball meet the tolerances; otherwise the interior point's own
-point and duals are returned.
+pinned to zero.
+
+A point is reported optimal when it certifies (:func:`certify`): (1)
+every row, bound and ball holds and (2) stationarity holds, entry by
+entry within EPS_ABS + EPS_REL times the magnitude of the entry's terms,
+with every multiplier first projected onto its valid sign, so that a
+multiplier on a missing or wrong side counts as a stationarity error;
+(3) the complementarity gap, each multiplier times the distance to the
+side it claims, is at most EPS_ABS times max(1 USD, |objective|).  The
+polish returns its pass with the lowest certificate ratio.  When no pass
+certifies, the interior point's own point and duals are returned, as
+``iteration-limit``, or as ``optimal`` with detail ``polish rejected``
+if the interior point had met its own termination test.
 
 Dual sign convention.  Multipliers y satisfy the stationarity condition
 
@@ -47,6 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,15 +126,26 @@ class ConvexProgram:
                     raise EngineError(f"cone {k} has negative radius")
             elif cone.radius_col in cols or not 0 <= cone.radius_col < self.n:
                 raise EngineError(f"cone {k} has invalid radius column")
+        # the balls as flat arrays: every ball's columns back to back,
+        # the ball owning each, and per ball its radius column (-1 for a
+        # constant radius) and its constant radius
+        sizes = [len(cone.cols) for cone in self.cones]
+        self.cone_cols = np.array([j for cone in self.cones for j in cone.cols],
+                                  dtype=int)
+        self.cone_owner = np.repeat(np.arange(len(sizes)), sizes)
+        self.radius_col = np.array(
+            [-1 if cone.radius_col is None else cone.radius_col
+             for cone in self.cones], dtype=int)
+        self.radius = np.array([cone.radius for cone in self.cones], dtype=float)
 
     def objective(self, x):
         return 0.5 * float(x @ (self.p_diag * x)) + float(self.q @ x) + self.const
 
 
-# Interior-point constants: termination and certificate tolerances,
+# Interior-point constants: termination and infeasibility tolerances,
 # static KKT regularization, step damping and the stall window; then
-# equilibration, and the polish's acceptance tolerances, proximal weight
-# and pass limit
+# equilibration, the tolerances of `certify`, and the polish's proximal
+# weight and pass limit
 EPS_OPT = 1e-9
 EPS_INF = 1e-8
 KKT_REG = 1e-8
@@ -192,10 +214,68 @@ def get_duals(solution: PrimalDualSolution, rows) -> np.ndarray:
     return out
 
 
-def _meets(rp_vec, rd_vec, prim_ref, dual_ref, eps_abs, eps_rel):
-    """Component-wise residual test."""
-    return bool(np.all(np.abs(rp_vec) <= eps_abs + eps_rel * prim_ref)
-                and np.all(np.abs(rd_vec) <= eps_abs + eps_rel * dual_ref))
+class Certificate(NamedTuple):
+    """Worst absolute primal violation and stationarity residual, the
+    complementarity gap in dollars, and the worst ratio of any of them to
+    its tolerance: at most 1 means certified."""
+    prim: float
+    stat: float
+    gap: float
+    ratio: float
+
+
+def certify(prog: ConvexProgram, x, y_rows, y_bounds, cone_duals) -> Certificate:
+    """Test a primal-dual point against the three optimality conditions
+    of the module docstring.  Rows and bounds are treated alike, as
+    values v with sides [lo, hi]; the stationarity floor is 1 dollar per
+    unit, and the gap may be EPS_ABS times max(1, |objective|)."""
+    owner, cols, rc = prog.cone_owner, prog.cone_cols, prog.radius_col
+    v = np.concatenate([prog.a @ x, x])
+    lo, hi = np.concatenate([prog.l, prog.lb]), np.concatenate([prog.u, prog.ub])
+    at = np.clip(v, lo, hi)
+    norm = np.sqrt(np.bincount(owner, x[cols] ** 2, minlength=rc.size))
+    radius = np.where(rc >= 0, x[rc], prog.radius)
+    viol = np.concatenate([np.abs(v - at), np.maximum(norm - radius, 0.0)])
+    prim_ref = np.concatenate([np.maximum(np.abs(v), np.abs(at)),
+                               np.maximum(np.abs(radius), norm)])
+
+    # every multiplier projected onto its valid sign: positive only on a
+    # finite upper side, negative only on a finite lower side
+    y = np.clip(np.concatenate([y_rows, y_bounds]).astype(float),
+                np.where(np.isfinite(lo), -np.inf, 0.0),
+                np.where(np.isfinite(hi), np.inf, 0.0))
+    lam = np.maximum(np.asarray(cone_duals, dtype=float), 0.0)
+    px = prog.p_diag * x
+    # each ball adds -lambda on its radius and lambda times the unit
+    # direction of its columns, off the apex
+    mult = prog.a.T @ y[:prog.m] + y[prog.m:]
+    np.add.at(mult, rc[rc >= 0], -lam[rc >= 0])
+    apex = norm <= EPS_ABS
+    unit = np.where(apex, 0.0, lam / np.where(apex, 1.0, norm))
+    np.add.at(mult, cols, unit[owner] * x[cols])
+    # at the apex any normal of norm at most 1 is valid: the one that
+    # cancels the columns' residual as far as lambda allows, a column of
+    # several apex balls sharing its residual in proportion to lambda
+    lam_at = np.where(apex, lam, 0.0)[owner]
+    total = np.bincount(cols, weights=lam_at, minlength=prog.n)[cols]
+    rest = (px + prog.q + mult)[cols] * lam_at / np.where(total > 0.0, total, 1.0)
+    rest_norm = np.sqrt(np.bincount(owner, rest ** 2, minlength=rc.size))
+    reach = np.minimum(1.0, lam / np.where(rest_norm > 0.0, rest_norm, 1.0))
+    np.add.at(mult, cols, -np.where(apex, reach, 0.0)[owner] * rest)
+    stat = px + prog.q + mult
+    stat_ref = np.maximum.reduce([np.abs(px), np.abs(prog.q), np.abs(mult),
+                                  np.ones(prog.n)])
+
+    # each multiplier times the distance to the side it claims
+    side = np.where(y > 0.0, hi, np.where(y < 0.0, lo, v))
+    gap = float(np.abs(y * (side - v)).sum()
+                + (lam * np.abs(radius - norm)).sum())
+    ratio = max(
+        float((viol / (EPS_ABS + EPS_REL * prim_ref)).max(initial=0.0)),
+        float((np.abs(stat) / (EPS_ABS + EPS_REL * stat_ref)).max(initial=0.0)),
+        gap / (EPS_ABS * max(1.0, abs(prog.objective(x)))))
+    return Certificate(float(viol.max(initial=0.0)),
+                       float(np.abs(stat).max(initial=0.0)), gap, ratio)
 
 
 def _refined(lu, mat, rhs):
@@ -320,21 +400,16 @@ class QpWorkspace:
         self.settings = settings
         n, m = prog.n, prog.m
         self.n = n
-        self.cones = _Cones([1 + len(c.cols) for c in prog.cones])
+        self.cones = _Cones(1 + np.bincount(prog.cone_owner,
+                                            minlength=len(prog.cones)))
         self.cone0 = m + n                   # first cone row
         self.mt = m + n + self.cones.owner.size
-        rows, cols, h = [], [], np.zeros(self.cones.owner.size)
-        self.radius_col = np.full(self.cones.count, -1)
-        for k, (cone, head) in enumerate(zip(prog.cones, self.cones.heads)):
-            if cone.radius_col is None:
-                h[head] = cone.radius
-            else:
-                rows.append(head)
-                cols.append(cone.radius_col)
-                self.radius_col[k] = cone.radius_col
-            rows.extend(range(head + 1, head + 1 + len(cone.cols)))
-            cols.extend(cone.cols)
-        cone_a = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+        heads, rc = self.cones.heads, prog.radius_col
+        h = np.zeros(self.cones.owner.size)
+        h[heads] = np.where(rc < 0, prog.radius, 0.0)
+        rows = np.concatenate([heads[rc >= 0], np.flatnonzero(self.cones.tail)])
+        cols = np.concatenate([rc[rc >= 0], prog.cone_cols])
+        cone_a = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
                                shape=(h.size, n))
         self._scale(sp.vstack([prog.a, sp.eye(n, format="csr"), cone_a],
                               format="csr"))
@@ -390,6 +465,17 @@ class QpWorkspace:
         """Interior-point solve, then the active-set polish of its point."""
         st = self.settings
         t0 = time.perf_counter()
+        # an empty row whose bounds exclude zero is its own certificate of
+        # infeasibility; in the interior point its multiplier would grow
+        # like 1/KKT_REG and could stall the iteration instead
+        prog = self.prog
+        miss = np.where(np.asarray(abs(prog.a).sum(axis=1)).ravel() == 0.0,
+                        np.maximum(prog.l, -prog.u), 0.0)
+        if miss.max(initial=0.0) > EPS_ABS:
+            return self._package("infeasible", f"row {int(np.argmax(miss))} is empty",
+                                 np.zeros(self.n), np.zeros(self.mt),
+                                 float(miss.max()), 0.0, 0,
+                                 time.perf_counter() - t0, [])
         ls = self.l * self.e
         us = self.u * self.e
         # g x + s = h: equalities (s = 0), the upper and lower sides of
@@ -424,9 +510,10 @@ class QpWorkspace:
             low = np.zeros(self.mt, dtype=bool)
             up[i_up[act[:i_up.size]]] = True
             low[i_lo[act[i_up.size:n_lin]]] = True
-            acc = self._polish_accept(low, up, act[n_lin:], z0[n_lin:], x)
-            if acc is not None:
-                x, y, prim_res, dual_res = acc
+            polished = self._polish(low, up, act[n_lin:], z0[n_lin:], x)
+            if polished is not None and polished[2].ratio <= 1.0:
+                x, y, cert = polished
+                prim_res, dual_res = cert.prim, cert.stat
                 status, detail = "optimal", "polished"
             elif status == "optimal":
                 detail = "polish rejected"
@@ -595,13 +682,20 @@ class QpWorkspace:
                 break
         return status, it, best[1]
 
-    def _package(self, status, detail, x_sc, y_sc, prim_res, dual_res,
-                 it, elapsed, log_rows):
+    def _unscaled(self, x_sc, y_sc):
+        """The point in the caller's units: x, row multipliers, bound
+        multipliers and one multiplier per ball."""
         m, n = self.prog.m, self.n
         # interior and polished points may stray from a bound by rounding;
         # downstream stages take these values as exact boundary data
-        x_un = np.clip(x_sc * self.d, self.l[m:m + n], self.u[m:m + n])
-        y_un = y_sc * self.e / self.c
+        x = np.clip(x_sc * self.d, self.l[m:m + n], self.u[m:m + n])
+        y = y_sc * self.e / self.c
+        # a ball block's multipliers are -lambda (1, -normal)
+        return x, y[:m], y[m:m + n], np.maximum(-y[self.cone0 + self.cones.heads], 0.0)
+
+    def _package(self, status, detail, x_sc, y_sc, prim_res, dual_res,
+                 it, elapsed, log_rows):
+        x, y_rows, y_bounds, cone_duals = self._unscaled(x_sc, y_sc)
         if self.settings.log_path and log_rows:
             with open(self.settings.log_path, "w") as fh:
                 fh.write("iter,prim_res,dual_res,obj\n")
@@ -609,16 +703,15 @@ class QpWorkspace:
                     fh.write(f"{row[0]},{row[1]:.6e},{row[2]:.6e},{row[3]:.10e}\n")
         return PrimalDualSolution(
             status=status,
-            x=x_un,
-            y_rows=y_un[:m],
-            y_bounds=y_un[m:m + n],
-            objective=self.prog.objective(x_un),
+            x=x,
+            y_rows=y_rows,
+            y_bounds=y_bounds,
+            objective=self.prog.objective(x),
             prim_res=prim_res,
             dual_res=dual_res,
             iterations=it,
             solve_time=elapsed,
-            # a ball block's multipliers are -lambda (1, -normal)
-            cone_duals=np.maximum(-y_un[self.cone0 + self.cones.heads], 0.0),
+            cone_duals=cone_duals,
             polished=(detail == "polished"),
             detail=detail,
             program=self.prog,
@@ -626,68 +719,17 @@ class QpWorkspace:
 
     # -- polish -----------------------------------------------------------
 
-    def _obj_guard(self, x_pol, x_it):
-        """A mis-pinned active set passes the residual test with a point
-        that is stationary for the wrong restriction; such points move
-        the objective by far more than the iterate's own error."""
-        obj_it = self.prog.objective(x_it * self.d)
-        obj_pol = self.prog.objective(x_pol * self.d)
-        return obj_pol <= obj_it + 1e-3 * (1.0 + abs(obj_it))
-
     def _balls(self, ax):
         """Radius and column norm of every ball, scaled, from As x."""
         val = self.h_cone + ax[self.cone0:]
         return val, val[self.cones.heads], self.cones.tail_norm(val)
 
-    def _residuals(self, x, y, z):
-        """Unscaled residual vectors plus per-component reference scales.
-
-        The acceptance test is applied component-wise: each residual
-        entry is compared against eps_abs + eps_rel * (the magnitude of
-        the terms feeding that entry).  A single huge coefficient, such
-        as a load-shedding penalty, then buys slack only for its own
-        column instead of loosening the whole test.  Each ball adds one
-        primal entry, the amount by which its column norm exceeds its
-        radius.
-        """
-        d, e, c = self.d, self.e, self.c
-        ax = self.As @ x
-        px = self.ps * x
-        aty = self.As.T @ y
-        _, radius, norm = self._balls(ax)
-        e_k = e[self.cone0 + self.cones.heads]
-        rp_vec = np.concatenate([(ax - z) / e,
-                                 np.maximum(norm - radius, 0.0) / e_k])
-        rd_vec = (px + self.qs + aty) / d / c
-        prim_ref = np.concatenate([np.maximum(np.abs(ax / e), np.abs(z / e)),
-                                   np.maximum(radius, norm) / e_k])
-        # the dollar-per-unit floor keeps the test attainable when the cost
-        # normalization has squeezed the scaled problem by many orders
-        dual_ref = np.maximum(np.maximum(np.abs(px / d), np.abs(aty / d)) / c,
-                              np.abs(self.prog.q))
-        dual_ref = np.maximum(dual_ref, 1.0)
-        return rp_vec, rd_vec, prim_ref, dual_ref
-
-    def _polish_accept(self, low, up, act, lam, x_sc):
-        """Run the active-set resolve and test it against the configured
-        tolerances.  Returns the accepted (x, y, primal residual, dual
-        residual) in scaled form, or None."""
-        polished = self._polish(low, up, act, lam, x_sc)
-        if polished is None:
-            return None
-        xp, yp, zp = polished
-        rpp, rdp, prp, drp = self._residuals(xp, yp, zp)
-        if _meets(rpp, rdp, prp, drp, EPS_ABS, EPS_REL) \
-                and self._obj_guard(xp, x_sc):
-            return (xp, yp, float(np.abs(rpp).max(initial=0.0)),
-                    float(np.abs(rdp).max(initial=0.0)))
-        return None
-
     def _polish(self, low, up, act, lam, x_sc):
         """Equality-constrained resolve on the active rows `low`/`up`
         (plus every equality row) and the active balls `act`, whose
         interior-point multipliers are `lam`; returns the scaled
-        candidate (x, y, z) or None if the factorization fails.
+        candidate (x, y) with the lowest certificate ratio and that
+        certificate, or None if the first factorization fails.
         Acceptance is the caller's decision.
 
         An active ball is pinned by its tangent u·v = r at the current
@@ -718,10 +760,9 @@ class QpWorkspace:
         # the pinned KKT system, then adds rows and balls the candidate
         # violates, drops pins whose multiplier came out wrong-signed
         # (those were slack, or redundant with other pins), and moves the
-        # tangents to the candidate.  The best candidate over all passes
-        # is returned.
+        # tangents to the candidate.  The candidate with the lowest
+        # certificate ratio over all passes is returned.
         best = None
-        best_score = np.inf
         x_lin = x_sc
         val, radius, norm = self._balls(self.As @ x_lin)
 
@@ -805,23 +846,20 @@ class QpWorkspace:
             # the radius variable's bound row carries it back
             z0 = np.where(apex, cones.tail_norm(y_pol[c0:]), 0.0)
             y_pol[c0 + heads] -= z0
-            rc = self.radius_col
+            rc = self.prog.radius_col
             shift = apex & (rc >= 0)
             np.add.at(y_pol, m + rc[shift],
                       z0[shift] * e_k[shift] / self.e[m + rc[shift]])
-            z_pol = np.clip(ax, ls, us)
-            z_pol[idx] = vals[:idx.size]
-            rp, rd, pr, dr = self._residuals(x_pol, y_pol, z_pol)
-            score = max(
-                float((np.abs(rp) / (EPS_ABS + EPS_REL * pr)).max(initial=0.0)),
-                float((np.abs(rd) / (EPS_ABS + EPS_REL * dr)).max(initial=0.0)))
-            if score < best_score:
-                best, best_score = (x_pol, y_pol, z_pol), score
+            cert = certify(self.prog, *self._unscaled(x_pol, y_pol))
+            if best is None or cert.ratio < best[2].ratio:
+                best = (x_pol, y_pol, cert)
 
-            stol = 1e-9 + 1e-6 * float(np.abs(y_pol).max(initial=0.0))
-            shrink_up = up & (y_pol < -stol)
-            shrink_lo = low & (y_pol > stol)
-            shrink_c = tan & (t_full < -stol)
+            # a wrong-signed pin goes however small its multiplier: next
+            # to the shed price, a threshold relative to the largest
+            # multiplier would keep pins that fail `certify`
+            shrink_up = up & (y_pol < 0.0)
+            shrink_lo = low & (y_pol > 0.0)
+            shrink_c = tan & (t_full < 0.0)
             # growing by the dominant violations only keeps the system
             # consistent; noise-level violations rejoin in later passes
             viol_up = ax - us
@@ -835,15 +873,14 @@ class QpWorkspace:
             grow_lo = (viol_lo > gtol) & ~eq & ~low
             grow_c = (viol_c > gtol) & ~act
             # the tangents and their curvature are re-linearized at each
-            # candidate until it meets the tolerances with every pinned
-            # ball holding to rounding; once a candidate has met the
-            # tolerances, one that fails them ends the search
-            if best_score <= 1.0 < score:
+            # candidate until it certifies with every pinned ball holding
+            # to rounding; once a candidate has certified, one that fails
+            # ends the search
+            if cert.ratio <= 1.0 and np.all(viol_c[tan] <= 1e-12 * (1.0 + radius[tan])) \
+                    or best[2].ratio <= 1.0 < cert.ratio:
                 break
-            if not (grow_up.any() or grow_lo.any() or grow_c.any()
-                    or shrink_up.any() or shrink_lo.any() or shrink_c.any()) \
-                    and (not tan.any() or score <= 1.0
-                         and np.all(viol_c[tan] <= 1e-12 * (1.0 + radius[tan]))):
+            if not (grow_up.any() or grow_lo.any() or grow_c.any() or tan.any()
+                    or shrink_up.any() or shrink_lo.any() or shrink_c.any()):
                 break
             up = (up | grow_up) & ~shrink_up
             low = (low | grow_lo) & ~shrink_lo

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import Settings, get_duals, solve_qcqp
+from .convex import Settings, certify, get_duals, solve_qcqp
 from .formulation import (
     MdopModel, OperatingPlan, assemble, build_seamed, coupling_slots,
     extract_plan, horizon_start_boundary, plan_costs, relax_integrality,
 )
-from .mip import solve_fixed_then_duals, solve_miqcqp
+from .mip import _relative_gap, solve_fixed_then_duals, solve_miqcqp
 
 log = logging.getLogger(__name__)
 
@@ -186,8 +186,8 @@ class PlanSolution:
 
 
 def relative_gap(ub: float, lb: float) -> float:
-    """Optimality gap in percent."""
-    return 100.0 * (ub - lb) / max(abs(lb), 1e-9)
+    """Optimality gap in percent, over the bound with a 1 USD floor."""
+    return 100.0 * _relative_gap(ub, lb)
 
 
 def stitch(instance, loads, plan: StagePlan, stage_models, stage_xs,
@@ -416,33 +416,6 @@ class RelaxedSweepResult:
     converged: bool
 
 
-def _system_residual(prog, x, y_rows, y_bounds, cone_duals):
-    """Worst KKT violation of the merged point: stationarity with the
-    cone normals folded in, row ranges, bounds, and the balls."""
-    stat = prog.p_diag * x + prog.q + y_bounds
-    if prog.m:
-        stat += prog.a.T @ y_rows
-    worst = 0.0
-    for k, cone in enumerate(prog.cones):
-        cols = list(cone.cols)
-        v = x[cols]
-        norm = float(np.linalg.norm(v))
-        radius = cone.radius if cone.radius_col is None else x[cone.radius_col]
-        worst = max(worst, norm - radius)
-        if cone_duals[k] != 0.0 and norm > 1e-12:
-            stat[cols] += cone_duals[k] * (v / norm)
-            if cone.radius_col is not None:
-                stat[cone.radius_col] -= cone_duals[k]
-    worst = max(worst, float(np.abs(stat).max(initial=0.0)))
-    if prog.m:
-        ax = prog.a @ x
-        worst = max(worst, float((prog.l - ax).max(initial=0.0)),
-                    float((ax - prog.u).max(initial=0.0)))
-    worst = max(worst, float((prog.lb - x).max(initial=0.0)),
-                float((x - prog.ub).max(initial=0.0)))
-    return worst
-
-
 def gauss_seidel_relaxed(instance, loads, plan: StagePlan,
                          max_sweeps: int = 200, tol: float = 1e-5,
                          settings: Settings = Settings()) -> RelaxedSweepResult:
@@ -452,7 +425,8 @@ def gauss_seidel_relaxed(instance, loads, plan: StagePlan,
     Each stage is solved relaxed by one cold conic solve, whose ball
     multipliers enter the merged point as they are.  With every piece
     convex the iteration is a block Gauss-Seidel pass over the
-    monolith's optimality system, and the merged residual is the
+    monolith's optimality system, and the merged residual (the worse of
+    :func:`certify`'s primal violation and stationarity residual) is the
     convergence measure.  A single stage satisfies the system in one
     sweep.  Divergence (the residual growing tenfold over five sweeps)
     raises DecompositionError.
@@ -497,7 +471,8 @@ def gauss_seidel_relaxed(instance, loads, plan: StagePlan,
             col += model.n
             row += n_rows
             cone += len(model.cones)
-        res = _system_residual(merged_prog, x, y_rows, y_bounds, cone_duals)
+        cert = certify(merged_prog, x, y_rows, y_bounds, cone_duals)
+        res = max(cert.prim, cert.stat)
         residuals.append(res)
         result = RelaxedSweepResult(
             x=x, y_rows=y_rows, y_bounds=y_bounds, cone_duals=cone_duals,

@@ -173,7 +173,7 @@ class ModelBuilder:
     """Accumulates columns, rows, and cones for one time window."""
 
     def __init__(self, instance: NetworkInstance, loads: LoadProfile,
-                 window, own_builds=True, tag=""):
+                 window, own_builds=True):
         start, end = window
         if not (0 <= start < end <= loads.horizon):
             raise FormulationError(
@@ -183,7 +183,6 @@ class ModelBuilder:
         self.loads = loads
         self.window = (start, end)
         self.own_builds = own_builds
-        self.tag = tag
         self.col_refs = []
         self.col_index = {}
         self.p_list = []

@@ -42,7 +42,7 @@ class MipResult:
     x: np.ndarray | None
     objective: float           # incumbent value, inf when none found
     best_bound: float
-    gap: float                 # relative, (obj - bound) / max(|bound|, 1e-9)
+    gap: float                 # relative, (obj - bound) / max(|bound|, 1)
     nodes: int
     binaries: dict | None      # column -> {0.0, 1.0} of the incumbent
     log: list = field(default_factory=list)
@@ -50,9 +50,11 @@ class MipResult:
 
 
 def _relative_gap(ub, lb):
+    """Gap over the bound, with the engine's 1 USD floor: a bound of
+    zero leaves rounding residue an absolute, not a relative, gap."""
     if not np.isfinite(ub) or not np.isfinite(lb):
         return np.inf
-    return (ub - lb) / max(abs(lb), 1e-9)
+    return (ub - lb) / max(abs(lb), 1.0)
 
 
 class _Tightener:
@@ -147,8 +149,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
     heapq.heappush(heap, (-np.inf, seq, BnbNode((), -np.inf, 0)))
 
     def prunable(bound):
-        return (np.isfinite(ub) and np.isfinite(bound)
-                and ub - bound <= gap_tol * max(abs(bound), 1e-9))
+        return _relative_gap(ub, bound) <= gap_tol
 
     def out_of_budget():
         return nodes >= node_limit or time.perf_counter() - t0 > time_limit

@@ -225,6 +225,15 @@ def test_all_binaries_fixed_is_a_single_node(two_step, two_step_oracle):
     assert res.objective == pytest.approx(direct.objective, rel=1e-9)
 
 
+def test_gap_over_a_zero_bound_is_absolute():
+    # with no load the optimum and its bound are both 0 USD; rounding
+    # residue on the objective must not become a relative gap
+    inst = gen_bat_instance()
+    res = solve_miqcqp(assemble(inst, flat_loads(inst, 4, p=0.0, q=0.0)))
+    assert res.status == "optimal-within-gap"
+    assert res.gap <= 1e-12
+
+
 def test_infeasible_row_reported_at_root(two_step):
     bad = replace(
         two_step,
