@@ -144,8 +144,9 @@ class ConvexProgram:
 
 # Interior-point constants: termination and infeasibility tolerances,
 # static KKT regularization, step damping and the stall window; then
-# equilibration, the tolerances of `certify`, and the polish's proximal
-# weight and pass limit
+# equilibration, the tolerances of `certify`, the polish's proximal
+# weight and pass limit, and the refinement's step limit and relative
+# stopping tolerance
 EPS_OPT = 1e-9
 EPS_INF = 1e-8
 KKT_REG = 1e-8
@@ -157,6 +158,7 @@ EPS_REL = 1e-6
 POLISH_DELTA = 1e-6
 POLISH_PASSES = 8
 REFINE_STEPS = 3
+REFINE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -228,7 +230,13 @@ def certify(prog: ConvexProgram, x, y_rows, y_bounds, cone_duals) -> Certificate
     """Test a primal-dual point against the three optimality conditions
     of the module docstring.  Rows and bounds are treated alike, as
     values v with sides [lo, hi]; the stationarity floor is 1 dollar per
-    unit, and the gap may be EPS_ABS times max(1, |objective|)."""
+    unit, and the gap may be EPS_ABS times max(1, |objective|).
+
+    A ball at its apex accepts any normal of norm at most 1.  A column
+    shared by several apex balls splits its residual among them in
+    proportion to their lambda: that test is sufficient but not
+    necessary, so it can reject a valid point.  The formulation builds
+    no balls that share a column."""
     owner, cols, rc = prog.cone_owner, prog.cone_cols, prog.radius_col
     v = np.concatenate([prog.a @ x, x])
     lo, hi = np.concatenate([prog.l, prog.lb]), np.concatenate([prog.u, prog.ub])
@@ -278,22 +286,37 @@ def certify(prog: ConvexProgram, x, y_rows, y_bounds, cone_duals) -> Certificate
                        float(np.abs(stat).max(initial=0.0)), gap, ratio)
 
 
-def _refined(lu, mat, rhs):
-    """Back-solve with iterative refinement against `mat`.  A singular
-    `mat` can make refinement diverge, so the best solution is kept."""
+def _refined(lu, mat, shift, rhs):
+    """Back-solve against the exact matrix ``mat + diag(shift)``, where
+    `lu` factors `mat`, with iterative refinement.  Refinement stops once
+    the residual is at most REFINE_TOL (1 + |rhs|_inf), after
+    REFINE_STEPS steps, or at the first step that fails to reduce it: a
+    singular system can make refinement diverge, and the best solution
+    is kept."""
     sol = lu.solve(rhs)
     if not np.all(np.isfinite(sol)):
         return sol
-    best = sol
-    best_res = float(np.abs(rhs - mat @ sol).max(initial=0.0))
+    tol = REFINE_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+    res = rhs - (mat @ sol + shift * sol)
     for _ in range(REFINE_STEPS):
-        if best_res < 1e-15:
+        err = float(np.abs(res).max(initial=0.0))
+        if err <= tol:
             break
-        sol = sol + lu.solve(rhs - mat @ sol)
-        res = float(np.abs(rhs - mat @ sol).max(initial=0.0))
-        if res < best_res:
-            best, best_res = sol, res
-    return best
+        step = sol + lu.solve(res)
+        step_res = rhs - (mat @ step + shift * step)
+        if not float(np.abs(step_res).max(initial=0.0)) < err:
+            break
+        sol, res = step, step_res
+    return sol
+
+
+def _rows_of(csr, idx):
+    """Entries of the rows `idx` of `csr` as (position in idx, column,
+    value) triplets."""
+    start, count = csr.indptr[idx], np.diff(csr.indptr)[idx]
+    at = np.repeat(start - np.cumsum(count) + count, count) \
+        + np.arange(int(count.sum()))
+    return np.repeat(np.arange(idx.size), count), csr.indices[at], csr.data[at]
 
 
 class _Cones:
@@ -414,6 +437,12 @@ class QpWorkspace:
         self._scale(sp.vstack([prog.a, sp.eye(n, format="csr"), cone_a],
                               format="csr"))
         self.h_cone = self.e[self.cone0:] * h
+        # a ball's row holds at most one entry of As: its column and value
+        # (column -1 on a constant radius's row)
+        block = self.As[self.cone0:]
+        has = np.diff(block.indptr) > 0
+        self.cone_col, self.cone_val = np.full(h.size, -1), np.zeros(h.size)
+        self.cone_col[has], self.cone_val[has] = block.indices, block.data
         self.l = np.concatenate([prog.l, prog.lb, np.full(h.size, -np.inf)])
         self.u = np.concatenate([prog.u, prog.ub, np.full(h.size, np.inf)])
 
@@ -538,7 +567,8 @@ class QpWorkspace:
         ps, qs, d, c = self.ps, self.qs, self.d, self.c
         gt = g.T.tocsr()
         # the KKT pattern is fixed: [[P, G'], [G, 0]], the W^2 blocks and
-        # the diagonal are summed into one CSC data array per step
+        # the diagonal; one CSC matrix holds it for the whole solve, and
+        # each step sums its numbers into the matrix's data array
         static = sp.bmat([[sp.diags(ps), gt], [g, None]], format="coo")
         dim = n + mg
         diag = np.arange(dim)
@@ -547,22 +577,21 @@ class QpWorkspace:
         slots, slot_of = np.unique(cols * dim + rows, return_inverse=True)
         indptr = np.searchsorted(slots // dim, np.arange(dim + 1))
         reg = KKT_REG * np.concatenate([np.ones(n), -np.ones(mg)])
-
-        def kkt(w2, diagonal):
-            data = np.bincount(slot_of, np.concatenate([static.data, -w2, diagonal]),
-                               slots.size)
-            return sp.csc_matrix((data, slots % dim, indptr), shape=(dim, dim))
+        kkt = sp.csc_matrix((np.zeros(slots.size), slots % dim, indptr),
+                            shape=(dim, dim))
 
         def factor(w2):
             """Quasi-definite KKT [[P, G'], [G, -W^2]], statically
-            regularized for the factorization and refined against the
-            exact matrix."""
-            return spla.splu(kkt(w2, reg)), kkt(w2, np.zeros(dim))
+            regularized for the factorization; refinement takes the
+            exact matrix as kkt - diag(reg)."""
+            kkt.data[:] = np.bincount(
+                slot_of, np.concatenate([static.data, -w2, reg]), slots.size)
+            return spla.splu(kkt)
 
         # start from the least-squares point of the rows (W = I), with
         # slacks and multipliers shifted into the cones' interior
-        lu, exact = factor(cones.w2(np.ones(cones.count), cones.unit))
-        sol = _refined(lu, exact, np.concatenate([-qs, h]))
+        lu = factor(cones.w2(np.ones(cones.count), cones.unit))
+        sol = _refined(lu, kkt, -reg, np.concatenate([-qs, h]))
         x, z = sol[:n], sol[n:]
         s = np.zeros(mg)
         s[me:] = -z[me:]
@@ -625,7 +654,7 @@ class QpWorkspace:
 
             eta, wbar, lam = cones.scaling(s[me:], z[me:])
             try:
-                lu, exact = factor(cones.w2(eta, wbar))
+                lu = factor(cones.w2(eta, wbar))
             except RuntimeError:
                 break
             rx = ps * x + gt @ z + qs * tau
@@ -634,7 +663,7 @@ class QpWorkspace:
             rtau = xpx / tau + qx + htz + kappa
             cx = 2.0 * ps * x / tau + qs
             # the tau direction: one back-solve shared by both steps
-            u_tau = _refined(lu, exact, np.concatenate([-qs, h]))
+            u_tau = _refined(lu, kkt, -reg, np.concatenate([-qs, h]))
             denom = float(cx @ u_tau[:n] + h @ u_tau[n:]) \
                 - xpx / tau ** 2 - kappa / tau
 
@@ -645,7 +674,7 @@ class QpWorkspace:
                 shift = cones.apply_w(eta, wbar, cones.div(lam, ds))
                 rhs = np.concatenate([-weight * rx, -weight * rz])
                 rhs[n + me:] += shift
-                u = _refined(lu, exact, rhs)
+                u = _refined(lu, kkt, -reg, rhs)
                 dtau = (-weight * rtau + dk / tau - float(cx @ u[:n])
                         - float(h @ u[n:])) / denom
                 u += dtau * u_tau
@@ -753,7 +782,7 @@ class QpWorkspace:
         us = self.u * self.e
         eq = ls == us          # always pinned, whatever the multiplier sign
         e_k = self.e[c0 + heads]
-        a_cone = self.As[c0:]
+        ccol, cval = self.cone_col, self.cone_val
         lam = np.maximum(lam, 0.0)
 
         # The handed-over active set is only a guess.  Each pass solves
@@ -778,9 +807,6 @@ class QpWorkspace:
             coef = tangent(val, norm)
             in_t = tan[owner]
             pos = np.cumsum(tan)[owner[in_t]] - 1
-            tangents = sp.csr_matrix(
-                (coef[in_t], (pos, np.flatnonzero(in_t))),
-                shape=(int(tan.sum()), owner.size)) @ a_cone
             t_vals = -np.bincount(pos, weights=(coef * self.h_cone)[in_t],
                                   minlength=int(tan.sum()))
             pinned = c0 + np.flatnonzero(tail & apex[owner])
@@ -788,23 +814,33 @@ class QpWorkspace:
                                   np.flatnonzero(up), pinned])
             vals = np.concatenate([ls[eq], ls[low], us[up],
                                    np.zeros(pinned.size), t_vals])
-            a_red = sp.vstack([self.As[idx], tangents], format="csr")
             nact = vals.size
+            # the pinned rows of As, then one tangent row per pinned ball
+            # summing its rows with the weights `coef`
+            r_pin, c_pin, v_pin = _rows_of(self.As, idx)
+            t_ent = in_t & (ccol >= 0)
+            r_red = np.concatenate([r_pin, idx.size + pos[t_ent[in_t]]])
+            c_red = np.concatenate([c_pin, ccol[t_ent]])
+            v_red = np.concatenate([v_pin, (coef * cval)[t_ent]])
             # the ball's curvature lam (I - u u') / |v| on its columns
             pi, pj = cones.pi, cones.pj
             pair = tan[owner[pi]] & tail[pi] & tail[pj]
             weight = (lam / np.where(norm > 0.0, norm, 1.0))[owner[pi]]
-            curv = sp.csr_matrix(
-                ((weight * ((pi == pj) - coef[pi] * coef[pj]))[pair],
-                 (pi[pair], pj[pair])), shape=(owner.size, owner.size))
-            top = sp.diags(self.ps + POLISH_DELTA) + a_cone.T @ curv @ a_cone
-            # refinement targets the anchored system: only the dual-block
+            v_curv = (weight * ((pi == pj) - coef[pi] * coef[pj])
+                      * cval[pi] * cval[pj])[pair]
+            # [[diag(ps + delta) + curvature, A_red'], [A_red, -delta I]],
+            # refined against the anchored system: only the dual-block
             # regularization is refined away, the proximal term stays
-            k_plain = sp.bmat([[top, a_red.T], [a_red, None]], format="csc")
-            k_reg = k_plain - POLISH_DELTA * sp.diags(
-                np.concatenate([np.zeros(n), np.ones(nact)]))
+            diag_p, diag_d = np.arange(n), n + np.arange(nact)
+            k_reg = sp.csc_matrix((
+                np.concatenate([self.ps + POLISH_DELTA, v_curv, v_red, v_red,
+                                np.full(nact, -POLISH_DELTA)]),
+                (np.concatenate([diag_p, ccol[pi[pair]], n + r_red, c_red, diag_d]),
+                 np.concatenate([diag_p, ccol[pj[pair]], c_red, n + r_red, diag_d]))),
+                shape=(n + nact, n + nact))
+            dual_shift = np.concatenate([np.zeros(n), np.full(nact, POLISH_DELTA)])
             try:
-                lu = spla.splu(k_reg.tocsc())
+                lu = spla.splu(k_reg)
             except RuntimeError:
                 return best
             # proximal-point iteration on the pinned subproblem, reusing
@@ -819,7 +855,7 @@ class QpWorkspace:
                                       vals])
                 # redundant pins make the plain system singular along
                 # dual directions, which the refinement tolerates
-                sol = _refined(lu, k_plain, rhs)
+                sol = _refined(lu, k_reg, dual_shift, rhs)
                 if not np.all(np.isfinite(sol)):
                     return best
                 move = float(np.abs(sol[:n] - anchor).max(initial=0.0))

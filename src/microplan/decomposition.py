@@ -7,8 +7,8 @@ downstream stage produced in the previous sweep (the last stage is never
 priced).  Build decisions belong to the first stage; later stages
 receive them as pinned boundary data.
 
-Two stage solvers drive that sweep.  With branch and bound (followed by
-a fixed-binary resolve for the pin duals), one unpriced sweep is the
+Two stage solvers drive that sweep.  With branch and bound, whose
+incumbent solve carries the pin duals, one unpriced sweep is the
 receding-horizon baseline and repeated sweeps refine the prices; the
 best stitched plan is kept.  With the relaxed stage problems, the sweep
 is a block Gauss-Seidel pass over the continuous monolith, and its
@@ -27,7 +27,8 @@ from .formulation import (
     MdopModel, OperatingPlan, assemble, build_seamed, coupling_slots,
     extract_plan, horizon_start_boundary, plan_costs, relax_integrality,
 )
-from .mip import _relative_gap, solve_fixed_then_duals, solve_miqcqp
+# solve_fixed_then_duals stays bound here: bench/tracer.py wraps it by this name
+from .mip import _relative_gap, solve_fixed_then_duals, solve_miqcqp  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -339,10 +340,11 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
               settings: Settings = Settings()) -> PlanSolution:
     """Iterated forward sweeps with boundary-price feedback.
 
-    Each stage is solved by branch and bound, then re-solved with its
-    binaries fixed for the pin duals.  `dual-init` seeds the first
-    sweep's prices from the relaxed monolith; `zero-init` starts
-    unpriced, which makes the first sweep the receding-horizon baseline.
+    Each stage is solved by branch and bound; its x and pin duals come
+    from the engine solution of the incumbent, the stage program with
+    every binary fixed.  `dual-init` seeds the first sweep's prices from
+    the relaxed monolith; `zero-init` starts unpriced, which makes the
+    first sweep the receding-horizon baseline.
     The best stitched plan over all sweeps is returned; its bound comes
     from the relaxed monolith.
     """
@@ -366,11 +368,10 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
                            time_limit=time_limit, settings=settings)
         if res.binaries is None:
             raise DecompositionError(f"stage search ended {res.status}")
-        fixed = solve_fixed_then_duals(model, res.binaries, settings=settings)
         stats.append(StageStat(sweep=sweep, stage=s, status=res.status,
                                objective=res.objective, nodes=res.nodes,
                                gap=res.gap, solve_time=res.solve_time))
-        return fixed
+        return res.solution
 
     best = None
     sweep_objectives = []

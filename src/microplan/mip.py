@@ -47,6 +47,10 @@ class MipResult:
     binaries: dict | None      # column -> {0.0, 1.0} of the incumbent
     log: list = field(default_factory=list)
     solve_time: float = 0.0
+    # the engine solution the incumbent came from, None without one: an
+    # optimal solve of the relaxed model with every binary fixed and the
+    # `_Tightener` bounds applied, so its duals price every model row
+    solution: PrimalDualSolution | None = None
 
 
 def _relative_gap(ub, lb):
@@ -140,7 +144,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
     log = []
 
     ub = np.inf
-    inc_x = None
+    inc_sol = None
     inc_fix = None
     lb_floor = np.inf      # min bound over nodes pruned by the gap test
     nodes = 0
@@ -164,7 +168,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
         re-solved, which re-verifies feasibility at engine tolerance;
         a converged solution whose binaries were all pinned by `fixings`
         is already exact and is taken as is."""
-        nonlocal ub, inc_x, inc_fix
+        nonlocal ub, inc_sol, inc_fix
         full = dict(fixings)
         extra = [j for j in solver.binaries if j not in full]
         for j in extra:
@@ -177,7 +181,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
             cand = sol
         if cand.objective < ub - 1e-12:
             ub = cand.objective
-            inc_x = cand.x
+            inc_sol = cand
             inc_fix = full
 
     interrupted = False
@@ -237,7 +241,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
     lb = min(cands) if cands else ub    # empty frontier: tree fully resolved
     gap = _relative_gap(ub, lb)
 
-    if inc_x is None:
+    if inc_sol is None:
         status = "node-limit" if interrupted else "infeasible"
     elif gap <= gap_tol:
         status = "optimal-within-gap"
@@ -247,7 +251,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
 
     result = MipResult(
         status=status,
-        x=inc_x,
+        x=None if inc_sol is None else inc_sol.x,
         objective=ub,
         best_bound=lb,
         gap=gap,
@@ -255,6 +259,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
         binaries=inc_fix,
         log=log,
         solve_time=time.perf_counter() - t0,
+        solution=inc_sol,
     )
     if log_path is not None:
         write_node_log(result, log_path)

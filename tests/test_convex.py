@@ -13,12 +13,12 @@ import pytest
 import scipy.sparse as sp
 
 from microplan.convex import (
-    ConeRow, ConvexProgram, EngineError, PrimalDualSolution, Settings,
-    certify, get_duals, solve_qp, solve_qcqp,
+    ConeRow, ConvexProgram, EngineError, PrimalDualSolution, QpWorkspace,
+    Settings, certify, get_duals, solve_qp, solve_qcqp,
 )
 from microplan.formulation import assemble, relax_integrality
 from microplan.instance import synth_load
-from test_formulation import gen_bat_instance
+from test_formulation import flat_loads, gen_bat_instance
 
 INF = np.inf
 
@@ -320,6 +320,20 @@ class TestDeterminismAndWarmth:
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y_rows, b.y_rows)
         assert np.array_equal(a.y_bounds, b.y_bounds)
+        # balls: the polish pins active ones by their tangents; one
+        # workspace solved twice refills its KKT matrices from scratch
+        inst = gen_bat_instance()
+        prog = relax_integrality(
+            assemble(inst, flat_loads(inst, 2, p=0.4, q=0.1))).to_convex()
+        ws = QpWorkspace(prog)
+        first, again, fresh = ws.solve(), ws.solve(), solve_qcqp(prog)
+        assert first.detail == "polished"
+        assert np.any(first.cone_duals > 1.0)
+        for other in (again, fresh):
+            assert np.array_equal(first.x, other.x)
+            assert np.array_equal(first.y_rows, other.y_rows)
+            assert np.array_equal(first.y_bounds, other.y_bounds)
+            assert np.array_equal(first.cone_duals, other.cone_duals)
 
     def test_iteration_log_written(self, tmp_path):
         log = tmp_path / "iters.csv"

@@ -18,9 +18,10 @@ from test_formulation import (
     bat_only_instance, cvx_solve, flat_loads, gen_bat_instance,
 )
 
-from microplan.convex import get_duals, solve_qcqp
+from microplan.convex import certify, get_duals, solve_qcqp
 from microplan.formulation import (
-    FormulationError, assemble, fix_binaries, horizon_start_boundary,
+    FormulationError, assemble, coupling_slots, fix_binaries,
+    horizon_start_boundary,
 )
 from microplan.mip import MipResult, solve_fixed_then_duals, solve_miqcqp
 
@@ -245,6 +246,7 @@ def test_infeasible_row_reported_at_root(two_step):
     res = solve_miqcqp(bad)
     assert res.status == "infeasible"
     assert res.x is None
+    assert res.solution is None
     assert res.objective == np.inf
 
 
@@ -283,6 +285,29 @@ def test_fixed_resolve_reproduces_incumbent(two_step, two_step_result):
     sol = solve_fixed_then_duals(two_step, res.binaries)
     assert sol.objective == pytest.approx(res.objective, rel=1e-6)
     assert sol.y_rows.shape == (len(two_step.row_coefs),)
+
+
+def test_incumbent_solution_is_the_fixed_binary_solve():
+    # a later stage: the builds are pinned boundary data, not binaries, so
+    # the incumbent's program (binaries fixed, `_Tightener` bounds) is the
+    # program of `fix_binaries`, and its pin duals need no second solve
+    inst = gen_bat_instance()
+    built = {"z_b": 1.0, "z_d": 1.0, "s_b": 0.5, "sc": 0.05}
+    boundary = np.array([built.get(slot.kind, 0.0)
+                         for slot in coupling_slots(inst)])
+    model = assemble(inst, flat_loads(inst, 4, p=0.4, q=0.1), window=(2, 4),
+                     boundary=boundary, own_builds=False)
+    res = solve_miqcqp(model)
+    assert res.status == "optimal-within-gap"
+    assert res.nodes > 1
+    sol = res.solution
+    assert sol.status == "optimal"
+    assert certify(sol.program, sol.x, sol.y_rows, sol.y_bounds,
+                   sol.cone_duals).ratio <= 1.0
+    assert np.array_equal(sol.x, res.x)
+    pins = [r for r in model.coupling.init_pin_rows if r is not None]
+    fixed = solve_fixed_then_duals(model, res.binaries)
+    assert np.array_equal(get_duals(sol, pins), get_duals(fixed, pins))
 
 
 def test_fixed_resolve_requires_every_binary(two_step, two_step_result):
