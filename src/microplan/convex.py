@@ -15,8 +15,13 @@ Clarabel use.  The program is Ruiz-equilibrated and written as
 cones, one cone (r, x[cols]) per ball; the rows of a ball share one
 scale, so the scaled cone is the same cone.  Each step factors one
 regularized, refined KKT system whose (2,2) block holds the
-Nesterov-Todd scaling of every cone, and infeasibility or unboundedness
-is read off the homogeneous certificates.
+Nesterov-Todd scaling of every cone.  The variable bounds never reach
+it: a nonnegative row with a single entry folds into its column's
+diagonal as a Schur complement, and its multiplier is recovered in
+closed form after each back-solve.  The reduced matrix is quasi-definite
+and is factored with diagonal pivots under a symmetric minimum-degree
+ordering.  Infeasibility or unboundedness is read off the homogeneous
+certificates.
 
 The second layer is the polish: the interior point's active set is
 resolved as an equality-constrained system, so that solutions and duals
@@ -226,6 +231,13 @@ class Certificate(NamedTuple):
     ratio: float
 
 
+def _valid_sign(y, lo, hi):
+    """Multipliers projected onto their valid sign: positive only on a
+    finite upper side, negative only on a finite lower side."""
+    return np.clip(y, np.where(np.isfinite(lo), -np.inf, 0.0),
+                   np.where(np.isfinite(hi), np.inf, 0.0))
+
+
 def certify(prog: ConvexProgram, x, y_rows, y_bounds, cone_duals) -> Certificate:
     """Test a primal-dual point against the three optimality conditions
     of the module docstring.  Rows and bounds are treated alike, as
@@ -247,11 +259,7 @@ def certify(prog: ConvexProgram, x, y_rows, y_bounds, cone_duals) -> Certificate
     prim_ref = np.concatenate([np.maximum(np.abs(v), np.abs(at)),
                                np.maximum(np.abs(radius), norm)])
 
-    # every multiplier projected onto its valid sign: positive only on a
-    # finite upper side, negative only on a finite lower side
-    y = np.clip(np.concatenate([y_rows, y_bounds]).astype(float),
-                np.where(np.isfinite(lo), -np.inf, 0.0),
-                np.where(np.isfinite(hi), np.inf, 0.0))
+    y = _valid_sign(np.concatenate([y_rows, y_bounds]).astype(float), lo, hi)
     lam = np.maximum(np.asarray(cone_duals, dtype=float), 0.0)
     px = prog.p_diag * x
     # each ball adds -lambda on its radius and lambda times the unit
@@ -415,7 +423,11 @@ class QpWorkspace:
 
     The stacked rows are the caller rows, one bound row per variable,
     then one block per ball: its radius row, then one row per column.
-    A block's values h + As x lie in the second-order cone.
+    A block's values h + As x lie in the second-order cone.  The bound
+    rows are stacked so that they share the equilibration, but the
+    interior point factors none of their inequalities: it folds them
+    into the diagonal.  A fixed column (lb = ub) stays an equality row,
+    and the polish pins an active bound as a row.
     """
 
     def __init__(self, prog: ConvexProgram, settings: Settings = Settings()):
@@ -566,32 +578,71 @@ class QpWorkspace:
         n, mg = self.n, g.shape[0]
         ps, qs, d, c = self.ps, self.qs, self.d, self.c
         gt = g.T.tocsr()
-        # the KKT pattern is fixed: [[P, G'], [G, 0]], the W^2 blocks and
-        # the diagonal; one CSC matrix holds it for the whole solve, and
-        # each step sums its numbers into the matrix's data array
-        static = sp.bmat([[sp.diags(ps), gt], [g, None]], format="coo")
-        dim = n + mg
+        # a nonnegative row with a single entry g_b, on column j (every
+        # variable bound), leaves the factored system; `keep` lists the
+        # other rows of g, `at` gives each its place in the reduced
+        # system, and `full` places the reduced unknowns in the full ones
+        single = me + cones.heads[cones.sizes == 1]
+        bnd = single[np.diff(g.indptr)[single] == 1]
+        j_b, g_b = g.indices[g.indptr[bnd]], g.data[g.indptr[bnd]]
+        kept = np.ones(mg, dtype=bool)
+        kept[bnd] = False
+        keep = np.flatnonzero(kept)
+        at = np.cumsum(kept) - 1
+        full = np.concatenate([np.arange(n), n + keep])
+        w_kept = kept[me + cones.pi]       # a bound row's W^2 entry is its w_b
+        g_k = g[keep]
+        # the KKT pattern is fixed: [[P, G_k'], [G_k, 0]], the kept W^2
+        # blocks and the diagonal; one CSC matrix holds it for the whole
+        # solve, and each step sums its numbers into the matrix's data
+        static = sp.bmat([[sp.diags(ps), g_k.T], [g_k, None]], format="coo")
+        dim = n + keep.size
         diag = np.arange(dim)
-        rows = np.concatenate([static.row, n + me + cones.pi, diag])
-        cols = np.concatenate([static.col, n + me + cones.pj, diag])
+        rows = np.concatenate([static.row, n + at[me + cones.pi[w_kept]], diag])
+        cols = np.concatenate([static.col, n + at[me + cones.pj[w_kept]], diag])
         slots, slot_of = np.unique(cols * dim + rows, return_inverse=True)
         indptr = np.searchsorted(slots // dim, np.arange(dim + 1))
-        reg = KKT_REG * np.concatenate([np.ones(n), -np.ones(mg)])
+        reg = KKT_REG * np.concatenate([np.ones(n), -np.ones(keep.size)])
         kkt = sp.csc_matrix((np.zeros(slots.size), slots % dim, indptr),
                             shape=(dim, dim))
 
         def factor(w2):
-            """Quasi-definite KKT [[P, G'], [G, -W^2]], statically
-            regularized for the factorization; refinement takes the
-            exact matrix as kkt - diag(reg)."""
-            kkt.data[:] = np.bincount(
-                slot_of, np.concatenate([static.data, -w2, reg]), slots.size)
-            return spla.splu(kkt)
+            """Factor [[P, G'], [G, -W^2]] through its bound rows'
+            Schur complement: a bound row b, with W^2 entry w_b, adds
+            g_b^2 / w_b to column j's diagonal, and the kept system
+            [[P + D_b, G_k'], [G_k, -W_k^2]] is factored with a static
+            regularization, which refinement takes away again.  Returns
+            the back-solve of the full system."""
+            w_b = w2[~w_kept]
+            kkt.data[:] = np.bincount(slot_of, np.concatenate([
+                static.data, -w2[w_kept],
+                reg + np.bincount(j_b, g_b * g_b / w_b, minlength=dim)]),
+                slots.size)
+            # regularized, the matrix is quasi-definite, so diagonal pivots
+            # are stable under any symmetric fill-reducing ordering
+            # (Vanderbei 1995)
+            lu = spla.splu(kkt, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+
+            def solve(rhs):
+                """The bound rows' right-hand sides r_b condensed onto r_x
+                as g_b r_b / w_b, the kept system solved, and the bound
+                multipliers recovered as dz_b = (g_b dx_j - r_b) / w_b."""
+                r_b = rhs[n + bnd]
+                red = rhs[full] + np.bincount(j_b, g_b * r_b / w_b,
+                                              minlength=dim)
+                red = _refined(lu, kkt, -reg, red)
+                out = np.empty(n + mg)
+                out[full] = red
+                out[n + bnd] = (g_b * red[j_b] - r_b) / w_b
+                return out
+            return solve
 
         # start from the least-squares point of the rows (W = I), with
         # slacks and multipliers shifted into the cones' interior
-        lu = factor(cones.w2(np.ones(cones.count), cones.unit))
-        sol = _refined(lu, kkt, -reg, np.concatenate([-qs, h]))
+        sol = factor(cones.w2(np.ones(cones.count), cones.unit))(
+            np.concatenate([-qs, h]))
         x, z = sol[:n], sol[n:]
         s = np.zeros(mg)
         s[me:] = -z[me:]
@@ -654,7 +705,7 @@ class QpWorkspace:
 
             eta, wbar, lam = cones.scaling(s[me:], z[me:])
             try:
-                lu = factor(cones.w2(eta, wbar))
+                back = factor(cones.w2(eta, wbar))
             except RuntimeError:
                 break
             rx = ps * x + gt @ z + qs * tau
@@ -663,7 +714,7 @@ class QpWorkspace:
             rtau = xpx / tau + qx + htz + kappa
             cx = 2.0 * ps * x / tau + qs
             # the tau direction: one back-solve shared by both steps
-            u_tau = _refined(lu, kkt, -reg, np.concatenate([-qs, h]))
+            u_tau = back(np.concatenate([-qs, h]))
             denom = float(cx @ u_tau[:n] + h @ u_tau[n:]) \
                 - xpx / tau ** 2 - kappa / tau
 
@@ -674,7 +725,7 @@ class QpWorkspace:
                 shift = cones.apply_w(eta, wbar, cones.div(lam, ds))
                 rhs = np.concatenate([-weight * rx, -weight * rz])
                 rhs[n + me:] += shift
-                u = _refined(lu, kkt, -reg, rhs)
+                u = back(rhs)
                 dtau = (-weight * rtau + dk / tau - float(cx @ u[:n])
                         - float(h @ u[n:])) / denom
                 u += dtau * u_tau
@@ -719,8 +770,10 @@ class QpWorkspace:
         # downstream stages take these values as exact boundary data
         x = np.clip(x_sc * self.d, self.l[m:m + n], self.u[m:m + n])
         y = y_sc * self.e / self.c
-        # a ball block's multipliers are -lambda (1, -normal)
-        return x, y[:m], y[m:m + n], np.maximum(-y[self.cone0 + self.cones.heads], 0.0)
+        # row and bound multipliers on their valid sign, as `certify`
+        # reads them; a ball block's multipliers are -lambda (1, -normal)
+        y_lin = _valid_sign(y[:m + n], self.l[:m + n], self.u[:m + n])
+        return x, y_lin[:m], y_lin[m:], np.maximum(-y[self.cone0 + self.cones.heads], 0.0)
 
     def _package(self, status, detail, x_sc, y_sc, prim_res, dual_res,
                  it, elapsed, log_rows):

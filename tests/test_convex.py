@@ -187,6 +187,27 @@ class TestHandKkt:
         assert bad.ratio > 1.0
         assert bad.stat == pytest.approx(2.0, abs=1e-6)
 
+    def test_bound_multipliers_of_a_projection(self):
+        # min 1/2 |x - c|^2 over free, lower-only, upper-only, boxed and
+        # fixed columns: x* = clip(c, lb, ub) and y_bounds = c - x*
+        rng = np.random.default_rng(11)
+        n = 200
+        c = rng.standard_normal(n) * 3.0
+        kind = rng.integers(0, 5, n)
+        lo = rng.uniform(-2.0, 0.0, n)
+        hi = rng.uniform(0.0, 2.0, n)
+        lb = np.where(np.isin(kind, (1, 3)), lo, -INF)
+        ub = np.where(np.isin(kind, (2, 3)), hi, INF)
+        lb[kind == 4] = ub[kind == 4] = hi[kind == 4]
+        prog = make_prog(np.ones(n), -c, lb=lb, ub=ub)
+        sol = solve_qp(prog)
+        assert (sol.status, sol.detail) == ("optimal", "polished")
+        x = np.clip(c, lb, ub)
+        np.testing.assert_allclose(sol.x, x, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(sol.y_bounds, c - x, rtol=0.0, atol=1e-8)
+        assert certify(prog, sol.x, sol.y_rows, sol.y_bounds,
+                       sol.cone_duals).ratio <= 1.0
+
     def test_certify_rejects_wrong_signed_upper_row(self):
         # min x s.t. x <= 1: x = 1 with y = -1 makes 1 + y = 0, but a
         # <= row only takes y >= 0, so the point is not optimal
@@ -393,13 +414,18 @@ class TestQcqp:
         cert = certify(prog, sol.x, sol.y_rows, sol.y_bounds, sol.cone_duals)
         assert cert.ratio <= 1.0
 
-    def test_relaxed_monolith_at_eight_steps(self):
-        # the benchmark's relax-ladder T=8 rung; the point and its duals
-        # are checked directly against the optimality conditions
+    @pytest.mark.parametrize("steps, shape", [(4, (82, 94, 8)),
+                                              (8, (154, 178, 16)),
+                                              (12, (226, 262, 24))],
+                             ids=["T4", "T8", "T12"])
+    def test_relaxed_monolith_rung(self, steps, shape):
+        # the benchmark's relax-ladder rungs; the point and its duals are
+        # checked directly against the optimality conditions
         inst = gen_bat_instance()
         loads = synth_load(inst, 1, 0.25, {"b2": 0.4}, seed=0)
-        prog = relax_integrality(assemble(inst, loads, window=(0, 8))).to_convex()
-        assert (prog.n, prog.m, len(prog.cones)) == (154, 178, 16)
+        prog = relax_integrality(
+            assemble(inst, loads, window=(0, steps))).to_convex()
+        assert (prog.n, prog.m, len(prog.cones)) == shape
         sol = solve_qcqp(prog)
         assert sol.status == "optimal"
         x = sol.x
