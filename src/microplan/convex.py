@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -119,29 +120,51 @@ class ConvexProgram:
         if np.any(self.lb > self.ub + 1e-12):
             bad = int(np.argmax(self.lb - self.ub))
             raise EngineError(f"variable {bad} has lb > ub")
-        for k, cone in enumerate(self.cones):
-            if not cone.cols:
-                raise EngineError(f"cone {k} has no columns")
-            cols = set(cone.cols)
-            if len(cols) != len(cone.cols) \
-                    or min(cols) < 0 or max(cols) >= self.n:
-                raise EngineError(f"cone {k} has invalid columns")
-            if cone.radius_col is None:
-                if cone.radius < 0:
-                    raise EngineError(f"cone {k} has negative radius")
-            elif cone.radius_col in cols or not 0 <= cone.radius_col < self.n:
-                raise EngineError(f"cone {k} has invalid radius column")
         # the balls as flat arrays: every ball's columns back to back,
         # the ball owning each, and per ball its radius column (-1 for a
         # constant radius) and its constant radius
-        sizes = [len(cone.cols) for cone in self.cones]
-        self.cone_cols = np.array([j for cone in self.cones for j in cone.cols],
-                                  dtype=int)
-        self.cone_owner = np.repeat(np.arange(len(sizes)), sizes)
-        self.radius_col = np.array(
-            [-1 if cone.radius_col is None else cone.radius_col
-             for cone in self.cones], dtype=int)
-        self.radius = np.array([cone.radius for cone in self.cones], dtype=float)
+        k = len(self.cones)
+        sizes = np.fromiter((len(cone.cols) for cone in self.cones),
+                            dtype=int, count=k)
+        self.cone_cols = np.fromiter(
+            chain.from_iterable(cone.cols for cone in self.cones),
+            dtype=int, count=int(sizes.sum()))
+        self.cone_owner = np.repeat(np.arange(k), sizes)
+        has_radius_col = np.fromiter(
+            (cone.radius_col is not None for cone in self.cones),
+            dtype=bool, count=k)
+        self.radius_col = np.fromiter(
+            (-1 if cone.radius_col is None else cone.radius_col
+             for cone in self.cones), dtype=int, count=k)
+        self.radius = np.fromiter((cone.radius for cone in self.cones),
+                                  dtype=float, count=k)
+        self._check_cones(sizes, has_radius_col)
+
+    def _check_cones(self, sizes, has_radius_col):
+        """Name the first ball with no columns, a repeated or out-of-range
+        column, a negative constant radius, or a radius column out of
+        range or among its own columns."""
+        owner, cols, rc = self.cone_owner, self.cone_cols, self.radius_col
+        bad_cols = np.zeros(len(sizes), dtype=bool)
+        bad_cols[owner[(cols < 0) | (cols >= self.n)]] = True
+        order = np.lexsort((cols, owner))
+        o, c = owner[order], cols[order]
+        bad_cols[o[1:][(o[1:] == o[:-1]) & (c[1:] == c[:-1])]] = True
+        bad_rc = has_radius_col & ((rc < 0) | (rc >= self.n))
+        bad_rc[owner[has_radius_col[owner] & (cols == rc[owner])]] = True
+        empty = sizes == 0
+        negative = ~has_radius_col & (self.radius < 0)
+        bad = empty | bad_cols | negative | bad_rc
+        if not bad.any():
+            return
+        k = int(np.argmax(bad))
+        if empty[k]:
+            raise EngineError(f"cone {k} has no columns")
+        if bad_cols[k]:
+            raise EngineError(f"cone {k} has invalid columns")
+        if negative[k]:
+            raise EngineError(f"cone {k} has negative radius")
+        raise EngineError(f"cone {k} has invalid radius column")
 
     def objective(self, x):
         return 0.5 * float(x @ (self.p_diag * x)) + float(self.q @ x) + self.const

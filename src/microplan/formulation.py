@@ -27,12 +27,22 @@ The seam-joined model lists window 0 with its horizon-start pins, then
 each later window without pins, then one seam row per coupling slot at
 every interior boundary.  A stage's block is therefore found by offsets
 alone, and its pin rows stand in for that boundary's seam rows.
+
+The seam-joined model is written window after window into one
+:class:`ModelBuilder`, with no copy pass.  Each window looks its columns
+up in a key index of its own, because a window shorter than a
+generator's start/stop history imports history at the same
+``(kind, owner, time)`` keys as the window before it.  The model's
+``col_index`` is the union of the window indexes taken in window order,
+so such a repeated key resolves to the latest window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,8 +65,7 @@ class FormulationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class VarRef:
+class VarRef(NamedTuple):
     kind: str
     owner: str
     time: int | None
@@ -143,14 +152,15 @@ class MdopModel:
     dt: float
 
     def to_convex(self) -> ConvexProgram:
-        rows, cols, vals = [], [], []
-        for i, coefs in enumerate(self.row_coefs):
-            for j, v in coefs.items():
-                rows.append(i)
-                cols.append(j)
-                vals.append(v)
-        a = sp.csr_matrix((vals, (rows, cols)),
-                          shape=(len(self.row_coefs), self.n))
+        m = len(self.row_coefs)
+        sizes = np.fromiter(map(len, self.row_coefs), dtype=np.int64, count=m)
+        nnz = int(sizes.sum())
+        cols = np.fromiter(chain.from_iterable(self.row_coefs),
+                           dtype=np.int64, count=nnz)
+        vals = np.fromiter(chain.from_iterable(map(dict.values, self.row_coefs)),
+                           dtype=float, count=nnz)
+        rows = np.repeat(np.arange(m, dtype=np.int64), sizes)
+        a = sp.csr_matrix((vals, (rows, cols)), shape=(m, self.n))
         return ConvexProgram(self.p_diag, self.q, a, self.row_lo, self.row_hi,
                              self.lb, self.ub, self.cones, self.const)
 
@@ -170,21 +180,24 @@ def _history_times(window, t, depth):
 
 
 class ModelBuilder:
-    """Accumulates columns, rows, and cones for one time window."""
+    """Accumulates columns, rows, and cones for one time window, or for
+    consecutive windows written one after another.
+
+    `window`, `own_builds` and `col_index` describe the window being
+    built; :meth:`begin_window` starts the next one.  Each window's
+    `col_index` holds only its own columns, and the row builders look
+    keys up there, so a later window never reads an earlier window's
+    import columns.  The model's index is the union of the window
+    indexes in window order: a key repeated across windows resolves to
+    the latest one.
+    """
 
     def __init__(self, instance: NetworkInstance, loads: LoadProfile,
                  window, own_builds=True):
-        start, end = window
-        if not (0 <= start < end <= loads.horizon):
-            raise FormulationError(
-                f"window [{start}, {end}) outside the load horizon "
-                f"{loads.horizon}")
         self.instance = instance
         self.loads = loads
-        self.window = (start, end)
-        self.own_builds = own_builds
+        self.window_indexes = []
         self.col_refs = []
-        self.col_index = {}
         self.p_list = []
         self.q_list = []
         self.lb_list = []
@@ -197,6 +210,30 @@ class ModelBuilder:
         self.cones = []
         self.cone_labels = []
         self.const = 0.0
+        self.begin_window(window, own_builds)
+
+    def begin_window(self, window, own_builds):
+        """Start a window whose columns, rows and cones follow everything
+        built so far."""
+        start, end = window
+        if not (0 <= start < end <= self.loads.horizon):
+            raise FormulationError(
+                f"window [{start}, {end}) outside the load horizon "
+                f"{self.loads.horizon}")
+        self.window = (start, end)
+        self.own_builds = own_builds
+        self.col_index = {}
+        self.window_indexes.append(self.col_index)
+
+    def build_window(self):
+        """Every constraint family of the current window, boundary pins
+        not yet added."""
+        self.build_columns()
+        self.build_power_flow()
+        self.build_resource_limits()
+        self.build_unit_commitment()
+        self.build_battery()
+        return self
 
     # -- primitives -------------------------------------------------------
 
@@ -217,8 +254,9 @@ class ModelBuilder:
         return j
 
     def add_row(self, label, coefs, lo, hi):
+        """Append a row; the builder keeps the `coefs` dict as given."""
         i = len(self.row_coefs)
-        self.row_coefs.append(dict(coefs))
+        self.row_coefs.append(coefs)
         self.row_lo.append(lo)
         self.row_hi.append(hi)
         self.row_labels.append(label)
@@ -311,36 +349,43 @@ class ModelBuilder:
             return self.col_index[(kind, owner, None)]
         return self.col_index[(INIT_KINDS[kind], owner, start)]
 
+    def _injections(self):
+        """Per bus, the (p kind, q kind, owner, sign) of every column in
+        its balance rows, in row order: its shed, its generators and
+        batteries, the lines into it (+1) and out of it (-1) in line
+        order, and the grid at a grid-connected slack bus."""
+        inst = self.instance
+        table = {bus.id: [("shed_p", "shed_q", bus.id, 1.0)]
+                 for bus in inst.buses}
+        for d in inst.generator_specs:
+            table[d.bus].append(("p_d", "q_d", d.id, 1.0))
+        for b in inst.battery_specs:
+            table[b.bus].append(("p_b", "q_b", b.id, 1.0))
+        for line in inst.lines:
+            table[line.to_bus].append(("p_line", "q_line", line.id, 1.0))
+            table[line.from_bus].append(("p_line", "q_line", line.id, -1.0))
+        if inst.grid_connected:
+            table[inst.slack_bus].append(
+                ("grid_p", "grid_q", inst.slack_bus, 1.0))
+        return [(bus.id, table[bus.id]) for bus in inst.buses]
+
     def build_power_flow(self):
         inst = self.instance
         start, end = self.window
-        idx = inst.bus_index()
         col = self.col_index
+        injections = self._injections()
         for t in range(start, end):
-            for bus in inst.buses:
-                j = idx[bus.id]
-                p_terms = {col[("shed_p", bus.id, t)]: 1.0}
-                q_terms = {col[("shed_q", bus.id, t)]: 1.0}
-                for d in inst.generators_at(bus.id):
-                    p_terms[col[("p_d", d.id, t)]] = 1.0
-                    q_terms[col[("q_d", d.id, t)]] = 1.0
-                for b in inst.batteries_at(bus.id):
-                    p_terms[col[("p_b", b.id, t)]] = 1.0
-                    q_terms[col[("q_b", b.id, t)]] = 1.0
-                for line in inst.lines:
-                    if line.to_bus == bus.id:
-                        p_terms[col[("p_line", line.id, t)]] = 1.0
-                        q_terms[col[("q_line", line.id, t)]] = 1.0
-                    elif line.from_bus == bus.id:
-                        p_terms[col[("p_line", line.id, t)]] = -1.0
-                        q_terms[col[("q_line", line.id, t)]] = -1.0
-                if inst.grid_connected and bus.id == inst.slack_bus:
-                    p_terms[col[("grid_p", bus.id, t)]] = 1.0
-                    q_terms[col[("grid_q", bus.id, t)]] = 1.0
-                self.add_row(("balance_p", bus.id, t), p_terms,
-                             self.loads.p[t, j], self.loads.p[t, j])
-                self.add_row(("balance_q", bus.id, t), q_terms,
-                             self.loads.q[t, j], self.loads.q[t, j])
+            load_p = self.loads.p[t]
+            load_q = self.loads.q[t]
+            for j, (bus_id, terms) in enumerate(injections):
+                p_terms = {col[(pk, owner, t)]: sign
+                           for pk, _, owner, sign in terms}
+                q_terms = {col[(qk, owner, t)]: sign
+                           for _, qk, owner, sign in terms}
+                self.add_row(("balance_p", bus_id, t), p_terms,
+                             load_p[j], load_p[j])
+                self.add_row(("balance_q", bus_id, t), q_terms,
+                             load_q[j], load_q[j])
             for line in inst.lines:
                 # v_to = v_from - 2 (r p + x q)
                 self.add_row(("volt_drop", line.id, t), {
@@ -529,10 +574,15 @@ class ModelBuilder:
 
     def model(self, coupling: CouplingMeta, window) -> MdopModel:
         """Freeze the accumulated columns, rows and cones."""
+        col_index, *later = self.window_indexes
+        if later:
+            col_index = dict(col_index)
+            for index in later:
+                col_index.update(index)
         return MdopModel(
             n=len(self.col_refs),
             col_refs=self.col_refs,
-            col_index=self.col_index,
+            col_index=col_index,
             p_diag=np.array(self.p_list),
             q=np.array(self.q_list),
             const=self.const,
@@ -551,17 +601,6 @@ class ModelBuilder:
         )
 
 
-def _window_builder(instance, loads, window, own_builds) -> ModelBuilder:
-    """Every constraint family of one window, boundary pins not yet added."""
-    builder = ModelBuilder(instance, loads, window, own_builds=own_builds)
-    builder.build_columns()
-    builder.build_power_flow()
-    builder.build_resource_limits()
-    builder.build_unit_commitment()
-    builder.build_battery()
-    return builder
-
-
 def assemble(instance: NetworkInstance, loads: LoadProfile, window=None,
              boundary=None, duals_in=None, own_builds=True) -> MdopModel:
     """Build the model for `window` (defaults to the full horizon).
@@ -575,8 +614,8 @@ def assemble(instance: NetworkInstance, loads: LoadProfile, window=None,
     """
     if window is None:
         window = (0, loads.horizon)
-    return _window_builder(instance, loads, window, own_builds).finish(
-        boundary=boundary, duals_in=duals_in)
+    builder = ModelBuilder(instance, loads, window, own_builds=own_builds)
+    return builder.build_window().finish(boundary=boundary, duals_in=duals_in)
 
 
 def relax_integrality(model: MdopModel) -> MdopModel:
@@ -619,66 +658,46 @@ class SeamedModel:
 def build_seamed(instance: NetworkInstance, loads: LoadProfile,
                  windows) -> SeamedModel:
     """Join consecutive windows into one model over the horizon, in the
-    layout described in the module docstring."""
+    layout described in the module docstring.  The windows must
+    partition ``[0, loads.horizon)``."""
     windows = [tuple(w) for w in windows]
+    if not windows:
+        raise FormulationError("no windows to join")
     for (a, b_), (c, _) in zip(windows, windows[1:]):
         if b_ != c:
             raise FormulationError("windows must partition the horizon")
     if windows[0][0] != 0:
         raise FormulationError("first window must start at 0")
-
-    builders = [_window_builder(instance, loads, win, own_builds=(s == 0))
-                for s, win in enumerate(windows)]
+    if windows[-1][1] != loads.horizon:
+        raise FormulationError(
+            f"last window ends at {windows[-1][1]}, not at the load "
+            f"horizon {loads.horizon}")
 
     slots = coupling_slots(instance)
-    merged = builders[0]
-    # pin the true horizon start and read every window's slot columns
-    # while window 0's column index is still its own: short windows reuse
-    # import time keys, and after the merge the index resolves them to
-    # the latest window
-    pins0 = merged.pin_boundary(horizon_start_boundary(instance))
-    init_cols = [[b._slot_init_col(slot) for slot in slots]
-                 for b in builders]
-    term_cols = [[b._slot_terminal_col(slot) for slot in slots]
-                 for b in builders]
-    offsets = [0]
-    for b in builders[1:]:
-        off = len(merged.col_refs)
-        offsets.append(off)
-        for ref in b.col_refs:
-            merged.col_index[(ref.kind, ref.owner, ref.time)] = ref.col + off
-            merged.col_refs.append(replace(ref, col=ref.col + off))
-        merged.p_list.extend(b.p_list)
-        merged.q_list.extend(b.q_list)
-        merged.lb_list.extend(b.lb_list)
-        merged.ub_list.extend(b.ub_list)
-        merged.binaries.update(j + off for j in b.binaries)
-        for coefs, lo, hi, label in zip(b.row_coefs, b.row_lo, b.row_hi,
-                                        b.row_labels):
-            merged.add_row(label, {j + off: v for j, v in coefs.items()},
-                           lo, hi)
-        for cone, label in zip(b.cones, b.cone_labels):
-            merged.add_cone(label, tuple(j + off for j in cone.cols),
-                            radius=cone.radius,
-                            radius_col=None if cone.radius_col is None
-                            else cone.radius_col + off)
+    builder = ModelBuilder(instance, loads, windows[0], own_builds=True)
+    builder.build_window()
+    pins0 = builder.pin_boundary(horizon_start_boundary(instance))
+    # each window's slot columns, read while its own index is current
+    init_cols, term_cols = [], []
+    for s, win in enumerate(windows):
+        if s:
+            builder.begin_window(win, own_builds=False)
+            builder.build_window()
+        init_cols.append([builder._slot_init_col(slot) for slot in slots])
+        term_cols.append([builder._slot_terminal_col(slot) for slot in slots])
 
     # later windows are sewn to their predecessor's terminal state
     seam_rows = []
     for s in range(1, len(windows)):
-        rows = []
-        for k, slot in enumerate(slots):
-            j_in = init_cols[s][k] + offsets[s]
-            j_out = term_cols[s - 1][k] + offsets[s - 1]
-            rows.append(merged.add_row(
-                ("seam", s, slot.kind, slot.owner, slot.hist),
-                {j_in: 1.0, j_out: -1.0}, 0.0, 0.0))
-        seam_rows.append(tuple(rows))
+        seam_rows.append(tuple(
+            builder.add_row(("seam", s, slot.kind, slot.owner, slot.hist),
+                            {j_in: 1.0, j_out: -1.0}, 0.0, 0.0)
+            for slot, j_in, j_out in zip(slots, init_cols[s],
+                                         term_cols[s - 1])))
 
-    terminal = tuple(j + offsets[-1] for j in term_cols[-1])
-    meta = CouplingMeta(slots=slots, terminal_cols=terminal,
+    meta = CouplingMeta(slots=slots, terminal_cols=tuple(term_cols[-1]),
                         init_pin_rows=tuple(pins0))
-    model = merged.model(meta, (0, loads.horizon))
+    model = builder.model(meta, (0, loads.horizon))
     return SeamedModel(model=model, windows=tuple(windows),
                        seam_rows=tuple(seam_rows))
 

@@ -133,6 +133,22 @@ class TestValidation:
             make_prog([1.0, 1.0], [0.0, 0.0],
                       cones=[ConeRow(cols=cols, radius=1.0)])
 
+    def test_first_bad_cone_is_named(self):
+        cones = [ConeRow(cols=(0, 1), radius=1.0),
+                 ConeRow(cols=(1,), radius_col=2),
+                 ConeRow(cols=(2, 0, 2), radius=1.0),
+                 ConeRow(cols=(), radius=1.0)]
+        with pytest.raises(EngineError, match="^cone 2 has invalid columns$"):
+            make_prog([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], cones=cones)
+
+    @pytest.mark.parametrize("radius_col", [-1, 2, 5])
+    def test_radius_column_out_of_range_rejected(self, radius_col):
+        with pytest.raises(EngineError,
+                           match="^cone 1 has invalid radius column$"):
+            make_prog([1.0, 1.0], [0.0, 0.0],
+                      cones=[ConeRow(cols=(0, 1), radius=1.0),
+                             ConeRow(cols=(0,), radius_col=radius_col)])
+
     def test_qp_rejects_cone_rows(self):
         prog = make_prog([1.0, 1.0], [0.0, 0.0],
                          cones=[ConeRow(cols=(0,), radius=1.0)])

@@ -7,10 +7,12 @@ for the model dump format, and closed-form column/row count formulas
 derived from the constraint families by hand.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 try:
     import cvxpy as cp
@@ -178,6 +180,72 @@ def flat_loads(inst, horizon, p=0.2, q=0.06):
     return LoadProfile(horizon=horizon, bus_ids=ids, p=pm, q=qm, dt=inst.dt)
 
 
+def five_bus_instance(grid=False):
+    """Radial 5-bus feeder.  The slack b1 feeds b2, which has one line in
+    and two out: to b3 and to the lateral b4 - b5.  The lateral's far
+    line l4 is listed against the tree direction (from b5 to b4).  Bus b3
+    holds a generator and a battery candidate."""
+    buses = (
+        Bus("b1", 0.81, 1.21, max_generators=1),
+        Bus("b2", 0.81, 1.21),
+        Bus("b3", 0.81, 1.21, max_batteries=1, max_generators=1),
+        Bus("b4", 0.85, 1.15),
+        Bus("b5", 0.81, 1.21, max_batteries=1),
+    )
+    lines = (
+        Line("l1", "b1", "b2", 0.01, 0.02, 2.0),
+        Line("l2", "b2", "b3", 0.02, 0.03, 1.5),
+        Line("l3", "b2", "b4", 0.015, 0.025, 1.5),
+        Line("l4", "b5", "b4", 0.02, 0.04, 1.0),
+    )
+    bats = (
+        BatterySpec("bat1", "b3", 90.0, 250.0, 0.8, 1.6, 0.9, 0.85,
+                    initial_soc=0.4, p_min=-0.8, p_max=0.8,
+                    q_min=-0.5, q_max=0.5),
+        BatterySpec("bat2", "b5", 60.0, 320.0, 0.5, 1.0, 0.85, 0.9,
+                    initial_soc=0.0, p_min=-0.5, p_max=0.5,
+                    q_min=-0.3, q_max=0.3),
+    )
+    gens = (
+        GeneratorSpec("g1", "b1", 200.0, (6.0, 35.0, 50.0), 2, 2,
+                      0.5, 0.5, 0.5, 0.1, 1.5, q_min=-1.0, q_max=1.0),
+        GeneratorSpec("g2", "b3", 150.0, (4.0, 40.0, 30.0), 3, 1,
+                      0.3, 0.4, 0.6, 0.05, 0.8, q_min=-0.4, q_max=0.4),
+    )
+    return NetworkInstance(buses, lines, bats, gens, shed_penalty=1e7,
+                           dt=0.25, slack_bus="b1", grid_connected=grid,
+                           name="five")
+
+
+def five_bus_loads(inst, horizon=6):
+    """A different demand at every load bus and step."""
+    ids = tuple(b.id for b in inst.buses)
+    steps = np.arange(horizon)[:, None]
+    weight = np.array([0.0, 0.05, 0.12, 0.08, 0.1])
+    pm = weight * (1.0 + 0.25 * np.sin(steps + np.arange(len(ids))))
+    return LoadProfile(horizon=horizon, bus_ids=ids, p=pm, q=0.3 * pm,
+                       dt=inst.dt)
+
+
+# the middle window is shorter than g2's three-step start/stop history
+FIVE_BUS_WINDOWS = [(0, 2), (2, 3), (3, 6)]
+
+
+def five_bus_case(grid=False):
+    inst = five_bus_instance(grid=grid)
+    return inst, five_bus_loads(inst), FIVE_BUS_WINDOWS
+
+
+def one_step_case():
+    # one-step windows under a three-step history repeat import keys
+    inst = gen_bat_instance(min_up=3, min_down=2)
+    return inst, flat_loads(inst, 4), [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+def key_of(ref):
+    return ref.kind, ref.owner, ref.time
+
+
 def make_x(model, values):
     x = np.zeros(model.n)
     for key, v in values.items():
@@ -250,6 +318,55 @@ def test_row_and_cone_counts_match_closed_form():
             got = sum(len(rows_of(model, f)) for f in fams)
             assert got == per_family[name], name
         assert len(model.cones) == ncones
+
+
+def expected_balance(inst, bus_id, t, kind):
+    """The balance row of `bus_id` at step `t` as {column key: coef},
+    from the lines' endpoints and the bus's own columns."""
+    power, flow, grid = ("p", "p_line", "grid_p") if kind == "balance_p" \
+        else ("q", "q_line", "grid_q")
+    terms = {(f"shed_{power}", bus_id, t): 1.0}
+    for line in inst.lines:
+        if line.to_bus == bus_id:
+            terms[(flow, line.id, t)] = 1.0
+        if line.from_bus == bus_id:
+            terms[(flow, line.id, t)] = -1.0
+    for d in inst.generator_specs:
+        if d.bus == bus_id:
+            terms[(f"{power}_d", d.id, t)] = 1.0
+    for b in inst.battery_specs:
+        if b.bus == bus_id:
+            terms[(f"{power}_b", b.id, t)] = 1.0
+    if inst.grid_connected and bus_id == inst.slack_bus:
+        terms[(grid, bus_id, t)] = 1.0
+    return terms
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_balance_rows_equal_bus_incidence(grid):
+    inst, loads, windows = five_bus_case(grid)
+    idx = inst.bus_index()
+    for model in (assemble(inst, loads),
+                  build_seamed(inst, loads, windows).model):
+        for kind, demand in (("balance_p", loads.p), ("balance_q", loads.q)):
+            rows = rows_of(model, kind)
+            assert len(rows) == len(inst.buses) * loads.horizon
+            for i, (_, bus_id, t) in rows:
+                want = {model.col(*key): c for key, c in
+                        expected_balance(inst, bus_id, t, kind).items()}
+                assert model.row_coefs[i] == want, (kind, bus_id, t)
+                assert model.row_lo[i] == model.row_hi[i] \
+                    == demand[t, idx[bus_id]]
+    # the fixture's shape, by hand: b2 takes l1 in and sends l2 and l3
+    # out; the reversed l4 flows into b4 and out of b5
+    model = assemble(inst, loads)
+    key_coefs = {key_of(model.col_refs[j]): c for j, c in
+                 model.row_coefs[the_row(model, "balance_p", "b2", 1)].items()}
+    assert key_coefs == {("shed_p", "b2", 1): 1.0, ("p_line", "l1", 1): 1.0,
+                         ("p_line", "l2", 1): -1.0, ("p_line", "l3", 1): -1.0}
+    for bus_id, sign in (("b4", 1.0), ("b5", -1.0)):
+        row = model.row_coefs[the_row(model, "balance_q", bus_id, 4)]
+        assert row[model.col("q_line", "l4", 4)] == sign
 
 
 def test_grid_columns_only_when_connected():
@@ -915,3 +1032,114 @@ def test_windows_must_partition_and_cover():
         build_seamed(inst, loads, [(1, 4)])
     with pytest.raises(FormulationError):
         assemble(inst, loads, window=(0, 9))
+    # windows that stop short of the load horizon, and no windows at all
+    with pytest.raises(FormulationError, match="load horizon 6"):
+        build_seamed(inst, flat_loads(inst, 6), [(0, 2), (2, 4)])
+    with pytest.raises(FormulationError):
+        build_seamed(inst, loads, [])
+
+
+def triplet_matrix(model):
+    """The constraint matrix from `row_coefs`, one entry at a time."""
+    rows, cols, vals = [], [], []
+    for i, coefs in enumerate(model.row_coefs):
+        for j, v in coefs.items():
+            rows.append(i)
+            cols.append(j)
+            vals.append(v)
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(len(model.row_coefs), model.n)).toarray()
+
+
+@pytest.mark.parametrize("case", [five_bus_case, one_step_case])
+def test_seamed_blocks_equal_stage_models(case):
+    inst, loads, windows = case()
+    seamed = build_seamed(inst, loads, windows)
+    joined = seamed.model
+    col_off = row_off = cone_off = 0
+    index = {}
+    for s, w in enumerate(windows):
+        stage = assemble(inst, loads, window=w, own_builds=(s == 0))
+        # window 0 keeps its horizon-start pins; later windows drop theirs,
+        # which come last in the stage model
+        pins = sum(i is not None for i in stage.coupling.init_pin_rows)
+        m = len(stage.row_coefs) - (0 if s == 0 else pins)
+        cols = slice(col_off, col_off + stage.n)
+        assert [(*key_of(r), r.col - col_off) for r in joined.col_refs[cols]] \
+            == [(*key_of(r), r.col) for r in stage.col_refs]
+        for name in ("lb", "ub", "q", "p_diag"):
+            assert np.array_equal(getattr(joined, name)[cols],
+                                  getattr(stage, name)), (s, name)
+        assert {j - col_off for j in joined.binaries
+                if col_off <= j < col_off + stage.n} == stage.binaries
+        for i in range(m):
+            assert [(j - col_off, v) for j, v in
+                    joined.row_coefs[row_off + i].items()] \
+                == list(stage.row_coefs[i].items()), (s, i)
+            assert joined.row_labels[row_off + i] == stage.row_labels[i]
+            assert joined.row_lo[row_off + i] == stage.row_lo[i]
+            assert joined.row_hi[row_off + i] == stage.row_hi[i]
+        for k, cone in enumerate(stage.cones):
+            got = joined.cones[cone_off + k]
+            assert tuple(j - col_off for j in got.cols) == cone.cols
+            assert got.radius == cone.radius
+            assert (None if got.radius_col is None
+                    else got.radius_col - col_off) == cone.radius_col
+            assert joined.cone_labels[cone_off + k] == stage.cone_labels[k]
+        for ref in stage.col_refs:
+            index[key_of(ref)] = ref.col + col_off
+        col_off += stage.n
+        row_off += m
+        cone_off += len(stage.cones)
+    # the blocks tile the model, and the seam rows follow them
+    assert col_off == joined.n and cone_off == len(joined.cones)
+    seam = [i for rows in seamed.seam_rows for i in rows]
+    assert seam == list(range(row_off, len(joined.row_coefs)))
+    # a key repeated across windows resolves to the latest window
+    assert list(joined.col_index.items()) == list(index.items())
+    assert np.array_equal(joined.to_convex().a.toarray(),
+                          triplet_matrix(joined))
+
+
+def layout_digest(model):
+    """SHA-256 over a model's program arrays and its layout metadata.
+    Index arrays are hashed as int64 and the matrix in sorted CSR form,
+    so the digest does not depend on the platform or on entry order."""
+    prog = model.to_convex()
+    a = prog.a.tocsr(copy=True)
+    a.sort_indices()
+    h = hashlib.sha256()
+    for arr in (a.indptr, a.indices):
+        h.update(np.asarray(arr, dtype=np.int64).tobytes())
+    for arr in (a.data, prog.l, prog.u, prog.lb, prog.ub, prog.q, prog.p_diag):
+        h.update(np.asarray(arr, dtype=np.float64).tobytes())
+    h.update(repr([(tuple(int(j) for j in c.cols), float(c.radius),
+                    None if c.radius_col is None else int(c.radius_col))
+                   for c in prog.cones]).encode())
+    h.update(repr(model.row_labels).encode())
+    h.update(repr([(r.kind, r.owner, r.time, r.col)
+                   for r in model.col_refs]).encode())
+    h.update(repr(list(model.col_index.items())).encode())
+    h.update(repr(sorted(model.binaries)).encode())
+    h.update(repr(model.coupling).encode())
+    return h.hexdigest()
+
+
+def test_layout_digests_are_pinned():
+    # an intended layout change updates these and says so in CHANGES.md
+    pair = gen_bat_instance()
+    models = {"pair": assemble(pair, flat_loads(pair, 4))}
+    for name, case in (("five", five_bus_case),
+                       ("five-grid", lambda: five_bus_case(grid=True)),
+                       ("one-step", one_step_case)):
+        models[name] = build_seamed(*case()).model
+    assert {name: layout_digest(m) for name, m in models.items()} == {
+        "pair": "537f5f72c054fc630b78452abdbd6efb"
+                "973102adf4fff37277e7aa553f4e61a7",
+        "five": "0b58ff326e88180c43520c2d6e3ca3c6"
+                "ff25d2b1b4c76328aed871d75f570d36",
+        "five-grid": "4a5bb4e8049046663175327cba42ca38"
+                     "ca2e4e401ff612527e5e074fbc777372",
+        "one-step": "7fd809afaa9860e90d80698b5e55d3d1"
+                    "b9d569046b5df6e032cb475e9dc50d43",
+    }
