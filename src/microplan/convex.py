@@ -383,7 +383,8 @@ class _Cones:
         tail norm: positive inside."""
         return v[self.heads] - self.tail_norm(v)
 
-    def _det(self, v):
+    def det(self, v):
+        """Each block's determinant v0^2 - |v[1:]|^2."""
         tn = self.tail_norm(v)
         return (v[self.heads] - tn) * (v[self.heads] + tn)
 
@@ -396,7 +397,7 @@ class _Cones:
     def div(self, lam, v):
         """Jordan division: the x with lam o x = v, for lam inside."""
         l0 = lam[self.heads]
-        x0 = (l0 * v[self.heads] - self.tail_dot(lam, v)) / self._det(lam)
+        x0 = (l0 * v[self.heads] - self.tail_dot(lam, v)) / self.det(lam)
         out = (v - lam * x0[self.owner]) / l0[self.owner]
         out[self.heads] = x0
         return out
@@ -404,7 +405,7 @@ class _Cones:
     def scaling(self, s, z):
         """Nesterov-Todd scaling of interior s and z: W = eta * Wbar with
         Wbar the hyperbolic reflection by wbar, W z = W^-1 s = lam."""
-        det_s, det_z = self._det(s), self._det(z)
+        det_s, det_z = self.det(s), self.det(z)
         sb = s / np.sqrt(det_s)[self.owner]
         zb = z / np.sqrt(det_z)[self.owner]
         gamma = np.sqrt(0.5 * (1.0 + self._sum(sb * zb)))
@@ -431,14 +432,16 @@ class _Cones:
         """Largest step in (0, 1] keeping v + step * dv in the cones: the
         reflection taking v/|v|_J to the identity maps dv to y, and the
         step reaches the boundary at |v|_J / (|y[1:]| - y[0])."""
-        sq = np.sqrt(self._det(v))
+        sq = np.sqrt(self.det(v))
         vb = v / sq[self.owner]
         b0, d0 = vb[self.heads], dv[self.heads]
         y0 = b0 * d0 - self.tail_dot(vb, dv)
         y1 = dv - ((y0 + d0) / (b0 + 1.0))[self.owner] * vb
         lim = self.tail_norm(y1) - y0
-        hit = lim > 0.0
-        return min(1.0, float((sq[hit] / lim[hit]).min(initial=np.inf)))
+        # a block with lim <= sq allows a full step; dividing by a tiny lim
+        # there would only overflow
+        hit = lim > sq
+        return min(1.0, float((sq[hit] / lim[hit]).min(initial=1.0)))
 
 
 class QpWorkspace:
@@ -725,6 +728,11 @@ class QpWorkspace:
                             and cones.margin(z[me:]).min(initial=1.0) > 0.0):
                 break
             it += 1
+            # a determinant that underflows to 0 leaves the scaling
+            # undefined, even inside the cone
+            if not (cones.det(s[me:]).min(initial=1.0) > 0.0
+                    and cones.det(z[me:]).min(initial=1.0) > 0.0):
+                break
 
             eta, wbar, lam = cones.scaling(s[me:], z[me:])
             try:

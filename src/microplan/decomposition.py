@@ -168,6 +168,7 @@ class PlanSolution:
     stage_stats: list
     sweep_objectives: list
     stage_plan: StagePlan
+    bound_detail: str = ""       # why lower_bound is NaN; empty when it solved
 
     def equals(self, other) -> bool:
         """Exact equality of every reproducible field."""
@@ -179,8 +180,10 @@ class PlanSolution:
         return (self.builds == other.builds
                 and self.objective == other.objective
                 and self.stage_costs == other.stage_costs
-                and self.lower_bound == other.lower_bound
-                and self.gap_percent == other.gap_percent
+                and np.array_equal([self.lower_bound, self.gap_percent],
+                                   [other.lower_bound, other.gap_percent],
+                                   equal_nan=True)
+                and self.bound_detail == other.bound_detail
                 and self.sweep_objectives == other.sweep_objectives
                 and [s.key() for s in self.stage_stats]
                 == [s.key() for s in other.stage_stats])
@@ -254,6 +257,13 @@ def stitch(instance, loads, plan: StagePlan, stage_models, stage_xs,
 # the forward sweep
 
 
+def _check_coverage(loads, plan):
+    if plan.horizon != loads.horizon:
+        raise DecompositionError(
+            f"stage plan covers {plan.horizon} steps but the loads cover "
+            f"{loads.horizon}")
+
+
 def _warn_short_windows(instance, plan):
     depth = max((d.history_depth for d in instance.generator_specs),
                 default=0)
@@ -266,14 +276,14 @@ def _warn_short_windows(instance, plan):
 
 def _relaxed_monolith(instance, loads, plan, settings):
     """Seam-joined continuous relaxation: the lower bound, and the seam
-    duals that seed the boundary prices."""
+    duals that seed the boundary prices.  Returns the seamed model, the
+    solution and, when that solution is not optimal, why ("" otherwise)."""
     seamed = build_seamed(instance, loads, plan.windows)
     relaxed = relax_integrality(seamed.model)
     sol = solve_qcqp(relaxed.to_convex(), settings=settings)
-    if sol.status != "optimal":
-        raise DecompositionError(
-            f"monolithic relaxation ended {sol.status} ({sol.detail})")
-    return seamed, sol
+    failure = "" if sol.status == "optimal" \
+        else f"monolithic relaxation ended {sol.status} ({sol.detail})"
+    return seamed, sol, failure
 
 
 def _seam_prices(seamed, sol):
@@ -292,7 +302,10 @@ def init_duals(instance, loads, plan: StagePlan,
                settings: Settings = Settings()):
     """Boundary prices seeded from the relaxed monolith, one DualVector
     per interior boundary (stage count minus 1)."""
-    seamed, sol = _relaxed_monolith(instance, loads, plan, settings)
+    _check_coverage(loads, plan)
+    seamed, sol, failure = _relaxed_monolith(instance, loads, plan, settings)
+    if failure:
+        raise DecompositionError(failure)
     return _seam_prices(seamed, sol)
 
 
@@ -346,15 +359,25 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
     the relaxed monolith; `zero-init` starts unpriced, which makes the
     first sweep the receding-horizon baseline.
     The best stitched plan over all sweeps is returned; its bound comes
-    from the relaxed monolith.
+    from the relaxed monolith.  When that solve is not optimal,
+    `dual-init` raises, having no prices; `zero-init` needs it only for
+    the bound, so it reports the bound and gap as NaN, with the reason in
+    `bound_detail`.
     """
     if iterations < 1:
         raise DecompositionError("iteration count must be >= 1")
     if mode not in ("dual-init", "zero-init"):
         raise DecompositionError(f"unknown mode {mode!r}")
+    _check_coverage(loads, plan)
     _warn_short_windows(instance, plan)
-    seamed, relaxed_sol = _relaxed_monolith(instance, loads, plan, settings)
-    lower_bound = relaxed_sol.objective
+    seamed, relaxed_sol, failure = _relaxed_monolith(instance, loads, plan,
+                                                     settings)
+    if failure and mode == "dual-init":
+        raise DecompositionError(failure)
+    if failure:
+        log.warning("%s; the plan is reported without a lower bound",
+                    failure)
+    lower_bound = np.nan if failure else relaxed_sol.objective
     if mode == "dual-init":
         prices = _seam_prices(seamed, relaxed_sol)
     else:
@@ -386,7 +409,7 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
 
     best.stage_stats = stats
     best.sweep_objectives = sweep_objectives
-    best.gap_percent = relative_gap(best.objective, lower_bound)
+    best.bound_detail = failure
     return best
 
 
@@ -432,6 +455,7 @@ def gauss_seidel_relaxed(instance, loads, plan: StagePlan,
     sweep.  Divergence (the residual growing tenfold over five sweeps)
     raises DecompositionError.
     """
+    _check_coverage(loads, plan)
     _warn_short_windows(instance, plan)
     seamed = build_seamed(instance, loads, plan.windows)
     merged_model = relax_integrality(seamed.model)

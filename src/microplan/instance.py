@@ -6,6 +6,9 @@ columns ``step,bus,p_mw,q_mvar``.  All electrical quantities are stored
 per-unit on the instance's MVA base; costs stay in dollars and energy in
 per-unit hours.  Instances are immutable after construction and safe to
 share across concurrent solver runs.
+
+The graph checks (connectivity at construction, the radial diagnostic)
+are in-tree: one union-find pass over the lines, with no graph library.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
 
 log = logging.getLogger(__name__)
@@ -178,16 +180,9 @@ class NetworkInstance:
             raise InstanceError("dt must be positive", self.name)
         if self.base_mva <= 0:
             raise InstanceError("base_mva must be positive", self.name)
-        g = self.graph()
-        if g.number_of_nodes() > 1 and not nx.is_connected(g):
-            comps = [sorted(c) for c in nx.connected_components(g)]
+        comps, _ = _union_find(self)
+        if len(comps) > 1:
             raise InstanceError(f"graph is disconnected: components {comps}", self.name)
-
-    def graph(self):
-        g = nx.Graph()
-        g.add_nodes_from(b.id for b in self.buses)
-        g.add_edges_from((ln.from_bus, ln.to_bus) for ln in self.lines)
-        return g
 
     def bus_index(self):
         return {b.id: i for i, b in enumerate(self.buses)}
@@ -220,6 +215,59 @@ class LoadProfile:
         return self.p[start:end], self.q[start:end]
 
 
+def _union_find(instance):
+    """One union-find pass over the lines (Tarjan, "Efficiency of a good
+    but not linear set union algorithm", JACM 1975).
+
+    Returns the components, each sorted and listed in order of its first
+    bus, and the cycle closed by the first line whose ends already share
+    a root: the forest path between those ends, in path order, or ().
+    """
+    parent = {b.id: b.id for b in instance.buses}
+    size = dict.fromkeys(parent, 1)
+    forest = {u: [] for u in parent}   # the lines that joined two trees
+
+    def root(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]   # path halving
+            u = parent[u]
+        return u
+
+    cycle = ()
+    for ln in instance.lines:
+        a, b = ln.from_bus, ln.to_bus
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] += size[rb]
+            forest[a].append(b)
+            forest[b].append(a)
+        elif not cycle:
+            cycle = _forest_path(forest, a, b)
+    comps = {}
+    for u in parent:
+        comps.setdefault(root(u), []).append(u)
+    return [sorted(c) for c in comps.values()], cycle
+
+
+def _forest_path(forest, a, b):
+    """The bus ids on the unique forest path from a to b."""
+    prev = {a: None}
+    stack = [a]
+    while b not in prev:
+        u = stack.pop()
+        for v in forest[u]:
+            if v not in prev:
+                prev[v] = u
+                stack.append(v)
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    return tuple(reversed(path))
+
+
 @dataclass(frozen=True)
 class RadialReport:
     is_radial: bool
@@ -230,13 +278,8 @@ class RadialReport:
 def validate_radial(instance: NetworkInstance) -> RadialReport:
     """Diagnostic tree check.  Non-radial instances stay valid; the voltage
     drop relation is imposed per line regardless of topology."""
-    g = instance.graph()
-    connected = g.number_of_nodes() <= 1 or nx.is_connected(g)
-    try:
-        cyc = nx.find_cycle(g)
-        cycle = tuple(u for u, _ in cyc)
-    except nx.NetworkXNoCycle:
-        cycle = ()
+    comps, cycle = _union_find(instance)
+    connected = len(comps) <= 1
     is_radial = connected and not cycle and len(instance.lines) == len(instance.buses) - 1 \
         if instance.buses else True
     return RadialReport(is_radial=bool(is_radial), connected=bool(connected), cycle=cycle)

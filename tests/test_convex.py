@@ -7,6 +7,7 @@ with the engine under test.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import scipy.sparse as sp
 
 from microplan.convex import (
     ConeRow, ConvexProgram, EngineError, PrimalDualSolution, QpWorkspace,
-    Settings, certify, get_duals, solve_qp, solve_qcqp,
+    Settings, _Cones, certify, get_duals, solve_qp, solve_qcqp,
 )
 from microplan.formulation import assemble, relax_integrality
 from microplan.instance import synth_load
@@ -306,6 +307,21 @@ class TestActiveSetOracle:
         np.testing.assert_allclose(sol.x, x0, atol=1e-6)
         np.testing.assert_allclose(sol.y_rows, yr0, atol=1e-5)
         np.testing.assert_allclose(sol.y_bounds, yb0, atol=1e-5)
+
+
+class TestCones:
+    @pytest.mark.parametrize("far, step", [(None, 1.0), (-2.0, 0.5)])
+    def test_max_step_with_a_vanishing_limit(self, far, step):
+        """A block whose boundary lies ~1e310 steps away (lim ~ 1e-310)
+        allows a full step without overflowing; a nonnegative row that
+        reaches 0 at step 0.5 still sets the step."""
+        sizes, v, dv = [3], [1.0, 0.0, 0.0], [-1e-310, 0.0, 0.0]
+        if far is not None:
+            sizes, v, dv = sizes + [1], v + [1.0], dv + [far]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _Cones(sizes).max_step(np.array(v), np.array(dv))
+        assert got == step
 
 
 class TestStatuses:

@@ -1,14 +1,20 @@
 """Instance parsing, validation, and synthetic load generation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import microplan
+
 from microplan.instance import (
     Bus, Line, BatterySpec, GeneratorSpec, NetworkInstance, InstanceError,
-    parse_instance, write_instance, parse_loads, write_loads, synth_load,
-    validate_radial,
+    RadialReport, parse_instance, write_instance, parse_loads, write_loads,
+    synth_load, validate_radial,
 )
 
 
@@ -78,7 +84,58 @@ class TestConstruction:
         assert gen.history_depth == 2
 
 
+def network(bus_ids, ends):
+    """Buses and lines only; line i joins ends[i]."""
+    return NetworkInstance(
+        buses=tuple(Bus(b, 0.8, 1.2) for b in bus_ids),
+        lines=tuple(Line(f"l{i}", a, b, 0.01, 0.01, 5.0)
+                    for i, (a, b) in enumerate(ends)),
+        battery_specs=(), generator_specs=(), shed_penalty=1e7, dt=0.25)
+
+
 class TestRadial:
+    def test_disconnected_components_listed_by_first_bus(self):
+        with pytest.raises(InstanceError) as err:
+            network(["z", "m", "a", "y", "b"], [("z", "y"), ("b", "m")])
+        assert str(err.value) == ("instance: graph is disconnected: components "
+                                  "[['y', 'z'], ['b', 'm'], ['a']]")
+
+    @staticmethod
+    def assert_loop(cycle, ends):
+        """Consecutive buses of `cycle`, last to first included, are
+        joined by a line, and no bus repeats."""
+        joined = {frozenset(e) for e in ends}
+        assert len(set(cycle)) == len(cycle) >= 3
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            assert frozenset((u, v)) in joined
+
+    def test_ring_reports_every_bus(self):
+        ends = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+        report = validate_radial(network("abcd", ends))
+        assert (report.is_radial, report.connected) == (False, True)
+        assert sorted(report.cycle) == ["a", "b", "c", "d"]
+        self.assert_loop(report.cycle, ends)
+
+    def test_chord_reports_its_own_loop(self):
+        tree = [("1", "2"), ("2", "3"), ("2", "4"), ("4", "5"), ("4", "6")]
+        for ends in (tree + [("3", "5")], [("3", "5")] + tree):
+            report = validate_radial(network("123456", ends))
+            assert not report.is_radial
+            assert sorted(report.cycle) == ["2", "3", "4", "5"]
+            self.assert_loop(report.cycle, ends)
+
+    def test_parallel_lines_are_a_cycle(self):
+        report = validate_radial(network("ab", [("a", "b"), ("a", "b")]))
+        assert report == RadialReport(is_radial=False, connected=True,
+                                      cycle=("a", "b"))
+
+    def test_import_leaves_no_graph_library(self):
+        probe = "import sys, microplan.decomposition; print('networkx' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(microplan.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
+
     def test_cycle_reported_but_valid(self, caplog):
         buses = (Bus("a", 0.8, 1.2), Bus("b", 0.8, 1.2), Bus("c", 0.8, 1.2))
         lines = (Line("ab", "a", "b", 0.01, 0.01, 5.0),
