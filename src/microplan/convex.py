@@ -40,8 +40,10 @@ multiplier on a missing or wrong side counts as a stationarity error;
 side it claims, is at most EPS_ABS times max(1 USD, |objective|).  The
 polish returns its pass with the lowest certificate ratio.  When no pass
 certifies, the interior point's own point and duals are returned, as
-``iteration-limit``, or as ``optimal`` with detail ``polish rejected``
-if the interior point had met its own termination test.
+``iteration-limit``, with detail saying why the interior point stopped,
+or as ``optimal`` with detail ``polish rejected`` if the interior point
+had met its own termination test.  A program whose every column has
+finite bounds is never reported ``unbounded``.
 
 Dual sign convention.  Multipliers y satisfy the stationarity condition
 
@@ -483,6 +485,10 @@ class QpWorkspace:
         self.cone_col[has], self.cone_val[has] = block.indices, block.data
         self.l = np.concatenate([prog.l, prog.lb, np.full(h.size, -np.inf)])
         self.u = np.concatenate([prog.u, prog.ub, np.full(h.size, np.inf)])
+        # with every column boxed the cost is bounded below, so a primal
+        # ray of decreasing cost can only be a rounding artefact
+        self.boxed = bool(np.isfinite(prog.lb).all()
+                          and np.isfinite(prog.ub).all())
 
     # -- setup ------------------------------------------------------------
 
@@ -562,11 +568,11 @@ class QpWorkspace:
                                        self.cones.sizes]))
 
         log_rows = []
-        status, it, (x, z, s, prim_res, dual_res) = self._interior_point(
-            g, h, i_eq.size, cones, self.e[rows], log_rows)
+        status, it, (x, z, s, prim_res, dual_res), detail = \
+            self._interior_point(g, h, i_eq.size, cones, self.e[rows],
+                                 log_rows)
         y = np.zeros(self.mt)
         np.add.at(y, rows, sign * z)
-        detail = ""
         if st.polish and status in ("optimal", "iteration-limit"):
             # a row or ball is pinned when its multiplier exceeds its
             # slack (a ball's slack is its distance to the cone boundary);
@@ -596,9 +602,12 @@ class QpWorkspace:
 
         embedded with the homogenizing pair (tau, kappa) so that the
         limit is either a solution (tau > 0) or an infeasibility
-        certificate (kappa > 0).  Returns the status, the step count and
+        certificate (kappa > 0).  Returns the status, the step count,
         the point (x, z, s, primal residual, dual residual): the iterate
-        meeting the tolerances, or the best iterate seen otherwise.
+        meeting the tolerances, or the best iterate seen otherwise, and
+        why an ``iteration-limit`` run stopped: "step limit", "stalled",
+        "cone boundary", "determinant underflow", "factorization failed"
+        or "non-finite step" (empty for the other statuses).
         """
         st = self.settings
         n, mg = self.n, g.shape[0]
@@ -678,7 +687,7 @@ class QpWorkspace:
                 v[me + cones.heads] += 1.0 - lowest
         tau = kappa = 1.0
 
-        status = "iteration-limit"
+        status, reason = "iteration-limit", ""
         best = None
         mus = []
         it = 0
@@ -710,34 +719,41 @@ class QpWorkspace:
             htz, qx = float(h @ z), float(qs @ x)
             if htz < 0.0 and float((np.abs(gt @ z) / d).max(initial=0.0)) \
                     <= EPS_INF * -htz:
-                return "infeasible", it, best[1]
-            if qx < 0.0:
+                return "infeasible", it, best[1], ""
+            if qx < 0.0 and not self.boxed:
                 curv = float((np.abs(ps * x) / d).max(initial=0.0))
                 slip = float((np.abs(g @ x + s) / e_g).max(initial=0.0))
                 if curv <= EPS_INF * -qx and slip <= EPS_INF * -qx / c:
-                    return "unbounded", it, best[1]
+                    return "unbounded", it, best[1], ""
             mu = (float(s[me:] @ z[me:]) + tau * kappa) / (cones.count + 1)
             mus.append(mu)
             # a stalled iteration (mu not halving over the window) hands
             # its best iterate to the polish, and so does an iterate that
             # rounding has put on a cone's boundary, where the scaling
             # below is undefined
-            if it >= st.max_iter or (len(mus) > STALL_ITERS
-                                     and mu > 0.5 * mus[-1 - STALL_ITERS]) \
-                    or not (cones.margin(s[me:]).min(initial=1.0) > 0.0
-                            and cones.margin(z[me:]).min(initial=1.0) > 0.0):
+            if it >= st.max_iter:
+                reason = "step limit"
+                break
+            if len(mus) > STALL_ITERS and mu > 0.5 * mus[-1 - STALL_ITERS]:
+                reason = "stalled"
+                break
+            if not (cones.margin(s[me:]).min(initial=1.0) > 0.0
+                    and cones.margin(z[me:]).min(initial=1.0) > 0.0):
+                reason = "cone boundary"
                 break
             it += 1
             # a determinant that underflows to 0 leaves the scaling
             # undefined, even inside the cone
             if not (cones.det(s[me:]).min(initial=1.0) > 0.0
                     and cones.det(z[me:]).min(initial=1.0) > 0.0):
+                reason = "determinant underflow"
                 break
 
             eta, wbar, lam = cones.scaling(s[me:], z[me:])
             try:
                 back = factor(cones.w2(eta, wbar))
             except RuntimeError:
+                reason = "factorization failed"
                 break
             rx = ps * x + gt @ z + qs * tau
             rz = g @ x + s - h * tau
@@ -790,8 +806,9 @@ class QpWorkspace:
             kappa += step * dkappa
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))
                     and tau > 0.0):
+                reason = "non-finite step"
                 break
-        return status, it, best[1]
+        return status, it, best[1], reason
 
     def _unscaled(self, x_sc, y_sc):
         """The point in the caller's units: x, row multipliers, bound

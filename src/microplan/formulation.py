@@ -29,18 +29,37 @@ every interior boundary.  A stage's block is therefore found by offsets
 alone, and its pin rows stand in for that boundary's seam rows.
 
 The seam-joined model is written window after window into one
-:class:`ModelBuilder`, with no copy pass.  Each window looks its columns
-up in a key index of its own, because a window shorter than a
+:class:`ModelBuilder`, with no copy pass.  A window shorter than a
 generator's start/stop history imports history at the same
-``(kind, owner, time)`` keys as the window before it.  The model's
-``col_index`` is the union of the window indexes taken in window order,
-so such a repeated key resolves to the latest window.
+``(kind, owner, time)`` keys as the window before it, so each window
+keeps a key index of its own, and the model's ``col_index`` is their
+union taken in window order: such a repeated key resolves to the latest
+window.
+
+Block layout
+------------
+A window's columns follow a layout fixed by the instance: ``F`` fixed
+columns (the build decisions, then the state imported at the window
+start), then ``C`` columns per time step.  In a window ``[start, end)``
+whose first column is ``o``, column ``(kind, owner, t)`` is
+
+    o + F + (t - start) * C + pos(kind, owner),
+
+with ``pos`` its place in the step.  Each constraint family is therefore
+written as one block of NumPy index, coefficient and bound arrays over
+its (time, owner) dimensions, and materialised into the registry's
+Python objects in one pass per family, not one row at a time (the
+approach of Hofmann, "Linopy: Linear optimization with n-dimensional
+labeled variables", JOSS 2023).  The registry keeps the row order, the
+term order within each row and the Python types the model has always
+had, so ``to_convex`` and every solve see the same program bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -51,6 +70,7 @@ from .convex import ConeRow, ConvexProgram
 from .instance import InstanceError, LoadProfile, NetworkInstance
 
 BINARY_KINDS = frozenset({"z_b", "z_d", "x_d", "y_d", "w_d"})
+BUILD_KINDS = ("z_b", "s_b", "z_d")
 
 # state imported at a window start gets its own column kinds so that the
 # registry key (kind, owner, time) stays unique in seam-joined models
@@ -171,40 +191,274 @@ class MdopModel:
         return 0.5 * float(x @ (self.p_diag * x)) + float(self.q @ x) + self.const
 
 
-def _history_times(window, t, depth):
-    """Times [t-depth+1, t] split into in-window and boundary offsets."""
-    start, _ = window
-    in_window = [tt for tt in range(t - depth + 1, t + 1) if tt >= start]
-    boundary = [start - tt for tt in range(t - depth + 1, start)]  # offsets >= 1
-    return in_window, boundary
+def _by_width(rows):
+    """Group template rows, (terms, coefficients), by their number of
+    terms.  Per width, in order of first appearance: the member rows,
+    their terms as a (width, members) array and their coefficients as one
+    list per position."""
+    widths = {}
+    for r, (terms, _) in enumerate(rows):
+        widths.setdefault(len(terms), []).append(r)
+    return [(members,
+             np.array([rows[r][0] for r in members], dtype=np.int64).T,
+             [list(c) for c in zip(*(rows[r][1] for r in members))])
+            for members in widths.values()]
+
+
+@lru_cache(maxsize=None)
+def _dict_display(width):
+    """A function of (k0, v0, k1, v1, ...) returning ``{k0: v0, k1: v1,
+    ...}`` with `width` entries, one per row width.  A dict display is
+    the cheapest way to build a small dict of known size: it is sized
+    once, with no pair tuples in between.  No call builds a display of a
+    given size, so its source is generated from `width` alone."""
+    args = ", ".join(f"k{i}, v{i}" for i in range(width))
+    items = ", ".join(f"k{i}: v{i}" for i in range(width))
+    return eval(f"lambda {args}: {{{items}}}")
+
+
+class _Layout:
+    """The column and row layout of a window, which depends on the
+    instance and the step length alone (see :class:`ModelBuilder`).
+    Shared by every builder of the same instance, so read-only."""
+
+    def __init__(self, instance: NetworkInstance, dt: float):
+        self.instance = instance
+        self.dt = dt
+        self.slots = coupling_slots(instance)
+        self.start_boundary = horizon_start_boundary(instance)
+        self._lay_out_fixed()
+        self._lay_out_step()
+        self._lay_out_network()
+        self._lay_out_resources()
+        for arr in (self.start_boundary, self.step_data, self.step_binary,
+                    self.resource_caps,
+                    *self.fixed_data.values(),
+                    *(terms for _, terms, _ in self.network_groups
+                      + self.resource_groups)):
+            arr.flags.writeable = False
+
+    def _lay_out_fixed(self):
+        """The fixed columns of a window, keyed (kind, owner, lag): the
+        build decisions at lag 0, then the state imported from `lag`
+        steps before the window start.  Owned builds keep their kind and
+        cost; otherwise every fixed column is an import column."""
+        inst = self.instance
+        base = inst.base_mva
+        cols = []    # kind, owner, lag, lb, ub, cost if owned
+        cols += [("z_b", b.id, 0, 0.0, 1.0, b.fixed_cost)
+                 for b in inst.battery_specs]
+        cols += [("s_b", b.id, 0, 0.0, b.max_power, b.capacity_cost * base)
+                 for b in inst.battery_specs]
+        cols += [("z_d", d.id, 0, 0.0, 1.0, d.fixed_cost)
+                 for d in inst.generator_specs]
+        cols += [("sc", b.id, 1, 0.0, b.max_energy, 0.0)
+                 for b in inst.battery_specs]
+        for d in inst.generator_specs:
+            cols.append(("x", d.id, 1, 0.0, 1.0, 0.0))
+            cols.append(("p", d.id, 1, 0.0, d.efficiency * d.p_max, 0.0))
+            for h in range(1, d.history_depth + 1):
+                cols.append(("y", d.id, h, 0.0, 1.0, 0.0))
+                cols.append(("w", d.id, h, 0.0, 1.0, 0.0))
+        kinds, owners, lags, lb, ub, cost = zip(*cols) if cols else [()] * 6
+        self.fixed_pos = {key: i for i, key in enumerate(zip(kinds, owners,
+                                                             lags))}
+        self.fixed_kinds = {True: [k if lag == 0 else INIT_KINDS[k]
+                                   for k, lag in zip(kinds, lags)],
+                            False: [INIT_KINDS[k] for k in kinds]}
+        self.fixed_owners, self.fixed_lags = list(owners), lags
+        zero = [0.0] * len(cols)
+        self.fixed_data = {
+            True: np.array([lb, ub, cost, zero], dtype=float).reshape(4, -1),
+            False: np.array([lb, ub, zero, zero], dtype=float).reshape(4, -1)}
+        self.fixed_binary = [i for i, k in enumerate(kinds)
+                             if k in ("z_b", "z_d")]
+
+    def _lay_out_step(self):
+        """The columns of one time step, with their bounds and costs; a
+        bus's shed columns take their upper bounds from the loads."""
+        inst = self.instance
+        base = inst.base_mva
+        dt = self.dt
+        shed_cost = inst.shed_penalty * base
+        cols = []    # kind, owner, lb, ub, cost, quad, binary
+        for bus in inst.buses:
+            fixed = 1.0 if bus.id == inst.slack_bus else None
+            cols.append(("v", bus.id,
+                         fixed if fixed is not None else bus.v_min,
+                         fixed if fixed is not None else bus.v_max,
+                         0.0, 0.0, False))
+            cols.append(("shed_p", bus.id, 0.0, 0.0, shed_cost, 0.0, False))
+            cols.append(("shed_q", bus.id, 0.0, 0.0, shed_cost, 0.0, False))
+        for line in inst.lines:
+            cols.append(("p_line", line.id, -line.s_max, line.s_max,
+                         0.0, 0.0, False))
+            cols.append(("q_line", line.id, -line.s_max, line.s_max,
+                         0.0, 0.0, False))
+        for d in inst.generator_specs:
+            cols += [
+                ("x_d", d.id, 0.0, 1.0, d.cost_coeffs[0], 0.0, True),
+                ("y_d", d.id, 0.0, 1.0, 0.0, 0.0, True),
+                ("w_d", d.id, 0.0, 1.0, 0.0, 0.0, True),
+                ("phat_d", d.id, 0.0, d.p_max, d.cost_coeffs[1] * base,
+                 2.0 * d.cost_coeffs[2] * base * base, False),
+                ("p_d", d.id, 0.0, d.efficiency * d.p_max, 0.0, 0.0, False),
+                ("q_d", d.id, min(d.q_min, 0.0), max(d.q_max, 0.0),
+                 0.0, 0.0, False),
+            ]
+        for b in inst.battery_specs:
+            # storage-side power is already limited through the SoC
+            # recursion and the efficiency rows; these bounds restate the
+            # implied box and never bind on their own
+            cols += [
+                ("phat_b", b.id, max(b.eta_ch * b.p_min, -b.max_energy / dt),
+                 b.max_energy / dt, 0.0, 0.0, False),
+                ("p_b", b.id, b.p_min, b.p_max, 0.0, 0.0, False),
+                ("q_b", b.id, b.q_min, b.q_max, 0.0, 0.0, False),
+                ("sc_b", b.id, 0.0, b.max_energy, 0.0, 0.0, False),
+            ]
+        if inst.grid_connected:
+            cols.append(("grid_p", inst.slack_bus, -np.inf, np.inf,
+                         0.0, 0.0, False))
+            cols.append(("grid_q", inst.slack_bus, -np.inf, np.inf,
+                         0.0, 0.0, False))
+        kinds, owners, lb, ub, cost, quad, binary = zip(*cols)
+        self.step_kinds, self.step_owners = list(kinds), list(owners)
+        self.step_pos = {key: i for i, key in enumerate(zip(kinds, owners))}
+        self.step_data = np.array([lb, ub, cost, quad], dtype=float)
+        self.step_binary = np.flatnonzero(binary)
+        self.shed_pos = [[self.step_pos[(kind, bus.id)] for bus in inst.buses]
+                         for kind in ("shed_p", "shed_q")]
+
+    def _injections(self):
+        """Per bus, the (p kind, q kind, owner, sign) of every column in
+        its balance rows, in row order: its shed, its generators and
+        batteries, the lines into it (+1) and out of it (-1) in line
+        order, and the grid at a grid-connected slack bus."""
+        inst = self.instance
+        table = {bus.id: [("shed_p", "shed_q", bus.id, 1.0)]
+                 for bus in inst.buses}
+        for d in inst.generator_specs:
+            table[d.bus].append(("p_d", "q_d", d.id, 1.0))
+        for b in inst.battery_specs:
+            table[b.bus].append(("p_b", "q_b", b.id, 1.0))
+        for line in inst.lines:
+            table[line.to_bus].append(("p_line", "q_line", line.id, 1.0))
+            table[line.from_bus].append(("p_line", "q_line", line.id, -1.0))
+        if inst.grid_connected:
+            table[inst.slack_bus].append(
+                ("grid_p", "grid_q", inst.slack_bus, 1.0))
+        return [(bus.id, table[bus.id]) for bus in inst.buses]
+
+    def _lay_out_network(self):
+        """The network rows of one step, in row order: every bus's real
+        and reactive balance, then every line's voltage drop, with their
+        terms as step positions."""
+        pos = self.step_pos.__getitem__
+        rows = []
+        for bus_id, injections in self._injections():
+            p_kinds, q_kinds, owners, signs = zip(*injections)
+            rows.append(("balance_p", bus_id,
+                         list(map(pos, zip(p_kinds, owners))), signs))
+            rows.append(("balance_q", bus_id,
+                         list(map(pos, zip(q_kinds, owners))), signs))
+        for line in self.instance.lines:
+            # v_to = v_from - 2 (r p + x q)
+            rows.append(("volt_drop", line.id,
+                         [pos(("v", line.to_bus)), pos(("v", line.from_bus)),
+                          pos(("p_line", line.id)), pos(("q_line", line.id))],
+                         (1.0, -1.0, 2.0 * line.r, 2.0 * line.x)))
+        self.network_families = [row[0] for row in rows]
+        self.network_owners = [row[1] for row in rows]
+        self.network_groups = _by_width([row[2:] for row in rows])
+
+    def _lay_out_resources(self):
+        """Per bus, at most its allowed number of batteries and of
+        generators built; per battery, capacity only where it is built.
+        Terms are fixed positions."""
+        inst = self.instance
+        pos = self.fixed_pos
+        at_bus = {bus.id: ([], []) for bus in inst.buses}
+        for b in inst.battery_specs:
+            at_bus[b.bus][0].append(pos[("z_b", b.id, 0)])
+        for d in inst.generator_specs:
+            at_bus[d.bus][1].append(pos[("z_d", d.id, 0)])
+        labels, rows, caps = [], [], []
+        for bus in inst.buses:
+            for family, terms, cap in zip(("bat_count", "gen_count"),
+                                          at_bus[bus.id],
+                                          (bus.max_batteries,
+                                           bus.max_generators)):
+                if terms:
+                    labels.append((family, bus.id, None))
+                    rows.append((terms, [1.0] * len(terms)))
+                    caps.append(float(cap))
+        for b in inst.battery_specs:
+            labels.append(("cap_if_built", b.id, None))
+            rows.append(([pos[("s_b", b.id, 0)], pos[("z_b", b.id, 0)]],
+                         [1.0, -b.max_power]))
+            caps.append(0.0)
+        self.resource_labels = labels
+        self.resource_caps = np.array(caps, dtype=float)
+        self.resource_groups = _by_width(rows)
+
+
+@lru_cache(maxsize=8)
+def _layout(instance: NetworkInstance, dt: float) -> _Layout:
+    """One layout per instance and step length: the stages and sweeps of
+    a decomposition assemble the same instance again and again."""
+    return _Layout(instance, dt)
 
 
 class ModelBuilder:
-    """Accumulates columns, rows, and cones for one time window, or for
-    consecutive windows written one after another.
+    """Writes the columns, rows and cones of one time window, or of
+    consecutive windows one after another, a constraint family at a time.
+
+    Columns.  A window whose first column is ``o`` holds ``F`` fixed
+    columns (the build decisions, then the state imported at its start),
+    then ``C`` columns for each time step.  The `layout` (a
+    :class:`_Layout`, fixed by the instance and the step length) places a
+    fixed column by `fixed_pos` and a column of one step by `step_pos`,
+    so column ``(kind, owner, t)`` is
+
+        o + F + (t - start) * C + step_pos[(kind, owner)],
+
+    and a fixed one is ``o + fixed_pos[(kind, owner, lag)]``.  Every row
+    family takes its columns over the window from these formulas as one
+    NumPy index array.
+
+    Rows and cones.  A family is one block: its index array, holding each
+    row's terms position by position, its coefficients and its bounds,
+    turned into ``row_coefs`` dicts in one pass (:meth:`_dicts`).  The
+    families of a builder are interleaved into the model's row order by
+    stride: the network rows cycle through every bus balance and every
+    voltage drop at each step, the commitment and battery rows through
+    one owner's families at each step, owner after owner.  Families with
+    few rows each (the network's, the resource limits) are part of the
+    layout and are made a row width at a time (:meth:`_from_template`).
 
     `window`, `own_builds` and `col_index` describe the window being
     built; :meth:`begin_window` starts the next one.  Each window's
-    `col_index` holds only its own columns, and the row builders look
-    keys up there, so a later window never reads an earlier window's
-    import columns.  The model's index is the union of the window
-    indexes in window order: a key repeated across windows resolves to
-    the latest one.
+    `col_index` holds only its own columns.  The model's index is the
+    union of the window indexes in window order: a key repeated across
+    windows resolves to the latest one.
     """
 
     def __init__(self, instance: NetworkInstance, loads: LoadProfile,
                  window, own_builds=True):
         self.instance = instance
         self.loads = loads
+        try:
+            self.layout = _layout(instance, loads.dt)
+        except TypeError:       # an instance holding lists is no cache key
+            self.layout = _Layout(instance, loads.dt)
         self.window_indexes = []
         self.col_refs = []
-        self.p_list = []
-        self.q_list = []
-        self.lb_list = []
-        self.ub_list = []
-        self.binaries = set()
+        self.col_ints = np.empty(0, dtype=object)   # j -> the int j
+        self.col_data = []           # (lb, ub, q, p_diag) per window
+        self.binary_cols = []        # binary column indices per window
         self.row_coefs = []
-        self.row_lo = []
+        self.row_lo = []             # bound arrays per row block
         self.row_hi = []
         self.row_labels = []
         self.cones = []
@@ -235,342 +489,369 @@ class ModelBuilder:
         self.build_battery()
         return self
 
-    # -- primitives -------------------------------------------------------
+    # -- index arrays -------------------------------------------------------
 
-    def add_col(self, kind, owner, time, lb, ub, cost=0.0, quad=0.0,
-                binary=False):
-        key = (kind, owner, time)
-        if key in self.col_index:
-            raise FormulationError(f"duplicate column {key}")
-        j = len(self.col_refs)
-        self.col_index[key] = j
-        self.col_refs.append(VarRef(kind, owner, time, j))
-        self.lb_list.append(lb)
-        self.ub_list.append(ub)
-        self.q_list.append(cost)
-        self.p_list.append(quad)
-        if binary:
-            self.binaries.add(j)
-        return j
+    @property
+    def steps(self):
+        return self.window[1] - self.window[0]
 
-    def add_row(self, label, coefs, lo, hi):
-        """Append a row; the builder keeps the `coefs` dict as given."""
-        i = len(self.row_coefs)
-        self.row_coefs.append(coefs)
-        self.row_lo.append(lo)
-        self.row_hi.append(hi)
-        self.row_labels.append(label)
-        return i
+    def _owner_series(self, kinds, ids):
+        """For each kind, the (owners, steps) columns of that kind of
+        every owner in `ids`, by the stride formula."""
+        step_pos = self.layout.step_pos
+        pos = [[step_pos[(kind, i)] for i in ids] for kind in kinds]
+        return np.array(pos, dtype=np.int64)[:, :, None] + self.step_starts
 
-    def add_cone(self, label, cols, radius=0.0, radius_col=None):
-        self.cones.append(ConeRow(cols=tuple(cols), radius=radius,
-                                  radius_col=radius_col))
-        self.cone_labels.append(label)
+    def _fixed_col(self, slot, lag):
+        """The fixed column of `slot`'s kind and owner at `lag`."""
+        key = (slot.kind, slot.owner, lag)
+        return self.window_first + self.layout.fixed_pos[key]
+
+    def _fixed_cols(self, kind, ids, lag=0):
+        """(owners, 1) fixed columns of `kind` at `lag` for `ids`."""
+        pos = [[self.layout.fixed_pos[(kind, i, lag)]] for i in ids]
+        return self.window_first + np.array(pos, dtype=np.int64)
+
+    def _lagged(self, series, kind, ids):
+        """(owners, steps) `series` one step back; the window's first step
+        reads the state imported at its start."""
+        return np.concatenate([self._fixed_cols(kind, ids, 1),
+                               series[:, :-1]], axis=1)
+
+    def _history(self, series, kind, ids, depth):
+        """(depth, owners, steps) columns of the last `depth` start (or
+        stop) events up to each step, position-major: those inside the
+        window in time order, then those before its start, read from the
+        imported history."""
+        steps = series.shape[1]
+        imported = [[self.layout.fixed_pos[(kind, i, h)]
+                     for h in range(depth - 1, 0, -1)] for i in ids]
+        lookup = np.concatenate(
+            [self.window_first + np.array(imported, dtype=np.int64)
+             .reshape(len(ids), depth - 1), series], axis=1)
+        # at step r the events at lookup[r:r + depth], rolled so that the
+        # `before` imported ones come last
+        r = np.arange(steps)
+        before = np.maximum(depth - 1 - r, 0)
+        at = (np.arange(depth)[:, None] + before) % depth + r
+        return lookup[:, at].transpose(1, 0, 2)
+
+    def _each_step(self, values):
+        """One entry per row of an owner-major block: every owner's value
+        repeated at each step."""
+        return list(chain.from_iterable(map(repeat, values,
+                                            repeat(self.steps))))
+
+    # -- row and cone blocks ----------------------------------------------
+
+    def _keys(self, *cols):
+        """The registry's own int objects at each of several same-shape
+        column arrays, one flat list per array."""
+        index = np.array(cols, dtype=np.int64).reshape(len(cols), -1)
+        return self.col_ints[index].tolist()
+
+    @staticmethod
+    def _dicts(keys, coefs):
+        """One ``row_coefs`` dict per row of a constraint family, position
+        by position: ``keys[i]`` lists the column at position i of every
+        row (from :meth:`_keys`), and ``coefs[i]`` is its coefficient, one
+        number for every row or a list with one per row.  Each dict lists
+        its columns in position order."""
+        values = [c if isinstance(c, list) else repeat(c) for c in coefs]
+        return list(map(_dict_display(len(keys)),
+                        *chain.from_iterable(zip(keys, values))))
+
+    def _from_template(self, groups, size, first):
+        """The row dicts of a template of `size` rows, repeated for each
+        entry of the column array `first` (rep-major), as a list.  Each
+        width group of the template (:func:`_by_width`) is made in one
+        pass, its terms offset by `first`, and scattered to its rows."""
+        reps = np.size(first)
+        first = np.reshape(first, (reps, 1))
+        rows = np.empty((reps, size), dtype=object)
+        for members, terms, coefs in groups:
+            made = self._dicts(self._keys(*(first + terms[:, None, :])),
+                               [c * reps for c in coefs])
+            made = np.fromiter(made, dtype=object, count=len(made))
+            rows[:, members] = made.reshape(reps, -1)
+        return rows.ravel().tolist()
+
+    def _row_block(self, labels, rows, lo, hi):
+        """Append one row per label with its dict and bounds (numbers or
+        one value per row).  Returns the new rows' indices."""
+        first = len(self.row_coefs)
+        self.row_coefs += rows
+        self.row_labels += labels
+        for side, bound in ((self.row_lo, lo), (self.row_hi, hi)):
+            block = np.empty(len(labels))
+            block[:] = bound
+            side.append(block)
+        return range(first, first + len(labels))
+
+    def _owner_rows(self, ids, families):
+        """Rows that cycle through `families`, (family, row dicts, lo,
+        hi), at every step, owner after owner: row ``r * P + f`` is row r
+        of family f, whose rows are owner-major."""
+        start, end = self.window
+        names, dicts, *bounds = zip(*families)
+        width = len(names)
+        times = np.repeat(np.arange(start, end), width).tolist()
+        owners = chain.from_iterable(map(repeat, ids,
+                                         repeat(width * self.steps)))
+        labels = list(zip(names * (self.steps * len(ids)), owners,
+                          times * len(ids)))
+        rows = [None] * len(labels)
+        lo, hi = np.empty((2, len(labels) // width, width))
+        for f, (block, low, high) in enumerate(zip(dicts, *bounds)):
+            rows[f::width] = block
+            lo[:, f] = low
+            hi[:, f] = high
+        self._row_block(labels, rows, lo.ravel(), hi.ravel())
+
+    def _cone_block(self, labels, cols, radius, radius_col):
+        """One ball per label: the norm of its `cols` within `radius`, or
+        within the value of column `radius_col`."""
+        self.cones += map(ConeRow, cols, radius, radius_col)
+        self.cone_labels += labels
+
+    def _step_labels(self, families, owners):
+        """(family, owner, t) of a cycle of rows repeated at every step."""
+        start, end = self.window
+        times = np.repeat(np.arange(start, end), len(families)).tolist()
+        return list(zip(families * self.steps, owners * self.steps, times))
 
     # -- builders, one constraint family each -----------------------------
 
     def build_columns(self):
-        inst = self.instance
+        lay = self.layout
         start, end = self.window
-        base = inst.base_mva
-        build_bounds = (0.0, 1.0)
-        for b in inst.battery_specs:
-            owned = self.own_builds
-            self.add_col("z_b" if owned else INIT_KINDS["z_b"], b.id,
-                         None if owned else start, *build_bounds,
-                         cost=b.fixed_cost if owned else 0.0, binary=owned)
-        for b in inst.battery_specs:
-            owned = self.own_builds
-            self.add_col("s_b" if owned else INIT_KINDS["s_b"], b.id,
-                         None if owned else start, 0.0, b.max_power,
-                         cost=b.capacity_cost * base if owned else 0.0)
-        for d in inst.generator_specs:
-            owned = self.own_builds
-            self.add_col("z_d" if owned else INIT_KINDS["z_d"], d.id,
-                         None if owned else start, *build_bounds,
-                         cost=d.fixed_cost if owned else 0.0, binary=owned)
+        steps = end - start
+        owned = self.own_builds
+        first = len(self.col_refs)
+        width = len(lay.step_kinds)
+        self.window_first = first
+        self.step_starts = first + len(lay.fixed_lags) \
+            + width * np.arange(steps)
+        kinds = lay.fixed_kinds[owned] + lay.step_kinds * steps
+        owners = lay.fixed_owners + lay.step_owners * steps
+        times = [None if owned and lag == 0 else start - lag
+                 for lag in lay.fixed_lags] \
+            + np.repeat(np.arange(start, end), width).tolist()
+        data = np.tile(lay.step_data, steps)
+        for load, pos in zip((self.loads.p, self.loads.q), lay.shed_pos):
+            load = load[start:end]
+            data[1].reshape(steps, width)[:, pos] = np.where(load < 0.0, 0.0,
+                                                              load)
+        lb, ub, cost, quad = np.concatenate([lay.fixed_data[owned], data],
+                                            axis=1)
 
-        # imported state at the window start (pinned later)
-        for b in inst.battery_specs:
-            self.add_col(INIT_KINDS["sc"], b.id, start - 1, 0.0, b.max_energy)
-        for d in inst.generator_specs:
-            self.add_col(INIT_KINDS["x"], d.id, start - 1, 0.0, 1.0)
-            self.add_col(INIT_KINDS["p"], d.id, start - 1,
-                         0.0, d.efficiency * d.p_max)
-            for h in range(1, d.history_depth + 1):
-                self.add_col(INIT_KINDS["y"], d.id, start - h, 0.0, 1.0)
-                self.add_col(INIT_KINDS["w"], d.id, start - h, 0.0, 1.0)
-
-        idx = inst.bus_index()
-        for t in range(start, end):
-            for bus in inst.buses:
-                fixed = 1.0 if bus.id == inst.slack_bus else None
-                self.add_col("v", bus.id, t,
-                             fixed if fixed is not None else bus.v_min,
-                             fixed if fixed is not None else bus.v_max)
-                j = idx[bus.id]
-                self.add_col("shed_p", bus.id, t, 0.0,
-                             max(self.loads.p[t, j], 0.0),
-                             cost=inst.shed_penalty * base)
-                self.add_col("shed_q", bus.id, t, 0.0,
-                             max(self.loads.q[t, j], 0.0),
-                             cost=inst.shed_penalty * base)
-            for line in inst.lines:
-                self.add_col("p_line", line.id, t, -line.s_max, line.s_max)
-                self.add_col("q_line", line.id, t, -line.s_max, line.s_max)
-            for d in inst.generator_specs:
-                self.add_col("x_d", d.id, t, 0.0, 1.0,
-                             cost=d.cost_coeffs[0], binary=True)
-                self.add_col("y_d", d.id, t, 0.0, 1.0, binary=True)
-                self.add_col("w_d", d.id, t, 0.0, 1.0, binary=True)
-                self.add_col("phat_d", d.id, t, 0.0, d.p_max,
-                             cost=d.cost_coeffs[1] * base,
-                             quad=2.0 * d.cost_coeffs[2] * base * base)
-                self.add_col("p_d", d.id, t, 0.0, d.efficiency * d.p_max)
-                self.add_col("q_d", d.id, t, min(d.q_min, 0.0),
-                             max(d.q_max, 0.0))
-            for b in inst.battery_specs:
-                # storage-side power is already limited through the SoC
-                # recursion and the efficiency rows; these bounds restate
-                # the implied box and never bind on their own
-                phat_lo = max(b.eta_ch * b.p_min, -b.max_energy / self.loads.dt)
-                phat_hi = b.max_energy / self.loads.dt
-                self.add_col("phat_b", b.id, t, phat_lo, phat_hi)
-                self.add_col("p_b", b.id, t, b.p_min, b.p_max)
-                self.add_col("q_b", b.id, t, b.q_min, b.q_max)
-                self.add_col("sc_b", b.id, t, 0.0, b.max_energy)
-            if inst.grid_connected:
-                self.add_col("grid_p", inst.slack_bus, t, -np.inf, np.inf)
-                self.add_col("grid_q", inst.slack_bus, t, -np.inf, np.inf)
-
-    def _build_col(self, kind, owner):
-        start = self.window[0]
-        if self.own_builds:
-            return self.col_index[(kind, owner, None)]
-        return self.col_index[(INIT_KINDS[kind], owner, start)]
-
-    def _injections(self):
-        """Per bus, the (p kind, q kind, owner, sign) of every column in
-        its balance rows, in row order: its shed, its generators and
-        batteries, the lines into it (+1) and out of it (-1) in line
-        order, and the grid at a grid-connected slack bus."""
-        inst = self.instance
-        table = {bus.id: [("shed_p", "shed_q", bus.id, 1.0)]
-                 for bus in inst.buses}
-        for d in inst.generator_specs:
-            table[d.bus].append(("p_d", "q_d", d.id, 1.0))
-        for b in inst.battery_specs:
-            table[b.bus].append(("p_b", "q_b", b.id, 1.0))
-        for line in inst.lines:
-            table[line.to_bus].append(("p_line", "q_line", line.id, 1.0))
-            table[line.from_bus].append(("p_line", "q_line", line.id, -1.0))
-        if inst.grid_connected:
-            table[inst.slack_bus].append(
-                ("grid_p", "grid_q", inst.slack_bus, 1.0))
-        return [(bus.id, table[bus.id]) for bus in inst.buses]
+        # one int object per column, shared by the registry and the rows
+        ints = np.arange(first, first + len(kinds)).astype(object)
+        self.col_ints = np.concatenate([self.col_ints, ints])
+        cols = ints.tolist()
+        self.col_index.update(zip(zip(kinds, owners, times), cols))
+        if len(self.col_index) != len(cols):
+            seen = set()
+            for key in zip(kinds, owners, times):
+                if key in seen:
+                    raise FormulationError(f"duplicate column {key}")
+                seen.add(key)
+        # VarRef._make without its per-call Python frame
+        self.col_refs += map(tuple.__new__, repeat(VarRef),
+                             zip(kinds, owners, times, cols))
+        self.col_data.append((lb, ub, cost, quad))
+        self.binary_cols.append(np.concatenate([
+            first + np.array(lay.fixed_binary if owned else [],
+                             dtype=np.int64),
+            (self.step_starts[:, None] + lay.step_binary).ravel()]))
 
     def build_power_flow(self):
-        inst = self.instance
+        lay = self.layout
         start, end = self.window
-        col = self.col_index
-        injections = self._injections()
-        for t in range(start, end):
-            load_p = self.loads.p[t]
-            load_q = self.loads.q[t]
-            for j, (bus_id, terms) in enumerate(injections):
-                p_terms = {col[(pk, owner, t)]: sign
-                           for pk, _, owner, sign in terms}
-                q_terms = {col[(qk, owner, t)]: sign
-                           for _, qk, owner, sign in terms}
-                self.add_row(("balance_p", bus_id, t), p_terms,
-                             load_p[j], load_p[j])
-                self.add_row(("balance_q", bus_id, t), q_terms,
-                             load_q[j], load_q[j])
-            for line in inst.lines:
-                # v_to = v_from - 2 (r p + x q)
-                self.add_row(("volt_drop", line.id, t), {
-                    col[("v", line.to_bus, t)]: 1.0,
-                    col[("v", line.from_bus, t)]: -1.0,
-                    col[("p_line", line.id, t)]: 2.0 * line.r,
-                    col[("q_line", line.id, t)]: 2.0 * line.x,
-                }, 0.0, 0.0)
-                self.add_cone(("thermal", line.id, t),
-                              (col[("p_line", line.id, t)],
-                               col[("q_line", line.id, t)]),
-                              radius=line.s_max)
+        rows = self._from_template(lay.network_groups,
+                                   len(lay.network_families), self.step_starts)
+        demand = np.zeros((self.steps, len(lay.network_families)))
+        buses = len(self.instance.buses)
+        demand[:, 0:2 * buses:2] = self.loads.p[start:end]
+        demand[:, 1:2 * buses:2] = self.loads.q[start:end]
+        self._row_block(self._step_labels(lay.network_families,
+                                          lay.network_owners),
+                        rows, demand.ravel(), demand.ravel())
+
+        lines = self.instance.lines
+        ids = [line.id for line in lines]
+        p, q = self._owner_series(("p_line", "q_line"), ids)
+        self._cone_block(self._step_labels(["thermal"] * len(ids), ids),
+                         zip(*self._keys(p.T, q.T)),
+                         [line.s_max for line in lines] * self.steps,
+                         repeat(None))
 
     def build_resource_limits(self):
-        inst = self.instance
-        for bus in inst.buses:
-            bats = inst.batteries_at(bus.id)
-            if bats:
-                self.add_row(("bat_count", bus.id, None),
-                             {self._build_col("z_b", b.id): 1.0 for b in bats},
-                             -np.inf, float(bus.max_batteries))
-            gens = inst.generators_at(bus.id)
-            if gens:
-                self.add_row(("gen_count", bus.id, None),
-                             {self._build_col("z_d", d.id): 1.0 for d in gens},
-                             -np.inf, float(bus.max_generators))
-        for b in inst.battery_specs:
-            self.add_row(("cap_if_built", b.id, None), {
-                self._build_col("s_b", b.id): 1.0,
-                self._build_col("z_b", b.id): -b.max_power,
-            }, -np.inf, 0.0)
+        lay = self.layout
+        self._row_block(lay.resource_labels,
+                        self._from_template(lay.resource_groups,
+                                            len(lay.resource_labels),
+                                            self.window_first),
+                        -np.inf, lay.resource_caps)
 
     def build_unit_commitment(self):
-        inst = self.instance
-        start, end = self.window
-        col = self.col_index
-        for d in inst.generator_specs:
-            z = self._build_col("z_d", d.id)
-            for t in range(start, end):
-                x = col[("x_d", d.id, t)]
-                y = col[("y_d", d.id, t)]
-                w = col[("w_d", d.id, t)]
-                phat = col[("phat_d", d.id, t)]
-                p = col[("p_d", d.id, t)]
-                q = col[("q_d", d.id, t)]
-                x_prev = col[("x_d", d.id, t - 1)] if t > start \
-                    else col[(INIT_KINDS["x"], d.id, start - 1)]
-                p_prev = col[("p_d", d.id, t - 1)] if t > start \
-                    else col[(INIT_KINDS["p"], d.id, start - 1)]
-
-                self.add_row(("committed_if_built", d.id, t),
-                             {x: 1.0, z: -1.0}, -np.inf, 0.0)
-                self.add_row(("start_stop", d.id, t),
-                             {x: 1.0, x_prev: -1.0, y: -1.0, w: 1.0},
-                             0.0, 0.0)
-                self.add_row(("start_xor_stop", d.id, t),
-                             {y: 1.0, w: 1.0}, -np.inf, 1.0)
-                self.add_row(("p_max_if_on", d.id, t),
-                             {phat: 1.0, x: -d.p_max}, -np.inf, 0.0)
-                self.add_row(("p_min_if_on", d.id, t),
-                             {phat: -1.0, x: d.p_min}, -np.inf, 0.0)
-                self.add_row(("q_max_if_on", d.id, t),
-                             {q: 1.0, x: -d.q_max}, -np.inf, 0.0)
-                self.add_row(("q_min_if_on", d.id, t),
-                             {q: -1.0, x: d.q_min}, -np.inf, 0.0)
-                self.add_row(("delivered", d.id, t),
-                             {p: 1.0, phat: -d.efficiency}, 0.0, 0.0)
-                self.add_row(("ramp_up", d.id, t),
-                             {p: 1.0, p_prev: -1.0}, -np.inf, d.ramp_up)
-                self.add_row(("ramp_down", d.id, t),
-                             {p: -1.0, p_prev: 1.0}, -np.inf, d.ramp_down)
-
-                up_times, up_hist = _history_times(self.window, t, d.min_up)
-                terms = {col[("y_d", d.id, tt)]: 1.0 for tt in up_times}
-                for h in up_hist:
-                    terms[col[(INIT_KINDS["y"], d.id, start - h)]] = 1.0
-                terms[x] = terms.get(x, 0.0) - 1.0
-                self.add_row(("min_up", d.id, t), terms, -np.inf, 0.0)
-
-                dn_times, dn_hist = _history_times(self.window, t, d.min_down)
-                terms = {col[("w_d", d.id, tt)]: 1.0 for tt in dn_times}
-                for h in dn_hist:
-                    terms[col[(INIT_KINDS["w"], d.id, start - h)]] = 1.0
-                terms[x] = terms.get(x, 0.0) + 1.0
-                self.add_row(("min_down", d.id, t), terms, -np.inf, 1.0)
+        gens = self.instance.generator_specs
+        if not gens:
+            return
+        inf = np.inf
+        steps = self.steps
+        ids = [d.id for d in gens]
+        each = self._each_step
+        x, y, w, phat, p, q = self._owner_series(
+            ("x_d", "y_d", "w_d", "phat_d", "p_d", "q_d"), ids)
+        z = np.repeat(self._fixed_cols("z_d", ids), steps, axis=1)
+        history = {}
+        for kind, series, depths, x_coef in (
+                ("y", y, [d.min_up for d in gens], -1.0),
+                ("w", w, [d.min_down for d in gens], 1.0)):
+            # one pass per depth; each generator's rows stay in place
+            rows = [None] * len(gens)
+            for depth in dict.fromkeys(depths):
+                members = [g for g, dep in enumerate(depths) if dep == depth]
+                made = self._dicts(
+                    self._keys(*self._history(series[members], kind,
+                                              [ids[g] for g in members],
+                                              depth), x[members]),
+                    (1.0,) * depth + (x_coef,))
+                for k, g in enumerate(members):
+                    rows[g] = made[k * steps:(k + 1) * steps]
+            history[kind] = list(chain.from_iterable(rows))
+        x, y, w, phat, p, q, z, x_prev, p_prev = self._keys(
+            x, y, w, phat, p, q, z, self._lagged(x, "x", ids),
+            self._lagged(p, "p", ids))
+        self._owner_rows(ids, [
+            ("committed_if_built", self._dicts([x, z], (1.0, -1.0)),
+             -inf, 0.0),
+            ("start_stop",
+             self._dicts([x, x_prev, y, w], (1.0, -1.0, -1.0, 1.0)),
+             0.0, 0.0),
+            ("start_xor_stop", self._dicts([y, w], (1.0, 1.0)), -inf, 1.0),
+            ("p_max_if_on",
+             self._dicts([phat, x], (1.0, each([-d.p_max for d in gens]))),
+             -inf, 0.0),
+            ("p_min_if_on",
+             self._dicts([phat, x], (-1.0, each([d.p_min for d in gens]))),
+             -inf, 0.0),
+            ("q_max_if_on",
+             self._dicts([q, x], (1.0, each([-d.q_max for d in gens]))),
+             -inf, 0.0),
+            ("q_min_if_on",
+             self._dicts([q, x], (-1.0, each([d.q_min for d in gens]))),
+             -inf, 0.0),
+            ("delivered",
+             self._dicts([p, phat],
+                         (1.0, each([-d.efficiency for d in gens]))),
+             0.0, 0.0),
+            ("ramp_up", self._dicts([p, p_prev], (1.0, -1.0)),
+             -inf, each([d.ramp_up for d in gens])),
+            ("ramp_down", self._dicts([p, p_prev], (-1.0, 1.0)),
+             -inf, each([d.ramp_down for d in gens])),
+            ("min_up", history["y"], -inf, 0.0),
+            ("min_down", history["w"], -inf, 1.0),
+        ])
 
     def build_battery(self):
-        inst = self.instance
-        start, end = self.window
-        dt = self.loads.dt
-        col = self.col_index
-        for b in inst.battery_specs:
-            z = self._build_col("z_b", b.id)
-            s = self._build_col("s_b", b.id)
-            for t in range(start, end):
-                phat = col[("phat_b", b.id, t)]
-                p = col[("p_b", b.id, t)]
-                q = col[("q_b", b.id, t)]
-                sc = col[("sc_b", b.id, t)]
-                sc_prev = col[("sc_b", b.id, t - 1)] if t > start \
-                    else col[(INIT_KINDS["sc"], b.id, start - 1)]
-
-                self.add_cone(("bat_rating", b.id, t), (p, q), radius_col=s)
-                self.add_row(("soc_step", b.id, t),
-                             {sc: 1.0, sc_prev: -1.0, phat: dt}, 0.0, 0.0)
-                self.add_row(("soc_if_built", b.id, t),
-                             {sc: 1.0, z: -b.max_energy}, -np.inf, 0.0)
-                self.add_row(("eff_dis", b.id, t),
-                             {p: 1.0, phat: -b.eta_dis}, -np.inf, 0.0)
-                self.add_row(("eff_ch", b.id, t),
-                             {p: 1.0, phat: -1.0 / b.eta_ch}, -np.inf, 0.0)
+        bats = self.instance.battery_specs
+        if not bats:
+            return
+        inf = np.inf
+        steps = self.steps
+        ids = [b.id for b in bats]
+        each = self._each_step
+        phat, p, q, sc = self._owner_series(("phat_b", "p_b", "q_b", "sc_b"),
+                                            ids)
+        z = np.repeat(self._fixed_cols("z_b", ids), steps, axis=1)
+        s = np.repeat(self._fixed_cols("s_b", ids), steps, axis=1)
+        phat, p, q, sc, z, s, sc_prev = self._keys(
+            phat, p, q, sc, z, s, self._lagged(sc, "sc", ids))
+        self._cone_block(
+            list(zip(repeat("bat_rating"),
+                     chain.from_iterable(map(repeat, ids, repeat(steps))),
+                     list(range(*self.window)) * len(ids))),
+            zip(p, q), repeat(0.0), s)
+        self._owner_rows(ids, [
+            ("soc_step",
+             self._dicts([sc, sc_prev, phat], (1.0, -1.0, self.loads.dt)),
+             0.0, 0.0),
+            ("soc_if_built",
+             self._dicts([sc, z], (1.0, each([-b.max_energy for b in bats]))),
+             -inf, 0.0),
+            ("eff_dis",
+             self._dicts([p, phat], (1.0, each([-b.eta_dis for b in bats]))),
+             -inf, 0.0),
+            ("eff_ch",
+             self._dicts([p, phat],
+                         (1.0, each([-1.0 / b.eta_ch for b in bats]))),
+             -inf, 0.0),
+        ])
 
     # -- boundary and coupling --------------------------------------------
 
     def _slot_init_col(self, slot: Slot):
-        start = self.window[0]
-        if slot.kind in ("z_b", "s_b", "z_d"):
-            if self.own_builds:
-                return None
-            return self.col_index[(INIT_KINDS[slot.kind], slot.owner, start)]
-        if slot.kind in ("sc", "x", "p"):
-            return self.col_index[(INIT_KINDS[slot.kind], slot.owner, start - 1)]
-        return self.col_index[(INIT_KINDS[slot.kind], slot.owner,
-                               start - slot.hist)]
+        """The column importing `slot` at the window start; None for a
+        build decision this window owns."""
+        if slot.kind in BUILD_KINDS:
+            return None if self.own_builds else self._fixed_col(slot, 0)
+        return self._fixed_col(slot, slot.hist if slot.kind in ("y", "w")
+                               else 1)
 
     def _slot_terminal_col(self, slot: Slot):
+        """The column handing `slot` on at the window end."""
         start, end = self.window
-        last = end - 1
-        if slot.kind in ("z_b", "s_b", "z_d"):
-            return self._build_col(slot.kind, slot.owner)
-        if slot.kind == "sc":
-            return self.col_index[("sc_b", slot.owner, last)]
-        if slot.kind == "x":
-            return self.col_index[("x_d", slot.owner, last)]
-        if slot.kind == "p":
-            return self.col_index[("p_d", slot.owner, last)]
-        t = end - slot.hist
-        if t >= start:
-            kind = "y_d" if slot.kind == "y" else "w_d"
-            return self.col_index[(kind, slot.owner, t)]
-        # window shorter than the history depth: the value passes through
-        return self.col_index[(INIT_KINDS[slot.kind], slot.owner, t)]
+        if slot.kind in BUILD_KINDS:
+            return self._fixed_col(slot, 0)
+        t = end - 1 if slot.kind in ("sc", "x", "p") else end - slot.hist
+        if t < start:
+            # window shorter than the history depth: the value passes through
+            return self._fixed_col(slot, start - t)
+        kind = {"sc": "sc_b", "x": "x_d", "p": "p_d", "y": "y_d", "w": "w_d"}
+        return int(self.step_starts[t - start]) \
+            + self.layout.step_pos[(kind[slot.kind], slot.owner)]
 
     def pin_boundary(self, boundary: np.ndarray):
         """Equality rows fixing the imported state; their duals are the
         boundary prices."""
-        slots = coupling_slots(self.instance)
+        slots = self.layout.slots
         if boundary.shape != (len(slots),):
             raise FormulationError(
                 f"boundary has {boundary.shape[0]} entries, "
                 f"expected {len(slots)}")
-        pins = []
-        for k, slot in enumerate(slots):
-            j = self._slot_init_col(slot)
-            if j is None:
-                pins.append(None)
-                continue
-            val = float(boundary[k])
-            pins.append(self.add_row(("couple", slot.kind, slot.owner, slot.hist),
-                                     {j: 1.0}, val, val))
-        return pins
-
-    def add_terminal_prices(self, duals_in, terminal_cols):
-        slots = coupling_slots(self.instance)
-        duals_in = np.asarray(duals_in, dtype=float)
-        if duals_in.shape != (len(slots),):
-            raise FormulationError(
-                f"price vector has {duals_in.shape[0]} entries, "
-                f"expected {len(slots)}")
-        for gamma, j in zip(duals_in, terminal_cols):
-            self.q_list[j] += float(gamma)
+        init = [self._slot_init_col(slot) for slot in slots]
+        pinned = [k for k, j in enumerate(init) if j is not None]
+        rows = iter(self._row_block(
+            [("couple", slots[k].kind, slots[k].owner, slots[k].hist)
+             for k in pinned],
+            self._dicts(self._keys([init[k] for k in pinned]), (1.0,)),
+            boundary[pinned], boundary[pinned]))
+        return [None if j is None else next(rows) for j in init]
 
     # -- assembly ---------------------------------------------------------
 
     def finish(self, boundary=None, duals_in=None) -> MdopModel:
-        slots = coupling_slots(self.instance)
+        slots = self.layout.slots
         if boundary is None:
-            boundary = horizon_start_boundary(self.instance)
+            boundary = self.layout.start_boundary
         pins = self.pin_boundary(np.asarray(boundary, dtype=float))
         terminal = tuple(self._slot_terminal_col(s) for s in slots)
         if duals_in is not None:
-            self.add_terminal_prices(duals_in, terminal)
+            duals_in = np.asarray(duals_in, dtype=float)
+            if duals_in.shape != (len(slots),):
+                raise FormulationError(
+                    f"price vector has {duals_in.shape[0]} entries, "
+                    f"expected {len(slots)}")
         meta = CouplingMeta(slots=slots, terminal_cols=terminal,
                             init_pin_rows=tuple(pins))
-        return self.model(meta, self.window)
+        model = self.model(meta, self.window)
+        if duals_in is not None:
+            # the terminal state's cost-to-go, one slot at a time
+            for gamma, j in zip(duals_in, terminal):
+                model.q[j] += float(gamma)
+        return model
 
     def model(self, coupling: CouplingMeta, window) -> MdopModel:
         """Freeze the accumulated columns, rows and cones."""
@@ -579,22 +860,23 @@ class ModelBuilder:
             col_index = dict(col_index)
             for index in later:
                 col_index.update(index)
+        lb, ub, q, p_diag = map(np.concatenate, zip(*self.col_data))
         return MdopModel(
             n=len(self.col_refs),
             col_refs=self.col_refs,
             col_index=col_index,
-            p_diag=np.array(self.p_list),
-            q=np.array(self.q_list),
+            p_diag=p_diag,
+            q=q,
             const=self.const,
             row_coefs=self.row_coefs,
-            row_lo=np.array(self.row_lo),
-            row_hi=np.array(self.row_hi),
+            row_lo=np.concatenate(self.row_lo),
+            row_hi=np.concatenate(self.row_hi),
             row_labels=self.row_labels,
             cones=self.cones,
             cone_labels=self.cone_labels,
-            lb=np.array(self.lb_list),
-            ub=np.array(self.ub_list),
-            binaries=frozenset(self.binaries),
+            lb=lb,
+            ub=ub,
+            binaries=frozenset(np.concatenate(self.binary_cols).tolist()),
             coupling=coupling,
             window=window,
             dt=self.loads.dt,
@@ -676,7 +958,7 @@ def build_seamed(instance: NetworkInstance, loads: LoadProfile,
     slots = coupling_slots(instance)
     builder = ModelBuilder(instance, loads, windows[0], own_builds=True)
     builder.build_window()
-    pins0 = builder.pin_boundary(horizon_start_boundary(instance))
+    pins0 = builder.pin_boundary(builder.layout.start_boundary)
     # each window's slot columns, read while its own index is current
     init_cols, term_cols = [], []
     for s, win in enumerate(windows):
@@ -689,11 +971,11 @@ def build_seamed(instance: NetworkInstance, loads: LoadProfile,
     # later windows are sewn to their predecessor's terminal state
     seam_rows = []
     for s in range(1, len(windows)):
-        seam_rows.append(tuple(
-            builder.add_row(("seam", s, slot.kind, slot.owner, slot.hist),
-                            {j_in: 1.0, j_out: -1.0}, 0.0, 0.0)
-            for slot, j_in, j_out in zip(slots, init_cols[s],
-                                         term_cols[s - 1])))
+        seam_rows.append(tuple(builder._row_block(
+            [("seam", s, slot.kind, slot.owner, slot.hist) for slot in slots],
+            builder._dicts(builder._keys(init_cols[s], term_cols[s - 1]),
+                           (1.0, -1.0)),
+            0.0, 0.0)))
 
     meta = CouplingMeta(slots=slots, terminal_cols=tuple(term_cols[-1]),
                         init_pin_rows=tuple(pins0))
@@ -708,7 +990,6 @@ def build_seamed(instance: NetworkInstance, loads: LoadProfile,
 SERIES_KINDS = ("v", "shed_p", "shed_q", "p_line", "q_line",
                 "x_d", "y_d", "w_d", "phat_d", "p_d", "q_d",
                 "phat_b", "p_b", "q_b", "sc_b", "grid_p", "grid_q")
-BUILD_KINDS = ("z_b", "s_b", "z_d")
 
 
 @dataclass

@@ -347,6 +347,30 @@ class TestStatuses:
         sol = solve_qp(prog, settings=Settings(max_iter=2, polish=False))
         assert sol.status == "iteration-limit"
 
+    def test_iteration_limit_says_why(self):
+        # one interior step and no polish: the step limit stops the solve
+        rng = np.random.default_rng(0)
+        n = 20
+        prog = make_prog(rng.uniform(0.5, 2.0, n), rng.standard_normal(n),
+                         rows=[(rng.standard_normal(n), -0.1, 0.1)
+                               for _ in range(5)],
+                         lb=np.full(n, -1.0), ub=np.full(n, 1.0))
+        sol = solve_qp(prog, settings=Settings(max_iter=1, polish=False))
+        assert (sol.status, sol.iterations, sol.detail) \
+            == ("iteration-limit", 1, "step limit")
+
+    def test_boxed_program_is_never_unbounded(self):
+        # a cost this steep passes the primal-ray test on its own, but a
+        # program with every column boxed cannot be unbounded
+        q = np.full(3, -1e9)
+        sol = solve_qp(make_prog(np.zeros(3), q, lb=np.zeros(3),
+                                 ub=np.ones(3)))
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.x, 1.0)
+        free = solve_qp(make_prog(np.zeros(3), q, lb=[-INF, 0.0, 0.0],
+                                  ub=[INF, 1.0, 1.0]))
+        assert free.status == "unbounded"
+
     def test_empty_row_beside_a_variable_radius_ball(self):
         prog = ConvexProgram(np.zeros(3), [1.0, -1.0, 0.5], [[0.0, 0.0, 0.0]],
                              [1.0], [1.0], [-3.0, -3.0, 0.0], [3.0, 3.0, 3.0],

@@ -9,10 +9,17 @@ derived from the constraint families by hand.
 
 import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+import microplan
 
 try:
     import cvxpy as cp
@@ -1143,3 +1150,165 @@ def test_layout_digests_are_pinned():
         "one-step": "7fd809afaa9860e90d80698b5e55d3d1"
                     "b9d569046b5df6e032cb475e9dc50d43",
     }
+
+
+def shared_bus_case():
+    """Two generators and two batteries on one bus, with different
+    start/stop histories, sewn over two windows: the balance, count and
+    history rows each gather several candidates."""
+    buses = (
+        Bus("b1", 0.81, 1.21),
+        Bus("b2", 0.81, 1.21, max_batteries=1, max_generators=2),
+        Bus("b3", 0.85, 1.15),
+    )
+    lines = (
+        Line("l1", "b1", "b2", 0.01, 0.02, 2.0),
+        Line("l2", "b2", "b3", 0.02, 0.03, 1.5),
+    )
+    bats = (
+        BatterySpec("bat1", "b2", 90.0, 250.0, 0.8, 1.6, 0.9, 0.85,
+                    initial_soc=0.4, p_min=-0.8, p_max=0.8,
+                    q_min=-0.5, q_max=0.5),
+        BatterySpec("bat2", "b2", 60.0, 320.0, 0.5, 1.0, 0.85, 0.9,
+                    initial_soc=0.2, p_min=-0.5, p_max=0.5,
+                    q_min=-0.3, q_max=0.3),
+    )
+    gens = (
+        GeneratorSpec("g1", "b2", 200.0, (6.0, 35.0, 50.0), 3, 1,
+                      0.5, 0.5, 0.5, 0.1, 1.5, q_min=-1.0, q_max=1.0),
+        GeneratorSpec("g2", "b2", 150.0, (4.0, 40.0, 30.0), 1, 2,
+                      0.3, 0.4, 0.6, 0.05, 0.8, q_min=-0.4, q_max=0.4),
+    )
+    inst = NetworkInstance(buses, lines, bats, gens, shed_penalty=1e7,
+                           dt=0.25, slack_bus="b1", name="shared")
+    steps = np.arange(5)[:, None]
+    pm = np.array([0.0, 0.1, 0.15]) * (1.0 + 0.2 * np.cos(steps))
+    loads = LoadProfile(horizon=5, bus_ids=("b1", "b2", "b3"), p=pm,
+                        q=0.4 * pm, dt=inst.dt)
+    return inst, loads, [(0, 2), (2, 5)]
+
+
+def later_stage_model():
+    """The last stage of the five-bus case: imported builds, a pinned
+    boundary and priced terminal state."""
+    inst, loads, windows = five_bus_case()
+    k = len(coupling_slots(inst))
+    return assemble(inst, loads, window=windows[-1],
+                    boundary=np.linspace(0.05, 0.6, k),
+                    duals_in=np.linspace(-2.0, 3.0, k), own_builds=False)
+
+
+def pinned_models():
+    pair = gen_bat_instance()
+    models = {"pair": assemble(pair, flat_loads(pair, 4))}
+    for name, case in (("five", five_bus_case),
+                       ("five-grid", lambda: five_bus_case(grid=True)),
+                       ("one-step", one_step_case),
+                       ("shared-bus", shared_bus_case)):
+        models[name] = build_seamed(*case()).model
+    models["later-stage"] = later_stage_model()
+    return models
+
+
+def term_order_digest(model):
+    """SHA-256 over every row's terms in their stored order and with
+    their Python types: that order is the CSR entry order, which sets the
+    engine's rounding."""
+    terms = repr([list(c.items()) for c in model.row_coefs])
+    return hashlib.sha256(terms.encode()).hexdigest()
+
+
+def pinned_digests():
+    return {name: (layout_digest(m), term_order_digest(m))
+            for name, m in pinned_models().items()}
+
+
+# digests taken before the builder wrote array blocks; the four
+# models of test_layout_digests_are_pinned are pinned there
+PINNED_LAYOUTS = {
+    "shared-bus": "26c8e37c33f2bcba08e67f7d2b7887d5"
+                  "a7d4e3d522caf57b0a2c359ff6f16be7",
+    "later-stage": "9ca2ea3e5efbd7a56e4ceda3d1ed1949"
+                   "f9e1c1e17926c270abd82e2c81b30a40",
+}
+PINNED_TERM_ORDERS = {
+    "pair": "12da8599af6cf14c5a1dec2fa29e5eb2"
+            "41e0e559c71e39a805bdf6b9cd30ef61",
+    "five": "323f562de8ea192f20190a1454d59ab5"
+            "fdc391604bbd5e8fd2ee9319a2b60d71",
+    "five-grid": "9a5240c8ac93513c4d6e1280c7f0bdc4"
+                 "c7f84b91d2184461f0b663af7c4924cb",
+    "one-step": "b217662c068f2a48147a4c7c61cbbe92"
+                "c0bca419b92cd8c14b56f2d36be56213",
+    "shared-bus": "e312ee672aee3177d4329bf26eccc413"
+                  "489f2ac1bc7dcc64c94662544504302c",
+    "later-stage": "d143456b9a6ab2a840d4832f9ae8e7bc"
+                   "fecd475c4e074c29694b44db59999142",
+}
+
+
+def test_more_layout_digests_are_pinned():
+    models = pinned_models()
+    assert {name: layout_digest(models[name]) for name in PINNED_LAYOUTS} \
+        == PINNED_LAYOUTS
+
+
+def test_row_term_orders_are_pinned():
+    models = pinned_models()
+    assert {name: term_order_digest(m) for name, m in models.items()} \
+        == PINNED_TERM_ORDERS
+
+
+def test_digests_do_not_depend_on_the_hash_seed():
+    # a builder that walks a set, or a np.unique over strings, would give
+    # one layout under a fixed hash seed and another under the next
+    probe = "import json, test_formulation as t; print(json.dumps(t.pinned_digests()))"
+    path = os.pathsep.join([str(Path(__file__).parent),
+                            str(Path(microplan.__file__).parents[1])])
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True, env=env)
+        runs.append(json.loads(out.stdout.splitlines()[-1]))
+    here = json.loads(json.dumps(pinned_digests()))
+    assert runs[0] == runs[1] == here
+    assert {name: term for name, (_, term) in here.items()} == PINNED_TERM_ORDERS
+
+
+def test_duplicate_column_rejected():
+    # two lines under one id would share their flow columns
+    buses = (Bus("b1", 0.81, 1.21), Bus("b2", 0.81, 1.21),
+             Bus("b3", 0.81, 1.21))
+    lines = (Line("l1", "b1", "b2", 0.01, 0.02, 2.0),
+             Line("l1", "b2", "b3", 0.01, 0.02, 2.0))
+    inst = NetworkInstance(buses, lines, (), (), shed_penalty=1e7, dt=0.25)
+    with pytest.raises(FormulationError,
+                       match=r"duplicate column \('p_line', 'l1', 0\)"):
+        assemble(inst, flat_loads(inst, 2))
+
+
+def test_network_without_candidates():
+    # no build, import or commitment columns: only the network rows
+    buses = (Bus("b1", 0.81, 1.21), Bus("b2", 0.81, 1.21))
+    lines = (Line("l1", "b1", "b2", 0.01, 0.02, 2.0),)
+    inst = NetworkInstance(buses, lines, (), (), shed_penalty=1e7, dt=0.25)
+    loads = flat_loads(inst, 3)
+    model = build_seamed(inst, loads, [(0, 1), (1, 3)]).model
+    cols, n_rows, _, n_cones = expected_counts(inst, 3)
+    assert (model.n, len(model.row_coefs), len(model.cones)) \
+        == (cols, n_rows, n_cones)
+    assert not model.binaries and model.coupling.slots == ()
+    assert np.array_equal(model.to_convex().a.toarray(), triplet_matrix(model))
+
+
+def test_instance_holding_lists_assembles():
+    # such an instance cannot be hashed, so its layout is not shared
+    inst = gen_bat_instance()
+    listed = NetworkInstance(list(inst.buses), list(inst.lines),
+                             list(inst.battery_specs),
+                             list(inst.generator_specs), shed_penalty=1e7,
+                             dt=0.25, slack_bus="b1", name="pair")
+    loads = flat_loads(inst, 4)
+    assert layout_digest(assemble(listed, loads)) \
+        == layout_digest(assemble(inst, loads))
