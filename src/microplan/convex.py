@@ -76,8 +76,7 @@ class EngineError(ValueError):
     """Malformed convex program or unusable solver input."""
 
 
-@dataclass(frozen=True)
-class ConeRow:
+class ConeRow(NamedTuple):
     """Norm-ball row: sum of squares of `cols` bounded by a squared radius.
 
     The radius is `radius` when `radius_col` is None, otherwise the value

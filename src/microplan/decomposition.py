@@ -103,7 +103,7 @@ class BoundaryState:
 
     @classmethod
     def from_terminal(cls, model: MdopModel, x, snap=True):
-        vals = np.array([float(x[j]) for j in model.coupling.terminal_cols])
+        vals = np.asarray(x, dtype=float)[list(model.coupling.terminal_cols)]
         if snap:
             # binary state picked off an optimal point carries solver
             # noise; hand exact integers downstream
@@ -208,15 +208,15 @@ def stitch(instance, loads, plan: StagePlan, stage_models, stage_xs,
     for s in range(1, len(stage_models)):
         prev_m, prev_x = stage_models[s - 1], stage_xs[s - 1]
         cur_m, cur_x = stage_models[s], stage_xs[s]
-        for k, slot in enumerate(slots):
-            out = prev_x[prev_m.coupling.terminal_cols[k]]
-            pin = cur_m.coupling.init_pin_rows[k]
-            got = sum(c * cur_x[j]
-                      for j, c in cur_m.row_coefs[pin].items())
-            if abs(got - out) > SEAM_TOL * (1.0 + abs(out)):
-                raise DecompositionError(
-                    f"seam {s} breaks on {slot.kind}/{slot.owner}: "
-                    f"{got!r} != {out!r}")
+        out = np.asarray(prev_x)[list(prev_m.coupling.terminal_cols)]
+        got = cur_m.a[list(cur_m.coupling.init_pin_rows)] @ cur_x
+        torn = np.flatnonzero(np.abs(got - out)
+                              > SEAM_TOL * (1.0 + np.abs(out)))
+        if torn.size:
+            k = torn[0]
+            raise DecompositionError(
+                f"seam {s} breaks on {slots[k].kind}/{slots[k].owner}: "
+                f"{float(got[k])!r} != {float(out[k])!r}")
 
     horizon = plan.horizon
     series = {}
@@ -484,7 +484,7 @@ def gauss_seidel_relaxed(instance, loads, plan: StagePlan,
         col = row = cone = 0
         for s, (model, sol) in enumerate(zip(models, sols)):
             pins = list(model.coupling.init_pin_rows)
-            n_rows = len(model.row_coefs) - (len(pins) if s else 0)
+            n_rows = model.a.shape[0] - (len(pins) if s else 0)
             x[col:col + model.n] = sol.x
             y_bounds[col:col + model.n] = sol.y_bounds
             y_rows[row:row + n_rows] = sol.y_rows[:n_rows]

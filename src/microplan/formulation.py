@@ -46,17 +46,20 @@ whose first column is ``o``, column ``(kind, owner, t)`` is
     o + F + (t - start) * C + pos(kind, owner),
 
 with ``pos`` its place in the step.  Each constraint family is therefore
-written as one block of NumPy index, coefficient and bound arrays over
-its (time, owner) dimensions, and materialised into the registry's
-Python objects in one pass per family, not one row at a time (the
-approach of Hofmann, "Linopy: Linear optimization with n-dimensional
-labeled variables", JOSS 2023).  The registry keeps the row order, the
-term order within each row and the Python types the model has always
-had, so ``to_convex`` and every solve see the same program bit for bit.
+written as one block of NumPy arrays over its (time, owner) dimensions:
+its bounds, and its entries as (row, column, coefficient) triplets.  The
+model's constraint matrix is made from every family's entries at once,
+as one CSR matrix, and stays in that form from the builder to the
+engine (the approach of Hofmann, "Linopy: Linear optimization with
+n-dimensional labeled variables", JOSS 2023): ``to_convex`` hands it on
+without a copy, and ``row_coefs`` reads one row's ``{col: coef}`` from
+it when asked.  CSR keeps each row's entries in column order, so the
+order in which a family writes its terms never reaches the engine.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, repeat
@@ -150,15 +153,44 @@ class CouplingMeta:
                                  # (None for build slots when owned here)
 
 
+class RowCoefs(Sequence):
+    """Read-only view of a CSR matrix's rows: its length is the row count,
+    and item i is row i's ``{col: coef}`` in column order, made when it is
+    read."""
+
+    def __init__(self, a):
+        self._a = a
+
+    def __len__(self):
+        return self._a.shape[0]
+
+    def __getitem__(self, i):
+        a = self._a
+        i = range(a.shape[0])[i]        # IndexError past either end
+        lo, hi = a.indptr[i:i + 2]
+        return dict(zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist()))
+
+
 @dataclass
 class MdopModel:
+    """A window of the model, or consecutive windows sewn together, as
+    ``row_lo <= a x <= row_hi``, ``lb <= x <= ub`` and the norm balls
+    `cones`, under the objective ``1/2 x' diag(p_diag) x + q' x + const``.
+
+    `a` is the constraint matrix in CSR form, made once by
+    :class:`ModelBuilder`, and the model's only copy of its rows;
+    `row_labels` names each row (family, owner, time) and `col_refs` each
+    column.  :meth:`to_convex` hands `a` to the engine without a copy, so
+    a model is not changed in place once built: :func:`fix_binaries` and
+    :func:`relax_integrality` make new models that share it.
+    """
     n: int
     col_refs: list
     col_index: dict
     p_diag: np.ndarray
     q: np.ndarray
     const: float
-    row_coefs: list              # dict col -> coef per row
+    a: sp.csr_matrix             # rows by columns
     row_lo: np.ndarray
     row_hi: np.ndarray
     row_labels: list             # (family, owner, time) per row
@@ -171,18 +203,15 @@ class MdopModel:
     window: tuple
     dt: float
 
+    @property
+    def row_coefs(self) -> RowCoefs:
+        """Each row's ``{col: coef}``, read from `a` one row at a time."""
+        return RowCoefs(self.a)
+
     def to_convex(self) -> ConvexProgram:
-        m = len(self.row_coefs)
-        sizes = np.fromiter(map(len, self.row_coefs), dtype=np.int64, count=m)
-        nnz = int(sizes.sum())
-        cols = np.fromiter(chain.from_iterable(self.row_coefs),
-                           dtype=np.int64, count=nnz)
-        vals = np.fromiter(chain.from_iterable(map(dict.values, self.row_coefs)),
-                           dtype=float, count=nnz)
-        rows = np.repeat(np.arange(m, dtype=np.int64), sizes)
-        a = sp.csr_matrix((vals, (rows, cols)), shape=(m, self.n))
-        return ConvexProgram(self.p_diag, self.q, a, self.row_lo, self.row_hi,
-                             self.lb, self.ub, self.cones, self.const)
+        return ConvexProgram(self.p_diag, self.q, self.a, self.row_lo,
+                             self.row_hi, self.lb, self.ub, self.cones,
+                             self.const)
 
     def col(self, kind, owner, time=None) -> int:
         return self.col_index[(kind, owner, time)]
@@ -191,30 +220,21 @@ class MdopModel:
         return 0.5 * float(x @ (self.p_diag * x)) + float(self.q @ x) + self.const
 
 
-def _by_width(rows):
-    """Group template rows, (terms, coefficients), by their number of
-    terms.  Per width, in order of first appearance: the member rows,
-    their terms as a (width, members) array and their coefficients as one
-    list per position."""
-    widths = {}
-    for r, (terms, _) in enumerate(rows):
-        widths.setdefault(len(terms), []).append(r)
-    return [(members,
-             np.array([rows[r][0] for r in members], dtype=np.int64).T,
-             [list(c) for c in zip(*(rows[r][1] for r in members))])
-            for members in widths.values()]
+def _template(rows):
+    """Template rows, (positions, coefficients) each, as flat (row,
+    position, coefficient) entry arrays."""
+    sizes = [len(pos) for pos, _ in rows]
+    return (np.repeat(np.arange(len(rows), dtype=np.int64), sizes),
+            np.array(list(chain.from_iterable(pos for pos, _ in rows)),
+                     dtype=np.int64),
+            np.array(list(chain.from_iterable(c for _, c in rows)),
+                     dtype=float))
 
 
-@lru_cache(maxsize=None)
-def _dict_display(width):
-    """A function of (k0, v0, k1, v1, ...) returning ``{k0: v0, k1: v1,
-    ...}`` with `width` entries, one per row width.  A dict display is
-    the cheapest way to build a small dict of known size: it is sized
-    once, with no pair tuples in between.  No call builds a display of a
-    given size, so its source is generated from `width` alone."""
-    args = ", ".join(f"k{i}, v{i}" for i in range(width))
-    items = ", ".join(f"k{i}: v{i}" for i in range(width))
-    return eval(f"lambda {args}: {{{items}}}")
+def _per_owner(values, owners):
+    """Each value as a list with one entry per owner: a list stays as it
+    is, a number is repeated."""
+    return [v if isinstance(v, list) else [v] * owners for v in values]
 
 
 class _Layout:
@@ -233,9 +253,8 @@ class _Layout:
         self._lay_out_resources()
         for arr in (self.start_boundary, self.step_data, self.step_binary,
                     self.resource_caps,
-                    *self.fixed_data.values(),
-                    *(terms for _, terms, _ in self.network_groups
-                      + self.resource_groups)):
+                    *self.fixed_data.values(), *self.network_template,
+                    *self.resource_template):
             arr.flags.writeable = False
 
     def _lay_out_fixed(self):
@@ -352,8 +371,8 @@ class _Layout:
 
     def _lay_out_network(self):
         """The network rows of one step, in row order: every bus's real
-        and reactive balance, then every line's voltage drop, with their
-        terms as step positions."""
+        and reactive balance, then every line's voltage drop, as a
+        template over step positions."""
         pos = self.step_pos.__getitem__
         rows = []
         for bus_id, injections in self._injections():
@@ -370,12 +389,12 @@ class _Layout:
                          (1.0, -1.0, 2.0 * line.r, 2.0 * line.x)))
         self.network_families = [row[0] for row in rows]
         self.network_owners = [row[1] for row in rows]
-        self.network_groups = _by_width([row[2:] for row in rows])
+        self.network_template = _template([row[2:] for row in rows])
 
     def _lay_out_resources(self):
         """Per bus, at most its allowed number of batteries and of
         generators built; per battery, capacity only where it is built.
-        Terms are fixed positions."""
+        A template over fixed positions."""
         inst = self.instance
         pos = self.fixed_pos
         at_bus = {bus.id: ([], []) for bus in inst.buses}
@@ -400,7 +419,7 @@ class _Layout:
             caps.append(0.0)
         self.resource_labels = labels
         self.resource_caps = np.array(caps, dtype=float)
-        self.resource_groups = _by_width(rows)
+        self.resource_template = _template(rows)
 
 
 @lru_cache(maxsize=8)
@@ -427,15 +446,19 @@ class ModelBuilder:
     family takes its columns over the window from these formulas as one
     NumPy index array.
 
-    Rows and cones.  A family is one block: its index array, holding each
-    row's terms position by position, its coefficients and its bounds,
-    turned into ``row_coefs`` dicts in one pass (:meth:`_dicts`).  The
-    families of a builder are interleaved into the model's row order by
-    stride: the network rows cycle through every bus balance and every
-    voltage drop at each step, the commitment and battery rows through
-    one owner's families at each step, owner after owner.  Families with
-    few rows each (the network's, the resource limits) are part of the
-    layout and are made a row width at a time (:meth:`_from_template`).
+    Rows and cones.  A family is written as a column array and a
+    coefficient per term position, plus its bounds.  The families are
+    interleaved into the model's row order by stride: the network rows
+    cycle through every bus balance and every voltage drop at each step,
+    the commitment and battery rows through one owner's families at each
+    step, owner after owner.  The families of one such cycle become one
+    block of (row, column, coefficient) entry arrays and bounds
+    (:meth:`_owner_rows`).  Families with few rows each (the network's,
+    the resource limits) are templates in the layout, repeated over the
+    window (:meth:`_from_template`).  :meth:`model` makes the constraint
+    matrix from every block's entries in one CSR construction, which
+    sorts each row's entries by column: the order in which a block lists
+    them does not matter.
 
     `window`, `own_builds` and `col_index` describe the window being
     built; :meth:`begin_window` starts the next one.  Each window's
@@ -454,10 +477,10 @@ class ModelBuilder:
             self.layout = _Layout(instance, loads.dt)
         self.window_indexes = []
         self.col_refs = []
-        self.col_ints = np.empty(0, dtype=object)   # j -> the int j
         self.col_data = []           # (lb, ub, q, p_diag) per window
         self.binary_cols = []        # binary column indices per window
-        self.row_coefs = []
+        self.m = 0                   # rows so far
+        self.entries = []            # (row, col, coef) arrays per block
         self.row_lo = []             # bound arrays per row block
         self.row_hi = []
         self.row_labels = []
@@ -536,82 +559,72 @@ class ModelBuilder:
         at = (np.arange(depth)[:, None] + before) % depth + r
         return lookup[:, at].transpose(1, 0, 2)
 
-    def _each_step(self, values):
-        """One entry per row of an owner-major block: every owner's value
-        repeated at each step."""
-        return list(chain.from_iterable(map(repeat, values,
-                                            repeat(self.steps))))
-
     # -- row and cone blocks ----------------------------------------------
 
-    def _keys(self, *cols):
-        """The registry's own int objects at each of several same-shape
-        column arrays, one flat list per array."""
-        index = np.array(cols, dtype=np.int64).reshape(len(cols), -1)
-        return self.col_ints[index].tolist()
-
     @staticmethod
-    def _dicts(keys, coefs):
-        """One ``row_coefs`` dict per row of a constraint family, position
-        by position: ``keys[i]`` lists the column at position i of every
-        row (from :meth:`_keys`), and ``coefs[i]`` is its coefficient, one
-        number for every row or a list with one per row.  Each dict lists
-        its columns in position order."""
-        values = [c if isinstance(c, list) else repeat(c) for c in coefs]
-        return list(map(_dict_display(len(keys)),
-                        *chain.from_iterable(zip(keys, values))))
+    def _from_template(template, size, first):
+        """The entries of a layout template of `size` rows, repeated for
+        each entry of the column array `first` (rep-major), its positions
+        counted from that entry."""
+        rows, pos, coefs = template
+        first = np.reshape(first, (-1, 1))
+        reps = np.arange(len(first))[:, None] * size
+        return ((reps + rows).ravel(), (first + pos).ravel(),
+                np.tile(coefs, len(first)))
 
-    def _from_template(self, groups, size, first):
-        """The row dicts of a template of `size` rows, repeated for each
-        entry of the column array `first` (rep-major), as a list.  Each
-        width group of the template (:func:`_by_width`) is made in one
-        pass, its terms offset by `first`, and scattered to its rows."""
-        reps = np.size(first)
-        first = np.reshape(first, (reps, 1))
-        rows = np.empty((reps, size), dtype=object)
-        for members, terms, coefs in groups:
-            made = self._dicts(self._keys(*(first + terms[:, None, :])),
-                               [c * reps for c in coefs])
-            made = np.fromiter(made, dtype=object, count=len(made))
-            rows[:, members] = made.reshape(reps, -1)
-        return rows.ravel().tolist()
-
-    def _row_block(self, labels, rows, lo, hi):
-        """Append one row per label with its dict and bounds (numbers or
-        one value per row).  Returns the new rows' indices."""
-        first = len(self.row_coefs)
-        self.row_coefs += rows
+    def _row_block(self, labels, lo, hi, entries):
+        """Append one row per label with its bounds (numbers or one value
+        per row), and the block's `entries`, (row, column, coefficient)
+        arrays whose rows count from the block's first.  Returns the new
+        rows' indices."""
+        first = self.m
+        rows, cols, vals = entries
+        self.m += len(labels)
         self.row_labels += labels
+        self.entries.append((first + rows, cols, vals))
         for side, bound in ((self.row_lo, lo), (self.row_hi, hi)):
             block = np.empty(len(labels))
             block[:] = bound
             side.append(block)
-        return range(first, first + len(labels))
+        return range(first, self.m)
 
     def _owner_rows(self, ids, families):
-        """Rows that cycle through `families`, (family, row dicts, lo,
-        hi), at every step, owner after owner: row ``r * P + f`` is row r
-        of family f, whose rows are owner-major."""
+        """Rows that cycle through `families` at every step, owner after
+        owner: row ``(o * steps + t) * P + f`` of the block is family f's
+        row for owner o at step t.  A family is (name, cols, coefs, lo,
+        hi): per term position, an (owners, steps) column array, -1 where
+        an owner's rows lack that term, and a coefficient, one number or a
+        list with one per owner; each bound is a number or a list with one
+        per owner.  All families are made in one pass."""
         start, end = self.window
-        names, dicts, *bounds = zip(*families)
+        steps, owners = self.steps, len(ids)
+        names, cols, coefs, lo, hi = zip(*families)
         width = len(names)
+        family = np.repeat(np.arange(width), [len(c) for c in cols])
+        cols = np.array(list(chain.from_iterable(cols)), dtype=np.int64)
+        vals = np.array(_per_owner(chain.from_iterable(coefs), owners),
+                        dtype=float)
+        rows = np.arange(owners * steps).reshape(owners, steps) * width \
+            + family[:, None, None]
+        used = cols >= 0
+        entries = (rows[used], cols[used],
+                   np.broadcast_to(vals[:, :, None], cols.shape)[used])
+        bounds = np.array([_per_owner(lo, owners), _per_owner(hi, owners)],
+                          dtype=float)
+        lo, hi = bounds.transpose(0, 2, 1).repeat(steps, axis=1).reshape(2, -1)
         times = np.repeat(np.arange(start, end), width).tolist()
-        owners = chain.from_iterable(map(repeat, ids,
-                                         repeat(width * self.steps)))
-        labels = list(zip(names * (self.steps * len(ids)), owners,
-                          times * len(ids)))
-        rows = [None] * len(labels)
-        lo, hi = np.empty((2, len(labels) // width, width))
-        for f, (block, low, high) in enumerate(zip(dicts, *bounds)):
-            rows[f::width] = block
-            lo[:, f] = low
-            hi[:, f] = high
-        self._row_block(labels, rows, lo.ravel(), hi.ravel())
+        labels = list(zip(names * (steps * owners),
+                          chain.from_iterable(map(repeat, ids,
+                                                  repeat(width * steps))),
+                          times * owners))
+        self._row_block(labels, lo, hi, entries)
 
     def _cone_block(self, labels, cols, radius, radius_col):
         """One ball per label: the norm of its `cols` within `radius`, or
         within the value of column `radius_col`."""
-        self.cones += map(ConeRow, cols, radius, radius_col)
+        # ConeRow._make without its per-call Python frame
+        self.cones += map(tuple.__new__, repeat(ConeRow),
+                          zip(cols, radius, radius_col))
         self.cone_labels += labels
 
     def _step_labels(self, families, owners):
@@ -645,10 +658,7 @@ class ModelBuilder:
         lb, ub, cost, quad = np.concatenate([lay.fixed_data[owned], data],
                                             axis=1)
 
-        # one int object per column, shared by the registry and the rows
-        ints = np.arange(first, first + len(kinds)).astype(object)
-        self.col_ints = np.concatenate([self.col_ints, ints])
-        cols = ints.tolist()
+        cols = range(first, first + len(kinds))
         self.col_index.update(zip(zip(kinds, owners, times), cols))
         if len(self.col_index) != len(cols):
             seen = set()
@@ -668,31 +678,31 @@ class ModelBuilder:
     def build_power_flow(self):
         lay = self.layout
         start, end = self.window
-        rows = self._from_template(lay.network_groups,
-                                   len(lay.network_families), self.step_starts)
-        demand = np.zeros((self.steps, len(lay.network_families)))
+        size = len(lay.network_families)
+        demand = np.zeros((self.steps, size))
         buses = len(self.instance.buses)
         demand[:, 0:2 * buses:2] = self.loads.p[start:end]
         demand[:, 1:2 * buses:2] = self.loads.q[start:end]
         self._row_block(self._step_labels(lay.network_families,
                                           lay.network_owners),
-                        rows, demand.ravel(), demand.ravel())
+                        demand.ravel(), demand.ravel(),
+                        self._from_template(lay.network_template, size,
+                                            self.step_starts))
 
         lines = self.instance.lines
         ids = [line.id for line in lines]
         p, q = self._owner_series(("p_line", "q_line"), ids)
         self._cone_block(self._step_labels(["thermal"] * len(ids), ids),
-                         zip(*self._keys(p.T, q.T)),
+                         zip(p.T.ravel().tolist(), q.T.ravel().tolist()),
                          [line.s_max for line in lines] * self.steps,
                          repeat(None))
 
     def build_resource_limits(self):
         lay = self.layout
-        self._row_block(lay.resource_labels,
-                        self._from_template(lay.resource_groups,
+        self._row_block(lay.resource_labels, -np.inf, lay.resource_caps,
+                        self._from_template(lay.resource_template,
                                             len(lay.resource_labels),
-                                            self.window_first),
-                        -np.inf, lay.resource_caps)
+                                            self.window_first))
 
     def build_unit_commitment(self):
         gens = self.instance.generator_specs
@@ -701,58 +711,43 @@ class ModelBuilder:
         inf = np.inf
         steps = self.steps
         ids = [d.id for d in gens]
-        each = self._each_step
         x, y, w, phat, p, q = self._owner_series(
             ("x_d", "y_d", "w_d", "phat_d", "p_d", "q_d"), ids)
         z = np.repeat(self._fixed_cols("z_d", ids), steps, axis=1)
+        x_prev = self._lagged(x, "x", ids)
+        p_prev = self._lagged(p, "p", ids)
         history = {}
         for kind, series, depths, x_coef in (
                 ("y", y, [d.min_up for d in gens], -1.0),
                 ("w", w, [d.min_down for d in gens], 1.0)):
-            # one pass per depth; each generator's rows stay in place
-            rows = [None] * len(gens)
+            # the last `depth` events of each generator, one pass per depth
+            events = np.full((max(depths), len(gens), steps), -1)
             for depth in dict.fromkeys(depths):
                 members = [g for g, dep in enumerate(depths) if dep == depth]
-                made = self._dicts(
-                    self._keys(*self._history(series[members], kind,
-                                              [ids[g] for g in members],
-                                              depth), x[members]),
-                    (1.0,) * depth + (x_coef,))
-                for k, g in enumerate(members):
-                    rows[g] = made[k * steps:(k + 1) * steps]
-            history[kind] = list(chain.from_iterable(rows))
-        x, y, w, phat, p, q, z, x_prev, p_prev = self._keys(
-            x, y, w, phat, p, q, z, self._lagged(x, "x", ids),
-            self._lagged(p, "p", ids))
+                events[:depth, members] = self._history(
+                    series[members], kind, [ids[g] for g in members], depth)
+            history[kind] = ([*events, x], (1.0,) * len(events) + (x_coef,))
         self._owner_rows(ids, [
-            ("committed_if_built", self._dicts([x, z], (1.0, -1.0)),
-             -inf, 0.0),
-            ("start_stop",
-             self._dicts([x, x_prev, y, w], (1.0, -1.0, -1.0, 1.0)),
+            ("committed_if_built", [x, z], (1.0, -1.0), -inf, 0.0),
+            ("start_stop", [x, x_prev, y, w], (1.0, -1.0, -1.0, 1.0),
              0.0, 0.0),
-            ("start_xor_stop", self._dicts([y, w], (1.0, 1.0)), -inf, 1.0),
-            ("p_max_if_on",
-             self._dicts([phat, x], (1.0, each([-d.p_max for d in gens]))),
+            ("start_xor_stop", [y, w], (1.0, 1.0), -inf, 1.0),
+            ("p_max_if_on", [phat, x], (1.0, [-d.p_max for d in gens]),
              -inf, 0.0),
-            ("p_min_if_on",
-             self._dicts([phat, x], (-1.0, each([d.p_min for d in gens]))),
+            ("p_min_if_on", [phat, x], (-1.0, [d.p_min for d in gens]),
              -inf, 0.0),
-            ("q_max_if_on",
-             self._dicts([q, x], (1.0, each([-d.q_max for d in gens]))),
+            ("q_max_if_on", [q, x], (1.0, [-d.q_max for d in gens]),
              -inf, 0.0),
-            ("q_min_if_on",
-             self._dicts([q, x], (-1.0, each([d.q_min for d in gens]))),
+            ("q_min_if_on", [q, x], (-1.0, [d.q_min for d in gens]),
              -inf, 0.0),
-            ("delivered",
-             self._dicts([p, phat],
-                         (1.0, each([-d.efficiency for d in gens]))),
+            ("delivered", [p, phat], (1.0, [-d.efficiency for d in gens]),
              0.0, 0.0),
-            ("ramp_up", self._dicts([p, p_prev], (1.0, -1.0)),
-             -inf, each([d.ramp_up for d in gens])),
-            ("ramp_down", self._dicts([p, p_prev], (-1.0, 1.0)),
-             -inf, each([d.ramp_down for d in gens])),
-            ("min_up", history["y"], -inf, 0.0),
-            ("min_down", history["w"], -inf, 1.0),
+            ("ramp_up", [p, p_prev], (1.0, -1.0),
+             -inf, [d.ramp_up for d in gens]),
+            ("ramp_down", [p, p_prev], (-1.0, 1.0),
+             -inf, [d.ramp_down for d in gens]),
+            ("min_up", *history["y"], -inf, 0.0),
+            ("min_down", *history["w"], -inf, 1.0),
         ])
 
     def build_battery(self):
@@ -762,31 +757,24 @@ class ModelBuilder:
         inf = np.inf
         steps = self.steps
         ids = [b.id for b in bats]
-        each = self._each_step
         phat, p, q, sc = self._owner_series(("phat_b", "p_b", "q_b", "sc_b"),
                                             ids)
         z = np.repeat(self._fixed_cols("z_b", ids), steps, axis=1)
         s = np.repeat(self._fixed_cols("s_b", ids), steps, axis=1)
-        phat, p, q, sc, z, s, sc_prev = self._keys(
-            phat, p, q, sc, z, s, self._lagged(sc, "sc", ids))
         self._cone_block(
             list(zip(repeat("bat_rating"),
                      chain.from_iterable(map(repeat, ids, repeat(steps))),
                      list(range(*self.window)) * len(ids))),
-            zip(p, q), repeat(0.0), s)
+            zip(p.ravel().tolist(), q.ravel().tolist()), repeat(0.0),
+            s.ravel().tolist())
         self._owner_rows(ids, [
-            ("soc_step",
-             self._dicts([sc, sc_prev, phat], (1.0, -1.0, self.loads.dt)),
-             0.0, 0.0),
-            ("soc_if_built",
-             self._dicts([sc, z], (1.0, each([-b.max_energy for b in bats]))),
+            ("soc_step", [sc, self._lagged(sc, "sc", ids), phat],
+             (1.0, -1.0, self.loads.dt), 0.0, 0.0),
+            ("soc_if_built", [sc, z], (1.0, [-b.max_energy for b in bats]),
              -inf, 0.0),
-            ("eff_dis",
-             self._dicts([p, phat], (1.0, each([-b.eta_dis for b in bats]))),
+            ("eff_dis", [p, phat], (1.0, [-b.eta_dis for b in bats]),
              -inf, 0.0),
-            ("eff_ch",
-             self._dicts([p, phat],
-                         (1.0, each([-1.0 / b.eta_ch for b in bats]))),
+            ("eff_ch", [p, phat], (1.0, [-1.0 / b.eta_ch for b in bats]),
              -inf, 0.0),
         ])
 
@@ -826,8 +814,10 @@ class ModelBuilder:
         rows = iter(self._row_block(
             [("couple", slots[k].kind, slots[k].owner, slots[k].hist)
              for k in pinned],
-            self._dicts(self._keys([init[k] for k in pinned]), (1.0,)),
-            boundary[pinned], boundary[pinned]))
+            boundary[pinned], boundary[pinned],
+            (np.arange(len(pinned)),
+             np.array([init[k] for k in pinned], dtype=np.int64),
+             np.ones(len(pinned)))))
         return [None if j is None else next(rows) for j in init]
 
     # -- assembly ---------------------------------------------------------
@@ -854,21 +844,25 @@ class ModelBuilder:
         return model
 
     def model(self, coupling: CouplingMeta, window) -> MdopModel:
-        """Freeze the accumulated columns, rows and cones."""
+        """Freeze the accumulated columns, rows and cones; the constraint
+        matrix is made here, in one CSR construction from every block's
+        entries."""
         col_index, *later = self.window_indexes
         if later:
             col_index = dict(col_index)
             for index in later:
                 col_index.update(index)
         lb, ub, q, p_diag = map(np.concatenate, zip(*self.col_data))
+        n = len(self.col_refs)
+        rows, cols, vals = map(np.concatenate, zip(*self.entries))
         return MdopModel(
-            n=len(self.col_refs),
+            n=n,
             col_refs=self.col_refs,
             col_index=col_index,
             p_diag=p_diag,
             q=q,
             const=self.const,
-            row_coefs=self.row_coefs,
+            a=sp.csr_matrix((vals, (rows, cols)), shape=(self.m, n)),
             row_lo=np.concatenate(self.row_lo),
             row_hi=np.concatenate(self.row_hi),
             row_labels=self.row_labels,
@@ -973,9 +967,10 @@ def build_seamed(instance: NetworkInstance, loads: LoadProfile,
     for s in range(1, len(windows)):
         seam_rows.append(tuple(builder._row_block(
             [("seam", s, slot.kind, slot.owner, slot.hist) for slot in slots],
-            builder._dicts(builder._keys(init_cols[s], term_cols[s - 1]),
-                           (1.0, -1.0)),
-            0.0, 0.0)))
+            0.0, 0.0,
+            (np.tile(np.arange(len(slots)), 2),
+             np.array(init_cols[s] + term_cols[s - 1], dtype=np.int64),
+             np.repeat([1.0, -1.0], len(slots))))))
 
     meta = CouplingMeta(slots=slots, terminal_cols=tuple(term_cols[-1]),
                         init_pin_rows=tuple(pins0))
@@ -1074,8 +1069,9 @@ class ViolationReport:
 def check_feasibility(instance: NetworkInstance, loads: LoadProfile,
                       plan: OperatingPlan, tol: float = 1e-6) -> ViolationReport:
     """Evaluate the physics directly at the plan, independently of the
-    row builders: balances, voltage drops, ratings, commitment logic,
-    ramping, up/down times, SoC recursion, and the efficiency envelope.
+    row builders: balances, voltage drops, ratings, battery power limits,
+    commitment logic, ramping, up/down times, SoC recursion, and the
+    efficiency envelope.
 
     The plan must cover [0, T) for the given loads.
     """
@@ -1106,6 +1102,12 @@ def check_feasibility(instance: NetworkInstance, loads: LoadProfile,
         p, q = series("p_b", b.id), series("q_b", b.id)
         phat, sc = series("phat_b", b.id), series("sc_b", b.id)
         check("bat_rating", b.id, None, float(np.hypot(p, q).max(initial=0.0)) - s)
+        check("p_range", b.id, None,
+              max(float((p - b.p_max).max(initial=0.0)),
+                  float((b.p_min - p).max(initial=0.0))))
+        check("q_range", b.id, None,
+              max(float((q - b.q_max).max(initial=0.0)),
+                  float((b.q_min - q).max(initial=0.0))))
         prev = np.concatenate([[b.initial_soc], sc[:-1]])
         res = np.abs(sc - prev + phat * plan.dt)
         check("soc_step", b.id, int(np.argmax(res)), float(res.max(initial=0.0)))
@@ -1223,7 +1225,7 @@ def dump_model(model: MdopModel, path) -> Path:
         out.append(f"col {j} {float(model.lb[j])!r} {float(model.ub[j])!r} "
                    + " ".join(terms) + tag)
     for coefs, lo, hi in zip(model.row_coefs, model.row_lo, model.row_hi):
-        body = " ".join(f"{j}:{float(coefs[j])!r}" for j in sorted(coefs))
+        body = " ".join(f"{j}:{c!r}" for j, c in coefs.items())
         if lo == hi:
             out.append(f"row == {float(lo)!r} {body}")
         else:

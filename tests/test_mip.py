@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from test_formulation import (
     bat_only_instance, cvx_solve, flat_loads, gen_bat_instance,
@@ -236,9 +237,11 @@ def test_gap_over_a_zero_bound_is_absolute():
 
 
 def test_infeasible_row_reported_at_root(two_step):
+    # an empty row that must reach -1
     bad = replace(
         two_step,
-        row_coefs=list(two_step.row_coefs) + [{0: 0.0}],
+        a=sp.vstack([two_step.a, sp.csr_matrix((1, two_step.n))],
+                    format="csr"),
         row_lo=np.append(two_step.row_lo, -np.inf),
         row_hi=np.append(two_step.row_hi, -1.0),
         row_labels=list(two_step.row_labels) + [("impossible", None, None)],

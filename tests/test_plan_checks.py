@@ -1,7 +1,8 @@
 """Checks the sweep drivers make before and around their stage solves:
-plan coverage of the load horizon, and a receding-horizon plan that
-outlives a failed bound solve.  Stage solves here go through branch and
-bound only, so this module needs no conic oracle.
+plan coverage of the load horizon, a torn seam between stages, and a
+receding-horizon plan that outlives a failed bound solve.  Stage solves
+here go through branch and bound only, so this module needs no conic
+oracle.
 """
 
 import dataclasses
@@ -13,9 +14,11 @@ import pytest
 
 from microplan import decomposition
 from microplan.decomposition import (
-    DecompositionError, gauss_seidel_relaxed, init_duals, mpc_solve,
-    partition, rh_solve,
+    BoundaryState, DecompositionError, gauss_seidel_relaxed, init_duals,
+    mpc_solve, partition, rh_solve, stitch,
 )
+from microplan.formulation import assemble
+from microplan.mip import solve_miqcqp
 
 from test_formulation import flat_loads, gen_bat_instance
 
@@ -42,6 +45,24 @@ def test_plan_must_cover_the_loads(pair, name, steps, stages):
                        match=f"stage plan covers {steps} steps but the "
                              f"loads cover 6"):
         DRIVERS[name](inst, loads, partition(steps, stages))
+
+
+def test_torn_seam_is_detected():
+    inst = gen_bat_instance()
+    loads = flat_loads(inst, 4)
+    plan = partition(4, 2)
+    m0 = assemble(inst, loads, window=plan.windows[0])
+    x0 = solve_miqcqp(m0).solution.x
+    torn = BoundaryState.from_terminal(m0, x0).values.copy()
+    torn[0] += 0.01
+    m1 = assemble(inst, loads, window=plan.windows[1], boundary=torn,
+                  own_builds=False)
+    x1 = solve_miqcqp(m1).solution.x
+    # the first broken slot, named with plain floats
+    with pytest.raises(DecompositionError,
+                       match=r"^seam 1 breaks on sc/bat1: "
+                             r"-?[\d.e+-]+ != -?[\d.e+-]+$"):
+        stitch(inst, loads, plan, [m0, m1], [x0, x1])
 
 
 def test_receding_horizon_survives_a_failed_bound(pair, monkeypatch, caplog):
