@@ -63,8 +63,8 @@ on the ball's columns and −1 on its radius variable.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +88,58 @@ class ConeRow(NamedTuple):
     radius_col: int | None = None
 
 
+class SequenceView(Sequence):
+    """A read-only sequence whose items are made when read, from the
+    ``_item(i)`` and ``__len__`` of a subclass.  It is indexed as a list
+    is: negative indices count from the end, a slice gives a list, and an
+    index past either end raises IndexError."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self._item(i) for i in range(len(self))[key]]
+        return self._item(range(len(self))[key])
+
+
+class Cones(SequenceView):
+    """The balls of a program as flat arrays: `cols`, every ball's
+    columns back to back; `owner`, the ball of each, in ball order; and
+    per ball its constant `radius` and its `radius_col`, -1 for a
+    constant radius.  Item k is ball k as a :class:`ConeRow`."""
+
+    def __init__(self, cols, owner, radius, radius_col):
+        self.cols = np.asarray(cols, dtype=int)
+        self.owner = np.asarray(owner, dtype=int)
+        self.radius = np.asarray(radius, dtype=float)
+        self.radius_col = np.asarray(radius_col, dtype=int)
+        owner, k = self.owner, self.radius.size
+        if owner.ndim != 1 or owner.shape != self.cols.shape \
+                or self.radius_col.shape != (k,) \
+                or np.any(owner[1:] < owner[:-1]) \
+                or owner.size and not 0 <= owner[0] <= owner[-1] < k:
+            raise EngineError("cone arrays do not line up")
+
+    @classmethod
+    def of(cls, rows):
+        """The balls of an iterable of :class:`ConeRow`.  As -1 marks a
+        constant radius, a given radius column -1 becomes -2, as invalid."""
+        rows = tuple(rows)
+        return cls([j for cone in rows for j in cone.cols],
+                   np.repeat(np.arange(len(rows)),
+                             [len(cone.cols) for cone in rows]),
+                   [cone.radius for cone in rows],
+                   [-1 if c.radius_col is None else -2 if c.radius_col == -1
+                    else c.radius_col for c in rows])
+
+    def __len__(self):
+        return self.radius.size
+
+    def _item(self, k):
+        lo, hi = np.searchsorted(self.owner, [k, k + 1])
+        rc = int(self.radius_col[k])
+        return ConeRow(tuple(self.cols[lo:hi].tolist()), float(self.radius[k]),
+                       None if rc == -1 else rc)
+
+
 class ConvexProgram:
     """Immutable problem data with convexity checked at construction."""
 
@@ -103,7 +155,7 @@ class ConvexProgram:
         self.u = np.asarray(u, dtype=float)
         self.lb = np.asarray(lb, dtype=float)
         self.ub = np.asarray(ub, dtype=float)
-        self.cones = tuple(cones)
+        self.cones = cones if isinstance(cones, Cones) else Cones.of(cones)
         self.const = float(const)
 
         if self.p_diag.shape != (self.n,):
@@ -121,31 +173,18 @@ class ConvexProgram:
         if np.any(self.lb > self.ub + 1e-12):
             bad = int(np.argmax(self.lb - self.ub))
             raise EngineError(f"variable {bad} has lb > ub")
-        # the balls as flat arrays: every ball's columns back to back,
-        # the ball owning each, and per ball its radius column (-1 for a
-        # constant radius) and its constant radius
-        k = len(self.cones)
-        sizes = np.fromiter((len(cone.cols) for cone in self.cones),
-                            dtype=int, count=k)
-        self.cone_cols = np.fromiter(
-            chain.from_iterable(cone.cols for cone in self.cones),
-            dtype=int, count=int(sizes.sum()))
-        self.cone_owner = np.repeat(np.arange(k), sizes)
-        has_radius_col = np.fromiter(
-            (cone.radius_col is not None for cone in self.cones),
-            dtype=bool, count=k)
-        self.radius_col = np.fromiter(
-            (-1 if cone.radius_col is None else cone.radius_col
-             for cone in self.cones), dtype=int, count=k)
-        self.radius = np.fromiter((cone.radius for cone in self.cones),
-                                  dtype=float, count=k)
-        self._check_cones(sizes, has_radius_col)
+        # the engine reads the balls as flat arrays
+        self.cone_cols, self.cone_owner = self.cones.cols, self.cones.owner
+        self.radius, self.radius_col = self.cones.radius, self.cones.radius_col
+        self._check_cones()
 
-    def _check_cones(self, sizes, has_radius_col):
+    def _check_cones(self):
         """Name the first ball with no columns, a repeated or out-of-range
         column, a negative constant radius, or a radius column out of
         range or among its own columns."""
         owner, cols, rc = self.cone_owner, self.cone_cols, self.radius_col
+        sizes = np.bincount(owner, minlength=rc.size)
+        has_radius_col = rc != -1
         bad_cols = np.zeros(len(sizes), dtype=bool)
         bad_cols[owner[(cols < 0) | (cols >= self.n)]] = True
         order = np.lexsort((cols, owner))
@@ -231,18 +270,11 @@ def get_duals(solution: PrimalDualSolution, rows) -> np.ndarray:
     """
     if solution.status != "optimal":
         raise EngineError(f"duals requested from a {solution.status} solution")
-    prog = solution.program
-    out = np.empty(len(rows))
-    for k, i in enumerate(rows):
-        y = solution.y_rows[i]
-        lo, hi = prog.l[i], prog.u[i]
-        if lo == hi:
-            out[k] = y
-        elif np.isinf(hi):          # lower-bounded row, >= sense
-            out[k] = -y
-        else:                       # <= sense (or finite range)
-            out[k] = y
-    return out
+    rows = np.asarray(rows, dtype=int)
+    lo, hi = solution.program.l[rows], solution.program.u[rows]
+    y = solution.y_rows[rows]
+    # a lower-bounded row has the >= sense
+    return np.where((lo != hi) & np.isinf(hi), -y, y)
 
 
 class Certificate(NamedTuple):

@@ -31,10 +31,8 @@ alone, and its pin rows stand in for that boundary's seam rows.
 The seam-joined model is written window after window into one
 :class:`ModelBuilder`, with no copy pass.  A window shorter than a
 generator's start/stop history imports history at the same
-``(kind, owner, time)`` keys as the window before it, so each window
-keeps a key index of its own, and the model's ``col_index`` is their
-union taken in window order: such a repeated key resolves to the latest
-window.
+``(kind, owner, time)`` keys as the window before it; the model's
+``col_index`` resolves such a key to the latest window.
 
 Block layout
 ------------
@@ -55,24 +53,31 @@ n-dimensional labeled variables", JOSS 2023): ``to_convex`` hands it on
 without a copy, and ``row_coefs`` reads one row's ``{col: coef}`` from
 it when asked.  CSR keeps each row's entries in column order, so the
 order in which a family writes its terms never reaches the engine.
+
+A built model holds no Python object per column, row or ball either:
+``col_refs``, ``col_index``, ``row_labels``, ``cone_labels`` and
+``cones`` are read-only views over the builder's arrays and a small
+descriptor per window and per block (a window's first column, start,
+end and ownership; a block's families, owners and first step).  An item
+is made by the formula above when it is read, and never before.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import accumulate, chain, count, repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .convex import ConeRow, ConvexProgram
+from .convex import Cones, ConvexProgram, SequenceView
 from .instance import InstanceError, LoadProfile, NetworkInstance
 
-BINARY_KINDS = frozenset({"z_b", "z_d", "x_d", "y_d", "w_d"})
 BUILD_KINDS = ("z_b", "s_b", "z_d")
 
 # state imported at a window start gets its own column kinds so that the
@@ -109,24 +114,16 @@ class Slot:
 
 def coupling_slots(instance: NetworkInstance) -> tuple:
     """Canonical boundary layout, a function of the instance alone."""
-    slots = []
-    for b in instance.battery_specs:
-        slots.append(Slot("sc", b.id))
-    for d in instance.generator_specs:
-        slots.append(Slot("x", d.id))
-    for d in instance.generator_specs:
-        slots.append(Slot("p", d.id))
-    for d in instance.generator_specs:
-        for h in range(1, d.history_depth + 1):
-            slots.append(Slot("y", d.id, h))
-            slots.append(Slot("w", d.id, h))
-    for b in instance.battery_specs:
-        slots.append(Slot("z_b", b.id))
-    for b in instance.battery_specs:
-        slots.append(Slot("s_b", b.id))
-    for d in instance.generator_specs:
-        slots.append(Slot("z_d", d.id))
-    return tuple(slots)
+    bats, gens = instance.battery_specs, instance.generator_specs
+    return tuple([Slot("sc", b.id) for b in bats]
+                 + [Slot("x", d.id) for d in gens]
+                 + [Slot("p", d.id) for d in gens]
+                 + [Slot(kind, d.id, h) for d in gens
+                    for h in range(1, d.history_depth + 1)
+                    for kind in ("y", "w")]
+                 + [Slot("z_b", b.id) for b in bats]
+                 + [Slot("s_b", b.id) for b in bats]
+                 + [Slot("z_d", d.id) for d in gens])
 
 
 def horizon_start_boundary(instance: NetworkInstance) -> np.ndarray:
@@ -135,14 +132,9 @@ def horizon_start_boundary(instance: NetworkInstance) -> np.ndarray:
     Build slots are zero placeholders; windows that own the build
     decisions never pin them.
     """
-    values = []
-    for slot in coupling_slots(instance):
-        if slot.kind == "sc":
-            spec = next(b for b in instance.battery_specs if b.id == slot.owner)
-            values.append(spec.initial_soc)
-        else:
-            values.append(0.0)
-    return np.array(values)
+    soc = {b.id: b.initial_soc for b in instance.battery_specs}
+    return np.array([soc[slot.owner] if slot.kind == "sc" else 0.0
+                     for slot in coupling_slots(instance)])
 
 
 @dataclass(frozen=True)
@@ -153,10 +145,9 @@ class CouplingMeta:
                                  # (None for build slots when owned here)
 
 
-class RowCoefs(Sequence):
+class RowCoefs(SequenceView):
     """Read-only view of a CSR matrix's rows: its length is the row count,
-    and item i is row i's ``{col: coef}`` in column order, made when it is
-    read."""
+    and item i is row i's ``{col: coef}`` in column order."""
 
     def __init__(self, a):
         self._a = a
@@ -164,11 +155,114 @@ class RowCoefs(Sequence):
     def __len__(self):
         return self._a.shape[0]
 
-    def __getitem__(self, i):
+    def _item(self, i):
         a = self._a
-        i = range(a.shape[0])[i]        # IndexError past either end
         lo, hi = a.indptr[i:i + 2]
         return dict(zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist()))
+
+
+class _Chain(SequenceView):
+    """Sequences read one after another, as one."""
+
+    def __init__(self, blocks):
+        self._blocks = tuple(blocks)
+        self._starts = list(accumulate(map(len, self._blocks), initial=0))
+
+    def __len__(self):
+        return self._starts[-1]
+
+    def _item(self, i):
+        b = bisect_right(self._starts, i) - 1
+        return self._blocks[b][i - self._starts[b]]
+
+    def __iter__(self):
+        return chain.from_iterable(self._blocks)
+
+
+class _Cycle(SequenceView):
+    """Labels of rows (or balls) that cycle through the families `names`
+    at each of `steps` steps from `start`, group after group: row ``(g *
+    steps + t) * F + f`` is ``(names[f], owners[g * F + f], start + t)``."""
+
+    def __init__(self, names, owners, start, steps):
+        self.names, self.owners = names, owners
+        self.start, self.steps = start, steps
+
+    def __len__(self):
+        return len(self.owners) * self.steps
+
+    def _item(self, i):
+        width = len(self.names)
+        group, rest = divmod(i, self.steps * width)
+        t, f = divmod(rest, width)
+        return self.names[f], self.owners[group * width + f], self.start + t
+
+
+class _Columns(SequenceView):
+    """The columns of one window ``[start, end)`` as :class:`VarRef`, from
+    column `first` on: the layout's fixed columns (build decisions owned
+    by the window when `owned`), then those of each step."""
+
+    def __init__(self, layout, first, window, owned):
+        self.layout, self.first, self.owned = layout, first, owned
+        self.start, self.end = map(int, window)
+
+    def __len__(self):
+        lay = self.layout
+        return lay.fixed + len(lay.step_kinds) * (self.end - self.start)
+
+    def _item(self, i):
+        lay = self.layout
+        if i < lay.fixed:
+            kind, owner, lag = lay.fixed_keys[self.owned][i]
+            return VarRef(kind, owner, None if lag is None
+                          else self.start - lag, self.first + i)
+        t, pos = divmod(i - lay.fixed, len(lay.step_kinds))
+        return VarRef(lay.step_kinds[pos], lay.step_owners[pos],
+                      self.start + t, self.first + i)
+
+    def __iter__(self):
+        lay, start, steps = self.layout, self.start, self.end - self.start
+        fixed = lay.fixed_keys[self.owned]
+        kinds = [kind for kind, _, _ in fixed] + lay.step_kinds * steps
+        owners = [owner for _, owner, _ in fixed] + lay.step_owners * steps
+        times = [None if lag is None else start - lag
+                 for _, _, lag in fixed] \
+            + np.repeat(np.arange(start, self.end),
+                        len(lay.step_kinds)).tolist()
+        # VarRef._make without its per-call Python frame
+        return map(tuple.__new__, repeat(VarRef),
+                   zip(kinds, owners, times, count(self.first)))
+
+
+class _ColIndex(Mapping):
+    """The column of each key (kind, owner, time) of a model's windows
+    (:class:`_Columns`); a key repeated across windows resolves to the
+    latest one."""
+
+    def __init__(self, windows):
+        self._windows = windows
+
+    def __getitem__(self, key):
+        kind, owner, time = key
+        lay = self._windows[0].layout
+        pos = lay.step_pos.get((kind, owner))
+        for w in reversed(self._windows):
+            if pos is None:
+                i = lay.fixed_find[w.owned].get(
+                    (kind, owner, None if time is None else w.start - time))
+                if i is not None:
+                    return w.first + i
+            elif time is not None and w.start <= time < w.end:
+                return w.first + lay.fixed \
+                    + (time - w.start) * len(lay.step_kinds) + pos
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(dict.fromkeys(ref[:3] for w in self._windows for ref in w))
+
+    def __len__(self):
+        return sum(1 for _ in self)
 
 
 @dataclass
@@ -178,24 +272,28 @@ class MdopModel:
     `cones`, under the objective ``1/2 x' diag(p_diag) x + q' x + const``.
 
     `a` is the constraint matrix in CSR form, made once by
-    :class:`ModelBuilder`, and the model's only copy of its rows;
-    `row_labels` names each row (family, owner, time) and `col_refs` each
-    column.  :meth:`to_convex` hands `a` to the engine without a copy, so
-    a model is not changed in place once built: :func:`fix_binaries` and
-    :func:`relax_integrality` make new models that share it.
+    :class:`ModelBuilder`, and the model's only copy of its rows.
+    `row_labels` names each row (family, owner, time), `cone_labels` each
+    ball, and `col_refs` each column, which `col_index` finds by its key.
+    :class:`ModelBuilder` gives them and `cones` as read-only views whose
+    items are made when read (module docstring, "Block layout"); lists
+    and dicts serve as well.  :meth:`to_convex` hands `a` and `cones` to
+    the engine without a copy, so a model is not changed in place once
+    built: :func:`fix_binaries` and :func:`relax_integrality` make new
+    models that share them.
     """
     n: int
-    col_refs: list
-    col_index: dict
+    col_refs: Sequence           # VarRef per column
+    col_index: Mapping           # (kind, owner, time) -> column
     p_diag: np.ndarray
     q: np.ndarray
     const: float
     a: sp.csr_matrix             # rows by columns
     row_lo: np.ndarray
     row_hi: np.ndarray
-    row_labels: list             # (family, owner, time) per row
-    cones: list                  # ConeRow
-    cone_labels: list
+    row_labels: Sequence         # (family, owner, time) per row
+    cones: Sequence              # ConeRow per ball, `convex.Cones` if built
+    cone_labels: Sequence
     lb: np.ndarray
     ub: np.ndarray
     binaries: frozenset          # column indices
@@ -280,12 +378,17 @@ class _Layout:
                 cols.append(("y", d.id, h, 0.0, 1.0, 0.0))
                 cols.append(("w", d.id, h, 0.0, 1.0, 0.0))
         kinds, owners, lags, lb, ub, cost = zip(*cols) if cols else [()] * 6
+        self.fixed = len(cols)
         self.fixed_pos = {key: i for i, key in enumerate(zip(kinds, owners,
                                                              lags))}
-        self.fixed_kinds = {True: [k if lag == 0 else INIT_KINDS[k]
-                                   for k, lag in zip(kinds, lags)],
-                            False: [INIT_KINDS[k] for k in kinds]}
-        self.fixed_owners, self.fixed_lags = list(owners), lags
+        # a column's key is (kind, owner, window start - lag), with lag
+        # None for the build decisions a window owns (time None)
+        self.fixed_keys = {owned: [(k, o, None) if owned and lag == 0
+                                   else (INIT_KINDS[k], o, lag)
+                                   for k, o, lag in zip(kinds, owners, lags)]
+                           for owned in (True, False)}
+        self.fixed_find = {owned: {key: i for i, key in enumerate(keys)}
+                           for owned, keys in self.fixed_keys.items()}
         zero = [0.0] * len(cols)
         self.fixed_data = {
             True: np.array([lb, ub, cost, zero], dtype=float).reshape(4, -1),
@@ -302,11 +405,9 @@ class _Layout:
         shed_cost = inst.shed_penalty * base
         cols = []    # kind, owner, lb, ub, cost, quad, binary
         for bus in inst.buses:
-            fixed = 1.0 if bus.id == inst.slack_bus else None
-            cols.append(("v", bus.id,
-                         fixed if fixed is not None else bus.v_min,
-                         fixed if fixed is not None else bus.v_max,
-                         0.0, 0.0, False))
+            slack = bus.id == inst.slack_bus
+            cols.append(("v", bus.id, 1.0 if slack else bus.v_min,
+                         1.0 if slack else bus.v_max, 0.0, 0.0, False))
             cols.append(("shed_p", bus.id, 0.0, 0.0, shed_cost, 0.0, False))
             cols.append(("shed_q", bus.id, 0.0, 0.0, shed_cost, 0.0, False))
         for line in inst.lines:
@@ -344,6 +445,11 @@ class _Layout:
         kinds, owners, lb, ub, cost, quad, binary = zip(*cols)
         self.step_kinds, self.step_owners = list(kinds), list(owners)
         self.step_pos = {key: i for i, key in enumerate(zip(kinds, owners))}
+        if len(self.step_pos) != len(kinds):
+            # two lines under one id, say, would share their flow columns
+            keys = list(zip(kinds, owners))
+            key = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise FormulationError(f"duplicate column {(*key, 0)}")
         self.step_data = np.array([lb, ub, cost, quad], dtype=float)
         self.step_binary = np.flatnonzero(binary)
         self.shed_pos = [[self.step_pos[(kind, bus.id)] for bus in inst.buses]
@@ -433,18 +539,12 @@ class ModelBuilder:
     """Writes the columns, rows and cones of one time window, or of
     consecutive windows one after another, a constraint family at a time.
 
-    Columns.  A window whose first column is ``o`` holds ``F`` fixed
-    columns (the build decisions, then the state imported at its start),
-    then ``C`` columns for each time step.  The `layout` (a
-    :class:`_Layout`, fixed by the instance and the step length) places a
-    fixed column by `fixed_pos` and a column of one step by `step_pos`,
-    so column ``(kind, owner, t)`` is
-
-        o + F + (t - start) * C + step_pos[(kind, owner)],
-
-    and a fixed one is ``o + fixed_pos[(kind, owner, lag)]``.  Every row
-    family takes its columns over the window from these formulas as one
-    NumPy index array.
+    Columns.  A window's columns follow the block layout of the module
+    docstring.  The `layout` (a :class:`_Layout`, fixed by the instance
+    and the step length) places a column of one step by `step_pos` and a
+    fixed one, ``o + fixed_pos[(kind, owner, lag)]``, by its lag behind
+    the window start.  Every row family takes its columns over the window
+    from these places as one NumPy index array.
 
     Rows and cones.  A family is written as a column array and a
     coefficient per term position, plus its bounds.  The families are
@@ -456,15 +556,15 @@ class ModelBuilder:
     (:meth:`_owner_rows`).  Families with few rows each (the network's,
     the resource limits) are templates in the layout, repeated over the
     window (:meth:`_from_template`).  :meth:`model` makes the constraint
-    matrix from every block's entries in one CSR construction, which
-    sorts each row's entries by column: the order in which a block lists
-    them does not matter.
+    matrix from every block's entries in one CSR construction.
 
-    `window`, `own_builds` and `col_index` describe the window being
-    built; :meth:`begin_window` starts the next one.  Each window's
-    `col_index` holds only its own columns.  The model's index is the
-    union of the window indexes in window order: a key repeated across
-    windows resolves to the latest one.
+    Registries.  Each window leaves a :class:`_Columns` descriptor, each
+    row or ball block a label sequence (a :class:`_Cycle` where it
+    repeats over the steps), and each ball block its column and radius
+    arrays.  :meth:`model` joins them into the model's views; no column
+    reference, label or ball is made until it is read.  `window` and
+    `own_builds` describe the window being built; :meth:`begin_window`
+    starts the next one.
     """
 
     def __init__(self, instance: NetworkInstance, loads: LoadProfile,
@@ -475,16 +575,16 @@ class ModelBuilder:
             self.layout = _layout(instance, loads.dt)
         except TypeError:       # an instance holding lists is no cache key
             self.layout = _Layout(instance, loads.dt)
-        self.window_indexes = []
-        self.col_refs = []
-        self.col_data = []           # (lb, ub, q, p_diag) per window
+        self.columns = []            # _Columns per window
+        self.n = 0                   # columns so far
+        self.col_data = []           # rows lb, ub, q, p_diag per window
         self.binary_cols = []        # binary column indices per window
         self.m = 0                   # rows so far
         self.entries = []            # (row, col, coef) arrays per block
         self.row_lo = []             # bound arrays per row block
         self.row_hi = []
-        self.row_labels = []
-        self.cones = []
+        self.row_labels = []         # label sequence per row block
+        self.cones = []              # (cols, radius, radius_col) per block
         self.cone_labels = []
         self.const = 0.0
         self.begin_window(window, own_builds)
@@ -499,8 +599,6 @@ class ModelBuilder:
                 f"{self.loads.horizon}")
         self.window = (start, end)
         self.own_builds = own_builds
-        self.col_index = {}
-        self.window_indexes.append(self.col_index)
 
     def build_window(self):
         """Every constraint family of the current window, boundary pins
@@ -580,7 +678,7 @@ class ModelBuilder:
         first = self.m
         rows, cols, vals = entries
         self.m += len(labels)
-        self.row_labels += labels
+        self.row_labels.append(labels)
         self.entries.append((first + rows, cols, vals))
         for side, bound in ((self.row_lo, lo), (self.row_hi, hi)):
             block = np.empty(len(labels))
@@ -596,7 +694,7 @@ class ModelBuilder:
         an owner's rows lack that term, and a coefficient, one number or a
         list with one per owner; each bound is a number or a list with one
         per owner.  All families are made in one pass."""
-        start, end = self.window
+        start = self.window[0]
         steps, owners = self.steps, len(ids)
         names, cols, coefs, lo, hi = zip(*families)
         width = len(names)
@@ -612,26 +710,15 @@ class ModelBuilder:
         bounds = np.array([_per_owner(lo, owners), _per_owner(hi, owners)],
                           dtype=float)
         lo, hi = bounds.transpose(0, 2, 1).repeat(steps, axis=1).reshape(2, -1)
-        times = np.repeat(np.arange(start, end), width).tolist()
-        labels = list(zip(names * (steps * owners),
-                          chain.from_iterable(map(repeat, ids,
-                                                  repeat(width * steps))),
-                          times * owners))
-        self._row_block(labels, lo, hi, entries)
+        self._row_block(_Cycle(names, [i for i in ids for _ in names],
+                               start, steps), lo, hi, entries)
 
-    def _cone_block(self, labels, cols, radius, radius_col):
-        """One ball per label: the norm of its `cols` within `radius`, or
-        within the value of column `radius_col`."""
-        # ConeRow._make without its per-call Python frame
-        self.cones += map(tuple.__new__, repeat(ConeRow),
-                          zip(cols, radius, radius_col))
-        self.cone_labels += labels
-
-    def _step_labels(self, families, owners):
-        """(family, owner, t) of a cycle of rows repeated at every step."""
-        start, end = self.window
-        times = np.repeat(np.arange(start, end), len(families)).tolist()
-        return list(zip(families * self.steps, owners * self.steps, times))
+    def _cone_block(self, labels, p, q, radius, radius_col):
+        """One ball per label: the norm of columns `p` and `q` (arrays
+        with one entry per label) within `radius`, or within the value of
+        column `radius_col` where that is not -1."""
+        self.cones.append((np.stack([p, q], axis=1), radius, radius_col))
+        self.cone_labels.append(labels)
 
     # -- builders, one constraint family each -----------------------------
 
@@ -640,36 +727,19 @@ class ModelBuilder:
         start, end = self.window
         steps = end - start
         owned = self.own_builds
-        first = len(self.col_refs)
+        first = self.n
         width = len(lay.step_kinds)
         self.window_first = first
-        self.step_starts = first + len(lay.fixed_lags) \
-            + width * np.arange(steps)
-        kinds = lay.fixed_kinds[owned] + lay.step_kinds * steps
-        owners = lay.fixed_owners + lay.step_owners * steps
-        times = [None if owned and lag == 0 else start - lag
-                 for lag in lay.fixed_lags] \
-            + np.repeat(np.arange(start, end), width).tolist()
+        self.step_starts = first + lay.fixed + width * np.arange(steps)
+        self.columns.append(_Columns(lay, first, self.window, owned))
+        self.n += len(self.columns[-1])
         data = np.tile(lay.step_data, steps)
         for load, pos in zip((self.loads.p, self.loads.q), lay.shed_pos):
             load = load[start:end]
             data[1].reshape(steps, width)[:, pos] = np.where(load < 0.0, 0.0,
                                                               load)
-        lb, ub, cost, quad = np.concatenate([lay.fixed_data[owned], data],
-                                            axis=1)
-
-        cols = range(first, first + len(kinds))
-        self.col_index.update(zip(zip(kinds, owners, times), cols))
-        if len(self.col_index) != len(cols):
-            seen = set()
-            for key in zip(kinds, owners, times):
-                if key in seen:
-                    raise FormulationError(f"duplicate column {key}")
-                seen.add(key)
-        # VarRef._make without its per-call Python frame
-        self.col_refs += map(tuple.__new__, repeat(VarRef),
-                             zip(kinds, owners, times, cols))
-        self.col_data.append((lb, ub, cost, quad))
+        self.col_data.append(np.concatenate([lay.fixed_data[owned], data],
+                                            axis=1))
         self.binary_cols.append(np.concatenate([
             first + np.array(lay.fixed_binary if owned else [],
                              dtype=np.int64),
@@ -683,8 +753,8 @@ class ModelBuilder:
         buses = len(self.instance.buses)
         demand[:, 0:2 * buses:2] = self.loads.p[start:end]
         demand[:, 1:2 * buses:2] = self.loads.q[start:end]
-        self._row_block(self._step_labels(lay.network_families,
-                                          lay.network_owners),
+        self._row_block(_Cycle(lay.network_families, lay.network_owners,
+                               start, self.steps),
                         demand.ravel(), demand.ravel(),
                         self._from_template(lay.network_template, size,
                                             self.step_starts))
@@ -692,10 +762,11 @@ class ModelBuilder:
         lines = self.instance.lines
         ids = [line.id for line in lines]
         p, q = self._owner_series(("p_line", "q_line"), ids)
-        self._cone_block(self._step_labels(["thermal"] * len(ids), ids),
-                         zip(p.T.ravel().tolist(), q.T.ravel().tolist()),
-                         [line.s_max for line in lines] * self.steps,
-                         repeat(None))
+        self._cone_block(_Cycle(["thermal"] * len(ids), ids, start,
+                                self.steps),
+                         p.T.ravel(), q.T.ravel(),
+                         np.tile([line.s_max for line in lines], self.steps),
+                         np.full(p.size, -1))
 
     def build_resource_limits(self):
         lay = self.layout
@@ -761,12 +832,8 @@ class ModelBuilder:
                                             ids)
         z = np.repeat(self._fixed_cols("z_b", ids), steps, axis=1)
         s = np.repeat(self._fixed_cols("s_b", ids), steps, axis=1)
-        self._cone_block(
-            list(zip(repeat("bat_rating"),
-                     chain.from_iterable(map(repeat, ids, repeat(steps))),
-                     list(range(*self.window)) * len(ids))),
-            zip(p.ravel().tolist(), q.ravel().tolist()), repeat(0.0),
-            s.ravel().tolist())
+        self._cone_block(_Cycle(["bat_rating"], ids, self.window[0], steps),
+                         p.ravel(), q.ravel(), np.zeros(p.size), s.ravel())
         self._owner_rows(ids, [
             ("soc_step", [sc, self._lagged(sc, "sc", ids), phat],
              (1.0, -1.0, self.loads.dt), 0.0, 0.0),
@@ -846,35 +913,24 @@ class ModelBuilder:
     def model(self, coupling: CouplingMeta, window) -> MdopModel:
         """Freeze the accumulated columns, rows and cones; the constraint
         matrix is made here, in one CSR construction from every block's
-        entries."""
-        col_index, *later = self.window_indexes
-        if later:
-            col_index = dict(col_index)
-            for index in later:
-                col_index.update(index)
-        lb, ub, q, p_diag = map(np.concatenate, zip(*self.col_data))
-        n = len(self.col_refs)
+        entries, and the balls' arrays in one concatenation."""
+        lb, ub, q, p_diag = np.concatenate(self.col_data, axis=1)
+        n = self.n
         rows, cols, vals = map(np.concatenate, zip(*self.entries))
+        balls, radius, radius_col = map(np.concatenate, zip(*self.cones))
+        columns = tuple(self.columns)
         return MdopModel(
-            n=n,
-            col_refs=self.col_refs,
-            col_index=col_index,
-            p_diag=p_diag,
-            q=q,
-            const=self.const,
+            n=n, col_refs=_Chain(columns), col_index=_ColIndex(columns),
+            p_diag=p_diag, q=q, const=self.const,
             a=sp.csr_matrix((vals, (rows, cols)), shape=(self.m, n)),
             row_lo=np.concatenate(self.row_lo),
             row_hi=np.concatenate(self.row_hi),
-            row_labels=self.row_labels,
-            cones=self.cones,
-            cone_labels=self.cone_labels,
-            lb=lb,
-            ub=ub,
+            row_labels=_Chain(self.row_labels),
+            cones=Cones(balls.ravel(), np.arange(len(balls)).repeat(2),
+                        radius, radius_col),
+            cone_labels=_Chain(self.cone_labels), lb=lb, ub=ub,
             binaries=frozenset(np.concatenate(self.binary_cols).tolist()),
-            coupling=coupling,
-            window=window,
-            dt=self.loads.dt,
-        )
+            coupling=coupling, window=window, dt=self.loads.dt)
 
 
 def assemble(instance: NetworkInstance, loads: LoadProfile, window=None,
@@ -1212,9 +1268,7 @@ def dump_model(model: MdopModel, path) -> Path:
     """Sparse text dump: one `sense rhs {col:coef}` line per row, with
     bounds, cones, binaries, and the objective in separate sections."""
     path = Path(path)
-    out = []
-    out.append(f"ncols {model.n}")
-    out.append(f"const {float(model.const)!r}")
+    out = [f"ncols {model.n}", f"const {float(model.const)!r}"]
     for j in range(model.n):
         terms = []
         if model.q[j]:

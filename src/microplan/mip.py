@@ -69,13 +69,15 @@ class _Tightener:
     def __init__(self, model: MdopModel):
         start, end = model.window
         index = model.col_index
+        slots = model.coupling.slots
         self.caps = []      # (s_b column, z_b column) with cap = ub_z * base ub_s
         self.gates = []     # (z_d column, x_d columns)
-        for b in sorted({r.owner for r in model.col_refs if r.kind == "s_b"}):
+        # the build binaries exist only where the model owns the builds
+        for b in sorted({s.owner for s in slots if s.kind == "s_b"}):
             jz = index.get(("z_b", b, None))
             if jz is not None:
                 self.caps.append((index[("s_b", b, None)], jz))
-        for g in sorted({r.owner for r in model.col_refs if r.kind == "x_d"}):
+        for g in sorted({s.owner for s in slots if s.kind == "x"}):
             jz = index.get(("z_d", g, None))
             if jz is not None:
                 xs = np.array([index[("x_d", g, t)] for t in range(start, end)])

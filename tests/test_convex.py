@@ -14,8 +14,8 @@ import pytest
 import scipy.sparse as sp
 
 from microplan.convex import (
-    ConeRow, ConvexProgram, EngineError, PrimalDualSolution, QpWorkspace,
-    Settings, _Cones, certify, get_duals, solve_qp, solve_qcqp,
+    ConeRow, Cones, ConvexProgram, EngineError, PrimalDualSolution,
+    QpWorkspace, Settings, _Cones, certify, get_duals, solve_qp, solve_qcqp,
 )
 from microplan.formulation import assemble, relax_integrality
 from microplan.instance import synth_load
@@ -149,6 +149,34 @@ class TestValidation:
             make_prog([1.0, 1.0], [0.0, 0.0],
                       cones=[ConeRow(cols=(0, 1), radius=1.0),
                              ConeRow(cols=(0,), radius_col=radius_col)])
+
+    def test_first_bad_cone_is_named_in_arrays(self):
+        # the balls of test_first_bad_cone_is_named as flat arrays
+        cones = Cones(cols=[0, 1, 1, 2, 0, 2], owner=[0, 0, 1, 2, 2, 2],
+                      radius=[1.0, 0.0, 1.0, 1.0], radius_col=[-1, 2, -1, -1])
+        assert list(cones) == [ConeRow(cols=(0, 1), radius=1.0),
+                               ConeRow(cols=(1,), radius_col=2),
+                               ConeRow(cols=(2, 0, 2), radius=1.0),
+                               ConeRow(cols=(), radius=1.0)]
+        with pytest.raises(EngineError, match="^cone 2 has invalid columns$"):
+            make_prog([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], cones=cones)
+
+    @pytest.mark.parametrize("radius_col", [-2, 2, 5])
+    def test_radius_column_out_of_range_rejected_in_arrays(self, radius_col):
+        # in the array form -1 marks a constant radius
+        cones = Cones([0, 1, 0], [0, 0, 1], [1.0, 0.0], [-1, radius_col])
+        with pytest.raises(EngineError,
+                           match="^cone 1 has invalid radius column$"):
+            make_prog([1.0, 1.0], [0.0, 0.0], cones=cones)
+
+    @pytest.mark.parametrize("cols, owner, radius", [
+        ([0, 1], [0], [1.0]),                # a column without a ball
+        ([0, 1], [1, 0], [1.0, 1.0]),        # balls out of order
+        ([0, 1], [0, 1], [1.0]),             # a ball past the last
+    ])
+    def test_misaligned_cone_arrays_rejected(self, cols, owner, radius):
+        with pytest.raises(EngineError, match="do not line up"):
+            Cones(cols, owner, radius, [-1] * len(radius))
 
     def test_qp_rejects_cone_rows(self):
         prog = make_prog([1.0, 1.0], [0.0, 0.0],
@@ -527,6 +555,29 @@ class TestQcqp:
             norm = np.linalg.norm(x[list(cone.cols)])
             gap += sol.cone_duals[k] * abs(radius - norm)
         assert gap <= 1e-8 * max(1.0, abs(sol.objective))
+
+    def test_array_cones_equal_listed_cones(self):
+        # a model hands the engine its balls as arrays; the same balls as
+        # a list of ConeRow make the same program and the same solve
+        inst = gen_bat_instance()
+        loads = synth_load(inst, 1, 0.25, {"b2": 0.4}, seed=0)
+        model = relax_integrality(assemble(inst, loads, window=(0, 4)))
+        arrays = model.to_convex()
+        listed = ConvexProgram(model.p_diag, model.q, model.a, model.row_lo,
+                               model.row_hi, model.lb, model.ub,
+                               list(model.cones), model.const)
+        assert isinstance(arrays.cones, Cones)
+        assert isinstance(listed.cones, Cones)
+        for name in ("cone_cols", "cone_owner", "radius_col", "radius"):
+            got, want = getattr(arrays, name), getattr(listed, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        got, want = solve_qcqp(arrays), solve_qcqp(listed)
+        assert got.status == want.status == "optimal"
+        for name in ("x", "y_rows", "y_bounds", "cone_duals"):
+            assert np.array_equal(getattr(got, name),
+                                  getattr(want, name)), name
+        assert (got.objective, got.iterations, got.detail) \
+            == (want.objective, want.iterations, want.detail)
 
     def test_infeasible_qcqp(self):
         prog = make_prog([0.0, 0.0], [0.0, 0.0],

@@ -7,6 +7,7 @@ for the model dump format, and closed-form column/row count formulas
 derived from the constraint families by hand.
 """
 
+import gc
 import hashlib
 import itertools
 import json
@@ -26,6 +27,7 @@ try:
 except ImportError:     # the oracles skip the cross-check without it
     cp = None
 
+from microplan.decomposition import partition
 from microplan.formulation import (
     FormulationError, INIT_KINDS, ModelBuilder, assemble, build_seamed,
     check_feasibility, coupling_slots, dump_model, extract_plan, fix_binaries,
@@ -1147,7 +1149,7 @@ def layout_digest(model):
     h.update(repr([(tuple(int(j) for j in c.cols), float(c.radius),
                     None if c.radius_col is None else int(c.radius_col))
                    for c in prog.cones]).encode())
-    h.update(repr(model.row_labels).encode())
+    h.update(repr(list(model.row_labels)).encode())
     h.update(repr([(r.kind, r.owner, r.time, r.col)
                    for r in model.col_refs]).encode())
     h.update(repr(list(model.col_index.items())).encode())
@@ -1299,6 +1301,52 @@ def test_to_convex_shares_the_model_matrix():
     assert rows[-1] == rows[len(rows) - 1]
     with pytest.raises(IndexError):
         rows[len(rows)]
+
+
+def seamed_five_bus():
+    inst, loads, windows = five_bus_case()
+    return build_seamed(inst, loads, windows).model
+
+
+@pytest.mark.parametrize("name", ["row_coefs", "col_refs", "row_labels",
+                                  "cone_labels", "cones"])
+def test_views_index_like_lists(name):
+    # a seam-joined model's views span windows and blocks of every kind
+    view = getattr(seamed_five_bus(), name)
+    items = list(view)
+    n = len(items)
+    assert len(view) == n > 10
+    for i in (0, 1, n - 1, -1, -n, np.int64(3)):
+        assert view[i] == items[i], i
+    for part in (slice(0, 2), slice(-3, None), slice(None, None, -7),
+                 slice(5, 2), slice(n - 2, n + 5)):
+        got = view[part]
+        assert type(got) is list and got == items[part], part
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+
+
+def test_builds_add_no_object_per_column():
+    # with the layout cached, a build makes a few Python objects per
+    # window and block; one per column would be thousands
+    inst = five_bus_instance()
+    loads = five_bus_loads(inst, 96)
+    builds = {"assemble": lambda: assemble(inst, loads),
+              "build_seamed": lambda: build_seamed(inst, loads,
+                                                   partition(96, 8).windows)}
+    for name, build in builds.items():
+        build()
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            built = build()
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert getattr(built, "model", built).n >= 4150
+        assert added < 1000, (name, added)
 
 
 def test_network_without_candidates():

@@ -16,15 +16,17 @@ import pytest
 import scipy.sparse as sp
 
 from test_formulation import (
-    bat_only_instance, cvx_solve, flat_loads, gen_bat_instance,
+    bat_only_instance, cvx_solve, five_bus_case, flat_loads, gen_bat_instance,
 )
 
 from microplan.convex import certify, get_duals, solve_qcqp
 from microplan.formulation import (
-    FormulationError, assemble, coupling_slots, fix_binaries,
+    FormulationError, assemble, build_seamed, coupling_slots, fix_binaries,
     horizon_start_boundary,
 )
-from microplan.mip import MipResult, solve_fixed_then_duals, solve_miqcqp
+from microplan.mip import (
+    MipResult, _Tightener, solve_fixed_then_duals, solve_miqcqp,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -363,3 +365,36 @@ def test_result_dataclass_round_trip(two_step_result):
     assert isinstance(res, MipResult)
     assert res.solve_time > 0.0
     assert res.nodes == len(res.log)
+
+
+def scanned_tightenings(model):
+    """The tightener's caps and gates found by a scan of every column,
+    with a dict index in which a repeated key keeps its latest column."""
+    start, end = model.window
+    index = {ref[:3]: ref.col for ref in model.col_refs}
+    caps, gates = [], []
+    for b in sorted({r.owner for r in model.col_refs if r.kind == "s_b"}):
+        if ("z_b", b, None) in index:
+            caps.append((index[("s_b", b, None)], index[("z_b", b, None)]))
+    for g in sorted({r.owner for r in model.col_refs if r.kind == "x_d"}):
+        if ("z_d", g, None) in index:
+            gates.append((index[("z_d", g, None)],
+                          [index[("x_d", g, t)] for t in range(start, end)]))
+    return caps, gates
+
+
+def test_tightener_finds_the_columns_of_a_scan():
+    pair = gen_bat_instance()
+    inst, loads, windows = five_bus_case()
+    models = {
+        "2-bus": assemble(pair, flat_loads(pair, 4)),
+        "5-bus": assemble(inst, loads),
+        "later stage": assemble(inst, loads, window=(2, 6), own_builds=False),
+        "seam-joined": build_seamed(inst, loads, windows).model,
+    }
+    for name, model in models.items():
+        caps, gates = scanned_tightenings(model)
+        tight = _Tightener(model)
+        assert tight.caps == caps, name
+        assert [(jz, xs.tolist()) for jz, xs in tight.gates] == gates, name
+        assert bool(caps) == bool(gates) == (name != "later stage"), name
