@@ -31,8 +31,8 @@ alone, and its pin rows stand in for that boundary's seam rows.
 The seam-joined model is written window after window into one
 :class:`ModelBuilder`, with no copy pass.  A window shorter than a
 generator's start/stop history imports history at the same
-``(kind, owner, time)`` keys as the window before it; the model's
-``col_index`` resolves such a key to the latest window.
+``(kind, owner, time)`` keys as the window before it;
+:meth:`MdopModel.col` resolves such a key to the latest window.
 
 Block layout
 ------------
@@ -54,23 +54,24 @@ without a copy, and ``row_coefs`` reads one row's ``{col: coef}`` from
 it when asked.  CSR keeps each row's entries in column order, so the
 order in which a family writes its terms never reaches the engine.
 
-A built model holds no Python object per column, row or ball either:
-``col_refs``, ``col_index``, ``row_labels``, ``cone_labels`` and
-``cones`` are read-only views over the builder's arrays and a small
-descriptor per window and per block (a window's first column, start,
-end and ownership; a block's families, owners and first step).  An item
-is made by the formula above when it is read, and never before.
+A built model holds no Python object per column, row or ball either.
+It keeps the layout, a ``(first, start, end, owned)`` tuple per window
+and a ``(first, labels)`` pair per row or ball block, whose labels are
+a list or, for a block that repeats over the steps, a :class:`_Cycle`.
+:meth:`MdopModel.col` finds a column by the formula above, and
+``describe_col``, ``describe_row`` and ``describe_cone`` name a column,
+row or ball when asked; nothing is named before.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate, chain, count, repeat
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,11 +94,12 @@ class FormulationError(ValueError):
     pass
 
 
-class VarRef(NamedTuple):
-    kind: str
-    owner: str
-    time: int | None
-    col: int
+def _check_bus_order(instance: NetworkInstance, loads: LoadProfile):
+    """Load column j must be bus j of the instance."""
+    buses = tuple(b.id for b in instance.buses)
+    if tuple(loads.bus_ids) != buses:
+        raise FormulationError(f"load profile buses {tuple(loads.bus_ids)} are"
+                               f" not the instance's buses {buses} in order")
 
 
 @dataclass(frozen=True)
@@ -161,24 +163,6 @@ class RowCoefs(SequenceView):
         return dict(zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist()))
 
 
-class _Chain(SequenceView):
-    """Sequences read one after another, as one."""
-
-    def __init__(self, blocks):
-        self._blocks = tuple(blocks)
-        self._starts = list(accumulate(map(len, self._blocks), initial=0))
-
-    def __len__(self):
-        return self._starts[-1]
-
-    def _item(self, i):
-        b = bisect_right(self._starts, i) - 1
-        return self._blocks[b][i - self._starts[b]]
-
-    def __iter__(self):
-        return chain.from_iterable(self._blocks)
-
-
 class _Cycle(SequenceView):
     """Labels of rows (or balls) that cycle through the families `names`
     at each of `steps` steps from `start`, group after group: row ``(g *
@@ -198,71 +182,12 @@ class _Cycle(SequenceView):
         return self.names[f], self.owners[group * width + f], self.start + t
 
 
-class _Columns(SequenceView):
-    """The columns of one window ``[start, end)`` as :class:`VarRef`, from
-    column `first` on: the layout's fixed columns (build decisions owned
-    by the window when `owned`), then those of each step."""
-
-    def __init__(self, layout, first, window, owned):
-        self.layout, self.first, self.owned = layout, first, owned
-        self.start, self.end = map(int, window)
-
-    def __len__(self):
-        lay = self.layout
-        return lay.fixed + len(lay.step_kinds) * (self.end - self.start)
-
-    def _item(self, i):
-        lay = self.layout
-        if i < lay.fixed:
-            kind, owner, lag = lay.fixed_keys[self.owned][i]
-            return VarRef(kind, owner, None if lag is None
-                          else self.start - lag, self.first + i)
-        t, pos = divmod(i - lay.fixed, len(lay.step_kinds))
-        return VarRef(lay.step_kinds[pos], lay.step_owners[pos],
-                      self.start + t, self.first + i)
-
-    def __iter__(self):
-        lay, start, steps = self.layout, self.start, self.end - self.start
-        fixed = lay.fixed_keys[self.owned]
-        kinds = [kind for kind, _, _ in fixed] + lay.step_kinds * steps
-        owners = [owner for _, owner, _ in fixed] + lay.step_owners * steps
-        times = [None if lag is None else start - lag
-                 for _, _, lag in fixed] \
-            + np.repeat(np.arange(start, self.end),
-                        len(lay.step_kinds)).tolist()
-        # VarRef._make without its per-call Python frame
-        return map(tuple.__new__, repeat(VarRef),
-                   zip(kinds, owners, times, count(self.first)))
-
-
-class _ColIndex(Mapping):
-    """The column of each key (kind, owner, time) of a model's windows
-    (:class:`_Columns`); a key repeated across windows resolves to the
-    latest one."""
-
-    def __init__(self, windows):
-        self._windows = windows
-
-    def __getitem__(self, key):
-        kind, owner, time = key
-        lay = self._windows[0].layout
-        pos = lay.step_pos.get((kind, owner))
-        for w in reversed(self._windows):
-            if pos is None:
-                i = lay.fixed_find[w.owned].get(
-                    (kind, owner, None if time is None else w.start - time))
-                if i is not None:
-                    return w.first + i
-            elif time is not None and w.start <= time < w.end:
-                return w.first + lay.fixed \
-                    + (time - w.start) * len(lay.step_kinds) + pos
-        raise KeyError(key)
-
-    def __iter__(self):
-        return iter(dict.fromkeys(ref[:3] for w in self._windows for ref in w))
-
-    def __len__(self):
-        return sum(1 for _ in self)
+def _block_of(blocks, i, size):
+    """The block holding item i of `size` (indexed as a list is) among
+    consecutive blocks led by their first item, and i's place in it."""
+    i = range(size)[i]
+    block = blocks[bisect_right(blocks, i, key=itemgetter(0)) - 1]
+    return block, i - block[0]
 
 
 @dataclass
@@ -273,33 +198,31 @@ class MdopModel:
 
     `a` is the constraint matrix in CSR form, made once by
     :class:`ModelBuilder`, and the model's only copy of its rows.
-    `row_labels` names each row (family, owner, time), `cone_labels` each
-    ball, and `col_refs` each column, which `col_index` finds by its key.
-    :class:`ModelBuilder` gives them and `cones` as read-only views whose
-    items are made when read (module docstring, "Block layout"); lists
-    and dicts serve as well.  :meth:`to_convex` hands `a` and `cones` to
-    the engine without a copy, so a model is not changed in place once
-    built: :func:`fix_binaries` and :func:`relax_integrality` make new
-    models that share them.
+    Columns, rows and balls are named only when asked, by :meth:`col`
+    and the ``describe_*`` methods, from `layout` and the blocks (module
+    docstring, "Block layout").  :meth:`to_convex` hands `a` and `cones`
+    to the engine without a copy, so a model is not changed in place
+    once built: :func:`fix_binaries` and :func:`relax_integrality` make
+    new models that share them.
     """
     n: int
-    col_refs: Sequence           # VarRef per column
-    col_index: Mapping           # (kind, owner, time) -> column
     p_diag: np.ndarray
     q: np.ndarray
     const: float
     a: sp.csr_matrix             # rows by columns
     row_lo: np.ndarray
     row_hi: np.ndarray
-    row_labels: Sequence         # (family, owner, time) per row
     cones: Sequence              # ConeRow per ball, `convex.Cones` if built
-    cone_labels: Sequence
     lb: np.ndarray
     ub: np.ndarray
     binaries: frozenset          # column indices
     coupling: CouplingMeta
     window: tuple
     dt: float
+    layout: _Layout
+    col_blocks: tuple            # (first, start, end, owned) per window
+    row_blocks: tuple            # (first, labels) per row block
+    cone_blocks: tuple           # (first, labels) per ball block
 
     @property
     def row_coefs(self) -> RowCoefs:
@@ -312,7 +235,40 @@ class MdopModel:
                              self.const)
 
     def col(self, kind, owner, time=None) -> int:
-        return self.col_index[(kind, owner, time)]
+        """The column of key ``(kind, owner, time)``, in the latest window
+        that has it; KeyError if none has."""
+        lay = self.layout
+        pos = lay.step_pos.get((kind, owner))
+        for first, start, end, owned in reversed(self.col_blocks):
+            if pos is None:
+                i = lay.fixed_find[owned].get(
+                    (kind, owner, None if time is None else start - time))
+                if i is not None:
+                    return first + i
+            elif time is not None and start <= time < end:
+                return first + lay.fixed \
+                    + (time - start) * len(lay.step_kinds) + pos
+        raise KeyError((kind, owner, time))
+
+    def describe_col(self, j) -> tuple:
+        """The key ``(kind, owner, time)`` of column j."""
+        (_, start, _, owned), i = _block_of(self.col_blocks, j, self.n)
+        lay = self.layout
+        if i < lay.fixed:
+            kind, owner, lag = lay.fixed_keys[owned][i]
+            return kind, owner, None if lag is None else start - lag
+        t, pos = divmod(i - lay.fixed, len(lay.step_kinds))
+        return lay.step_kinds[pos], lay.step_owners[pos], start + t
+
+    def describe_row(self, i) -> tuple:
+        """The label of row i: (family, owner, time) for a window's rows."""
+        (_, labels), i = _block_of(self.row_blocks, i, self.a.shape[0])
+        return labels[i]
+
+    def describe_cone(self, k) -> tuple:
+        """The label (family, owner, time) of ball k."""
+        (_, labels), k = _block_of(self.cone_blocks, k, len(self.cones))
+        return labels[k]
 
     def objective_value(self, x) -> float:
         return 0.5 * float(x @ (self.p_diag * x)) + float(self.q @ x) + self.const
@@ -558,24 +514,23 @@ class ModelBuilder:
     window (:meth:`_from_template`).  :meth:`model` makes the constraint
     matrix from every block's entries in one CSR construction.
 
-    Registries.  Each window leaves a :class:`_Columns` descriptor, each
-    row or ball block a label sequence (a :class:`_Cycle` where it
-    repeats over the steps), and each ball block its column and radius
-    arrays.  :meth:`model` joins them into the model's views; no column
-    reference, label or ball is made until it is read.  `window` and
-    `own_builds` describe the window being built; :meth:`begin_window`
-    starts the next one.
+    Names.  Each window leaves a ``(first, start, end, owned)`` tuple,
+    each row or ball block a ``(first, labels)`` pair (labels that repeat
+    over the steps as a :class:`_Cycle`), which :meth:`model` hands to the
+    model as they are.  `window` and `own_builds` describe the window
+    being built; :meth:`begin_window` starts the next one.
     """
 
     def __init__(self, instance: NetworkInstance, loads: LoadProfile,
                  window, own_builds=True):
+        _check_bus_order(instance, loads)
         self.instance = instance
         self.loads = loads
         try:
             self.layout = _layout(instance, loads.dt)
         except TypeError:       # an instance holding lists is no cache key
             self.layout = _Layout(instance, loads.dt)
-        self.columns = []            # _Columns per window
+        self.col_blocks = []         # (first, start, end, owned) per window
         self.n = 0                   # columns so far
         self.col_data = []           # rows lb, ub, q, p_diag per window
         self.binary_cols = []        # binary column indices per window
@@ -583,9 +538,10 @@ class ModelBuilder:
         self.entries = []            # (row, col, coef) arrays per block
         self.row_lo = []             # bound arrays per row block
         self.row_hi = []
-        self.row_labels = []         # label sequence per row block
+        self.row_blocks = []         # (first row, labels) per row block
+        self.k = 0                   # balls so far
         self.cones = []              # (cols, radius, radius_col) per block
-        self.cone_labels = []
+        self.cone_blocks = []        # (first ball, labels) per ball block
         self.const = 0.0
         self.begin_window(window, own_builds)
 
@@ -678,7 +634,7 @@ class ModelBuilder:
         first = self.m
         rows, cols, vals = entries
         self.m += len(labels)
-        self.row_labels.append(labels)
+        self.row_blocks.append((first, labels))
         self.entries.append((first + rows, cols, vals))
         for side, bound in ((self.row_lo, lo), (self.row_hi, hi)):
             block = np.empty(len(labels))
@@ -718,7 +674,8 @@ class ModelBuilder:
         with one entry per label) within `radius`, or within the value of
         column `radius_col` where that is not -1."""
         self.cones.append((np.stack([p, q], axis=1), radius, radius_col))
-        self.cone_labels.append(labels)
+        self.cone_blocks.append((self.k, labels))
+        self.k += len(labels)
 
     # -- builders, one constraint family each -----------------------------
 
@@ -731,8 +688,8 @@ class ModelBuilder:
         width = len(lay.step_kinds)
         self.window_first = first
         self.step_starts = first + lay.fixed + width * np.arange(steps)
-        self.columns.append(_Columns(lay, first, self.window, owned))
-        self.n += len(self.columns[-1])
+        self.col_blocks.append((first, int(start), int(end), owned))
+        self.n += lay.fixed + width * steps
         data = np.tile(lay.step_data, steps)
         for load, pos in zip((self.loads.p, self.loads.q), lay.shed_pos):
             load = load[start:end]
@@ -918,19 +875,18 @@ class ModelBuilder:
         n = self.n
         rows, cols, vals = map(np.concatenate, zip(*self.entries))
         balls, radius, radius_col = map(np.concatenate, zip(*self.cones))
-        columns = tuple(self.columns)
         return MdopModel(
-            n=n, col_refs=_Chain(columns), col_index=_ColIndex(columns),
-            p_diag=p_diag, q=q, const=self.const,
+            n=n, p_diag=p_diag, q=q, const=self.const,
             a=sp.csr_matrix((vals, (rows, cols)), shape=(self.m, n)),
             row_lo=np.concatenate(self.row_lo),
             row_hi=np.concatenate(self.row_hi),
-            row_labels=_Chain(self.row_labels),
             cones=Cones(balls.ravel(), np.arange(len(balls)).repeat(2),
-                        radius, radius_col),
-            cone_labels=_Chain(self.cone_labels), lb=lb, ub=ub,
+                        radius, radius_col), lb=lb, ub=ub,
             binaries=frozenset(np.concatenate(self.binary_cols).tolist()),
-            coupling=coupling, window=window, dt=self.loads.dt)
+            coupling=coupling, window=window, dt=self.loads.dt,
+            layout=self.layout, col_blocks=tuple(self.col_blocks),
+            row_blocks=tuple(self.row_blocks),
+            cone_blocks=tuple(self.cone_blocks))
 
 
 def assemble(instance: NetworkInstance, loads: LoadProfile, window=None,
@@ -963,9 +919,9 @@ def fix_binaries(model: MdopModel, values) -> MdopModel:
     ub = model.ub.copy()
     for j in sorted(model.binaries):
         if j not in values:
-            ref = model.col_refs[j]
+            kind, owner, time = model.describe_col(j)
             raise FormulationError(
-                f"missing value for binary {ref.kind}/{ref.owner}/{ref.time}")
+                f"missing value for binary {kind}/{owner}/{time}")
         v = float(values[j])
         if abs(v - round(v)) > 1e-9 or round(v) not in (0, 1):
             raise FormulationError(f"non-binary value {v} for column {j}")
@@ -1009,7 +965,7 @@ def build_seamed(instance: NetworkInstance, loads: LoadProfile,
     builder = ModelBuilder(instance, loads, windows[0], own_builds=True)
     builder.build_window()
     pins0 = builder.pin_boundary(builder.layout.start_boundary)
-    # each window's slot columns, read while its own index is current
+    # each window's slot columns, read while it is the current window
     init_cols, term_cols = [], []
     for s, win in enumerate(windows):
         if s:
@@ -1038,11 +994,6 @@ def build_seamed(instance: NetworkInstance, loads: LoadProfile,
 # ---------------------------------------------------------------------------
 # operating plans: extraction, costing, physics check
 
-SERIES_KINDS = ("v", "shed_p", "shed_q", "p_line", "q_line",
-                "x_d", "y_d", "w_d", "phat_d", "p_d", "q_d",
-                "phat_b", "p_b", "q_b", "sc_b", "grid_p", "grid_q")
-
-
 @dataclass
 class OperatingPlan:
     """Dense trajectories over [start, start + horizon)."""
@@ -1057,21 +1008,25 @@ class OperatingPlan:
 
 
 def extract_plan(model: MdopModel, x) -> OperatingPlan:
+    """The plan at `x`: a series per step column, read from each window's
+    ``(steps, C)`` block of `x`, and the builds at the fixed columns of
+    the window that owns them.  The plan's arrays are copies."""
     start, end = model.window
-    horizon = end - start
-    builds = {}
-    series = {}
-    for ref in model.col_refs:
-        if ref.kind in BUILD_KINDS:
-            builds[(ref.kind, ref.owner)] = float(x[ref.col])
-        elif ref.kind in SERIES_KINDS and ref.time is not None \
-                and start <= ref.time < end:
-            arr = series.get((ref.kind, ref.owner))
-            if arr is None:
-                arr = np.zeros(horizon)
-                series[(ref.kind, ref.owner)] = arr
-            arr[ref.time - start] = float(x[ref.col])
-    return OperatingPlan(start=start, horizon=horizon, dt=model.dt,
+    lay = model.layout
+    x = np.asarray(x, dtype=float)
+    width = len(lay.step_kinds)
+    builds, blocks = {}, []
+    for first, w_start, w_end, owned in model.col_blocks:
+        o, steps = first + lay.fixed, w_end - w_start
+        blocks.append(x[o:o + steps * width].reshape(steps, width).T)
+        if owned:
+            builds.update(((kind, owner), float(x[first + i]))
+                          for i, (kind, owner, lag) in
+                          enumerate(lay.fixed_keys[True]) if lag is None)
+    # one (C, horizon) copy, a row per series
+    series = dict(zip(zip(lay.step_kinds, lay.step_owners),
+                      np.concatenate(blocks, axis=1)))
+    return OperatingPlan(start=start, horizon=end - start, dt=model.dt,
                          builds=builds, series=series)
 
 
@@ -1131,6 +1086,7 @@ def check_feasibility(instance: NetworkInstance, loads: LoadProfile,
 
     The plan must cover [0, T) for the given loads.
     """
+    _check_bus_order(instance, loads)
     if plan.start != 0:
         raise FormulationError("plan must start at the horizon origin")
     T = plan.horizon

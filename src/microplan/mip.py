@@ -68,21 +68,18 @@ class _Tightener:
 
     def __init__(self, model: MdopModel):
         start, end = model.window
-        index = model.col_index
         slots = model.coupling.slots
+        self.base_ub = np.asarray(model.ub, dtype=float)
         self.caps = []      # (s_b column, z_b column) with cap = ub_z * base ub_s
         self.gates = []     # (z_d column, x_d columns)
-        # the build binaries exist only where the model owns the builds
+        # the build binaries exist only where a window owns the builds
+        if not any(owned for *_, owned in model.col_blocks):
+            return
         for b in sorted({s.owner for s in slots if s.kind == "s_b"}):
-            jz = index.get(("z_b", b, None))
-            if jz is not None:
-                self.caps.append((index[("s_b", b, None)], jz))
+            self.caps.append((model.col("s_b", b), model.col("z_b", b)))
         for g in sorted({s.owner for s in slots if s.kind == "x"}):
-            jz = index.get(("z_d", g, None))
-            if jz is not None:
-                xs = np.array([index[("x_d", g, t)] for t in range(start, end)])
-                self.gates.append((jz, xs))
-        self.base_ub = np.asarray(model.ub, dtype=float)
+            self.gates.append((model.col("z_d", g), np.array(
+                [model.col("x_d", g, t) for t in range(start, end)])))
 
     def apply(self, lb, ub):
         """Tighten in place; returns False on a contradiction."""

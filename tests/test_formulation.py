@@ -12,13 +12,16 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import microplan
 
@@ -251,8 +254,16 @@ def one_step_case():
     return inst, flat_loads(inst, 4), [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 
-def key_of(ref):
-    return ref.kind, ref.owner, ref.time
+def col_keys(model):
+    return [model.describe_col(j) for j in range(model.n)]
+
+
+def row_labels(model):
+    return [model.describe_row(i) for i in range(len(model.row_coefs))]
+
+
+def cone_labels(model):
+    return [model.describe_cone(k) for k in range(len(model.cones))]
 
 
 def make_x(model, values):
@@ -263,12 +274,12 @@ def make_x(model, values):
 
 
 def rows_of(model, family):
-    return [(i, lab) for i, lab in enumerate(model.row_labels)
+    return [(i, lab) for i, lab in enumerate(row_labels(model))
             if lab[0] == family]
 
 
 def the_row(model, *label):
-    hits = [i for i, lab in enumerate(model.row_labels) if lab == label]
+    hits = [i for i, lab in enumerate(row_labels(model)) if lab == label]
     assert len(hits) == 1, f"row {label} matched {len(hits)} times"
     return hits[0]
 
@@ -302,8 +313,9 @@ def test_column_count_matches_closed_form():
         model = assemble(inst, flat_loads(inst, t))
         cols, _, _, _ = expected_counts(inst, t)
         assert model.n == cols
-        assert len(model.col_refs) == cols
-        assert len(model.col_index) == cols
+        assert len(set(col_keys(model))) == cols
+        with pytest.raises(IndexError):
+            model.describe_col(cols)
 
 
 def test_row_and_cone_counts_match_closed_form():
@@ -369,7 +381,7 @@ def test_balance_rows_equal_bus_incidence(grid):
     # the fixture's shape, by hand: b2 takes l1 in and sends l2 and l3
     # out; the reversed l4 flows into b4 and out of b5
     model = assemble(inst, loads)
-    key_coefs = {key_of(model.col_refs[j]): c for j, c in
+    key_coefs = {model.describe_col(j): c for j, c in
                  model.row_coefs[the_row(model, "balance_p", "b2", 1)].items()}
     assert key_coefs == {("shed_p", "b2", 1): 1.0, ("p_line", "l1", 1): 1.0,
                          ("p_line", "l2", 1): -1.0, ("p_line", "l3", 1): -1.0}
@@ -381,7 +393,8 @@ def test_balance_rows_equal_bus_incidence(grid):
 def test_grid_columns_only_when_connected():
     inst = gen_bat_instance()
     model = assemble(inst, flat_loads(inst, 2))
-    assert ("grid_p", "b1", 0) not in model.col_index
+    with pytest.raises(KeyError):
+        model.col("grid_p", "b1", 0)
     inst_g = gen_bat_instance(grid=True)
     model_g = assemble(inst_g, flat_loads(inst_g, 2))
     jp = model_g.col("grid_p", "b1", 0)
@@ -396,21 +409,23 @@ def test_grid_columns_only_when_connected():
 def test_registry_unique_and_binaries_complete():
     inst = gen_bat_instance()
     model = assemble(inst, flat_loads(inst, 3))
-    assert sorted(model.col_index.values()) == list(range(model.n))
+    keys = col_keys(model)
+    assert [model.col(*key) for key in keys] == list(range(model.n))
     binary_kinds = {"z_b", "z_d", "x_d", "y_d", "w_d"}
-    for ref in model.col_refs:
-        if ref.kind in binary_kinds:
-            assert ref.col in model.binaries, ref
-            assert model.lb[ref.col] == 0.0 and model.ub[ref.col] == 1.0
+    for j, key in enumerate(keys):
+        if key[0] in binary_kinds:
+            assert j in model.binaries, key
+            assert model.lb[j] == 0.0 and model.ub[j] == 1.0
         else:
-            assert ref.col not in model.binaries, ref
+            assert j not in model.binaries, key
 
 
 def test_objective_curvature_and_cone_shapes():
     inst = gen_bat_instance()
     model = assemble(inst, flat_loads(inst, 3))
     assert np.all(model.p_diag >= 0.0)
-    curved = {ref.kind for ref in model.col_refs if model.p_diag[ref.col] > 0}
+    curved = {model.describe_col(j)[0]
+              for j in np.flatnonzero(model.p_diag > 0)}
     assert curved == {"phat_d"}
     for cone in model.cones:
         if cone.radius_col is None:
@@ -498,7 +513,7 @@ def test_line_rating_excludes_overloaded_flow():
                            name="tight")
     loads = flat_loads(inst, 1)
     model = assemble(inst, loads)
-    cone = model.cones[model.cone_labels.index(("thermal", "l1", 0))]
+    cone = model.cones[cone_labels(model).index(("thermal", "l1", 0))]
     assert cone.radius == 1.0
     x = make_x(model, {("p_line", "l1", 0): 0.8, ("q_line", "l1", 0): 0.8})
     assert np.hypot(*[x[j] for j in cone.cols]) > cone.radius
@@ -675,7 +690,7 @@ def test_relaxed_envelope_contains_both_regimes():
     i_dis = the_row(model, "eff_dis", "bat1", 0)
     i_ch = the_row(model, "eff_ch", "bat1", 0)
     i_soc = the_row(model, "soc_if_built", "bat1", 0)
-    cone = model.cones[model.cone_labels.index(("bat_rating", "bat1", 0))]
+    cone = model.cones[cone_labels(model).index(("bat_rating", "bat1", 0))]
     rng = np.random.default_rng(7)
     for _ in range(200):
         if rng.random() < 0.5:
@@ -725,7 +740,7 @@ def test_boundary_pins_fix_import_columns():
         assert model.row_lo[pin] == model.row_hi[pin] == boundary[k]
         (j, coef), = model.row_coefs[pin].items()
         assert coef == 1.0
-        assert model.col_refs[j].kind == INIT_KINDS[slot.kind]
+        assert model.describe_col(j)[0] == INIT_KINDS[slot.kind]
     owned = assemble(inst, loads, window=(0, 4))
     unpinned = [slots[k].kind for k, r in
                 enumerate(owned.coupling.init_pin_rows) if r is None]
@@ -886,6 +901,34 @@ def test_extracted_plan_mirrors_solution_vector():
     assert plan.value("v", "b1", 0) == x[model.col("v", "b1", 0)]
 
 
+# on a failure Hypothesis's pytest plugin imports libcst, which warns
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(cuts=st.sets(st.integers(1, 5)), seed=st.integers(0, 2 ** 32 - 1))
+def test_keys_and_plans_agree_with_col_on_any_partition(cuts, seed):
+    # some windows are shorter than the three-step start history, so
+    # their import keys repeat those of the window before
+    inst = gen_bat_instance(min_up=3, min_down=2)
+    bounds = [0, *sorted(cuts), 6]
+    model = build_seamed(inst, flat_loads(inst, 6),
+                         list(zip(bounds, bounds[1:]))).model
+    keys = col_keys(model)
+    latest = dict(zip(keys, range(model.n)))
+    assert {key: model.col(*key) for key in latest} == latest
+    x = np.random.default_rng(seed).standard_normal(model.n)
+    plan = extract_plan(model, x)
+    assert len(plan.series) == len(model.layout.step_kinds)
+    for (kind, owner), arr in plan.series.items():
+        cols = [model.col(kind, owner, t) for t in range(6)]
+        assert np.array_equal(arr, x[cols]), (kind, owner)
+        assert not np.shares_memory(arr, x)
+    assert set(plan.builds) == {(kind, owner) for kind, owner, t in keys
+                                if t is None}
+    for (kind, owner), value in plan.builds.items():
+        assert value == x[model.col(kind, owner)]
+
+
 def test_plan_costs_equal_objective_value():
     inst = gen_bat_instance(base_mva=2.0)
     model = assemble(inst, flat_loads(inst, 4))
@@ -952,6 +995,23 @@ def test_checker_accepts_solver_plan():
     assert costs.total == pytest.approx(value, rel=1e-6)
 
 
+def test_load_profile_must_follow_the_bus_order():
+    # load column j is read as bus j of the instance
+    inst = gen_bat_instance()
+    loads = flat_loads(inst, 2)
+    model = assemble(inst, loads)
+    plan = extract_plan(model, np.zeros(model.n))
+    for ids in (("b2", "b1"), ("x", "y")):
+        bad = replace(loads, bus_ids=ids)
+        message = re.escape(f"{ids} are not the instance's buses "
+                            "('b1', 'b2') in order")
+        for call in (lambda: assemble(inst, bad),
+                     lambda: build_seamed(inst, bad, [(0, 1), (1, 2)]),
+                     lambda: check_feasibility(inst, bad, plan)):
+            with pytest.raises(FormulationError, match=message):
+                call()
+
+
 def test_dump_parses_back_to_same_model(tmp_path):
     inst = gen_bat_instance()
     model = assemble(inst, flat_loads(inst, 2))
@@ -1006,15 +1066,15 @@ def test_seam_rows_tie_adjacent_windows():
     model = seamed.model
     k = next(i for i, s in enumerate(slots) if s.kind == "p")
     i = seamed.seam_rows[0][k]
-    assert model.row_labels[i] == ("seam", 1, "p", "g1", 0)
+    assert model.describe_row(i) == ("seam", 1, "p", "g1", 0)
     assert model.row_lo[i] == model.row_hi[i] == 0.0
     coefs = model.row_coefs[i]
     assert sorted(coefs.values()) == [-1.0, 1.0]
     j_out = next(j for j, c in coefs.items() if c == -1.0)
     j_in = next(j for j, c in coefs.items() if c == 1.0)
-    assert model.col_refs[j_out].kind == "p_d"
-    assert model.col_refs[j_out].time == 1      # last step of the first window
-    assert model.col_refs[j_in].kind == INIT_KINDS["p"]
+    assert model.describe_col(j_out)[0] == "p_d"
+    assert model.describe_col(j_out)[2] == 1    # last step of the first window
+    assert model.describe_col(j_in)[0] == INIT_KINDS["p"]
 
 
 def test_every_seam_row_ties_a_window_to_its_predecessor():
@@ -1034,8 +1094,8 @@ def test_every_seam_row_ties_a_window_to_its_predecessor():
             coefs = seamed.model.row_coefs[i]
             owners = {int(np.searchsorted(starts, j, side="right")) - 1: c
                       for j, c in coefs.items()}
-            assert len(coefs) == 2, seamed.model.row_labels[i]
-            assert owners == {s: 1.0, s - 1: -1.0}, seamed.model.row_labels[i]
+            assert len(coefs) == 2, seamed.model.describe_row(i)
+            assert owners == {s: 1.0, s - 1: -1.0}, seamed.model.describe_row(i)
 
 
 def test_seamed_relaxation_matches_monolith_optimum():
@@ -1098,8 +1158,8 @@ def test_seamed_blocks_equal_stage_models(case):
         pins = sum(i is not None for i in stage.coupling.init_pin_rows)
         m = len(stage.row_coefs) - (0 if s == 0 else pins)
         cols = slice(col_off, col_off + stage.n)
-        assert [(*key_of(r), r.col - col_off) for r in joined.col_refs[cols]] \
-            == [(*key_of(r), r.col) for r in stage.col_refs]
+        assert [joined.describe_col(j) for j in range(joined.n)[cols]] \
+            == col_keys(stage)
         for name in ("lb", "ub", "q", "p_diag"):
             assert np.array_equal(getattr(joined, name)[cols],
                                   getattr(stage, name)), (s, name)
@@ -1109,7 +1169,7 @@ def test_seamed_blocks_equal_stage_models(case):
             assert [(j - col_off, v) for j, v in
                     joined.row_coefs[row_off + i].items()] \
                 == list(stage.row_coefs[i].items()), (s, i)
-            assert joined.row_labels[row_off + i] == stage.row_labels[i]
+            assert joined.describe_row(row_off + i) == stage.describe_row(i)
             assert joined.row_lo[row_off + i] == stage.row_lo[i]
             assert joined.row_hi[row_off + i] == stage.row_hi[i]
         for k, cone in enumerate(stage.cones):
@@ -1118,9 +1178,10 @@ def test_seamed_blocks_equal_stage_models(case):
             assert got.radius == cone.radius
             assert (None if got.radius_col is None
                     else got.radius_col - col_off) == cone.radius_col
-            assert joined.cone_labels[cone_off + k] == stage.cone_labels[k]
-        for ref in stage.col_refs:
-            index[key_of(ref)] = ref.col + col_off
+            assert joined.describe_cone(cone_off + k) \
+                == stage.describe_cone(k)
+        for j, key in enumerate(col_keys(stage)):
+            index[key] = j + col_off
         col_off += stage.n
         row_off += m
         cone_off += len(stage.cones)
@@ -1129,7 +1190,7 @@ def test_seamed_blocks_equal_stage_models(case):
     seam = [i for rows in seamed.seam_rows for i in rows]
     assert seam == list(range(row_off, len(joined.row_coefs)))
     # a key repeated across windows resolves to the latest window
-    assert list(joined.col_index.items()) == list(index.items())
+    assert {key: joined.col(*key) for key in index} == index
     assert np.array_equal(joined.to_convex().a.toarray(),
                           triplet_matrix(joined))
 
@@ -1149,10 +1210,11 @@ def layout_digest(model):
     h.update(repr([(tuple(int(j) for j in c.cols), float(c.radius),
                     None if c.radius_col is None else int(c.radius_col))
                    for c in prog.cones]).encode())
-    h.update(repr(list(model.row_labels)).encode())
-    h.update(repr([(r.kind, r.owner, r.time, r.col)
-                   for r in model.col_refs]).encode())
-    h.update(repr(list(model.col_index.items())).encode())
+    h.update(repr(row_labels(model)).encode())
+    keys = col_keys(model)
+    h.update(repr([(*key, j) for j, key in enumerate(keys)]).encode())
+    # each key in first-seen order, at its latest column
+    h.update(repr(list(dict(zip(keys, range(model.n))).items())).encode())
     h.update(repr(sorted(model.binaries)).encode())
     h.update(repr(model.coupling).encode())
     return h.hexdigest()
@@ -1308,8 +1370,7 @@ def seamed_five_bus():
     return build_seamed(inst, loads, windows).model
 
 
-@pytest.mark.parametrize("name", ["row_coefs", "col_refs", "row_labels",
-                                  "cone_labels", "cones"])
+@pytest.mark.parametrize("name", ["row_coefs", "cones"])
 def test_views_index_like_lists(name):
     # a seam-joined model's views span windows and blocks of every kind
     view = getattr(seamed_five_bus(), name)
@@ -1325,6 +1386,23 @@ def test_views_index_like_lists(name):
     for i in (n, -n - 1):
         with pytest.raises(IndexError):
             view[i]
+
+
+@pytest.mark.parametrize("name", ["describe_col", "describe_row",
+                                  "describe_cone"])
+def test_describe_indexes_like_a_list(name):
+    # a seam-joined model's windows and blocks of every kind
+    model = seamed_five_bus()
+    describe = getattr(model, name)
+    n = {"describe_col": model.n, "describe_row": len(model.row_coefs),
+         "describe_cone": len(model.cones)}[name]
+    items = [describe(i) for i in range(n)]
+    assert n > 10 and items[0] != items[-1]
+    for i in (0, 1, n - 1, -1, -n, np.int64(3), np.int32(-2)):
+        assert describe(i) == items[i], i
+    for i in (n, -n - 1, np.int64(n)):
+        with pytest.raises(IndexError):
+            describe(i)
 
 
 def test_builds_add_no_object_per_column():

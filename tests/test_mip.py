@@ -246,7 +246,6 @@ def test_infeasible_row_reported_at_root(two_step):
                     format="csr"),
         row_lo=np.append(two_step.row_lo, -np.inf),
         row_hi=np.append(two_step.row_hi, -1.0),
-        row_labels=list(two_step.row_labels) + [("impossible", None, None)],
     )
     res = solve_miqcqp(bad)
     assert res.status == "infeasible"
@@ -371,12 +370,12 @@ def scanned_tightenings(model):
     """The tightener's caps and gates found by a scan of every column,
     with a dict index in which a repeated key keeps its latest column."""
     start, end = model.window
-    index = {ref[:3]: ref.col for ref in model.col_refs}
+    index = {model.describe_col(j): j for j in range(model.n)}
     caps, gates = [], []
-    for b in sorted({r.owner for r in model.col_refs if r.kind == "s_b"}):
+    for b in sorted({owner for kind, owner, _ in index if kind == "s_b"}):
         if ("z_b", b, None) in index:
             caps.append((index[("s_b", b, None)], index[("z_b", b, None)]))
-    for g in sorted({r.owner for r in model.col_refs if r.kind == "x_d"}):
+    for g in sorted({owner for kind, owner, _ in index if kind == "x_d"}):
         if ("z_d", g, None) in index:
             gates.append((index[("z_d", g, None)],
                           [index[("x_d", g, t)] for t in range(start, end)]))
