@@ -40,10 +40,13 @@ multiplier on a missing or wrong side counts as a stationarity error;
 side it claims, is at most EPS_ABS times max(1 USD, |objective|).  The
 polish returns its pass with the lowest certificate ratio.  When no pass
 certifies, the interior point's own point and duals are returned, as
-``iteration-limit``, with detail saying why the interior point stopped,
-or as ``optimal`` with detail ``polish rejected`` if the interior point
-had met its own termination test.  A program whose every column has
-finite bounds is never reported ``unbounded``.
+``iteration-limit``, with detail saying why the interior point stopped
+(after at most MAX_ITER steps), or as ``optimal`` with detail ``polish
+rejected`` if the interior point had met its own termination test.  A
+program whose every column has finite bounds is never reported
+``unbounded``.  Each interior-point step is logged at DEBUG level on
+this module's logger, with its step number, primal and dual residuals
+and objective.
 
 Dual sign convention.  Multipliers y satisfy the stationarity condition
 
@@ -62,6 +65,7 @@ on the ball's columns and −1 on its radius variable.
 
 from __future__ import annotations
 
+import logging
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -70,6 +74,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+log = logging.getLogger(__name__)
 
 
 class EngineError(ValueError):
@@ -160,13 +166,22 @@ class ConvexProgram:
 
         if self.p_diag.shape != (self.n,):
             raise EngineError("p_diag shape mismatch")
-        if self.p_diag.min(initial=0.0) < -1e-12:
-            raise EngineError("quadratic objective has a negative diagonal entry")
-        self.p_diag = np.maximum(self.p_diag, 0.0)
         if self.l.shape != (self.m,) or self.u.shape != (self.m,):
             raise EngineError("row bound shape mismatch")
         if self.lb.shape != (self.n,) or self.ub.shape != (self.n,):
             raise EngineError("variable bound shape mismatch")
+        # only the bounds may be infinite, and nothing may be NaN
+        for name, values in (("p_diag", self.p_diag), ("q", self.q),
+                             ("a", self.a.data), ("const", self.const)):
+            if not np.isfinite(values).all():
+                raise EngineError(f"{name} holds a non-finite value")
+        for name, values in (("l", self.l), ("u", self.u), ("lb", self.lb),
+                             ("ub", self.ub)):
+            if np.isnan(values).any():
+                raise EngineError(f"{name} holds NaN")
+        if self.p_diag.min(initial=0.0) < -1e-12:
+            raise EngineError("quadratic objective has a negative diagonal entry")
+        self.p_diag = np.maximum(self.p_diag, 0.0)
         if np.any(self.l > self.u + 1e-12):
             bad = int(np.argmax(self.l - self.u))
             raise EngineError(f"row {bad} has l > u")
@@ -180,8 +195,8 @@ class ConvexProgram:
 
     def _check_cones(self):
         """Name the first ball with no columns, a repeated or out-of-range
-        column, a negative constant radius, or a radius column out of
-        range or among its own columns."""
+        column, a negative or non-finite constant radius, or a radius
+        column out of range or among its own columns."""
         owner, cols, rc = self.cone_owner, self.cone_cols, self.radius_col
         sizes = np.bincount(owner, minlength=rc.size)
         has_radius_col = rc != -1
@@ -194,7 +209,8 @@ class ConvexProgram:
         bad_rc[owner[has_radius_col[owner] & (cols == rc[owner])]] = True
         empty = sizes == 0
         negative = ~has_radius_col & (self.radius < 0)
-        bad = empty | bad_cols | negative | bad_rc
+        infinite = ~has_radius_col & ~np.isfinite(self.radius)
+        bad = empty | bad_cols | negative | infinite | bad_rc
         if not bad.any():
             return
         k = int(np.argmax(bad))
@@ -204,6 +220,8 @@ class ConvexProgram:
             raise EngineError(f"cone {k} has invalid columns")
         if negative[k]:
             raise EngineError(f"cone {k} has negative radius")
+        if infinite[k]:
+            raise EngineError(f"cone {k} has a non-finite radius")
         raise EngineError(f"cone {k} has invalid radius column")
 
     def objective(self, x):
@@ -211,15 +229,16 @@ class ConvexProgram:
 
 
 # Interior-point constants: termination and infeasibility tolerances,
-# static KKT regularization, step damping and the stall window; then
-# equilibration, the tolerances of `certify`, the polish's proximal
-# weight and pass limit, and the refinement's step limit and relative
-# stopping tolerance
+# static KKT regularization, step damping, the stall window and the step
+# limit; then equilibration, the tolerances of `certify`, the polish's
+# proximal weight and pass limit, and the refinement's step limit and
+# relative stopping tolerance
 EPS_OPT = 1e-9
 EPS_INF = 1e-8
 KKT_REG = 1e-8
 STEP_FRACTION = 0.99
 STALL_ITERS = 10
+MAX_ITER = 100
 SCALING_ITERS = 10
 EPS_ABS = 1e-8
 EPS_REL = 1e-6
@@ -227,13 +246,6 @@ POLISH_DELTA = 1e-6
 POLISH_PASSES = 8
 REFINE_STEPS = 3
 REFINE_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class Settings:
-    max_iter: int = 100
-    polish: bool = True
-    log_path: str | None = None
 
 
 @dataclass
@@ -489,9 +501,8 @@ class QpWorkspace:
     and the polish pins an active bound as a row.
     """
 
-    def __init__(self, prog: ConvexProgram, settings: Settings = Settings()):
+    def __init__(self, prog: ConvexProgram):
         self.prog = prog
-        self.settings = settings
         n, m = prog.n, prog.m
         self.n = n
         self.cones = _Cones(1 + np.bincount(prog.cone_owner,
@@ -567,7 +578,6 @@ class QpWorkspace:
 
     def solve(self) -> PrimalDualSolution:
         """Interior-point solve, then the active-set polish of its point."""
-        st = self.settings
         t0 = time.perf_counter()
         # an empty row whose bounds exclude zero is its own certificate of
         # infeasibility; in the interior point its multiplier would grow
@@ -579,7 +589,7 @@ class QpWorkspace:
             return self._package("infeasible", f"row {int(np.argmax(miss))} is empty",
                                  np.zeros(self.n), np.zeros(self.mt),
                                  float(miss.max()), 0.0, 0,
-                                 time.perf_counter() - t0, [])
+                                 time.perf_counter() - t0)
         ls = self.l * self.e
         us = self.u * self.e
         # g x + s = h: equalities (s = 0), the upper and lower sides of
@@ -598,13 +608,11 @@ class QpWorkspace:
         cones = _Cones(np.concatenate([np.ones(n_lin, dtype=int),
                                        self.cones.sizes]))
 
-        log_rows = []
         status, it, (x, z, s, prim_res, dual_res), detail = \
-            self._interior_point(g, h, i_eq.size, cones, self.e[rows],
-                                 log_rows)
+            self._interior_point(g, h, i_eq.size, cones, self.e[rows])
         y = np.zeros(self.mt)
         np.add.at(y, rows, sign * z)
-        if st.polish and status in ("optimal", "iteration-limit"):
+        if status in ("optimal", "iteration-limit"):
             # a row or ball is pinned when its multiplier exceeds its
             # slack (a ball's slack is its distance to the cone boundary);
             # the multiplier sign alone misreads near-zero duals
@@ -622,9 +630,9 @@ class QpWorkspace:
             elif status == "optimal":
                 detail = "polish rejected"
         return self._package(status, detail, x, y, prim_res, dual_res, it,
-                             time.perf_counter() - t0, log_rows)
+                             time.perf_counter() - t0)
 
-    def _interior_point(self, g, h, me, cones, e_g, log_rows):
+    def _interior_point(self, g, h, me, cones, e_g):
         """Homogeneous self-dual primal-dual iteration with Mehrotra
         predictor-corrector steps on the scaled program
 
@@ -640,7 +648,6 @@ class QpWorkspace:
         "cone boundary", "determinant underflow", "factorization failed"
         or "non-finite step" (empty for the other statuses).
         """
-        st = self.settings
         n, mg = self.n, g.shape[0]
         ps, qs, d, c = self.ps, self.qs, self.d, self.c
         gt = g.T.tocsr()
@@ -734,9 +741,9 @@ class QpWorkspace:
                                  float((np.abs(qs) / d).max(initial=0.0))) / c
             pobj = (0.5 * float(xh @ px) + float(qs @ xh)) / c
             gap = abs(float(xh @ px) + float(qs @ xh) + float(h @ zh)) / c
-            if st.log_path:
-                log_rows.append((it, prim_res, dual_res,
-                                 self.prog.objective(xh * d)))
+            log.debug("step %d: primal residual %.6e, dual residual %.6e, "
+                      "objective %.10e", it, prim_res, dual_res,
+                      pobj + self.prog.const)
             # the gap is in objective units (dollars) with a unit floor
             merit = max(prim_res / prim_ref, dual_res / dual_ref,
                         gap / max(1.0, abs(pobj)))
@@ -762,7 +769,7 @@ class QpWorkspace:
             # its best iterate to the polish, and so does an iterate that
             # rounding has put on a cone's boundary, where the scaling
             # below is undefined
-            if it >= st.max_iter:
+            if it >= MAX_ITER:
                 reason = "step limit"
                 break
             if len(mus) > STALL_ITERS and mu > 0.5 * mus[-1 - STALL_ITERS]:
@@ -855,13 +862,8 @@ class QpWorkspace:
         return x, y_lin[:m], y_lin[m:], np.maximum(-y[self.cone0 + self.cones.heads], 0.0)
 
     def _package(self, status, detail, x_sc, y_sc, prim_res, dual_res,
-                 it, elapsed, log_rows):
+                 it, elapsed):
         x, y_rows, y_bounds, cone_duals = self._unscaled(x_sc, y_sc)
-        if self.settings.log_path and log_rows:
-            with open(self.settings.log_path, "w") as fh:
-                fh.write("iter,prim_res,dual_res,obj\n")
-                for row in log_rows:
-                    fh.write(f"{row[0]},{row[1]:.6e},{row[2]:.6e},{row[3]:.10e}\n")
         return PrimalDualSolution(
             status=status,
             x=x,
@@ -1058,17 +1060,8 @@ class QpWorkspace:
         return best
 
 
-def solve_qp(prog: ConvexProgram,
-             settings: Settings = Settings()) -> PrimalDualSolution:
-    """One-shot QP solve; `prog` must have no cone rows."""
-    if prog.cones:
-        raise EngineError("program has cone rows; use solve_qcqp")
-    return QpWorkspace(prog, settings).solve()
-
-
-def solve_qcqp(prog: ConvexProgram,
-               settings: Settings = Settings()) -> PrimalDualSolution:
+def solve_qcqp(prog: ConvexProgram) -> PrimalDualSolution:
     """Solve a program with norm-ball rows: one workspace, one conic
     interior-point solve and its polish.  `cone_duals` holds one
     multiplier per ball (see the module docstring)."""
-    return QpWorkspace(prog, settings).solve()
+    return QpWorkspace(prog).solve()

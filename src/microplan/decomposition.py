@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import Settings, certify, get_duals, solve_qcqp
+from .convex import certify, get_duals, solve_qcqp
 from .formulation import (
     MdopModel, OperatingPlan, assemble, build_seamed, coupling_slots,
     extract_plan, horizon_start_boundary, plan_costs, relax_integrality,
@@ -274,13 +274,13 @@ def _warn_short_windows(instance, plan):
                     "history", shortest, depth)
 
 
-def _relaxed_monolith(instance, loads, plan, settings):
+def _relaxed_monolith(instance, loads, plan):
     """Seam-joined continuous relaxation: the lower bound, and the seam
     duals that seed the boundary prices.  Returns the seamed model, the
     solution and, when that solution is not optimal, why ("" otherwise)."""
     seamed = build_seamed(instance, loads, plan.windows)
     relaxed = relax_integrality(seamed.model)
-    sol = solve_qcqp(relaxed.to_convex(), settings=settings)
+    sol = solve_qcqp(relaxed.to_convex())
     failure = "" if sol.status == "optimal" \
         else f"monolithic relaxation ended {sol.status} ({sol.detail})"
     return seamed, sol, failure
@@ -298,12 +298,11 @@ def _seam_prices(seamed, sol):
             for rows in seamed.seam_rows]
 
 
-def init_duals(instance, loads, plan: StagePlan,
-               settings: Settings = Settings()):
+def init_duals(instance, loads, plan: StagePlan):
     """Boundary prices seeded from the relaxed monolith, one DualVector
     per interior boundary (stage count minus 1)."""
     _check_coverage(loads, plan)
-    seamed, sol, failure = _relaxed_monolith(instance, loads, plan, settings)
+    seamed, sol, failure = _relaxed_monolith(instance, loads, plan)
     if failure:
         raise DecompositionError(failure)
     return _seam_prices(seamed, sol)
@@ -349,8 +348,7 @@ def _sweep(instance, loads, plan: StagePlan, prices, solve_stage, snap,
 
 def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
               mode: str = "dual-init", gap_tol: float = 1e-4,
-              node_limit: int = 100_000, time_limit: float = 600.0,
-              settings: Settings = Settings()) -> PlanSolution:
+              node_limit: int = 100_000, time_limit: float = 600.0) -> PlanSolution:
     """Iterated forward sweeps with boundary-price feedback.
 
     Each stage is solved by branch and bound; its x and pin duals come
@@ -370,8 +368,7 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
         raise DecompositionError(f"unknown mode {mode!r}")
     _check_coverage(loads, plan)
     _warn_short_windows(instance, plan)
-    seamed, relaxed_sol, failure = _relaxed_monolith(instance, loads, plan,
-                                                     settings)
+    seamed, relaxed_sol, failure = _relaxed_monolith(instance, loads, plan)
     if failure and mode == "dual-init":
         raise DecompositionError(failure)
     if failure:
@@ -388,7 +385,7 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
 
     def solve_stage(s, model):
         res = solve_miqcqp(model, gap_tol=gap_tol, node_limit=node_limit,
-                           time_limit=time_limit, settings=settings)
+                           time_limit=time_limit)
         if res.binaries is None:
             raise DecompositionError(f"stage search ended {res.status}")
         stats.append(StageStat(sweep=sweep, stage=s, status=res.status,
@@ -414,12 +411,11 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
 
 
 def rh_solve(instance, loads, plan: StagePlan, gap_tol: float = 1e-4,
-             node_limit: int = 100_000, time_limit: float = 600.0,
-             settings: Settings = Settings()) -> PlanSolution:
+             node_limit: int = 100_000, time_limit: float = 600.0) -> PlanSolution:
     """One forward sweep with zero boundary prices."""
     return mpc_solve(instance, loads, plan, iterations=1, mode="zero-init",
                      gap_tol=gap_tol, node_limit=node_limit,
-                     time_limit=time_limit, settings=settings)
+                     time_limit=time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +437,8 @@ class RelaxedSweepResult:
 
 
 def gauss_seidel_relaxed(instance, loads, plan: StagePlan,
-                         max_sweeps: int = 200, tol: float = 1e-5,
-                         settings: Settings = Settings()) -> RelaxedSweepResult:
+                         max_sweeps: int = 200,
+                         tol: float = 1e-5) -> RelaxedSweepResult:
     """Forward sweeps over the relaxed stage problems until the merged
     point satisfies the monolithic KKT system to `tol`.
 
@@ -463,8 +459,7 @@ def gauss_seidel_relaxed(instance, loads, plan: StagePlan,
     prices = [DualVector.zero(instance) for _ in range(plan.stage_count - 1)]
 
     def solve_stage(s, model):
-        sol = solve_qcqp(relax_integrality(model).to_convex(),
-                         settings=settings)
+        sol = solve_qcqp(relax_integrality(model).to_convex())
         if sol.status != "optimal":
             raise DecompositionError(
                 f"relaxed solve ended {sol.status} ({sol.detail})")

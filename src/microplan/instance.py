@@ -295,23 +295,42 @@ def _require(data, key, location):
     return data[key]
 
 
+def _whole(data, key, location, default=None):
+    """Field `key`, a count or a number of steps, as an int; it is
+    required unless a default is given, and a fraction is an error
+    rather than truncated."""
+    value = _require(data, key, location) if default is None else data.get(key, default)
+    if isinstance(value, float) and not value.is_integer():
+        raise InstanceError(f"{key} must be a whole number, got {value!r}", location)
+    return int(value)
+
+
 def parse_instance(path) -> NetworkInstance:
     """Read and validate an instance directory (or a ``network.json`` path).
 
     Raises :class:`InstanceError` with a file/field location for missing
-    files, malformed fields, dangling bus references, and disconnected
-    graphs.
+    files, malformed fields (a NaN anywhere, or a fraction where a count
+    or a number of steps belongs), dangling bus references, and
+    disconnected graphs.
     """
     path = Path(path)
     net_file = path / "network.json" if path.is_dir() else path
     if not net_file.exists():
         raise InstanceError("file not found", str(net_file))
-    try:
-        data = json.loads(net_file.read_text())
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid JSON: {exc}", str(net_file))
-
     loc = str(net_file)
+
+    def constant(name):
+        # json accepts NaN, which passes every comparison; Infinity stays
+        # legal, so that a written instance always reads back
+        if name == "NaN":
+            raise InstanceError("NaN is not a valid number", loc)
+        return float(name)
+
+    try:
+        data = json.loads(net_file.read_text(), parse_constant=constant)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"invalid JSON: {exc}", loc)
+
     version = _require(data, "format_version", loc)
     if version != FORMAT_VERSION:
         raise InstanceError(f"unsupported format_version {version}", loc)
@@ -326,8 +345,8 @@ def parse_instance(path) -> NetworkInstance:
             id=str(_require(entry, "id", bloc)),
             v_min=float(_require(entry, "v_min", bloc)),
             v_max=float(_require(entry, "v_max", bloc)),
-            max_batteries=int(entry.get("max_batteries", 0)),
-            max_generators=int(entry.get("max_generators", 0)),
+            max_batteries=_whole(entry, "max_batteries", bloc, 0),
+            max_generators=_whole(entry, "max_generators", bloc, 0),
         ))
 
     lines = []
@@ -372,8 +391,8 @@ def parse_instance(path) -> NetworkInstance:
             bus=str(_require(entry, "bus", gloc)),
             fixed_cost=float(_require(entry, "fixed_cost", gloc)),
             cost_coeffs=tuple(float(c) for c in coeffs),
-            min_up=int(_require(entry, "min_up", gloc)),
-            min_down=int(_require(entry, "min_down", gloc)),
+            min_up=_whole(entry, "min_up", gloc),
+            min_down=_whole(entry, "min_down", gloc),
             ramp_up=float(_require(entry, "ramp_up_mw", gloc)) / base,
             ramp_down=float(_require(entry, "ramp_down_mw", gloc)) / base,
             efficiency=float(_require(entry, "efficiency", gloc)),
@@ -489,6 +508,15 @@ def parse_loads(path, instance: NetworkInstance, dt: float) -> LoadProfile:
         series.setdefault(bus, {})[step] = (p, q)
 
     lengths = {bus: len(steps) for bus, steps in series.items()}
+    if sum(lengths.values()) != len(rows):
+        # a row repeated a (step, bus) pair: name the repeat
+        seen = set()
+        for lineno, row in enumerate(rows, start=2):
+            key = (int(row["step"]), str(row["bus"]))
+            if key in seen:
+                raise InstanceError(f"step {key[0]} of bus {key[1]!r} repeats",
+                                    f"{path}:{lineno}")
+            seen.add(key)
     horizon = max(lengths.values())
     for bus, steps in series.items():
         if len(steps) != horizon or sorted(steps) != list(range(horizon)):

@@ -8,19 +8,21 @@ finds incumbents early; the heap keeps the global bound honest.
 
 Each node relaxation is one cold solve of the conic interior point on
 the base program with the node's bounds; nothing else passes between
-nodes.
+nodes.  Each explored node is logged at DEBUG level on this module's
+logger, with its number, depth, bound, incumbent and gap.
 """
 
 import heapq
+import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import (
-    ConvexProgram, EngineError, PrimalDualSolution, Settings, solve_qcqp,
-)
+from .convex import ConvexProgram, EngineError, PrimalDualSolution, solve_qcqp
 from .formulation import MdopModel, fix_binaries, relax_integrality
+
+log = logging.getLogger(__name__)
 
 INT_TOL = 1e-5
 
@@ -45,7 +47,6 @@ class MipResult:
     gap: float                 # relative, (obj - bound) / max(|bound|, 1)
     nodes: int
     binaries: dict | None      # column -> {0.0, 1.0} of the incumbent
-    log: list = field(default_factory=list)
     solve_time: float = 0.0
     # the engine solution the incumbent came from, None without one: an
     # optimal solve of the relaxed model with every binary fixed and the
@@ -95,11 +96,10 @@ class _NodeSolver:
     """Shared relaxation machinery: the base program and bound
     construction from fixings."""
 
-    def __init__(self, model, settings):
+    def __init__(self, model):
         self.base = relax_integrality(model).to_convex()
         self.binaries = sorted(model.binaries)
         self.tightener = _Tightener(model)
-        self.settings = settings
 
     def bounds(self, fixings):
         lb = self.base.lb.copy()
@@ -118,7 +118,7 @@ class _NodeSolver:
         prog = ConvexProgram(self.base.p_diag, self.base.q, self.base.a,
                              self.base.l, self.base.u, lb, ub,
                              self.base.cones, self.base.const)
-        return solve_qcqp(prog, settings=self.settings)
+        return solve_qcqp(prog)
 
     def fractional(self, x):
         """Unfixed binary farthest from integer, lowest column on ties."""
@@ -131,16 +131,14 @@ class _NodeSolver:
 
 
 def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
-                 node_limit: int = 100_000, time_limit: float = 600.0,
-                 settings: Settings = Settings(), log_path=None) -> MipResult:
+                 node_limit: int = 100_000, time_limit: float = 600.0) -> MipResult:
     """Solve the mixed-binary model to the requested relative gap.
 
-    The search is deterministic for fixed inputs.  `log_path`, when
-    given, receives a CSV trace with one row per explored node.
+    The search is deterministic for fixed inputs.  Each explored node is
+    logged at DEBUG level (see the module docstring).
     """
     t0 = time.perf_counter()
-    solver = _NodeSolver(model, settings)
-    log = []
+    solver = _NodeSolver(model)
 
     ub = np.inf
     inc_sol = None
@@ -160,6 +158,11 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
     def best_bound(extra=np.inf):
         frontier = heap[0][0] if heap else np.inf
         return min(frontier, lb_floor, extra, ub)
+
+    def log_node(depth, extra=np.inf):
+        bound = best_bound(extra)
+        log.debug("node %d: depth %d, bound %s, incumbent %s, gap %s",
+                  nodes, depth, bound, ub, _relative_gap(ub, bound))
 
     def accept(fixings, sol):
         """Install an incumbent candidate.  Binaries the relaxation left
@@ -204,8 +207,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
             nodes += 1
             sol = solver.solve(cur.fixings)
             if sol is None or sol.status == "infeasible":
-                log.append((nodes, cur.depth, best_bound(), ub,
-                            _relative_gap(ub, best_bound())))
+                log_node(cur.depth)
                 break
             if sol.status == "unbounded":
                 raise EngineError("node relaxation is unbounded")
@@ -218,8 +220,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
                 accept(cur.fixings, sol)
             elif nodes == 1 or nodes % 50 == 0:
                 accept(cur.fixings, sol)   # rounding heuristic
-            log.append((nodes, cur.depth, best_bound(bound), ub,
-                        _relative_gap(ub, best_bound(bound))))
+            log_node(cur.depth, bound)
             if jstar is None or prunable(bound):
                 lb_floor = min(lb_floor, bound)
                 break
@@ -248,7 +249,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
     else:
         status = "feasible"
 
-    result = MipResult(
+    return MipResult(
         status=status,
         x=None if inc_sol is None else inc_sol.x,
         objective=ub,
@@ -256,31 +257,19 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
         gap=gap,
         nodes=nodes,
         binaries=inc_fix,
-        log=log,
         solve_time=time.perf_counter() - t0,
         solution=inc_sol,
     )
-    if log_path is not None:
-        write_node_log(result, log_path)
-    return result
 
 
-def write_node_log(result: MipResult, path):
-    with open(path, "w") as fh:
-        fh.write("node,depth,bound,incumbent,gap\n")
-        for node, depth, bound, inc, gap in result.log:
-            fh.write(f"{node},{depth},{bound!r},{inc!r},{gap!r}\n")
-
-
-def solve_fixed_then_duals(model: MdopModel, binaries,
-                           settings: Settings = Settings()) -> PrimalDualSolution:
+def solve_fixed_then_duals(model: MdopModel, binaries) -> PrimalDualSolution:
     """Convex solve with every binary fixed; the returned solution
     carries duals for all model rows, including the boundary pins.
 
     Shed variables make any binary assignment servable, so a
     non-optimal outcome is an engine failure, not a model property."""
     fixed = fix_binaries(model, binaries)
-    sol = solve_qcqp(fixed.to_convex(), settings=settings)
+    sol = solve_qcqp(fixed.to_convex())
     if sol.status != "optimal":
         raise EngineError(
             f"fixed-binary solve ended {sol.status} ({sol.detail})")

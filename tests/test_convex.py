@@ -7,15 +7,17 @@ with the engine under test.
 """
 
 import itertools
+import logging
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from microplan import convex
 from microplan.convex import (
     ConeRow, Cones, ConvexProgram, EngineError, PrimalDualSolution,
-    QpWorkspace, Settings, _Cones, certify, get_duals, solve_qp, solve_qcqp,
+    QpWorkspace, _Cones, certify, get_duals, solve_qcqp,
 )
 from microplan.formulation import assemble, relax_integrality
 from microplan.instance import synth_load
@@ -120,6 +122,44 @@ class TestValidation:
         with pytest.raises(EngineError, match="lb > ub"):
             make_prog([1.0], [0.0], lb=[1.0], ub=[0.0])
 
+    @pytest.mark.parametrize("name, value, match", [
+        ("p_diag", np.nan, "p_diag holds a non-finite"),
+        ("p_diag", INF, "p_diag holds a non-finite"),
+        ("q", np.nan, "q holds a non-finite"),
+        ("q", -INF, "q holds a non-finite"),
+        ("a", np.nan, "a holds a non-finite"),
+        ("a", INF, "a holds a non-finite"),
+        ("const", np.nan, "const holds a non-finite"),
+        ("const", INF, "const holds a non-finite"),
+        ("radius", np.nan, "cone 0 has a non-finite radius"),
+        ("radius", INF, "cone 0 has a non-finite radius"),
+        ("l", np.nan, "l holds NaN"),
+        ("u", np.nan, "u holds NaN"),
+        ("lb", np.nan, "lb holds NaN"),
+        ("ub", np.nan, "ub holds NaN"),
+        ("l", -INF, None),
+        ("ub", INF, None),
+    ])
+    def test_non_finite_data_rejected(self, name, value, match):
+        # a 2-column program with one range row and one constant ball;
+        # infinite row and variable bounds stay legal
+        data = dict(p_diag=[1.0, 1.0], q=[-1.0, 0.5], a=[[1.0, 1.0]],
+                    l=[-1.0], u=[1.0], lb=[-2.0, -2.0], ub=[2.0, 2.0],
+                    radius=3.0, const=0.0)
+        if name in ("a", "const", "radius"):
+            data[name] = np.full(np.shape(data[name]), value)
+        else:
+            data[name] = [value] + data[name][1:]
+        radius = data.pop("radius")
+
+        def build():
+            return ConvexProgram(**data, cones=[ConeRow((0, 1), radius=radius)])
+        if match is None:
+            assert solve_qcqp(build()).status == "optimal"
+        else:
+            with pytest.raises(EngineError, match=match):
+                build()
+
     def test_bad_cone_rejected(self):
         with pytest.raises(EngineError, match="cone 0"):
             make_prog([1.0, 1.0], [0.0, 0.0],
@@ -178,17 +218,11 @@ class TestValidation:
         with pytest.raises(EngineError, match="do not line up"):
             Cones(cols, owner, radius, [-1] * len(radius))
 
-    def test_qp_rejects_cone_rows(self):
-        prog = make_prog([1.0, 1.0], [0.0, 0.0],
-                         cones=[ConeRow(cols=(0,), radius=1.0)])
-        with pytest.raises(EngineError, match="cone rows"):
-            solve_qp(prog)
-
 
 class TestHandKkt:
     def test_bound_dual(self):
         # min x^2 s.t. x >= 1: optimum 1, bound multiplier 2
-        sol = solve_qp(make_prog([2.0], [0.0], lb=[1.0]))
+        sol = solve_qcqp(make_prog([2.0], [0.0], lb=[1.0]))
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(1.0, abs=1e-7)
         assert sol.lower_bound_duals[0] == pytest.approx(2.0, abs=1e-6)
@@ -196,11 +230,11 @@ class TestHandKkt:
     def test_lower_row_dual(self):
         # same problem with the bound written as a row
         prog = make_prog([2.0], [0.0], rows=[([1.0], 1.0, INF)])
-        sol = solve_qp(prog)
+        sol = solve_qcqp(prog)
         assert get_duals(sol, [0])[0] == pytest.approx(2.0, abs=1e-6)
 
     def test_free_stationary_point(self):
-        sol = solve_qp(make_prog([1.0], [-1.0]))
+        sol = solve_qcqp(make_prog([1.0], [-1.0]))
         assert sol.x[0] == pytest.approx(1.0, abs=1e-7)
         assert sol.objective == pytest.approx(-0.5, abs=1e-9)
 
@@ -208,22 +242,22 @@ class TestHandKkt:
         # min 1/2 x^2 s.t. x = a: stationarity x + y = 0, so y = -a
         a = 3.0
         prog = make_prog([1.0], [0.0], rows=[([1.0], a, a)])
-        sol = solve_qp(prog)
+        sol = solve_qcqp(prog)
         assert sol.x[0] == pytest.approx(a, abs=1e-7)
         assert get_duals(sol, [0])[0] == pytest.approx(-a, abs=1e-6)
 
     def test_inactive_inequality_zero_dual(self):
         prog = make_prog([1.0], [-1.0], rows=[([1.0], -INF, 5.0)])
-        sol = solve_qp(prog)
+        sol = solve_qcqp(prog)
         assert get_duals(sol, [0])[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_objective_constant_carried(self):
-        sol = solve_qp(make_prog([1.0], [-1.0], const=7.0))
+        sol = solve_qcqp(make_prog([1.0], [-1.0], const=7.0))
         assert sol.objective == pytest.approx(6.5, abs=1e-8)
 
     def test_certify_bound_dual_and_its_negation(self):
         prog = make_prog([2.0], [0.0], lb=[1.0])
-        sol = solve_qp(prog)
+        sol = solve_qcqp(prog)
         cert = certify(prog, sol.x, sol.y_rows, sol.y_bounds, sol.cone_duals)
         assert cert.ratio <= 1.0
         # +2 would claim the missing upper bound: projected to zero, it
@@ -245,7 +279,7 @@ class TestHandKkt:
         ub = np.where(np.isin(kind, (2, 3)), hi, INF)
         lb[kind == 4] = ub[kind == 4] = hi[kind == 4]
         prog = make_prog(np.ones(n), -c, lb=lb, ub=ub)
-        sol = solve_qp(prog)
+        sol = solve_qcqp(prog)
         assert (sol.status, sol.detail) == ("optimal", "polished")
         x = np.clip(c, lb, ub)
         np.testing.assert_allclose(sol.x, x, rtol=0.0, atol=1e-9)
@@ -263,7 +297,7 @@ class TestHandKkt:
         bad = certify(prog, x, [-1.0], [0.0], [])
         assert bad.ratio > 1.0
         assert bad.stat == pytest.approx(1.0)
-        sol = solve_qp(prog)
+        sol = solve_qcqp(prog)
         assert sol.x[0] == pytest.approx(-5.0, abs=1e-9)
         assert certify(prog, sol.x, sol.y_rows, sol.y_bounds, []).ratio <= 1.0
 
@@ -278,7 +312,7 @@ class TestEqualityOracle:
         b = rng.standard_normal(m)
         x0, y0 = kkt_equality_oracle(p_diag, q, a, b)
         prog = make_prog(p_diag, q, rows=[(a[i], b[i], b[i]) for i in range(m)])
-        sol = solve_qp(prog)
+        sol = solve_qcqp(prog)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.x, x0, atol=1e-6)
         np.testing.assert_allclose(sol.y_rows, y0, atol=1e-6)
@@ -299,7 +333,7 @@ class TestEqualityOracle:
             return 0.5 * x @ (p_diag * x) + q @ x
 
         prog = make_prog(p_diag, q, rows=[(a[i], b[i], b[i]) for i in range(m)])
-        sol = solve_qp(prog)
+        sol = solve_qcqp(prog)
         h = 1e-5
         for i in range(m):
             db = np.zeros(m)
@@ -330,7 +364,7 @@ class TestActiveSetOracle:
         lb = np.full(n, -3.0)
         ub = np.full(n, 3.0)
         x0, yr0, yb0 = active_set_oracle(p_diag, q, rows, lb, ub)
-        sol = solve_qp(make_prog(p_diag, q, rows=rows, lb=lb, ub=ub))
+        sol = solve_qcqp(make_prog(p_diag, q, rows=rows, lb=lb, ub=ub))
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.x, x0, atol=1e-6)
         np.testing.assert_allclose(sol.y_rows, yr0, atol=1e-5)
@@ -356,34 +390,38 @@ class TestStatuses:
     def test_primal_infeasible(self):
         prog = make_prog([1.0], [0.0], rows=[([1.0], -INF, -1.0)],
                          lb=[0.0], ub=[1.0])
-        sol = solve_qp(prog)
+        sol = solve_qcqp(prog)
         assert sol.status == "infeasible"
 
     def test_unbounded(self):
-        sol = solve_qp(make_prog([0.0], [-1.0], lb=[0.0]))
+        sol = solve_qcqp(make_prog([0.0], [-1.0], lb=[0.0]))
         assert sol.status == "unbounded"
 
-    def test_iteration_limit(self):
+    def test_iteration_limit(self, monkeypatch):
         # range rows and finite bounds need several interior steps; an
         # equality-only program would be solved by the starting KKT solve
+        monkeypatch.setattr(convex, "MAX_ITER", 2)
+        monkeypatch.setattr(QpWorkspace, "_polish", lambda *args: None)
         rng = np.random.default_rng(0)
         n = 20
         prog = make_prog(rng.uniform(0.5, 2.0, n), rng.standard_normal(n),
                          rows=[(rng.standard_normal(n), -0.1, 0.1)
                                for _ in range(5)],
                          lb=np.full(n, -1.0), ub=np.full(n, 1.0))
-        sol = solve_qp(prog, settings=Settings(max_iter=2, polish=False))
+        sol = solve_qcqp(prog)
         assert sol.status == "iteration-limit"
 
-    def test_iteration_limit_says_why(self):
+    def test_iteration_limit_says_why(self, monkeypatch):
         # one interior step and no polish: the step limit stops the solve
+        monkeypatch.setattr(convex, "MAX_ITER", 1)
+        monkeypatch.setattr(QpWorkspace, "_polish", lambda *args: None)
         rng = np.random.default_rng(0)
         n = 20
         prog = make_prog(rng.uniform(0.5, 2.0, n), rng.standard_normal(n),
                          rows=[(rng.standard_normal(n), -0.1, 0.1)
                                for _ in range(5)],
                          lb=np.full(n, -1.0), ub=np.full(n, 1.0))
-        sol = solve_qp(prog, settings=Settings(max_iter=1, polish=False))
+        sol = solve_qcqp(prog)
         assert (sol.status, sol.iterations, sol.detail) \
             == ("iteration-limit", 1, "step limit")
 
@@ -391,12 +429,12 @@ class TestStatuses:
         # a cost this steep passes the primal-ray test on its own, but a
         # program with every column boxed cannot be unbounded
         q = np.full(3, -1e9)
-        sol = solve_qp(make_prog(np.zeros(3), q, lb=np.zeros(3),
-                                 ub=np.ones(3)))
+        sol = solve_qcqp(make_prog(np.zeros(3), q, lb=np.zeros(3),
+                                   ub=np.ones(3)))
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.x, 1.0)
-        free = solve_qp(make_prog(np.zeros(3), q, lb=[-INF, 0.0, 0.0],
-                                  ub=[INF, 1.0, 1.0]))
+        free = solve_qcqp(make_prog(np.zeros(3), q, lb=[-INF, 0.0, 0.0],
+                                    ub=[INF, 1.0, 1.0]))
         assert free.status == "unbounded"
 
     def test_empty_row_beside_a_variable_radius_ball(self):
@@ -409,7 +447,7 @@ class TestStatuses:
     def test_get_duals_requires_optimal(self):
         prog = make_prog([1.0], [0.0], rows=[([1.0], -INF, -1.0)],
                          lb=[0.0], ub=[1.0])
-        sol = solve_qp(prog)
+        sol = solve_qcqp(prog)
         with pytest.raises(EngineError, match="infeasible"):
             get_duals(sol, [0])
 
@@ -420,8 +458,8 @@ class TestDeterminismAndWarmth:
         n = 12
         rows = [(rng.standard_normal(n), -1.0, 1.0) for _ in range(4)]
         args = (rng.uniform(0.5, 2.0, n), rng.standard_normal(n))
-        a = solve_qp(make_prog(*args, rows=rows))
-        b = solve_qp(make_prog(*args, rows=rows))
+        a = solve_qcqp(make_prog(*args, rows=rows))
+        b = solve_qcqp(make_prog(*args, rows=rows))
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y_rows, b.y_rows)
         assert np.array_equal(a.y_bounds, b.y_bounds)
@@ -440,12 +478,13 @@ class TestDeterminismAndWarmth:
             assert np.array_equal(first.y_bounds, other.y_bounds)
             assert np.array_equal(first.cone_duals, other.cone_duals)
 
-    def test_iteration_log_written(self, tmp_path):
-        log = tmp_path / "iters.csv"
-        solve_qp(make_prog([1.0], [-1.0]), settings=Settings(log_path=str(log)))
-        lines = log.read_text().strip().splitlines()
-        assert lines[0] == "iter,prim_res,dual_res,obj"
-        assert len(lines) >= 2
+    def test_iteration_log_written(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger=convex.__name__):
+            sol = solve_qcqp(make_prog([1.0], [-1.0], const=7.0))
+        steps = [r.args for r in caplog.records if r.name == convex.__name__]
+        # one record per step, the starting point included
+        assert [step for step, *_ in steps] == list(range(sol.iterations + 1))
+        assert steps[-1][3] == pytest.approx(sol.objective, abs=1e-8)
 
 
 class TestQcqp:

@@ -187,6 +187,46 @@ class TestFileRoundTrip:
         with pytest.raises(InstanceError, match="format_version 99"):
             parse_instance(d)
 
+    def rewritten(self, tmp_path, edit):
+        """The directory of `two_bus` written out, with `edit` applied to
+        its parsed JSON."""
+        out = write_instance(two_bus(), tmp_path / "ed")
+        data = json.loads(out.read_text())
+        edit(data)
+        out.write_text(json.dumps(data))
+        return out.parent
+
+    def test_nan_rejected_and_infinity_kept(self, tmp_path):
+        def nan_rating(data):
+            data["lines"][0]["s_max_mva"] = float("nan")
+        with pytest.raises(InstanceError, match=r"network\.json: NaN"):
+            parse_instance(self.rewritten(tmp_path, nan_rating))
+        # an unlimited line is written as Infinity and reads back
+        inst = two_bus(lines=(Line("ab", "a", "b", r=0.01, x=0.02,
+                                   s_max=float("inf")),))
+        write_instance(inst, tmp_path / "inf")
+        assert parse_instance(tmp_path / "inf") == inst
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("buses", "max_batteries", 0.5),
+        ("buses", "max_generators", 1.5),
+        ("generators", "min_up", 2.7),
+        ("generators", "min_down", 3.2),
+    ])
+    def test_fractional_counts_rejected(self, tmp_path, section, key, value):
+        def fraction(data):
+            data[section][0][key] = value
+        entry = "bus a" if section == "buses" else "generator gen"
+        with pytest.raises(InstanceError,
+                           match=f"{entry}: {key} must be a whole number, got {value}"):
+            parse_instance(self.rewritten(tmp_path, fraction))
+
+    def test_whole_float_counts_accepted(self, tmp_path):
+        def floats(data):
+            data["buses"][0]["max_batteries"] = 1.0
+            data["generators"][0]["min_up"] = 2.0
+        assert parse_instance(self.rewritten(tmp_path, floats)) == two_bus()
+
     def test_per_unit_conversion(self, tmp_path):
         inst = two_bus(base_mva=2.0)
         out = write_instance(inst, tmp_path / "pu")
@@ -218,6 +258,15 @@ class TestLoads:
         f = tmp_path / "loads.csv"
         f.write_text("step,bus,p_mw,q_mvar\n0,a,1.0,0.3\n1,a,1.0,0.3\n0,b,1.0,0.3\n")
         with pytest.raises(InstanceError, match="bus 'b' covers 1 steps"):
+            parse_loads(f, inst, dt=0.25)
+
+    def test_repeated_row_rejected(self, tmp_path):
+        inst = two_bus()
+        f = tmp_path / "loads.csv"
+        f.write_text("step,bus,p_mw,q_mvar\n0,b,1.0,0.3\n1,b,1.0,0.3\n"
+                     "0,b,2.0,0.6\n")
+        with pytest.raises(InstanceError,
+                           match=r"loads\.csv:4: step 0 of bus 'b' repeats"):
             parse_loads(f, inst, dt=0.25)
 
     def test_negative_step_rejected(self, tmp_path):

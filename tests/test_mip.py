@@ -8,7 +8,7 @@ an independent continuous solve through cvxpy/CLARABEL; the best leaf
 is the exact mixed-binary optimum the search must reproduce.
 """
 
-import csv
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +19,7 @@ from test_formulation import (
     bat_only_instance, cvx_solve, five_bus_case, flat_loads, gen_bat_instance,
 )
 
+from microplan import mip
 from microplan.convex import certify, get_duals, solve_qcqp
 from microplan.formulation import (
     FormulationError, assemble, build_seamed, coupling_slots, fix_binaries,
@@ -254,30 +255,33 @@ def test_infeasible_row_reported_at_root(two_step):
     assert res.objective == np.inf
 
 
-def test_identical_runs_and_inert_seed(three_step):
-    a = solve_miqcqp(three_step)
-    b = solve_miqcqp(three_step)
+def node_records(caplog, model):
+    """The search's DEBUG node records, one (node, depth, bound,
+    incumbent, gap) tuple per explored node, and its result."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger=mip.__name__):
+        res = solve_miqcqp(model)
+    return [r.args for r in caplog.records if r.name == mip.__name__], res
+
+
+def test_identical_runs_and_inert_seed(three_step, caplog):
+    log_a, a = node_records(caplog, three_step)
+    log_b, b = node_records(caplog, three_step)
     assert a.nodes == b.nodes
-    assert a.log == b.log
+    assert log_a == log_b
     assert a.objective == b.objective
     assert a.binaries == b.binaries
     assert np.array_equal(a.x, b.x)
 
 
-def test_node_log_csv(three_step, tmp_path):
-    path = tmp_path / "nodes.csv"
-    res = solve_miqcqp(three_step, log_path=path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        body = list(reader)
-    assert header == ["node", "depth", "bound", "incumbent", "gap"]
+def test_node_log_records(three_step, caplog):
+    body, res = node_records(caplog, three_step)
     assert len(body) == res.nodes
-    assert [int(r[0]) for r in body] == list(range(1, res.nodes + 1))
-    bounds = [float(r[2]) for r in body]
+    assert [r[0] for r in body] == list(range(1, res.nodes + 1))
+    bounds = [r[2] for r in body]
     for prev, nxt in zip(bounds, bounds[1:]):
         assert nxt >= prev - 1e-9   # the proven bound only tightens
-    assert float(body[-1][4]) <= 1e-4
+    assert body[-1][4] <= 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +367,6 @@ def test_result_dataclass_round_trip(two_step_result):
     res = two_step_result
     assert isinstance(res, MipResult)
     assert res.solve_time > 0.0
-    assert res.nodes == len(res.log)
 
 
 def scanned_tightenings(model):

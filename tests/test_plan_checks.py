@@ -73,8 +73,8 @@ def test_receding_horizon_survives_a_failed_bound(pair, monkeypatch, caplog):
 
     solve = decomposition.solve_qcqp
 
-    def stalled(prog, settings):
-        return dataclasses.replace(solve(prog, settings=settings),
+    def stalled(prog):
+        return dataclasses.replace(solve(prog),
                                    status="iteration-limit", detail="stalled")
 
     # stage searches bind mip's solve_qcqp, so only the bound solve stalls
