@@ -29,7 +29,14 @@ come out at near-machine accuracy.  An active ball is pinned by its
 tangent at the current point, with its curvature in the objective, and
 re-linearized at each pass's point until that point stops moving off
 the ball; a ball at its apex, where no tangent exists, has its columns
-pinned to zero.
+pinned to zero.  The polish also runs on its own, from the solution of a
+program that differs only in its bounds (``solve_qcqp``'s `start`): the
+active set is read off that point and its multipliers by the same rule,
+a side the point sits on counting as active, and a certified result ends
+the solve with no interior-point step.
+This is finite termination by active-set identification (Ye, Math.
+Prog. 1992) and solution polishing as in OSQP (Stellato et al., Math.
+Prog. Comp. 2020).
 
 A point is reported optimal when it certifies (:func:`certify`): (1)
 every row, bound and ball holds and (2) stationarity holds, entry by
@@ -590,15 +597,10 @@ class QpWorkspace:
                                  np.zeros(self.n), np.zeros(self.mt),
                                  float(miss.max()), 0.0, 0,
                                  time.perf_counter() - t0)
-        ls = self.l * self.e
-        us = self.u * self.e
+        ls, us, i_eq, i_up, i_lo = self._sides()
         # g x + s = h: equalities (s = 0), the upper and lower sides of
         # the other linear rows (s >= 0), then the ball blocks, whose
         # values h + As x enter negated
-        eq = (ls == us) & np.isfinite(us)
-        i_eq = np.flatnonzero(eq)
-        i_up = np.flatnonzero(np.isfinite(us) & ~eq)
-        i_lo = np.flatnonzero(np.isfinite(ls) & ~eq)
         n_lin = i_up.size + i_lo.size
         rows = np.concatenate([i_eq, i_up, i_lo, np.arange(self.cone0, self.mt)])
         sign = np.ones(rows.size)
@@ -613,16 +615,9 @@ class QpWorkspace:
         y = np.zeros(self.mt)
         np.add.at(y, rows, sign * z)
         if status in ("optimal", "iteration-limit"):
-            # a row or ball is pinned when its multiplier exceeds its
-            # slack (a ball's slack is its distance to the cone boundary);
-            # the multiplier sign alone misreads near-zero duals
-            z0 = z[i_eq.size:][cones.heads]
-            act = z0 > cones.margin(s[i_eq.size:])
-            up = np.zeros(self.mt, dtype=bool)
-            low = np.zeros(self.mt, dtype=bool)
-            up[i_up[act[:i_up.size]]] = True
-            low[i_lo[act[i_up.size:n_lin]]] = True
-            polished = self._polish(low, up, act[n_lin:], z0[n_lin:], x)
+            polished = self._polish(*self._pins(
+                i_up, i_lo, z[i_eq.size:][cones.heads],
+                cones.margin(s[i_eq.size:])), x)
             if polished is not None and polished[2].ratio <= 1.0:
                 x, y, cert = polished
                 prim_res, dual_res = cert.prim, cert.stat
@@ -631,6 +626,68 @@ class QpWorkspace:
                 detail = "polish rejected"
         return self._package(status, detail, x, y, prim_res, dual_res, it,
                              time.perf_counter() - t0)
+
+    def polish_from(self, start: PrimalDualSolution) -> PrimalDualSolution | None:
+        """The polish of another solve's point, with no interior point:
+        `start` solved a program with this one's rows, balls and costs
+        but other bounds.  Its x, clipped to this program's bounds, and
+        its multipliers are scaled as this workspace scales (the scaling
+        does not depend on the bounds), and the rows and balls are
+        pinned by the rule `solve` applies, save that a side or ball the
+        clipped point sits on is pinned too.  Returns the polished point
+        as ``optimal`` after 0 iterations if it certifies, else None."""
+        t0 = time.perf_counter()
+        prog, m, n, c0 = self.prog, self.prog.m, self.n, self.cone0
+        parts = [np.asarray(v, dtype=float) for v in (
+            start.x, start.y_rows, start.y_bounds, start.cone_duals)]
+        if [v.shape for v in parts] != [(n,), (m,), (n,), (len(prog.cones),)]:
+            raise EngineError("start does not match the program's columns, "
+                              "rows and balls")
+        x_sc = np.clip(parts[0], prog.lb, prog.ub) / self.d
+        y = np.concatenate(parts[1:3]) * self.c / self.e[:c0]
+        ls, us, _, i_up, i_lo = self._sides()
+        ax = self.As @ x_sc
+        _, radius, norm = self._balls(ax)
+        z0 = np.concatenate([np.maximum(y[i_up], 0.0), np.maximum(-y[i_lo], 0.0),
+                             parts[3] * self.c / self.e[c0 + self.cones.heads]])
+        margin = np.concatenate([us[i_up] - ax[i_up], ax[i_lo] - ls[i_lo],
+                                 radius - norm])
+        # a side or ball the start sits on is pinned whatever its
+        # multiplier: a polished start is exact there, and a zero
+        # multiplier on it may be one of several optimal ones
+        margin = np.where(margin > 0.0, margin, -np.inf)
+        polished = self._polish(*self._pins(i_up, i_lo, z0, margin), x_sc)
+        if polished is None or polished[2].ratio > 1.0:
+            return None
+        x, y, cert = polished
+        return self._package("optimal", "polished", x, y, cert.prim, cert.stat,
+                             0, time.perf_counter() - t0)
+
+    def _sides(self):
+        """Scaled row sides (ls, us) of the stacked rows, and the indices
+        of their equalities, of the finite upper sides of the other rows
+        and of their finite lower sides."""
+        ls = self.l * self.e
+        us = self.u * self.e
+        eq = (ls == us) & np.isfinite(us)
+        return (ls, us, np.flatnonzero(eq), np.flatnonzero(np.isfinite(us) & ~eq),
+                np.flatnonzero(np.isfinite(ls) & ~eq))
+
+    def _pins(self, i_up, i_lo, z0, margin):
+        """The active set the polish starts from.  A row side or ball is
+        pinned when its multiplier exceeds its slack (a ball's slack is
+        its distance to the cone boundary); the multiplier sign alone
+        misreads near-zero duals.  `z0` and `margin` list the upper
+        sides `i_up`, the lower sides `i_lo`, then the balls.  Returns
+        the pinned lower and upper sides as masks over the stacked rows,
+        the mask of pinned balls and every ball's multiplier."""
+        n_lin = i_up.size + i_lo.size
+        act = z0 > margin
+        up = np.zeros(self.mt, dtype=bool)
+        low = np.zeros(self.mt, dtype=bool)
+        up[i_up[act[:i_up.size]]] = True
+        low[i_lo[act[i_up.size:n_lin]]] = True
+        return low, up, act[n_lin:], z0[n_lin:]
 
     def _interior_point(self, g, h, me, cones, e_g):
         """Homogeneous self-dual primal-dual iteration with Mehrotra
@@ -1060,8 +1117,20 @@ class QpWorkspace:
         return best
 
 
-def solve_qcqp(prog: ConvexProgram) -> PrimalDualSolution:
+def solve_qcqp(prog: ConvexProgram,
+               start: PrimalDualSolution | None = None) -> PrimalDualSolution:
     """Solve a program with norm-ball rows: one workspace, one conic
     interior-point solve and its polish.  `cone_duals` holds one
-    multiplier per ball (see the module docstring)."""
-    return QpWorkspace(prog).solve()
+    multiplier per ball (see the module docstring).
+
+    `start`, a solution of a program with the same rows, balls and costs
+    but other bounds, is polished first (:meth:`QpWorkspace.polish_from`);
+    if that certifies it is the answer, ``optimal``/``polished`` after 0
+    iterations, and otherwise the cold solve runs as without it.  A start
+    whose arrays do not match the program raises EngineError."""
+    ws = QpWorkspace(prog)
+    if start is not None:
+        sol = ws.polish_from(start)
+        if sol is not None:
+            return sol
+    return ws.solve()

@@ -43,6 +43,14 @@ class InstanceError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
+def _require_finite(spec, names, location):
+    """Raise for the first cost field among `names` of `spec` that is not
+    finite: a cost has no meaning at infinity, unlike a limit."""
+    for name in names:
+        if not np.isfinite(getattr(spec, name)).all():
+            raise InstanceError(f"{name} must be finite", location)
+
+
 @dataclass(frozen=True)
 class Bus:
     id: str
@@ -94,6 +102,7 @@ class BatterySpec:
 
     def __post_init__(self):
         loc = f"battery {self.id}"
+        _require_finite(self, ("fixed_cost", "capacity_cost"), loc)
         if not (0.0 < self.eta_ch <= 1.0) or not (0.0 < self.eta_dis <= 1.0):
             raise InstanceError("efficiencies must lie in (0, 1]", loc)
         if self.max_power <= 0:
@@ -124,6 +133,7 @@ class GeneratorSpec:
         loc = f"generator {self.id}"
         if len(self.cost_coeffs) != 3:
             raise InstanceError("cost_coeffs must be (c0, c1, c2)", loc)
+        _require_finite(self, ("fixed_cost", "cost_coeffs"), loc)
         if self.cost_coeffs[2] < 0:
             raise InstanceError("quadratic cost coefficient must be nonnegative", loc)
         if self.min_up < 1 or self.min_down < 1:
@@ -155,6 +165,7 @@ class NetworkInstance:
     name: str = "instance"
 
     def __post_init__(self):
+        _require_finite(self, ("shed_penalty",), self.name)
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             raise InstanceError("duplicate bus ids", self.name)
@@ -309,9 +320,9 @@ def parse_instance(path) -> NetworkInstance:
     """Read and validate an instance directory (or a ``network.json`` path).
 
     Raises :class:`InstanceError` with a file/field location for missing
-    files, malformed fields (a NaN anywhere, or a fraction where a count
-    or a number of steps belongs), dangling bus references, and
-    disconnected graphs.
+    files, malformed fields (a NaN anywhere, an infinite cost, or a
+    fraction where a count or a number of steps belongs), dangling bus
+    references, and disconnected graphs.
     """
     path = Path(path)
     net_file = path / "network.json" if path.is_dir() else path

@@ -7,9 +7,12 @@ first) until the chain is pruned, infeasible, or integral.  Plunging
 finds incumbents early; the heap keeps the global bound honest.
 
 Each node relaxation is one cold solve of the conic interior point on
-the base program with the node's bounds; nothing else passes between
-nodes.  Each explored node is logged at DEBUG level on this module's
-logger, with its number, depth, bound, incumbent and gap.
+the base program with the node's bounds.  One thing passes between
+programs: an integral node hands its solution to the solve that
+confirms its rounded binaries, which polishes that point first and
+solves cold only if the polish does not certify.  Each explored node is
+logged at DEBUG level on this module's logger, with its number, depth,
+bound, incumbent and gap.
 """
 
 import heapq
@@ -48,9 +51,11 @@ class MipResult:
     nodes: int
     binaries: dict | None      # column -> {0.0, 1.0} of the incumbent
     solve_time: float = 0.0
-    # the engine solution the incumbent came from, None without one: an
-    # optimal solve of the relaxed model with every binary fixed and the
-    # `_Tightener` bounds applied, so its duals price every model row
+    # the engine solution the incumbent came from, None without one: a
+    # certified optimum of the relaxed model with every binary fixed and
+    # the `_Tightener` bounds applied, so its duals price every model
+    # row; it is the polish of the integral node's point when that
+    # certifies, and a cold solve otherwise
     solution: PrimalDualSolution | None = None
 
 
@@ -98,7 +103,7 @@ class _NodeSolver:
 
     def __init__(self, model):
         self.base = relax_integrality(model).to_convex()
-        self.binaries = sorted(model.binaries)
+        self.binaries = np.array(sorted(model.binaries), dtype=int)
         self.tightener = _Tightener(model)
 
     def bounds(self, fixings):
@@ -110,7 +115,10 @@ class _NodeSolver:
             return None
         return lb, ub
 
-    def solve(self, fixings):
+    def solve(self, fixings, start=None):
+        """The relaxation with the bounds of `fixings`, None if they
+        contradict; `start` goes to the engine as the point to polish
+        first."""
         made = self.bounds(fixings)
         if made is None:
             return None
@@ -118,16 +126,14 @@ class _NodeSolver:
         prog = ConvexProgram(self.base.p_diag, self.base.q, self.base.a,
                              self.base.l, self.base.u, lb, ub,
                              self.base.cones, self.base.const)
-        return solve_qcqp(prog)
+        return solve_qcqp(prog, start=start)
 
     def fractional(self, x):
-        """Unfixed binary farthest from integer, lowest column on ties."""
-        best = None
-        for j in self.binaries:
-            f = abs(x[j] - round(x[j]))
-            if f > INT_TOL and (best is None or f > best[0]):
-                best = (f, j)
-        return None if best is None else best[1]
+        """Binary farthest from integer, lowest column on ties; None when
+        none is more than INT_TOL from one."""
+        frac = np.abs(x[self.binaries] - np.round(x[self.binaries]))
+        far = np.flatnonzero(frac > INT_TOL)
+        return int(self.binaries[far[np.argmax(frac[far])]]) if far.size else None
 
 
 def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
@@ -164,19 +170,22 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
         log.debug("node %d: depth %d, bound %s, incumbent %s, gap %s",
                   nodes, depth, bound, ub, _relative_gap(ub, bound))
 
-    def accept(fixings, sol):
+    def accept(fixings, sol, integral):
         """Install an incumbent candidate.  Binaries the relaxation left
         free are rounded to exact integers and the convex rest is
-        re-solved, which re-verifies feasibility at engine tolerance;
-        a converged solution whose binaries were all pinned by `fixings`
+        re-solved, which re-verifies feasibility at engine tolerance.
+        An `integral` node's point moves by at most INT_TOL in that
+        rounding, so the engine polishes it before any cold solve.  A
+        converged solution whose binaries were all pinned by `fixings`
         is already exact and is taken as is."""
         nonlocal ub, inc_sol, inc_fix
         full = dict(fixings)
-        extra = [j for j in solver.binaries if j not in full]
+        extra = [j for j in solver.binaries.tolist() if j not in full]
         for j in extra:
             full[j] = float(round(sol.x[j]))
         if extra or sol.status != "optimal":
-            cand = solver.solve(tuple(full.items()))
+            cand = solver.solve(tuple(full.items()),
+                                start=sol if integral else None)
             if cand is None or cand.status != "optimal":
                 return
         else:
@@ -217,9 +226,9 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
                 bound = cur.bound   # an unconverged value proves nothing
             jstar = solver.fractional(sol.x)
             if jstar is None:
-                accept(cur.fixings, sol)
+                accept(cur.fixings, sol, True)
             elif nodes == 1 or nodes % 50 == 0:
-                accept(cur.fixings, sol)   # rounding heuristic
+                accept(cur.fixings, sol, False)   # rounding heuristic
             log_node(cur.depth, bound)
             if jstar is None or prunable(bound):
                 lb_floor = min(lb_floor, bound)

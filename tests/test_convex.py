@@ -487,6 +487,60 @@ class TestDeterminismAndWarmth:
         assert steps[-1][3] == pytest.approx(sol.objective, abs=1e-8)
 
 
+class TestStart:
+    """`solve_qcqp(prog, start)`: the polish of another bound set's
+    solution, and the cold solve when it does not certify."""
+
+    @staticmethod
+    def ball_prog(z_lb=0.0):
+        # min -p + 2 s - z s.t. ||(p, q)|| <= s, q = 0.3, s <= z, z in
+        # [z_lb, 1]: a relaxed build binary z whose optimum is integral
+        return make_prog([0.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 2.0, -1.0],
+                         rows=[([0.0, 1.0, 0.0, 0.0], 0.3, 0.3),
+                               ([0.0, 0.0, 1.0, -1.0], -INF, 0.0)],
+                         lb=[-10.0, -10.0, 0.0, z_lb], ub=[10.0, 10.0, 10.0, 1.0],
+                         cones=[ConeRow(cols=(0, 1), radius_col=2)])
+
+    def test_integral_start_certifies_without_steps(self):
+        relaxed = solve_qcqp(self.ball_prog())
+        assert relaxed.detail == "polished"
+        assert relaxed.x[3] == 1.0
+        fixed = self.ball_prog(z_lb=1.0)
+        cold = solve_qcqp(fixed)
+        assert cold.iterations > 0
+        sol = solve_qcqp(fixed, start=relaxed)
+        assert (sol.status, sol.detail, sol.polished) == ("optimal", "polished", True)
+        assert sol.iterations == 0
+        assert sol.program is fixed
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+        assert certify(fixed, sol.x, sol.y_rows, sol.y_bounds,
+                       sol.cone_duals).ratio <= 1.0
+
+    def test_start_that_fails_gives_the_cold_solve(self):
+        prog = self.ball_prog()
+        zero = PrimalDualSolution("optimal", np.zeros(prog.n), np.zeros(prog.m),
+                                  np.zeros(prog.n), 0.0, 0.0, 0.0, 0, 0.0,
+                                  cone_duals=np.zeros(len(prog.cones)))
+        # q = 0 breaks the row q = 0.3
+        assert certify(prog, zero.x, zero.y_rows, zero.y_bounds,
+                       zero.cone_duals).prim > 0.1
+        assert QpWorkspace(prog).polish_from(zero) is None
+        warm, cold = solve_qcqp(prog, start=zero), solve_qcqp(prog)
+        for key in ("x", "y_rows", "y_bounds", "cone_duals"):
+            assert np.array_equal(getattr(warm, key), getattr(cold, key)), key
+        for key in ("status", "detail", "iterations", "objective"):
+            assert getattr(warm, key) == getattr(cold, key), key
+        assert warm.iterations > 0
+
+    @pytest.mark.parametrize("field", ["x", "y_rows", "y_bounds", "cone_duals"])
+    def test_start_of_another_shape_raises(self, field):
+        prog = self.ball_prog()
+        start = solve_qcqp(prog)
+        setattr(start, field, np.append(getattr(start, field), 0.0))
+        with pytest.raises(EngineError, match="start does not match"):
+            solve_qcqp(prog, start=start)
+
+
 class TestQcqp:
     def test_circle_tangent(self):
         # min -p s.t. p^2 + q^2 <= 1, q = 0.6: p* = 0.8, multiplier 1.25

@@ -78,6 +78,8 @@ class TestConstruction:
             GeneratorSpec("g", "a", 1.0, (1.0, 1.0, -1.0), 1, 1, 1.0, 1.0, 0.5, 0.0, 1.0)
         with pytest.raises(InstanceError, match="thermal limit"):
             Line("l", "a", "b", 0.0, 0.0, 0.0)
+        with pytest.raises(InstanceError, match="instance: shed_penalty must be finite"):
+            two_bus(shed_penalty=float("nan"))
 
     def test_history_depth(self):
         gen = two_bus().generator_specs[0]
@@ -206,6 +208,23 @@ class TestFileRoundTrip:
                                    s_max=float("inf")),))
         write_instance(inst, tmp_path / "inf")
         assert parse_instance(tmp_path / "inf") == inst
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: d["generators"][0].update(fixed_cost=float("inf")),
+         "generator gen: fixed_cost must be finite"),
+        (lambda d: d["generators"][0]["cost_coeffs"].__setitem__(1, -float("inf")),
+         "generator gen: cost_coeffs must be finite"),
+        (lambda d: d["batteries"][0].update(fixed_cost=float("inf")),
+         "battery bat: fixed_cost must be finite"),
+        (lambda d: d["batteries"][0].update(capacity_cost_per_mva=float("inf")),
+         "battery bat: capacity_cost must be finite"),
+        (lambda d: d.update(shed_penalty=float("inf")),
+         "shed_penalty must be finite"),
+    ])
+    def test_infinite_cost_rejected(self, tmp_path, edit, match):
+        # written as Infinity, which stays legal for ratings and limits
+        with pytest.raises(InstanceError, match=match):
+            parse_instance(self.rewritten(tmp_path, edit))
 
     @pytest.mark.parametrize("section, key, value", [
         ("buses", "max_batteries", 0.5),

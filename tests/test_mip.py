@@ -26,7 +26,7 @@ from microplan.formulation import (
     horizon_start_boundary,
 )
 from microplan.mip import (
-    MipResult, _Tightener, solve_fixed_then_duals, solve_miqcqp,
+    MipResult, _NodeSolver, _Tightener, solve_fixed_then_duals, solve_miqcqp,
 )
 
 
@@ -315,7 +315,49 @@ def test_incumbent_solution_is_the_fixed_binary_solve():
     assert np.array_equal(sol.x, res.x)
     pins = [r for r in model.coupling.init_pin_rows if r is not None]
     fixed = solve_fixed_then_duals(model, res.binaries)
-    assert np.array_equal(get_duals(sol, pins), get_duals(fixed, pins))
+    # two certified solves of one program, the incumbent's polished from
+    # its integral node: they agree to rounding, not bit for bit
+    np.testing.assert_allclose(get_duals(sol, pins), get_duals(fixed, pins),
+                               rtol=1e-9, atol=1e-9)
+
+
+def test_integral_node_confirmed_by_polish(two_step, two_step_result):
+    # the incumbent came from an integral node: its point was polished
+    # on the fixed-binary program, with no interior-point step
+    res = two_step_result
+    sol = res.solution
+    assert (sol.status, sol.detail, sol.iterations) == ("optimal", "polished", 0)
+    prog = sol.program
+    assert certify(prog, sol.x, sol.y_rows, sol.y_bounds,
+                   sol.cone_duals).ratio <= 1.0
+    fixed = fix_binaries(two_step, res.binaries).to_convex()
+    lb, ub = fixed.lb.copy(), fixed.ub.copy()
+    assert _Tightener(two_step).apply(lb, ub)
+    assert np.array_equal(prog.lb, lb) and np.array_equal(prog.ub, ub)
+    assert res.objective == pytest.approx(solve_qcqp(fixed).objective, rel=1e-9)
+
+
+def test_fractional_picks_the_farthest_binary_lowest_on_ties(two_step):
+    solver = _NodeSolver(two_step)
+    b = solver.binaries
+    assert b.tolist() == sorted(two_step.binaries)
+    x = np.zeros(two_step.n)
+    x[b[0]] = 1.0 - 0.5 * mip.INT_TOL     # integral to tolerance
+    assert solver.fractional(x) is None
+    x[b[3]], x[b[1]], x[b[2]] = 0.75, 0.25, 0.125
+    assert solver.fractional(x) == b[1]   # 0.25 from 0 ties 0.25 from 1
+    x[b[4]] = 0.45
+    assert solver.fractional(x) == b[4]
+    # the loop it replaced, as the reference on random points
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        x = np.round(rng.uniform(0.0, 1.0, two_step.n), rng.integers(1, 3))
+        best = None
+        for j in sorted(two_step.binaries):
+            f = abs(x[j] - round(x[j]))
+            if f > mip.INT_TOL and (best is None or f > best[0]):
+                best = (f, j)
+        assert solver.fractional(x) == (None if best is None else best[1])
 
 
 def test_fixed_resolve_requires_every_binary(two_step, two_step_result):
