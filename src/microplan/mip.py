@@ -8,11 +8,12 @@ finds incumbents early; the heap keeps the global bound honest.
 
 Each node relaxation is one cold solve of the conic interior point on
 the base program with the node's bounds.  One thing passes between
-programs: an integral node hands its solution to the solve that
-confirms its rounded binaries, which polishes that point first and
-solves cold only if the polish does not certify.  Each explored node is
-logged at DEBUG level on this module's logger, with its number, depth,
-bound, incumbent and gap.
+programs: a node whose binaries are rounded into an incumbent
+candidate (an integral node, or the rounding heuristic's) hands its
+solution to the solve that confirms them, which polishes that point
+first and solves cold only if the polish does not certify.  Each
+explored node is logged at DEBUG level on this module's logger, with
+its number, depth, bound, incumbent and gap.
 """
 
 import heapq
@@ -54,7 +55,7 @@ class MipResult:
     # the engine solution the incumbent came from, None without one: a
     # certified optimum of the relaxed model with every binary fixed and
     # the `_Tightener` bounds applied, so its duals price every model
-    # row; it is the polish of the integral node's point when that
+    # row; it is the polish of the rounded node's point when that
     # certifies, and a cold solve otherwise
     solution: PrimalDualSolution | None = None
 
@@ -103,7 +104,7 @@ class _NodeSolver:
 
     def __init__(self, model):
         self.base = relax_integrality(model).to_convex()
-        self.binaries = np.array(sorted(model.binaries), dtype=int)
+        self.binaries = sorted(model.binaries)
         self.tightener = _Tightener(model)
 
     def bounds(self, fixings):
@@ -129,11 +130,13 @@ class _NodeSolver:
         return solve_qcqp(prog, start=start)
 
     def fractional(self, x):
-        """Binary farthest from integer, lowest column on ties; None when
-        none is more than INT_TOL from one."""
-        frac = np.abs(x[self.binaries] - np.round(x[self.binaries]))
-        far = np.flatnonzero(frac > INT_TOL)
-        return int(self.binaries[far[np.argmax(frac[far])]]) if far.size else None
+        """Unfixed binary farthest from integer, lowest column on ties."""
+        best = None
+        for j in self.binaries:
+            f = abs(x[j] - round(x[j]))
+            if f > INT_TOL and (best is None or f > best[0]):
+                best = (f, j)
+        return None if best is None else best[1]
 
 
 def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
@@ -170,22 +173,20 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
         log.debug("node %d: depth %d, bound %s, incumbent %s, gap %s",
                   nodes, depth, bound, ub, _relative_gap(ub, bound))
 
-    def accept(fixings, sol, integral):
+    def accept(fixings, sol):
         """Install an incumbent candidate.  Binaries the relaxation left
         free are rounded to exact integers and the convex rest is
-        re-solved, which re-verifies feasibility at engine tolerance.
-        An `integral` node's point moves by at most INT_TOL in that
-        rounding, so the engine polishes it before any cold solve.  A
-        converged solution whose binaries were all pinned by `fixings`
-        is already exact and is taken as is."""
+        re-solved from the node's point, which the engine polishes
+        before any cold solve; either way the result is certified at
+        engine tolerance.  A converged solution whose binaries were all
+        pinned by `fixings` is already exact and is taken as is."""
         nonlocal ub, inc_sol, inc_fix
         full = dict(fixings)
-        extra = [j for j in solver.binaries.tolist() if j not in full]
+        extra = [j for j in solver.binaries if j not in full]
         for j in extra:
             full[j] = float(round(sol.x[j]))
         if extra or sol.status != "optimal":
-            cand = solver.solve(tuple(full.items()),
-                                start=sol if integral else None)
+            cand = solver.solve(tuple(full.items()), start=sol)
             if cand is None or cand.status != "optimal":
                 return
         else:
@@ -226,9 +227,9 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
                 bound = cur.bound   # an unconverged value proves nothing
             jstar = solver.fractional(sol.x)
             if jstar is None:
-                accept(cur.fixings, sol, True)
+                accept(cur.fixings, sol)
             elif nodes == 1 or nodes % 50 == 0:
-                accept(cur.fixings, sol, False)   # rounding heuristic
+                accept(cur.fixings, sol)   # rounding heuristic
             log_node(cur.depth, bound)
             if jstar is None or prunable(bound):
                 lb_floor = min(lb_floor, bound)
