@@ -38,6 +38,20 @@ This is finite termination by active-set identification (Ye, Math.
 Prog. 1992) and solution polishing as in OSQP (Stellato et al., Math.
 Prog. Comp. 2020).
 
+Every result carries a weak-duality ``bound`` on its program's optimum,
+NaN only when it is ``infeasible`` or ``unbounded``.  It is computed
+from the result's own stacked multipliers, which need not be optimal:
+each row's multiplier is put on its valid sign and each ball's block
+into its cone, and the Lagrangian, separable over the columns, is
+minimized over their boxes in closed form (Neumaier & Shcherbina, Math.
+Prog. 2004).  So an unconverged or unpolished result still proves a
+bound.  A caller that needs only the point and the bound runs the
+interior layer alone (:meth:`QpWorkspace.interior`), and a caller with
+many programs that differ only in their bounds, such as the nodes of a
+branch and bound, builds one workspace and takes a view of it per bound
+set (:meth:`QpWorkspace.with_bounds`): the Ruiz scaling and the stacked
+rows, balls and costs do not depend on the bounds and are shared.
+
 A point is reported optimal when it certifies (:func:`certify`): (1)
 every row, bound and ball holds and (2) stationarity holds, entry by
 entry within EPS_ABS + EPS_REL times the magnitude of the entry's terms,
@@ -72,6 +86,7 @@ on the ball's columns and −1 on its radius variable.
 
 from __future__ import annotations
 
+import copy
 import logging
 import time
 from collections.abc import Sequence
@@ -270,6 +285,7 @@ class PrimalDualSolution:
     polished: bool = False
     detail: str = ""
     program: ConvexProgram | None = None
+    bound: float = np.nan       # weak-duality bound of `program` (module docstring)
 
     @property
     def lower_bound_duals(self):
@@ -509,13 +525,13 @@ class QpWorkspace:
     """
 
     def __init__(self, prog: ConvexProgram):
-        self.prog = prog
         n, m = prog.n, prog.m
         self.n = n
         self.cones = _Cones(1 + np.bincount(prog.cone_owner,
                                             minlength=len(prog.cones)))
         self.cone0 = m + n                   # first cone row
         self.mt = m + n + self.cones.owner.size
+        self._bind(prog)
         heads, rc = self.cones.heads, prog.radius_col
         h = np.zeros(self.cones.owner.size)
         h[heads] = np.where(rc < 0, prog.radius, 0.0)
@@ -532,14 +548,38 @@ class QpWorkspace:
         has = np.diff(block.indptr) > 0
         self.cone_col, self.cone_val = np.full(h.size, -1), np.zeros(h.size)
         self.cone_col[has], self.cone_val[has] = block.indices, block.data
-        self.l = np.concatenate([prog.l, prog.lb, np.full(h.size, -np.inf)])
-        self.u = np.concatenate([prog.u, prog.ub, np.full(h.size, np.inf)])
+        # an empty row whose bounds exclude zero is its own certificate of
+        # infeasibility; in the interior point its multiplier would grow
+        # like 1/KKT_REG and could stall the iteration instead
+        miss = np.where(np.asarray(abs(prog.a).sum(axis=1)).ravel() == 0.0,
+                        np.maximum(prog.l, -prog.u), 0.0)
+        self.empty_row = (int(np.argmax(miss)), float(miss.max())) \
+            if miss.max(initial=0.0) > EPS_ABS else None
+
+    # -- setup ------------------------------------------------------------
+
+    def _bind(self, prog):
+        """Take `prog` as the program: its variable bounds are the only
+        stacked data that `_scale` and the cone layout leave out."""
+        self.prog = prog
+        cone_rows = self.mt - self.cone0
+        self.l = np.concatenate([prog.l, prog.lb, np.full(cone_rows, -np.inf)])
+        self.u = np.concatenate([prog.u, prog.ub, np.full(cone_rows, np.inf)])
         # with every column boxed the cost is bounded below, so a primal
         # ray of decreasing cost can only be a rounding artefact
         self.boxed = bool(np.isfinite(prog.lb).all()
                           and np.isfinite(prog.ub).all())
 
-    # -- setup ------------------------------------------------------------
+    def with_bounds(self, lb, ub) -> QpWorkspace:
+        """A view of this workspace for its program with the variable
+        bounds `lb` and `ub`.  The scaled rows, balls and costs do not
+        depend on the bounds, so the view shares them, as it shares the
+        empty-row check; no solve mutates them."""
+        p = self.prog
+        view = copy.copy(self)
+        view._bind(ConvexProgram(p.p_diag, p.q, p.a, p.l, p.u, lb, ub,
+                                 p.cones, p.const))
+        return view
 
     def _scale(self, a):
         """Modified Ruiz equilibration plus cost normalization.  The rows
@@ -586,17 +626,33 @@ class QpWorkspace:
     def solve(self) -> PrimalDualSolution:
         """Interior-point solve, then the active-set polish of its point."""
         t0 = time.perf_counter()
-        # an empty row whose bounds exclude zero is its own certificate of
-        # infeasibility; in the interior point its multiplier would grow
-        # like 1/KKT_REG and could stall the iteration instead
-        prog = self.prog
-        miss = np.where(np.asarray(abs(prog.a).sum(axis=1)).ravel() == 0.0,
-                        np.maximum(prog.l, -prog.u), 0.0)
-        if miss.max(initial=0.0) > EPS_ABS:
-            return self._package("infeasible", f"row {int(np.argmax(miss))} is empty",
-                                 np.zeros(self.n), np.zeros(self.mt),
-                                 float(miss.max()), 0.0, 0,
-                                 time.perf_counter() - t0)
+        (status, detail, x, y, prim_res, dual_res, it), pins = self._interior()
+        if status in ("optimal", "iteration-limit"):
+            polished = self._polish(*pins, x)
+            if polished is not None and polished[2].ratio <= 1.0:
+                x, y, cert = polished
+                prim_res, dual_res = cert.prim, cert.stat
+                status, detail = "optimal", "polished"
+            elif status == "optimal":
+                detail = "polish rejected"
+        return self._package(status, detail, x, y, prim_res, dual_res, it,
+                             time.perf_counter() - t0)
+
+    def interior(self) -> PrimalDualSolution:
+        """The interior point alone, with no polish: its point and
+        multipliers as they stand, and the bound they prove."""
+        t0 = time.perf_counter()
+        point, _ = self._interior()
+        return self._package(*point, time.perf_counter() - t0)
+
+    def _interior(self):
+        """Run the interior point.  Returns its status, detail, scaled x
+        and stacked y, residuals and step count, and the `_pins` the
+        polish would start from (None on an empty row)."""
+        if self.empty_row is not None:
+            row, miss = self.empty_row
+            return ("infeasible", f"row {row} is empty", np.zeros(self.n),
+                    np.zeros(self.mt), miss, 0.0, 0), None
         ls, us, i_eq, i_up, i_lo = self._sides()
         # g x + s = h: equalities (s = 0), the upper and lower sides of
         # the other linear rows (s >= 0), then the ball blocks, whose
@@ -614,18 +670,9 @@ class QpWorkspace:
             self._interior_point(g, h, i_eq.size, cones, self.e[rows])
         y = np.zeros(self.mt)
         np.add.at(y, rows, sign * z)
-        if status in ("optimal", "iteration-limit"):
-            polished = self._polish(*self._pins(
-                i_up, i_lo, z[i_eq.size:][cones.heads],
-                cones.margin(s[i_eq.size:])), x)
-            if polished is not None and polished[2].ratio <= 1.0:
-                x, y, cert = polished
-                prim_res, dual_res = cert.prim, cert.stat
-                status, detail = "optimal", "polished"
-            elif status == "optimal":
-                detail = "polish rejected"
-        return self._package(status, detail, x, y, prim_res, dual_res, it,
-                             time.perf_counter() - t0)
+        pins = self._pins(i_up, i_lo, z[i_eq.size:][cones.heads],
+                          cones.margin(s[i_eq.size:]))
+        return (status, detail, x, y, prim_res, dual_res, it), pins
 
     def polish_from(self, start: PrimalDualSolution) -> PrimalDualSolution | None:
         """The polish of another solve's point, with no interior point:
@@ -918,9 +965,38 @@ class QpWorkspace:
         y_lin = _valid_sign(y[:m + n], self.l[:m + n], self.u[:m + n])
         return x, y_lin[:m], y_lin[m:], np.maximum(-y[self.cone0 + self.cones.heads], 0.0)
 
+    def _bound(self, y_sc):
+        """Weak-duality bound of the program from stacked multipliers
+        `y_sc`, which need not be optimal.  Each linear row's multiplier
+        goes onto its valid sign, and each ball's block -z into its cone,
+        z's head raised to the norm of its tail; the bound rows are left
+        to the box.  Then the Lagrangian, at most the cost at every
+        feasible point, is separable: each column's 1/2 p x^2 + g x is
+        minimized over its box in closed form.  It is -inf when a column
+        without curvature is pushed toward an infinite bound."""
+        m, c0, cones = self.prog.m, self.cone0, self.cones
+        ls, us = self.l[:m] * self.e[:m], self.u[:m] * self.e[:m]
+        y = np.zeros(self.mt)
+        y[:m] = _valid_sign(y_sc[:m], ls, us)
+        z = -y_sc[c0:]
+        z[cones.heads] = np.maximum(z[cones.heads], cones.tail_norm(z))
+        y[c0:] = -z
+        side = np.where(y[:m] > 0.0, us, np.where(y[:m] < 0.0, ls, 0.0))
+        g = self.qs + self.As.T @ y
+        lo, hi = self.l[m:c0] / self.d, self.u[m:c0] / self.d
+        curved = self.ps > 0.0
+        x = np.where(g > 0.0, lo, np.where(g < 0.0, hi, np.clip(0.0, lo, hi)))
+        x = np.where(curved, np.clip(-g / np.where(curved, self.ps, 1.0), lo, hi), x)
+        xq = np.where(curved, x, 0.0)
+        low = float((g * x + 0.5 * self.ps * xq * xq).sum()) \
+            + float(self.h_cone @ y[c0:]) - float(y[:m] @ side)
+        return low / self.c + self.prog.const
+
     def _package(self, status, detail, x_sc, y_sc, prim_res, dual_res,
                  it, elapsed):
         x, y_rows, y_bounds, cone_duals = self._unscaled(x_sc, y_sc)
+        bound = np.nan if status in ("infeasible", "unbounded") \
+            else self._bound(y_sc)
         return PrimalDualSolution(
             status=status,
             x=x,
@@ -935,6 +1011,7 @@ class QpWorkspace:
             polished=(detail == "polished"),
             detail=detail,
             program=self.prog,
+            bound=bound,
         )
 
     # -- polish -----------------------------------------------------------

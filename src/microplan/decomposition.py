@@ -168,7 +168,7 @@ class PlanSolution:
     stage_stats: list
     sweep_objectives: list
     stage_plan: StagePlan
-    bound_detail: str = ""       # why lower_bound is NaN; empty when it solved
+    bound_detail: str = ""       # how the bound's solve ended; empty when optimal
 
     def equals(self, other) -> bool:
         """Exact equality of every reproducible field."""
@@ -356,11 +356,12 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
     every binary fixed.  `dual-init` seeds the first sweep's prices from
     the relaxed monolith; `zero-init` starts unpriced, which makes the
     first sweep the receding-horizon baseline.
-    The best stitched plan over all sweeps is returned; its bound comes
-    from the relaxed monolith.  When that solve is not optimal,
+    The best stitched plan over all sweeps is returned; its bound is the
+    weak-duality bound of the relaxed monolith's result, which holds
+    whether or not that solve converged.  When it is not optimal,
     `dual-init` raises, having no prices; `zero-init` needs it only for
-    the bound, so it reports the bound and gap as NaN, with the reason in
-    `bound_detail`.
+    the bound, so it reports the bound its multipliers prove (NaN if it
+    ended infeasible or unbounded), with the reason in `bound_detail`.
     """
     if iterations < 1:
         raise DecompositionError("iteration count must be >= 1")
@@ -371,10 +372,11 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
     seamed, relaxed_sol, failure = _relaxed_monolith(instance, loads, plan)
     if failure and mode == "dual-init":
         raise DecompositionError(failure)
+    lower_bound = relaxed_sol.bound
     if failure:
-        log.warning("%s; the plan is reported without a lower bound",
-                    failure)
-    lower_bound = np.nan if failure else relaxed_sol.objective
+        log.warning("%s; the plan is reported %s", failure,
+                    "with the bound its last iterate proves"
+                    if np.isfinite(lower_bound) else "without a lower bound")
     if mode == "dual-init":
         prices = _seam_prices(seamed, relaxed_sol)
     else:

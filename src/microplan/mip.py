@@ -6,14 +6,17 @@ downward (rounding the branch variable toward the relaxation value
 first) until the chain is pruned, infeasible, or integral.  Plunging
 finds incumbents early; the heap keeps the global bound honest.
 
-Each node relaxation is one cold solve of the conic interior point on
-the base program with the node's bounds.  One thing passes between
-programs: a node whose binaries are rounded into an incumbent
-candidate (an integral node, or the rounding heuristic's) hands its
-solution to the solve that confirms them, which polishes that point
-first and solves cold only if the polish does not certify.  Each
-explored node is logged at DEBUG level on this module's logger, with
-its number, depth, bound, incumbent and gap.
+The search builds one engine workspace for its base program, and each
+node takes a view of it with the node's bounds.  A node relaxation is
+the conic interior point alone: the search uses only its point, to
+branch on, and the weak-duality bound of its multipliers, which holds
+whether or not it converged.  The polish runs only where its output is
+used: a node whose binaries are rounded into an incumbent candidate
+(an integral node, or the rounding heuristic's) hands its point to the
+solve that confirms them, which polishes it and solves cold only if the
+polish does not certify; the incumbent's certified point and duals
+price the seams.  Each explored node is logged at DEBUG level on this
+module's logger, with its number, depth, bound, incumbent and gap.
 """
 
 import heapq
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import ConvexProgram, EngineError, PrimalDualSolution, solve_qcqp
+from .convex import EngineError, PrimalDualSolution, QpWorkspace, solve_qcqp
 from .formulation import MdopModel, fix_binaries, relax_integrality
 
 log = logging.getLogger(__name__)
@@ -99,35 +102,40 @@ class _Tightener:
 
 
 class _NodeSolver:
-    """Shared relaxation machinery: the base program and bound
-    construction from fixings."""
+    """Shared relaxation machinery: one engine workspace for the whole
+    search, on the base program, and bound construction from fixings."""
 
     def __init__(self, model):
-        self.base = relax_integrality(model).to_convex()
+        self.workspace = QpWorkspace(relax_integrality(model).to_convex())
         self.binaries = sorted(model.binaries)
         self.tightener = _Tightener(model)
 
-    def bounds(self, fixings):
-        lb = self.base.lb.copy()
-        ub = self.base.ub.copy()
+    def view(self, fixings):
+        """The search's workspace with the bounds of `fixings`, None if
+        they contradict."""
+        lb = self.workspace.prog.lb.copy()
+        ub = self.workspace.prog.ub.copy()
         for j, v in fixings:
             lb[j] = ub[j] = v
         if not self.tightener.apply(lb, ub):
             return None
-        return lb, ub
+        return self.workspace.with_bounds(lb, ub)
 
-    def solve(self, fixings, start=None):
-        """The relaxation with the bounds of `fixings`, None if they
-        contradict; `start` goes to the engine as the point to polish
-        first."""
-        made = self.bounds(fixings)
-        if made is None:
+    def relax(self, fixings):
+        """The node relaxation by the interior point alone: a point to
+        branch on and the bound its multipliers prove."""
+        ws = self.view(fixings)
+        return None if ws is None else ws.interior()
+
+    def confirm(self, fixings, start):
+        """The program with the bounds of `fixings`, solved from
+        `start`: the polish of its point, or a cold solve if that does
+        not certify."""
+        ws = self.view(fixings)
+        if ws is None:
             return None
-        lb, ub = made
-        prog = ConvexProgram(self.base.p_diag, self.base.q, self.base.a,
-                             self.base.l, self.base.u, lb, ub,
-                             self.base.cones, self.base.const)
-        return solve_qcqp(prog, start=start)
+        sol = ws.polish_from(start)
+        return ws.solve() if sol is None else sol
 
     def fractional(self, x):
         """Unfixed binary farthest from integer, lowest column on ties."""
@@ -175,22 +183,18 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
 
     def accept(fixings, sol):
         """Install an incumbent candidate.  Binaries the relaxation left
-        free are rounded to exact integers and the convex rest is
-        re-solved from the node's point, which the engine polishes
-        before any cold solve; either way the result is certified at
-        engine tolerance.  A converged solution whose binaries were all
-        pinned by `fixings` is already exact and is taken as is."""
+        free are rounded to exact integers, and the convex rest is
+        confirmed from the node's point, which the engine polishes
+        before any cold solve; the result is certified at engine
+        tolerance."""
         nonlocal ub, inc_sol, inc_fix
         full = dict(fixings)
-        extra = [j for j in solver.binaries if j not in full]
-        for j in extra:
-            full[j] = float(round(sol.x[j]))
-        if extra or sol.status != "optimal":
-            cand = solver.solve(tuple(full.items()), start=sol)
-            if cand is None or cand.status != "optimal":
-                return
-        else:
-            cand = sol
+        for j in solver.binaries:
+            if j not in full:
+                full[j] = float(round(sol.x[j]))
+        cand = solver.confirm(tuple(full.items()), sol)
+        if cand is None or cand.status != "optimal":
+            return
         if cand.objective < ub - 1e-12:
             ub = cand.objective
             inc_sol = cand
@@ -215,16 +219,14 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
                 interrupted = True
                 break
             nodes += 1
-            sol = solver.solve(cur.fixings)
+            sol = solver.relax(cur.fixings)
             if sol is None or sol.status == "infeasible":
                 log_node(cur.depth)
                 break
             if sol.status == "unbounded":
                 raise EngineError("node relaxation is unbounded")
-            if sol.status == "optimal":
-                bound = max(cur.bound, sol.objective)
-            else:
-                bound = cur.bound   # an unconverged value proves nothing
+            # weak duality: any multipliers bound the node, converged or not
+            bound = max(cur.bound, sol.bound)
             jstar = solver.fractional(sol.x)
             if jstar is None:
                 accept(cur.fixings, sol)

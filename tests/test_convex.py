@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from microplan import convex
 from microplan.convex import (
@@ -679,3 +680,145 @@ class TestQcqp:
                          cones=[ConeRow(cols=(0, 1), radius=1.0)])
         sol = solve_qcqp(prog)
         assert sol.status == "infeasible"
+
+
+def boxed_program(seed):
+    """A random boxed program with linear rows and balls, built around a
+    point `x0` it admits: rows hold at x0 (some as equalities), each
+    constant radius is at least the norm of its columns at x0, and each
+    radius column is nonnegative and at least that norm at x0.  Returns
+    the program and x0."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 8))
+    x0 = rng.uniform(-1.0, 1.0, n)
+    lb = x0 - rng.uniform(0.0, 2.0, n)
+    ub = x0 + rng.uniform(0.0, 2.0, n)
+    cones, used = [], set()
+    for _ in range(int(rng.integers(0, 3))):
+        free = [j for j in range(n) if j not in used]
+        if len(free) < 2:
+            break
+        cols = rng.choice(free, size=int(rng.integers(1, min(3, len(free)))),
+                          replace=False).tolist()
+        used.update(cols)
+        norm = float(np.linalg.norm(x0[cols]))
+        rest = [j for j in free if j not in cols]
+        if rest and rng.random() < 0.5:
+            rc = rest[0]
+            used.add(rc)
+            x0[rc] = norm + rng.uniform(0.0, 0.5)
+            lb[rc], ub[rc] = 0.0, x0[rc] + rng.uniform(0.0, 2.0)
+            cones.append(ConeRow(tuple(cols), radius_col=rc))
+        else:
+            cones.append(ConeRow(tuple(cols), radius=norm + rng.uniform(0.0, 0.5)))
+    rows = []
+    for _ in range(int(rng.integers(0, 4))):
+        a = rng.standard_normal(n)
+        a[rng.random(n) < 0.3] = 0.0
+        v = float(a @ x0)
+        kind = rng.integers(0, 3)
+        rows.append((a, v, v) if kind == 0 else
+                    (a, -INF, v + rng.uniform(0.0, 1.0)) if kind == 1 else
+                    (a, v - rng.uniform(0.0, 1.0), rng.choice([INF, v + 1.0])))
+    p_diag = np.where(rng.random(n) < 0.4, 0.0, rng.uniform(0.0, 2.0, n))
+    prog = make_prog(p_diag, rng.standard_normal(n) * 3.0, rows=rows,
+                     lb=lb, ub=ub, cones=cones, const=rng.standard_normal())
+    return prog, x0
+
+
+def within(bound, value):
+    """`bound` is at most `value`, up to 1e-9 of max(1, |value|)."""
+    return bound <= value + 1e-9 * max(1.0, abs(value))
+
+
+# on a failure Hypothesis's pytest plugin imports libcst, which warns
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+class TestBound:
+    """`PrimalDualSolution.bound`: weak duality from any multipliers."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_optimal_bound_is_at_most_the_objective(self, seed):
+        prog, x0 = boxed_program(seed)
+        sol = solve_qcqp(prog)
+        assert sol.status in ("optimal", "iteration-limit")
+        assert within(sol.bound, prog.objective(x0))
+        if sol.status == "optimal":
+            assert within(sol.bound, sol.objective)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(0, 3))
+    def test_iteration_limit_bound_is_at_most_the_optimum(self, seed, steps):
+        prog, _ = boxed_program(seed)
+        full = solve_qcqp(prog)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convex, "MAX_ITER", steps)
+            cut = QpWorkspace(prog).interior()
+        if full.status == "optimal" and cut.status == "iteration-limit":
+            assert cut.iterations <= steps
+            assert within(cut.bound, full.objective)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_multipliers_bound_a_feasible_point(self, seed):
+        # the projections make every stacked vector a valid multiplier
+        prog, x0 = boxed_program(seed)
+        ws = QpWorkspace(prog)
+        y = np.random.default_rng(seed).standard_normal(ws.mt) * 10.0
+        assert within(ws._bound(y), prog.objective(x0))
+
+    def test_no_bound_without_a_point(self):
+        infeasible = make_prog([1.0], [0.0], rows=[([1.0], -INF, -1.0)],
+                               lb=[0.0], ub=[1.0])
+        assert np.isnan(solve_qcqp(infeasible).bound)
+        assert np.isnan(solve_qcqp(make_prog([0.0], [-1.0], lb=[0.0])).bound)
+
+    def test_a_free_column_without_curvature_bounds_at_minus_infinity(self):
+        # x0 free, with no cost: only a multiplier making its cost
+        # exactly 0 bounds it; x1 boxed
+        prog = make_prog([0.0, 1.0], [0.0, -1.0], rows=[([1.0, 1.0], -INF, 1.0)],
+                         lb=[-INF, 0.0], ub=[INF, 2.0])
+        ws = QpWorkspace(prog)
+        assert ws._bound(np.array([0.0, 0.0, 0.0])) == pytest.approx(-0.5)
+        assert ws._bound(np.array([1.0, 0.0, 0.0])) == -INF
+
+
+class TestWorkspaceView:
+    """`QpWorkspace.with_bounds`: one scaling serves every bound set."""
+
+    def test_view_solves_as_a_fresh_workspace(self):
+        inst = gen_bat_instance()
+        prog = relax_integrality(
+            assemble(inst, flat_loads(inst, 2, p=0.4, q=0.1))).to_convex()
+        lb, ub = prog.lb.copy(), prog.ub.copy()
+        j = int(np.flatnonzero((lb == 0.0) & (ub == 1.0))[0])
+        lb[j] = 1.0
+        other = ConvexProgram(prog.p_diag, prog.q, prog.a, prog.l, prog.u,
+                              lb, ub, prog.cones, prog.const)
+        ws = QpWorkspace(prog)
+        before = ws.solve()
+        view = ws.with_bounds(lb, ub)
+        for run in ("interior", "solve"):
+            got, want = getattr(view, run)(), getattr(QpWorkspace(other), run)()
+            assert np.array_equal(got.program.lb, lb)
+            for key in ("x", "y_rows", "y_bounds", "cone_duals"):
+                assert np.array_equal(getattr(got, key), getattr(want, key)), key
+            assert (got.status, got.detail, got.iterations, got.bound) \
+                == (want.status, want.detail, want.iterations, want.bound)
+        # the view leaves the workspace it came from as it was
+        after = ws.solve()
+        assert after.program is prog
+        for key in ("x", "y_rows", "y_bounds", "cone_duals"):
+            assert np.array_equal(getattr(after, key), getattr(before, key)), key
+
+    def test_interior_point_alone_is_the_solve_before_its_polish(self, monkeypatch):
+        prog = TestStart.ball_prog()
+        alone = QpWorkspace(prog).interior()
+        assert not alone.polished and alone.iterations > 0
+        monkeypatch.setattr(QpWorkspace, "_polish", lambda *args: None)
+        unpolished = QpWorkspace(prog).solve()
+        for key in ("x", "y_rows", "y_bounds", "cone_duals"):
+            assert np.array_equal(getattr(alone, key), getattr(unpolished, key)), key
+        assert (alone.status, alone.iterations, alone.bound) \
+            == (unpolished.status, unpolished.iterations, unpolished.bound)

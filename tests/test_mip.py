@@ -19,7 +19,7 @@ from test_formulation import (
     bat_only_instance, cvx_solve, five_bus_case, flat_loads, gen_bat_instance,
 )
 
-from microplan import mip
+from microplan import convex, mip
 from microplan.convex import certify, get_duals, solve_qcqp
 from microplan.formulation import (
     FormulationError, assemble, build_seamed, coupling_slots, fix_binaries,
@@ -231,12 +231,15 @@ def test_all_binaries_fixed_is_a_single_node(two_step, two_step_oracle):
 
 
 def test_gap_over_a_zero_bound_is_absolute():
-    # with no load the optimum and its bound are both 0 USD; rounding
-    # residue on the objective must not become a relative gap
+    # with no load the optimum is 0 USD: a valid bound sits at or below
+    # it and the incumbent at or above it, and over the 1 USD floor the
+    # rounding residue between them is an absolute, not a relative, gap
     inst = gen_bat_instance()
     res = solve_miqcqp(assemble(inst, flat_loads(inst, 4, p=0.0, q=0.0)))
     assert res.status == "optimal-within-gap"
-    assert res.gap <= 1e-12
+    assert res.best_bound <= 0.0 <= res.objective
+    assert res.gap == res.objective - res.best_bound
+    assert res.gap <= convex.EPS_ABS
 
 
 def test_infeasible_row_reported_at_root(two_step):
