@@ -20,8 +20,16 @@ it: a nonnegative row with a single entry folds into its column's
 diagonal as a Schur complement, and its multiplier is recovered in
 closed form after each back-solve.  The reduced matrix is quasi-definite
 and is factored with diagonal pivots under a symmetric minimum-degree
-ordering.  Infeasibility or unboundedness is read off the homogeneous
-certificates.
+ordering, by SuperLU with one-column panels: these matrices have no
+dense supernodes for wider panels to block on.  A step computes one
+frame of its slacks s and one of its multipliers z (each block's
+margin, determinant and normalized block) and one scaling, and its
+tests, both directions and all four step lengths read them; what stays
+fixed over a solve is computed before the first step.  A determinant of
+s, z or the scaled point lam at or below zero stops the step, as
+"determinant underflow": rounding can leave lam on a cone's boundary
+though s and z are inside, and the Jordan division divides by det(lam).
+Infeasibility or unboundedness is read off the homogeneous certificates.
 
 The second layer is the polish: the interior point's active set is
 resolved as an equality-constrained system, so that solutions and duals
@@ -418,6 +426,33 @@ def _rows_of(csr, idx):
     return np.repeat(np.arange(idx.size), count), csr.indices[at], csr.data[at]
 
 
+class _Frame(NamedTuple):
+    """A cone vector `v` with what a step reads of it: each block's
+    `margin` (head minus tail norm, positive inside) and determinant
+    `det`, and, on blocks of positive determinant, `sq` = sqrt(det), the
+    normalized blocks `vb` = v / sqrt(det), their heads `b0` and
+    `b1` = b0 + 1.  Other blocks get the values of a unit determinant,
+    which no step reads: it stops first."""
+    v: np.ndarray
+    margin: np.ndarray
+    det: np.ndarray
+    sq: np.ndarray
+    vb: np.ndarray
+    b0: np.ndarray
+    b1: np.ndarray
+
+
+class _Scaling(NamedTuple):
+    """Nesterov-Todd scaling W = eta * Wbar, Wbar the hyperbolic
+    reflection by `wbar`: per block `eta`, and per entry `eta_o` =
+    eta[owner]; per block `w0` = wbar's head and `w1` = 1 + w0."""
+    eta: np.ndarray
+    eta_o: np.ndarray
+    wbar: np.ndarray
+    w0: np.ndarray
+    w1: np.ndarray
+
+
 class _Cones:
     """A product of second-order cones {v : v[0] >= |v[1:]|}, laid out
     block after block in one vector; a block of size 1 is a nonnegative
@@ -431,11 +466,14 @@ class _Cones:
         self.tail = np.ones(self.owner.size, dtype=bool)
         self.tail[self.heads] = False
         self.unit = (~self.tail).astype(float)      # the Jordan identity
-        # every (i, j) pair inside a block: the pattern of W^2
+        # every (i, j) pair inside a block: the pattern of W^2, its
+        # J-diagonal and the block of each pair
         rep = self.sizes[self.owner]
         self.pi = np.repeat(np.arange(self.owner.size), rep)
         self.pj = np.repeat(self.heads[self.owner], rep) \
             + np.arange(self.pi.size) - np.repeat(np.cumsum(rep) - rep, rep)
+        self.jdiag = np.where(self.pi == self.pj, 2.0 * self.unit[self.pi] - 1.0, 0.0)
+        self.owner_pi = self.owner[self.pi]
 
     def _sum(self, v):
         return np.bincount(self.owner, weights=v, minlength=self.count)
@@ -456,60 +494,71 @@ class _Cones:
         tn = self.tail_norm(v)
         return (v[self.heads] - tn) * (v[self.heads] + tn)
 
+    def frame(self, v):
+        """The :class:`_Frame` of `v`: one tail norm serves the margin,
+        the determinant and the normalized blocks."""
+        v0, tn = v[self.heads], self.tail_norm(v)
+        margin = v0 - tn
+        det = margin * (v0 + tn)
+        sq = np.sqrt(np.where(det > 0.0, det, 1.0))
+        vb = v / sq[self.owner]
+        b0 = vb[self.heads]
+        return _Frame(v, margin, det, sq, vb, b0, b0 + 1.0)
+
     def prod(self, u, v):
         """Jordan product u o v."""
         out = u[self.heads][self.owner] * v + v[self.heads][self.owner] * u
         out[self.heads] = self._sum(u * v)
         return out
 
-    def div(self, lam, v):
-        """Jordan division: the x with lam o x = v, for lam inside."""
+    def div(self, lam, det, v):
+        """Jordan division: the x with lam o x = v, for lam inside with
+        determinants `det`."""
         l0 = lam[self.heads]
-        x0 = (l0 * v[self.heads] - self.tail_dot(lam, v)) / self.det(lam)
+        x0 = (l0 * v[self.heads] - self.tail_dot(lam, v)) / det
         out = (v - lam * x0[self.owner]) / l0[self.owner]
         out[self.heads] = x0
         return out
 
-    def scaling(self, s, z):
-        """Nesterov-Todd scaling of interior s and z: W = eta * Wbar with
-        Wbar the hyperbolic reflection by wbar, W z = W^-1 s = lam."""
-        det_s, det_z = self.det(s), self.det(z)
-        sb = s / np.sqrt(det_s)[self.owner]
-        zb = z / np.sqrt(det_z)[self.owner]
+    def scaling(self, fs, fz):
+        """Nesterov-Todd scaling of interior s and z, given by their
+        frames: the :class:`_Scaling` W, with W z = W^-1 s = lam, and
+        lam."""
+        sb, zb = fs.vb, fz.vb
         gamma = np.sqrt(0.5 * (1.0 + self._sum(sb * zb)))
         wbar = (sb + np.where(self.tail, -zb, zb)) / (2.0 * gamma)[self.owner]
-        eta = np.sqrt(np.sqrt(det_s) / np.sqrt(det_z))
-        return eta, wbar, self.apply_w(eta, wbar, z)
+        eta = np.sqrt(fs.sq / fz.sq)
+        w0 = wbar[self.heads]
+        w = _Scaling(eta, eta[self.owner], wbar, w0, 1.0 + w0)
+        return w, self.apply_w(w, fz.v)
 
-    def apply_w(self, eta, wbar, v, inverse=False):
+    def apply_w(self, w, v, inverse=False):
         """W v, or W^-1 v."""
         sign = -1.0 if inverse else 1.0
-        w0, v0 = wbar[self.heads], v[self.heads]
-        td = self.tail_dot(wbar, v)
-        out = v + (sign * v0 + td / (1.0 + w0))[self.owner] * wbar
-        out[self.heads] = w0 * v0 + sign * td
-        return out / eta[self.owner] if inverse else out * eta[self.owner]
+        v0 = v[self.heads]
+        td = self.tail_dot(w.wbar, v)
+        out = v + (sign * v0 + td / w.w1)[self.owner] * w.wbar
+        out[self.heads] = w.w0 * v0 + sign * td
+        return out / w.eta_o if inverse else out * w.eta_o
 
     def w2(self, eta, wbar):
         """Entries of W^2 = eta^2 (2 wbar wbar' - J) on (pi, pj)."""
-        jdiag = np.where(self.pi == self.pj, 2.0 * self.unit[self.pi] - 1.0, 0.0)
-        return (eta * eta)[self.owner[self.pi]] \
-            * (2.0 * wbar[self.pi] * wbar[self.pj] - jdiag)
+        return (eta * eta)[self.owner_pi] \
+            * (2.0 * wbar[self.pi] * wbar[self.pj] - self.jdiag)
 
-    def max_step(self, v, dv):
-        """Largest step in (0, 1] keeping v + step * dv in the cones: the
-        reflection taking v/|v|_J to the identity maps dv to y, and the
-        step reaches the boundary at |v|_J / (|y[1:]| - y[0])."""
-        sq = np.sqrt(self.det(v))
-        vb = v / sq[self.owner]
-        b0, d0 = vb[self.heads], dv[self.heads]
-        y0 = b0 * d0 - self.tail_dot(vb, dv)
-        y1 = dv - ((y0 + d0) / (b0 + 1.0))[self.owner] * vb
+    def max_step(self, f, dv):
+        """Largest step in (0, 1] keeping v + step * dv in the cones, v
+        given by its frame `f`: the reflection taking v/|v|_J to the
+        identity maps dv to y, and the step reaches the boundary at
+        |v|_J / (|y[1:]| - y[0])."""
+        d0 = dv[self.heads]
+        y0 = f.b0 * d0 - self.tail_dot(f.vb, dv)
+        y1 = dv - ((y0 + d0) / f.b1)[self.owner] * f.vb
         lim = self.tail_norm(y1) - y0
         # a block with lim <= sq allows a full step; dividing by a tiny lim
         # there would only overflow
-        hit = lim > sq
-        return min(1.0, float((sq[hit] / lim[hit]).min(initial=1.0)))
+        hit = lim > f.sq
+        return min(1.0, float((f.sq[hit] / lim[hit]).min(initial=1.0)))
 
 
 class QpWorkspace:
@@ -748,9 +797,21 @@ class QpWorkspace:
         certificate (kappa > 0).  Returns the status, the step count,
         the point (x, z, s, primal residual, dual residual): the iterate
         meeting the tolerances, or the best iterate seen otherwise, and
-        why an ``iteration-limit`` run stopped: "step limit", "stalled",
-        "cone boundary", "determinant underflow", "factorization failed"
-        or "non-finite step" (empty for the other statuses).
+        why an ``iteration-limit`` run stopped (empty for the other
+        statuses):
+
+        - "step limit": MAX_ITER steps were taken;
+        - "stalled": mu did not halve over STALL_ITERS steps;
+        - "cone boundary": rounding put s or z on a cone's boundary;
+        - "determinant underflow": a block of s, z or the scaled point
+          lam has a determinant at or below zero, so the scaling or the
+          Jordan division by lam is undefined;
+        - "factorization failed": SuperLU rejected the KKT matrix;
+        - "non-finite step": the step left x, z or tau non-finite or
+          tau at or below zero.
+
+        A step computes one :class:`_Frame` of s and one of z, and one
+        :class:`_Scaling`, for all its tests, directions and step lengths.
         """
         n, mg = self.n, g.shape[0]
         ps, qs, d, c = self.ps, self.qs, self.d, self.c
@@ -762,6 +823,7 @@ class QpWorkspace:
         single = me + cones.heads[cones.sizes == 1]
         bnd = single[np.diff(g.indptr)[single] == 1]
         j_b, g_b = g.indices[g.indptr[bnd]], g.data[g.indptr[bnd]]
+        g_b2 = g_b * g_b
         kept = np.ones(mg, dtype=bool)
         kept[bnd] = False
         keep = np.flatnonzero(kept)
@@ -793,13 +855,14 @@ class QpWorkspace:
             w_b = w2[~w_kept]
             kkt.data[:] = np.bincount(slot_of, np.concatenate([
                 static.data, -w2[w_kept],
-                reg + np.bincount(j_b, g_b * g_b / w_b, minlength=dim)]),
+                reg + np.bincount(j_b, g_b2 / w_b, minlength=dim)]),
                 slots.size)
             # regularized, the matrix is quasi-definite, so diagonal pivots
             # are stable under any symmetric fill-reducing ordering
-            # (Vanderbei 1995)
+            # (Vanderbei 1995); the panels are one column wide, as these
+            # matrices have no dense supernodes for wider ones to block on
             lu = spla.splu(kkt, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
+                           diag_pivot_thresh=0.0, panel_size=1,
                            options=dict(SymmetricMode=True))
 
             def solve(rhs):
@@ -818,8 +881,8 @@ class QpWorkspace:
 
         # start from the least-squares point of the rows (W = I), with
         # slacks and multipliers shifted into the cones' interior
-        sol = factor(cones.w2(np.ones(cones.count), cones.unit))(
-            np.concatenate([-qs, h]))
+        rhs_tau = np.concatenate([-qs, h])
+        sol = factor(cones.w2(np.ones(cones.count), cones.unit))(rhs_tau)
         x, z = sol[:n], sol[n:]
         s = np.zeros(mg)
         s[me:] = -z[me:]
@@ -828,6 +891,8 @@ class QpWorkspace:
             if lowest < 1.0:
                 v[me + cones.heads] += 1.0 - lowest
         tau = kappa = 1.0
+        h_ref = float((np.abs(h) / e_g).max(initial=0.0))
+        q_ref = float((np.abs(qs) / d).max(initial=0.0))
 
         status, reason = "iteration-limit", ""
         best = None
@@ -839,10 +904,10 @@ class QpWorkspace:
             prim_res = float((np.abs(gx + sh - h) / e_g).max(initial=0.0))
             dual_res = float((np.abs(px + qs + gtz) / (d * c)).max(initial=0.0))
             prim_ref = 1.0 + max(float((np.abs(gx) / e_g).max(initial=0.0)),
-                                 float((np.abs(h) / e_g).max(initial=0.0)))
+                                 h_ref)
             dual_ref = 1.0 + max(float((np.abs(px) / d).max(initial=0.0)),
                                  float((np.abs(gtz) / d).max(initial=0.0)),
-                                 float((np.abs(qs) / d).max(initial=0.0))) / c
+                                 q_ref) / c
             pobj = (0.5 * float(xh @ px) + float(qs @ xh)) / c
             gap = abs(float(xh @ px) + float(qs @ xh) + float(h @ zh)) / c
             log.debug("step %d: primal residual %.6e, dual residual %.6e, "
@@ -857,14 +922,16 @@ class QpWorkspace:
                 status = "optimal"
                 break
             # homogeneous certificates: a dual ray proving the rows
-            # inconsistent, or a primal ray of decreasing cost
+            # inconsistent, or a primal ray of decreasing cost; G'z, P x
+            # and G x + s serve the certificates and the step's residuals
             htz, qx = float(h @ z), float(qs @ x)
-            if htz < 0.0 and float((np.abs(gt @ z) / d).max(initial=0.0)) \
+            gt_z, p_x, gx_s = gt @ z, ps * x, g @ x + s
+            if htz < 0.0 and float((np.abs(gt_z) / d).max(initial=0.0)) \
                     <= EPS_INF * -htz:
                 return "infeasible", it, best[1], ""
             if qx < 0.0 and not self.boxed:
-                curv = float((np.abs(ps * x) / d).max(initial=0.0))
-                slip = float((np.abs(g @ x + s) / e_g).max(initial=0.0))
+                curv = float((np.abs(p_x) / d).max(initial=0.0))
+                slip = float((np.abs(gx_s) / e_g).max(initial=0.0))
                 if curv <= EPS_INF * -qx and slip <= EPS_INF * -qx / c:
                     return "unbounded", it, best[1], ""
             mu = (float(s[me:] @ z[me:]) + tau * kappa) / (cones.count + 1)
@@ -879,39 +946,47 @@ class QpWorkspace:
             if len(mus) > STALL_ITERS and mu > 0.5 * mus[-1 - STALL_ITERS]:
                 reason = "stalled"
                 break
-            if not (cones.margin(s[me:]).min(initial=1.0) > 0.0
-                    and cones.margin(z[me:]).min(initial=1.0) > 0.0):
+            # one frame of s and one of z serve the step's every test,
+            # its scaling and its step lengths
+            fs, fz = cones.frame(s[me:]), cones.frame(z[me:])
+            if not (fs.margin.min(initial=1.0) > 0.0
+                    and fz.margin.min(initial=1.0) > 0.0):
                 reason = "cone boundary"
                 break
             it += 1
             # a determinant that underflows to 0 leaves the scaling
-            # undefined, even inside the cone
-            if not (cones.det(s[me:]).min(initial=1.0) > 0.0
-                    and cones.det(z[me:]).min(initial=1.0) > 0.0):
+            # undefined, even inside the cone; so does lam's, which the
+            # Jordan division divides by
+            if not (fs.det.min(initial=1.0) > 0.0
+                    and fz.det.min(initial=1.0) > 0.0):
                 reason = "determinant underflow"
                 break
-
-            eta, wbar, lam = cones.scaling(s[me:], z[me:])
+            w, lam = cones.scaling(fs, fz)
+            det_lam = cones.det(lam)
+            if not det_lam.min(initial=1.0) > 0.0:
+                reason = "determinant underflow"
+                break
             try:
-                back = factor(cones.w2(eta, wbar))
+                back = factor(cones.w2(w.eta, w.wbar))
             except RuntimeError:
                 reason = "factorization failed"
                 break
-            rx = ps * x + gt @ z + qs * tau
-            rz = g @ x + s - h * tau
-            xpx = float(x @ (ps * x))
+            rx = p_x + gt_z + qs * tau
+            rz = gx_s - h * tau
+            xpx = float(x @ p_x)
             rtau = xpx / tau + qx + htz + kappa
-            cx = 2.0 * ps * x / tau + qs
+            cx = 2.0 * p_x / tau + qs
             # the tau direction: one back-solve shared by both steps
-            u_tau = back(np.concatenate([-qs, h]))
+            u_tau = back(rhs_tau)
             denom = float(cx @ u_tau[:n] + h @ u_tau[n:]) \
                 - xpx / tau ** 2 - kappa / tau
+            lam2 = cones.prod(lam, lam)
 
             def direction(weight, ds, dk):
                 """Newton step with residuals scaled by `weight` and
                 complementarity targets lam o (W^-1 ds + W dz) = -ds on
                 the cones and kappa dtau + tau dkappa = -dk."""
-                shift = cones.apply_w(eta, wbar, cones.div(lam, ds))
+                shift = cones.apply_w(w, cones.div(lam, det_lam, ds))
                 rhs = np.concatenate([-weight * rx, -weight * rz])
                 rhs[n + me:] += shift
                 u = back(rhs)
@@ -920,24 +995,22 @@ class QpWorkspace:
                 u += dtau * u_tau
                 dz = u[n:]
                 ds_vec = np.zeros(mg)
-                ds_vec[me:] = -shift - cones.apply_w(
-                    eta, wbar, cones.apply_w(eta, wbar, dz[me:]))
+                ds_vec[me:] = -shift - cones.apply_w(w, cones.apply_w(w, dz[me:]))
                 dkappa = -(dk + kappa * dtau) / tau
-                step = min(cones.max_step(s[me:], ds_vec[me:]),
-                           cones.max_step(z[me:], dz[me:]))
+                step = min(cones.max_step(fs, ds_vec[me:]),
+                           cones.max_step(fz, dz[me:]))
                 for v, dv in ((tau, dtau), (kappa, dkappa)):
                     if dv < 0.0:
                         step = min(step, -v / dv)
                 return u[:n], dz, ds_vec, dtau, dkappa, step
 
             _, dz_a, ds_a, dtau_a, dkappa_a, step_a = direction(
-                1.0, cones.prod(lam, lam), tau * kappa)
+                1.0, lam2, tau * kappa)
             sigma = (1.0 - step_a) ** 3
             dx, dz, ds_vec, dtau, dkappa, step = direction(
                 1.0 - sigma,
-                cones.prod(lam, lam)
-                + cones.prod(cones.apply_w(eta, wbar, ds_a[me:], inverse=True),
-                             cones.apply_w(eta, wbar, dz_a[me:]))
+                lam2 + cones.prod(cones.apply_w(w, ds_a[me:], inverse=True),
+                                  cones.apply_w(w, dz_a[me:]))
                 - sigma * mu * cones.unit,
                 tau * kappa + dtau_a * dkappa_a - sigma * mu)
             step *= STEP_FRACTION
@@ -1108,7 +1181,7 @@ class QpWorkspace:
                 shape=(n + nact, n + nact))
             dual_shift = np.concatenate([np.zeros(n), np.full(nact, POLISH_DELTA)])
             try:
-                lu = spla.splu(k_reg)
+                lu = spla.splu(k_reg, panel_size=1)
             except RuntimeError:
                 return best
             # proximal-point iteration on the pinned subproblem, reusing

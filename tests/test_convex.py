@@ -372,7 +372,112 @@ class TestActiveSetOracle:
         np.testing.assert_allclose(sol.y_bounds, yb0, atol=1e-5)
 
 
+# The cone arithmetic as one formula per call, each recomputing the
+# determinants and normalized blocks it reads: the reference that the
+# engine's per-step frames must match bit for bit.
+
+def reference_scaling(c, s, z):
+    det_s, det_z = c.det(s), c.det(z)
+    sb = s / np.sqrt(det_s)[c.owner]
+    zb = z / np.sqrt(det_z)[c.owner]
+    gamma = np.sqrt(0.5 * (1.0 + c._sum(sb * zb)))
+    wbar = (sb + np.where(c.tail, -zb, zb)) / (2.0 * gamma)[c.owner]
+    eta = np.sqrt(np.sqrt(det_s) / np.sqrt(det_z))
+    return eta, wbar, reference_apply_w(c, eta, wbar, z)
+
+
+def reference_apply_w(c, eta, wbar, v, inverse=False):
+    sign = -1.0 if inverse else 1.0
+    w0, v0 = wbar[c.heads], v[c.heads]
+    td = c.tail_dot(wbar, v)
+    out = v + (sign * v0 + td / (1.0 + w0))[c.owner] * wbar
+    out[c.heads] = w0 * v0 + sign * td
+    return out / eta[c.owner] if inverse else out * eta[c.owner]
+
+
+def reference_w2(c, eta, wbar):
+    jdiag = np.where(c.pi == c.pj, 2.0 * c.unit[c.pi] - 1.0, 0.0)
+    return (eta * eta)[c.owner[c.pi]] * (2.0 * wbar[c.pi] * wbar[c.pj] - jdiag)
+
+
+def reference_div(c, lam, v):
+    l0 = lam[c.heads]
+    x0 = (l0 * v[c.heads] - c.tail_dot(lam, v)) / c.det(lam)
+    out = (v - lam * x0[c.owner]) / l0[c.owner]
+    out[c.heads] = x0
+    return out
+
+
+def reference_max_step(c, v, dv):
+    sq = np.sqrt(c.det(v))
+    vb = v / sq[c.owner]
+    b0, d0 = vb[c.heads], dv[c.heads]
+    y0 = b0 * d0 - c.tail_dot(vb, dv)
+    y1 = dv - ((y0 + d0) / (b0 + 1.0))[c.owner] * vb
+    lim = c.tail_norm(y1) - y0
+    hit = lim > sq
+    return min(1.0, float((sq[hit] / lim[hit]).min(initial=1.0)))
+
+
+def interior_point(rng, cones):
+    """A random point inside `cones`, each block's head above its tail
+    norm by a relative margin between 1e-12 and 10."""
+    v = rng.standard_normal(cones.owner.size) * 10.0 ** rng.uniform(-3, 3)
+    v[cones.heads] = cones.tail_norm(v) * (1.0 + 10.0 ** rng.uniform(
+        -12, 1, cones.count)) + 10.0 ** rng.uniform(-12, 0, cones.count)
+    return v
+
+
 class TestCones:
+    # on a failure Hypothesis's pytest plugin imports libcst, which warns
+    @pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           sizes=st.lists(st.sampled_from([1, 3]), min_size=1, max_size=8))
+    def test_frames_match_the_reference_bit_for_bit(self, seed, sizes):
+        """One frame of s and one of z per step give the scaling, W,
+        W^2, the Jordan division and the step lengths exactly as the
+        per-call formulas do, on mixed nonnegative rows and 3-cones."""
+        rng = np.random.default_rng(seed)
+        c = _Cones(sizes)
+        s, z = interior_point(rng, c), interior_point(rng, c)
+        fs, fz = c.frame(s), c.frame(z)
+        assert np.all(fs.det > 0.0) and np.all(fz.det > 0.0)
+        np.testing.assert_array_equal(fs.margin, c.margin(s))
+        np.testing.assert_array_equal(fs.det, c.det(s))
+        w, lam = c.scaling(fs, fz)
+        eta, wbar, lam_ref = reference_scaling(c, s, z)
+        np.testing.assert_array_equal(w.eta, eta)
+        np.testing.assert_array_equal(w.wbar, wbar)
+        np.testing.assert_array_equal(lam, lam_ref)
+        np.testing.assert_array_equal(c.w2(w.eta, w.wbar),
+                                      reference_w2(c, eta, wbar))
+        v = rng.standard_normal(c.owner.size)
+        for inverse in (False, True):
+            np.testing.assert_array_equal(
+                c.apply_w(w, v, inverse=inverse),
+                reference_apply_w(c, eta, wbar, v, inverse=inverse))
+        if np.all(c.det(lam) > 0.0):
+            np.testing.assert_array_equal(c.div(lam, c.det(lam), v),
+                                          reference_div(c, lam, v))
+        for f, u in ((fs, s), (fz, z)):
+            dv = rng.standard_normal(c.owner.size) * np.abs(u).max()
+            assert c.max_step(f, dv) == reference_max_step(c, u, dv)
+
+    def test_scaling_of_interior_points_can_leave_lam_on_the_boundary(self):
+        """s and z with positive margins and determinants whose scaled
+        point lam has a negative determinant by rounding: the Jordan
+        division would divide by it."""
+        c = _Cones([3])
+        s = np.array([21.204177859985435, 4.995814890620584, -20.607255796080672])
+        z = np.array([236.19145137535097, -64.52304874957076, -227.20734557415892])
+        fs, fz = c.frame(s), c.frame(z)
+        assert fs.margin[0] > 0.0 and fz.margin[0] > 0.0
+        assert fs.det[0] > 0.0 and fz.det[0] > 0.0
+        _, lam = c.scaling(fs, fz)
+        assert c.det(lam)[0] <= 0.0
+
     @pytest.mark.parametrize("far, step", [(None, 1.0), (-2.0, 0.5)])
     def test_max_step_with_a_vanishing_limit(self, far, step):
         """A block whose boundary lies ~1e310 steps away (lim ~ 1e-310)
@@ -383,7 +488,8 @@ class TestCones:
             sizes, v, dv = sizes + [1], v + [1.0], dv + [far]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _Cones(sizes).max_step(np.array(v), np.array(dv))
+            cones = _Cones(sizes)
+            got = cones.max_step(cones.frame(np.array(v)), np.array(dv))
         assert got == step
 
 
@@ -425,6 +531,27 @@ class TestStatuses:
         sol = solve_qcqp(prog)
         assert (sol.status, sol.iterations, sol.detail) \
             == ("iteration-limit", 1, "step limit")
+
+    def test_lam_on_the_boundary_stops_the_step(self, monkeypatch):
+        # rounding can put the scaled point lam on a cone's boundary
+        # though s and z pass their own tests (see TestCones); the step
+        # stops there rather than divide by lam's zero determinant
+        scaling = _Cones.scaling
+
+        def on_boundary(self, *args):
+            out = scaling(self, *args)
+            lam = out[-1]
+            lam[self.heads[-1]] = self.tail_norm(lam)[-1]
+            return out
+
+        monkeypatch.setattr(_Cones, "scaling", on_boundary)
+        prog = make_prog([1.0, 1.0, 0.0], [-1.0, -1.0, 0.5],
+                         lb=[-3.0, -3.0, 0.0], ub=[3.0, 3.0, 1.0],
+                         cones=[ConeRow((0, 1), radius_col=2)])
+        sol = QpWorkspace(prog).interior()
+        assert (sol.status, sol.detail, sol.iterations) \
+            == ("iteration-limit", "determinant underflow", 1)
+        assert np.isfinite(sol.bound)
 
     def test_boxed_program_is_never_unbounded(self):
         # a cost this steep passes the primal-ray test on its own, but a
@@ -605,7 +732,10 @@ class TestQcqp:
             assemble(inst, loads, window=(0, steps))).to_convex()
         assert (prog.n, prog.m, len(prog.cones)) == shape
         sol = solve_qcqp(prog)
-        assert sol.status == "optimal"
+        assert (sol.status, sol.detail) == ("optimal", "polished")
+        # a deterministic guard on the engine's work: the rungs take 19,
+        # 19 and 20 interior-point steps
+        assert sol.iterations <= 22
         x = sol.x
         ax = prog.a @ x
         assert (prog.l - ax).max() <= 1e-6 and (ax - prog.u).max() <= 1e-6
