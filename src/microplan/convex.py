@@ -37,11 +37,10 @@ come out at near-machine accuracy.  An active ball is pinned by its
 tangent at the current point, with its curvature in the objective, and
 re-linearized at each pass's point until that point stops moving off
 the ball; a ball at its apex, where no tangent exists, has its columns
-pinned to zero.  The polish also runs on its own, from the solution of a
-program that differs only in its bounds (``solve_qcqp``'s `start`): the
-active set is read off that point and its multipliers by the same rule,
-a side the point sits on counting as active, and a certified result ends
-the solve with no interior-point step.
+pinned to zero.  Run alone (:meth:`QpWorkspace.polish_from`), the polish
+starts from the solution of a program that differs only in its bounds:
+it reads the active set off that point and its multipliers by the same
+rule, a side the point sits on counting as active.
 This is finite termination by active-set identification (Ye, Math.
 Prog. 1992) and solution polishing as in OSQP (Stellato et al., Math.
 Prog. Comp. 2020).
@@ -294,14 +293,6 @@ class PrimalDualSolution:
     detail: str = ""
     program: ConvexProgram | None = None
     bound: float = np.nan       # weak-duality bound of `program` (module docstring)
-
-    @property
-    def lower_bound_duals(self):
-        return np.maximum(-self.y_bounds, 0.0)
-
-    @property
-    def upper_bound_duals(self):
-        return np.maximum(self.y_bounds, 0.0)
 
 
 def get_duals(solution: PrimalDualSolution, rows) -> np.ndarray:
@@ -1267,20 +1258,8 @@ class QpWorkspace:
         return best
 
 
-def solve_qcqp(prog: ConvexProgram,
-               start: PrimalDualSolution | None = None) -> PrimalDualSolution:
+def solve_qcqp(prog: ConvexProgram) -> PrimalDualSolution:
     """Solve a program with norm-ball rows: one workspace, one conic
     interior-point solve and its polish.  `cone_duals` holds one
-    multiplier per ball (see the module docstring).
-
-    `start`, a solution of a program with the same rows, balls and costs
-    but other bounds, is polished first (:meth:`QpWorkspace.polish_from`);
-    if that certifies it is the answer, ``optimal``/``polished`` after 0
-    iterations, and otherwise the cold solve runs as without it.  A start
-    whose arrays do not match the program raises EngineError."""
-    ws = QpWorkspace(prog)
-    if start is not None:
-        sol = ws.polish_from(start)
-        if sol is not None:
-            return sol
-    return ws.solve()
+    multiplier per ball (see the module docstring)."""
+    return QpWorkspace(prog).solve()

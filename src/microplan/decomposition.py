@@ -7,13 +7,9 @@ downstream stage produced in the previous sweep (the last stage is never
 priced).  Build decisions belong to the first stage; later stages
 receive them as pinned boundary data.
 
-Two stage solvers drive that sweep.  With branch and bound, whose
-incumbent solve carries the pin duals, one unpriced sweep is the
-receding-horizon baseline and repeated sweeps refine the prices; the
-best stitched plan is kept.  With the relaxed stage problems, the sweep
-is a block Gauss-Seidel pass over the continuous monolith, and its
-progress is the KKT residual of the merged primal-dual point on the
-seam-joined model.
+Each stage is solved by branch and bound, whose incumbent solve carries
+the pin duals.  One unpriced sweep is the receding-horizon baseline,
+and repeated sweeps refine the prices; the best stitched plan is kept.
 """
 
 import logging
@@ -22,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import certify, get_duals, solve_qcqp
+from .convex import get_duals, solve_qcqp
 from .formulation import (
     MdopModel, OperatingPlan, assemble, build_seamed, coupling_slots,
     extract_plan, horizon_start_boundary, plan_costs, relax_integrality,
@@ -102,15 +98,14 @@ class BoundaryState:
                    slots=coupling_slots(instance))
 
     @classmethod
-    def from_terminal(cls, model: MdopModel, x, snap=True):
+    def from_terminal(cls, model: MdopModel, x):
         vals = np.asarray(x, dtype=float)[list(model.coupling.terminal_cols)]
-        if snap:
-            # binary state picked off an optimal point carries solver
-            # noise; hand exact integers downstream
-            for k, slot in enumerate(model.coupling.slots):
-                if slot.kind in BINARY_SLOT_KINDS \
-                        and abs(vals[k] - round(vals[k])) <= 1e-6:
-                    vals[k] = float(round(vals[k]))
+        # binary state picked off an optimal point carries solver noise;
+        # hand exact integers downstream
+        for k, slot in enumerate(model.coupling.slots):
+            if slot.kind in BINARY_SLOT_KINDS \
+                    and abs(vals[k] - round(vals[k])) <= 1e-6:
+                vals[k] = float(round(vals[k]))
         return cls(values=vals, slots=model.coupling.slots)
 
 
@@ -308,38 +303,46 @@ def init_duals(instance, loads, plan: StagePlan):
     return _seam_prices(seamed, sol)
 
 
-def _sweep(instance, loads, plan: StagePlan, prices, solve_stage, snap,
-           sweep):
+def _sweep(instance, loads, plan: StagePlan, prices, sweep, gap_tol,
+           node_limit, time_limit):
     """One forward pass over the stage windows.
 
-    Stage s starts from stage s-1's terminal state and prices its own
-    terminal state with ``prices[s]``; the last stage is never priced.
-    ``solve_stage(s, model)`` returns an optimal PrimalDualSolution of
-    the stage model.  The negated duals of stage s's boundary pins are
-    the price stage s-1 sees in the next sweep.  ``snap`` rounds binary
-    terminal slots to exact integers before they are handed on.
-    Returns the stage models, their solutions and the new prices.
+    Stage s starts from stage s-1's terminal state, its binary slots
+    snapped to exact integers, and prices its own terminal state with
+    ``prices[s]``; the last stage is never priced.  Each stage is solved
+    by branch and bound, and its incumbent's engine solution supplies
+    the stage point and pin duals.  The negated duals of stage s's
+    boundary pins are the price stage s-1 sees in the next sweep.
+    Returns the stage models, their points, the new prices and one
+    StageStat per stage.
     """
     boundary = BoundaryState.horizon_start(instance)
-    models, sols, new_prices = [], [], []
+    models, xs, new_prices, stats = [], [], [], []
     for s, window in enumerate(plan.windows):
         duals_in = prices[s].values if s < plan.stage_count - 1 else None
         try:
             model = assemble(instance, loads, window=window,
                              boundary=boundary.values, duals_in=duals_in,
                              own_builds=(s == 0))
-            sol = solve_stage(s, model)
+            res = solve_miqcqp(model, gap_tol=gap_tol, node_limit=node_limit,
+                               time_limit=time_limit)
+            if res.binaries is None:
+                raise DecompositionError(f"stage search ended {res.status}")
         except Exception as exc:
             raise DecompositionError(
                 f"sweep {sweep}, stage {s}: {exc}") from exc
+        sol = res.solution
+        stats.append(StageStat(sweep=sweep, stage=s, status=res.status,
+                               objective=res.objective, nodes=res.nodes,
+                               gap=res.gap, solve_time=res.solve_time))
         models.append(model)
-        sols.append(sol)
+        xs.append(sol.x)
         if s > 0:
             pins = list(model.coupling.init_pin_rows)
             new_prices.append(DualVector(values=-get_duals(sol, pins),
                                          slots=model.coupling.slots))
-        boundary = BoundaryState.from_terminal(model, sol.x, snap=snap)
-    return models, sols, new_prices
+        boundary = BoundaryState.from_terminal(model, sol.x)
+    return models, xs, new_prices, stats
 
 
 # ---------------------------------------------------------------------------
@@ -383,25 +386,15 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
         prices = [DualVector.zero(instance)
                   for _ in range(plan.stage_count - 1)]
 
-    stats = []
-
-    def solve_stage(s, model):
-        res = solve_miqcqp(model, gap_tol=gap_tol, node_limit=node_limit,
-                           time_limit=time_limit)
-        if res.binaries is None:
-            raise DecompositionError(f"stage search ended {res.status}")
-        stats.append(StageStat(sweep=sweep, stage=s, status=res.status,
-                               objective=res.objective, nodes=res.nodes,
-                               gap=res.gap, solve_time=res.solve_time))
-        return res.solution
-
     best = None
-    sweep_objectives = []
+    stats, sweep_objectives = [], []
     for sweep in range(1, iterations + 1):
-        models, sols, prices = _sweep(instance, loads, plan, prices,
-                                      solve_stage, snap=True, sweep=sweep)
-        stitched = stitch(instance, loads, plan, models,
-                          [sol.x for sol in sols], lower_bound=lower_bound)
+        models, xs, prices, sweep_stats = _sweep(
+            instance, loads, plan, prices, sweep, gap_tol, node_limit,
+            time_limit)
+        stats += sweep_stats
+        stitched = stitch(instance, loads, plan, models, xs,
+                          lower_bound=lower_bound)
         sweep_objectives.append(stitched.objective)
         if best is None or stitched.objective < best.objective:
             best = stitched
@@ -418,92 +411,3 @@ def rh_solve(instance, loads, plan: StagePlan, gap_tol: float = 1e-4,
     return mpc_solve(instance, loads, plan, iterations=1, mode="zero-init",
                      gap_tol=gap_tol, node_limit=node_limit,
                      time_limit=time_limit)
-
-
-# ---------------------------------------------------------------------------
-# relaxed sweeps as a convex decomposition
-
-
-@dataclass
-class RelaxedSweepResult:
-    """Merged primal-dual point on the seam-joined relaxation, with the
-    sweep-by-sweep system residual history."""
-    x: np.ndarray
-    y_rows: np.ndarray
-    y_bounds: np.ndarray
-    cone_duals: np.ndarray
-    objective: float
-    residuals: list
-    sweeps: int
-    converged: bool
-
-
-def gauss_seidel_relaxed(instance, loads, plan: StagePlan,
-                         max_sweeps: int = 200,
-                         tol: float = 1e-5) -> RelaxedSweepResult:
-    """Forward sweeps over the relaxed stage problems until the merged
-    point satisfies the monolithic KKT system to `tol`.
-
-    Each stage is solved relaxed by one cold conic solve, whose ball
-    multipliers enter the merged point as they are.  With every piece
-    convex the iteration is a block Gauss-Seidel pass over the
-    monolith's optimality system, and the merged residual (the worse of
-    :func:`certify`'s primal violation and stationarity residual) is the
-    convergence measure.  A single stage satisfies the system in one
-    sweep.  Divergence (the residual growing tenfold over five sweeps)
-    raises DecompositionError.
-    """
-    _check_coverage(loads, plan)
-    _warn_short_windows(instance, plan)
-    seamed = build_seamed(instance, loads, plan.windows)
-    merged_model = relax_integrality(seamed.model)
-    merged_prog = merged_model.to_convex()
-    prices = [DualVector.zero(instance) for _ in range(plan.stage_count - 1)]
-
-    def solve_stage(s, model):
-        sol = solve_qcqp(relax_integrality(model).to_convex())
-        if sol.status != "optimal":
-            raise DecompositionError(
-                f"relaxed solve ended {sol.status} ({sol.detail})")
-        return sol
-
-    residuals = []
-    result = None
-    for sweep in range(1, max_sweeps + 1):
-        models, sols, prices = _sweep(instance, loads, plan, prices,
-                                      solve_stage, snap=False, sweep=sweep)
-        # each stage is one block of the seam-joined layout; a stage's
-        # pins stand in for the seam rows in front of it
-        x = np.zeros(merged_prog.n)
-        y_rows = np.zeros(merged_prog.m)
-        y_bounds = np.zeros(merged_prog.n)
-        cone_duals = np.zeros(len(merged_prog.cones))
-        col = row = cone = 0
-        for s, (model, sol) in enumerate(zip(models, sols)):
-            pins = list(model.coupling.init_pin_rows)
-            n_rows = model.a.shape[0] - (len(pins) if s else 0)
-            x[col:col + model.n] = sol.x
-            y_bounds[col:col + model.n] = sol.y_bounds
-            y_rows[row:row + n_rows] = sol.y_rows[:n_rows]
-            cone_duals[cone:cone + len(model.cones)] = sol.cone_duals
-            if s > 0:
-                # fresh pin duals on the seam rows make the upstream
-                # terminal residual the price-update mismatch
-                y_rows[list(seamed.seam_rows[s - 1])] = sol.y_rows[pins]
-            col += model.n
-            row += n_rows
-            cone += len(model.cones)
-        cert = certify(merged_prog, x, y_rows, y_bounds, cone_duals)
-        res = max(cert.prim, cert.stat)
-        residuals.append(res)
-        result = RelaxedSweepResult(
-            x=x, y_rows=y_rows, y_bounds=y_bounds, cone_duals=cone_duals,
-            objective=merged_model.objective_value(x), residuals=residuals,
-            sweeps=sweep, converged=res <= tol)
-        if res <= tol:
-            return result
-        if len(residuals) >= 6 \
-                and residuals[-1] > 10.0 * min(residuals[-6:-1]):
-            raise DecompositionError(
-                f"sweep residual diverging: {residuals[-6:]}")
-    return result

@@ -20,7 +20,7 @@ from test_formulation import (
 )
 
 from microplan import convex, mip
-from microplan.convex import certify, get_duals, solve_qcqp
+from microplan.convex import PrimalDualSolution, certify, get_duals, solve_qcqp
 from microplan.formulation import (
     FormulationError, assemble, build_seamed, coupling_slots, fix_binaries,
     horizon_start_boundary,
@@ -338,6 +338,27 @@ def test_integral_node_confirmed_by_polish(two_step, two_step_result):
     assert _Tightener(two_step).apply(lb, ub)
     assert np.array_equal(prog.lb, lb) and np.array_equal(prog.ub, ub)
     assert res.objective == pytest.approx(solve_qcqp(fixed).objective, rel=1e-9)
+
+
+def test_confirm_solves_cold_when_the_start_does_not_certify(two_step,
+                                                            two_step_result):
+    # a zero start breaks the load balance, so its polish does not
+    # certify and the confirmation is the cold solve of the same view
+    solver = _NodeSolver(two_step)
+    fixings = tuple(two_step_result.binaries.items())
+    ws = solver.view(fixings)
+    prog = ws.prog
+    zero = PrimalDualSolution("optimal", np.zeros(prog.n), np.zeros(prog.m),
+                              np.zeros(prog.n), 0.0, 0.0, 0.0, 0, 0.0,
+                              cone_duals=np.zeros(len(prog.cones)))
+    assert ws.polish_from(zero) is None
+    got = solver.confirm(fixings, zero)
+    cold = solver.view(fixings).solve()
+    assert got.iterations > 0
+    for key in ("x", "y_rows", "y_bounds", "cone_duals"):
+        assert np.array_equal(getattr(got, key), getattr(cold, key)), key
+    for key in ("status", "detail", "iterations", "objective", "bound"):
+        assert getattr(got, key) == getattr(cold, key), key
 
 
 def test_fractional_picks_the_farthest_binary_lowest_on_ties(two_step):

@@ -1,10 +1,12 @@
-"""Checks the sweep drivers make before and around their stage solves:
-plan coverage of the load horizon, a torn seam between stages, and a
-receding-horizon plan that keeps the bound of a bound solve that
-stalled.  Stage solves here go through branch and bound only, so this
-module needs no conic oracle.
+"""The forward sweep and its checks, with stage solves through branch
+and bound only, so this module needs no conic oracle: stage layout and
+boundary state, the prices the relaxed monolith seeds, the sweeps'
+best-plan keeping and accounting, plan coverage of the load horizon, a
+torn seam between stages, and a receding-horizon plan that keeps the
+bound of a bound solve that stalled.
 """
 
+import copy
 import dataclasses
 import logging
 import math
@@ -14,26 +16,211 @@ import pytest
 
 from microplan import decomposition
 from microplan.decomposition import (
-    BoundaryState, DecompositionError, gauss_seidel_relaxed, init_duals,
-    mpc_solve, partition, rh_solve, stitch,
+    BoundaryState, DecompositionError, DualVector, init_duals, mpc_solve,
+    partition, relative_gap, rh_solve, stitch,
 )
-from microplan.formulation import assemble
+from microplan.formulation import (
+    assemble, check_feasibility, coupling_slots, horizon_start_boundary,
+)
 from microplan.mip import solve_miqcqp
 
 from test_formulation import flat_loads, gen_bat_instance
 
 
 @pytest.fixture(scope="module")
-def pair():
-    inst = gen_bat_instance()
+def inst():
+    return gen_bat_instance()
+
+
+@pytest.fixture(scope="module")
+def pair(inst):
     return inst, flat_loads(inst, 6)
+
+
+@pytest.fixture(scope="module")
+def loads4(inst):
+    return flat_loads(inst, 4, p=0.4, q=0.1)
+
+
+@pytest.fixture(scope="module")
+def plan42():
+    return partition(4, 2)
+
+
+@pytest.fixture(scope="module")
+def rh42(inst, loads4, plan42):
+    return rh_solve(inst, loads4, plan42)
+
+
+@pytest.fixture(scope="module")
+def mpc42_zero3(inst, loads4, plan42):
+    return mpc_solve(inst, loads4, plan42, iterations=3, mode="zero-init")
+
+
+@pytest.fixture(scope="module")
+def mpc42_dual2(inst, loads4, plan42):
+    return mpc_solve(inst, loads4, plan42, iterations=2, mode="dual-init")
+
+
+# ---------------------------------------------------------------------------
+# stage layout and boundary data
+
+
+def test_partition_even():
+    plan = partition(8, 4)
+    assert plan.stage_count == 4
+    assert plan.steps_per_stage == 2
+    assert plan.windows == ((0, 2), (2, 4), (4, 6), (6, 8))
+    assert plan.horizon == 8
+
+
+def test_partition_uneven_short_tail():
+    plan = partition(7, 3)
+    assert plan.windows == ((0, 3), (3, 6), (6, 7))
+
+
+def test_partition_collapses_empty_tail(caplog):
+    with caplog.at_level(logging.WARNING, logger="microplan.decomposition"):
+        plan = partition(10, 6)
+    assert plan.stage_count == 5
+    assert plan.windows == ((0, 2), (2, 4), (4, 6), (6, 8), (8, 10))
+    assert any("reduced" in r.message for r in caplog.records)
+
+
+def test_partition_rejects_bad_counts():
+    with pytest.raises(DecompositionError):
+        partition(4, 0)
+    with pytest.raises(DecompositionError):
+        partition(4, 5)
+
+
+def test_boundary_state_at_horizon_start(inst):
+    bs = BoundaryState.horizon_start(inst)
+    assert np.array_equal(bs.values, horizon_start_boundary(inst))
+    assert bs.value("sc", "bat1") == 1.0
+    assert bs.value("x", "g1") == 0.0
+    with pytest.raises(KeyError):
+        bs.value("sc", "nope")
+
+
+def test_terminal_state_snaps_binary_noise(inst, loads4):
+    model = assemble(inst, loads4)
+    x = np.zeros(model.n)
+    slots = model.coupling.slots
+    k_z = next(k for k, s in enumerate(slots) if s.kind == "z_b")
+    k_sc = next(k for k, s in enumerate(slots) if s.kind == "sc")
+    x[model.coupling.terminal_cols[k_z]] = 1.0 - 1e-9
+    x[model.coupling.terminal_cols[k_sc]] = 0.7 + 1e-9
+    bs = BoundaryState.from_terminal(model, x)
+    assert bs.values[k_z] == 1.0
+    assert bs.values[k_sc] == 0.7 + 1e-9
+
+
+def test_price_vector_validation(inst):
+    zero = DualVector.zero(inst)
+    assert not zero.values.any()
+    with pytest.raises(DecompositionError):
+        DualVector(values=np.zeros(1), slots=zero.slots)
+    with pytest.raises(DecompositionError):
+        DualVector(values=np.full(len(zero.slots), np.nan), slots=zero.slots)
+
+
+def test_relative_gap_is_percent():
+    assert relative_gap(110.0, 100.0) == pytest.approx(10.0)
+    assert relative_gap(100.0, 100.0) == 0.0
+
+
+def test_stored_energy_cannot_hurt(inst, loads4, plan42):
+    # with expensive generation downstream, energy arriving at the seam
+    # can only lower the optimal cost
+    lam = init_duals(inst, loads4, plan42)
+    slots = coupling_slots(inst)
+    k_sc = next(k for k, s in enumerate(slots) if s.kind == "sc")
+    assert lam[0].values[k_sc] <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# sweeps and stitching
+
+
+def test_one_zero_priced_sweep_is_the_baseline(inst, loads4, plan42, rh42):
+    mpc = mpc_solve(inst, loads4, plan42, iterations=1, mode="zero-init")
+    assert rh42.equals(mpc)
+    assert mpc.equals(rh42)
+
+
+def test_equality_is_exact(rh42):
+    other = copy.deepcopy(rh42)
+    assert rh42.equals(other)
+    other.objective += 1e-12
+    assert not rh42.equals(other)
+
+
+def test_baseline_accounting(rh42, inst, loads4):
+    assert len(rh42.stage_costs) == 2
+    assert rh42.stage_costs[1][0] == 0.0   # build cost sits in stage one
+    total = sum(sum(t) for t in rh42.stage_costs)
+    assert total == pytest.approx(rh42.objective, rel=1e-12)
+    assert rh42.lower_bound <= rh42.objective + 1e-9
+    assert rh42.sweep_objectives == [rh42.objective]
+    report = check_feasibility(inst, loads4, rh42.plan, tol=1e-6)
+    assert report.ok, report.worst()
+
+
+def test_stitched_plan_is_physical(inst, loads4, mpc42_dual2):
+    report = check_feasibility(inst, loads4, mpc42_dual2.plan, tol=1e-6)
+    assert report.ok, report.worst()
+    assert mpc42_dual2.gap_percent >= -1e-9
+
+
+def test_best_sweep_is_kept(mpc42_zero3, rh42):
+    assert mpc42_zero3.sweep_objectives[0] == rh42.objective
+    assert mpc42_zero3.objective == min(mpc42_zero3.sweep_objectives)
+    assert mpc42_zero3.objective <= rh42.objective
+
+
+def test_stage_stats_cover_every_solve(mpc42_zero3):
+    seen = [(s.sweep, s.stage) for s in mpc42_zero3.stage_stats]
+    assert seen == [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
+    assert all(s.status == "optimal-within-gap"
+               for s in mpc42_zero3.stage_stats)
+    assert all(s.solve_time > 0 for s in mpc42_zero3.stage_stats)
+
+
+def test_single_stage_sweep_matches_monolith(inst, loads4):
+    mpc = mpc_solve(inst, loads4, partition(4, 1), iterations=2)
+    mono = solve_miqcqp(assemble(inst, loads4))
+    assert mono.status == "optimal-within-gap"
+    rel = abs(mpc.objective - mono.objective) / max(abs(mono.objective), 1.0)
+    assert rel <= 1e-4
+    assert len(mpc.stage_costs) == 1
+
+
+def test_short_tail_window_passes_history_through(inst, caplog):
+    loads = flat_loads(inst, 5, p=0.4, q=0.1)
+    plan = partition(5, 3)   # tail window of one step, history depth two
+    with caplog.at_level(logging.WARNING, logger="microplan.decomposition"):
+        sol = mpc_solve(inst, loads, plan, iterations=2, mode="dual-init")
+    assert any("history" in r.message for r in caplog.records)
+    report = check_feasibility(inst, loads, sol.plan, tol=1e-6)
+    assert report.ok, report.worst()
+
+
+def test_sweep_argument_validation(inst, loads4, plan42):
+    with pytest.raises(DecompositionError):
+        mpc_solve(inst, loads4, plan42, iterations=0)
+    with pytest.raises(DecompositionError):
+        mpc_solve(inst, loads4, plan42, mode="warm-init")
+
+
+# ---------------------------------------------------------------------------
+# checks around the stage solves
 
 
 DRIVERS = {
     "rh_solve": rh_solve,
     "mpc_solve": mpc_solve,
     "init_duals": init_duals,
-    "gauss_seidel_relaxed": gauss_seidel_relaxed,
 }
 
 
