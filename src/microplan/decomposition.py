@@ -21,7 +21,7 @@ import numpy as np
 from .convex import get_duals, solve_qcqp
 from .formulation import (
     MdopModel, OperatingPlan, assemble, build_seamed, coupling_slots,
-    extract_plan, horizon_start_boundary, plan_costs, relax_integrality,
+    extract_plan, plan_costs, relax_integrality,
 )
 # solve_fixed_then_duals stays bound here: bench/tracer.py wraps it by this name
 from .mip import _relative_gap, solve_fixed_then_duals, solve_miqcqp  # noqa: F401
@@ -43,9 +43,12 @@ class DecompositionError(RuntimeError):
 @dataclass(frozen=True)
 class StagePlan:
     """Contiguous stage windows covering [0, T)."""
-    stage_count: int
     steps_per_stage: int
     windows: tuple   # ((start, end), ...)
+
+    @property
+    def stage_count(self):
+        return len(self.windows)
 
     @property
     def horizon(self):
@@ -74,58 +77,21 @@ def partition(horizon: int, stages: int) -> StagePlan:
     if len(windows) != stages:
         log.warning("stage count reduced from %d to %d by rounding",
                     stages, len(windows))
-    return StagePlan(stage_count=len(windows), steps_per_stage=k,
-                     windows=tuple(windows))
+    return StagePlan(steps_per_stage=k, windows=tuple(windows))
 
 
-@dataclass(frozen=True)
-class BoundaryState:
-    """State handed across a stage boundary, aligned with the coupling
-    slot layout: battery charge, commitment, delivered power, start and
-    stop history, and the build decisions."""
-    values: np.ndarray
-    slots: tuple
-
-    def value(self, kind, owner, hist=0):
-        for k, slot in enumerate(self.slots):
-            if (slot.kind, slot.owner, slot.hist) == (kind, owner, hist):
-                return float(self.values[k])
-        raise KeyError((kind, owner, hist))
-
-    @classmethod
-    def horizon_start(cls, instance):
-        return cls(values=horizon_start_boundary(instance),
-                   slots=coupling_slots(instance))
-
-    @classmethod
-    def from_terminal(cls, model: MdopModel, x):
-        vals = np.asarray(x, dtype=float)[list(model.coupling.terminal_cols)]
-        # binary state picked off an optimal point carries solver noise;
-        # hand exact integers downstream
-        for k, slot in enumerate(model.coupling.slots):
-            if slot.kind in BINARY_SLOT_KINDS \
-                    and abs(vals[k] - round(vals[k])) <= 1e-6:
-                vals[k] = float(round(vals[k]))
-        return cls(values=vals, slots=model.coupling.slots)
-
-
-@dataclass(frozen=True)
-class DualVector:
-    """Marginal system cost of boundary state delivered to a stage: the
-    price a predecessor should see on its terminal variables."""
-    values: np.ndarray
-    slots: tuple
-
-    def __post_init__(self):
-        if len(self.values) != len(self.slots):
-            raise DecompositionError("price vector does not match slot layout")
-        if not np.all(np.isfinite(self.values)):
-            raise DecompositionError("boundary prices must be finite")
-
-    @classmethod
-    def zero(cls, instance):
-        slots = coupling_slots(instance)
-        return cls(values=np.zeros(len(slots)), slots=slots)
+def _handoff(model: MdopModel, x) -> np.ndarray:
+    """The state `model` hands the next stage at point `x`: its terminal
+    values in coupling-slot order.  Binary state picked off an optimal
+    point carries solver noise, so binary slots within 1e-6 of an integer
+    are handed on as that integer."""
+    vals = np.asarray(x, dtype=float)[list(model.coupling.terminal_cols)]
+    binary = np.array([slot.kind in BINARY_SLOT_KINDS
+                       for slot in model.coupling.slots], dtype=bool)
+    ints = np.round(vals) + 0.0      # + 0.0: a rounded -1e-17 is 0.0, not -0.0
+    snap = binary & (np.abs(vals - ints) <= 1e-6)
+    vals[snap] = ints[snap]
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +248,19 @@ def _relaxed_monolith(instance, loads, plan):
 
 
 def _seam_prices(seamed, sol):
-    """One DualVector per interior boundary from the seam-row duals.
+    """One price array per interior boundary, in coupling-slot order,
+    from the seam-row duals.
 
     The dual of a seam equality is the negative marginal cost of state
     arriving at that boundary; negating it prices the upstream terminal
     variables so the first sweep already sees downstream scarcity.
     """
-    slots = seamed.model.coupling.slots
-    return [DualVector(values=-get_duals(sol, list(rows)), slots=slots)
-            for rows in seamed.seam_rows]
+    return [-get_duals(sol, list(rows)) for rows in seamed.seam_rows]
 
 
 def init_duals(instance, loads, plan: StagePlan):
-    """Boundary prices seeded from the relaxed monolith, one DualVector
-    per interior boundary (stage count minus 1)."""
+    """Boundary prices seeded from the relaxed monolith: one array in
+    coupling-slot order per interior boundary (stage count minus 1)."""
     _check_coverage(loads, plan)
     seamed, sol, failure = _relaxed_monolith(instance, loads, plan)
     if failure:
@@ -307,22 +272,22 @@ def _sweep(instance, loads, plan: StagePlan, prices, sweep, gap_tol,
            node_limit, time_limit):
     """One forward pass over the stage windows.
 
-    Stage s starts from stage s-1's terminal state, its binary slots
-    snapped to exact integers, and prices its own terminal state with
-    ``prices[s]``; the last stage is never priced.  Each stage is solved
-    by branch and bound, and its incumbent's engine solution supplies
-    the stage point and pin duals.  The negated duals of stage s's
+    Stage 0 starts from the horizon start, stage s from stage s-1's
+    terminal state (:func:`_handoff`), and stage s prices its own
+    terminal state with the array ``prices[s]``; the last stage is never
+    priced.  Each stage is solved by branch and bound, and its
+    incumbent's engine solution supplies the stage point and pin duals.  The negated duals of stage s's
     boundary pins are the price stage s-1 sees in the next sweep.
     Returns the stage models, their points, the new prices and one
     StageStat per stage.
     """
-    boundary = BoundaryState.horizon_start(instance)
+    boundary = None     # assemble reads None as the horizon start
     models, xs, new_prices, stats = [], [], [], []
     for s, window in enumerate(plan.windows):
-        duals_in = prices[s].values if s < plan.stage_count - 1 else None
+        duals_in = prices[s] if s < plan.stage_count - 1 else None
         try:
             model = assemble(instance, loads, window=window,
-                             boundary=boundary.values, duals_in=duals_in,
+                             boundary=boundary, duals_in=duals_in,
                              own_builds=(s == 0))
             res = solve_miqcqp(model, gap_tol=gap_tol, node_limit=node_limit,
                                time_limit=time_limit)
@@ -338,10 +303,9 @@ def _sweep(instance, loads, plan: StagePlan, prices, sweep, gap_tol,
         models.append(model)
         xs.append(sol.x)
         if s > 0:
-            pins = list(model.coupling.init_pin_rows)
-            new_prices.append(DualVector(values=-get_duals(sol, pins),
-                                         slots=model.coupling.slots))
-        boundary = BoundaryState.from_terminal(model, sol.x)
+            new_prices.append(
+                -get_duals(sol, list(model.coupling.init_pin_rows)))
+        boundary = _handoff(model, sol.x)
     return models, xs, new_prices, stats
 
 
@@ -383,7 +347,7 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
     if mode == "dual-init":
         prices = _seam_prices(seamed, relaxed_sol)
     else:
-        prices = [DualVector.zero(instance)
+        prices = [np.zeros(len(coupling_slots(instance)))
                   for _ in range(plan.stage_count - 1)]
 
     best = None

@@ -526,10 +526,7 @@ class ModelBuilder:
         _check_bus_order(instance, loads)
         self.instance = instance
         self.loads = loads
-        try:
-            self.layout = _layout(instance, loads.dt)
-        except TypeError:       # an instance holding lists is no cache key
-            self.layout = _Layout(instance, loads.dt)
+        self.layout = _layout(instance, loads.dt)
         self.col_blocks = []         # (first, start, end, owned) per window
         self.n = 0                   # columns so far
         self.col_data = []           # rows lb, ub, q, p_diag per window
@@ -858,6 +855,8 @@ class ModelBuilder:
                 raise FormulationError(
                     f"price vector has {duals_in.shape[0]} entries, "
                     f"expected {len(slots)}")
+            if not np.isfinite(duals_in).all():
+                raise FormulationError("price vector must be finite")
         meta = CouplingMeta(slots=slots, terminal_cols=terminal,
                             init_pin_rows=tuple(pins))
         model = self.model(meta, self.window)
@@ -895,10 +894,10 @@ def assemble(instance: NetworkInstance, loads: LoadProfile, window=None,
 
     `boundary` supplies the imported state at the window start (aligned
     with :func:`coupling_slots`); omitted, the true horizon start is
-    assumed.  `duals_in` prices the terminal state: the objective gains
-    ``duals_in . terminal_state``, the cost-to-go seen by upstream
-    windows.  `own_builds` decides whether build variables are binary
-    decisions with cost here, or imported state pinned to the boundary.
+    assumed.  `duals_in`, one finite cost-to-go per slot, prices the
+    terminal state: the objective gains ``duals_in . terminal_state``.
+    `own_builds` decides whether build variables are binary decisions
+    with cost here, or imported state pinned to the boundary.
     """
     if window is None:
         window = (0, loads.horizon)

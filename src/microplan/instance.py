@@ -131,6 +131,7 @@ class GeneratorSpec:
 
     def __post_init__(self):
         loc = f"generator {self.id}"
+        object.__setattr__(self, "cost_coeffs", tuple(self.cost_coeffs))
         if len(self.cost_coeffs) != 3:
             raise InstanceError("cost_coeffs must be (c0, c1, c2)", loc)
         _require_finite(self, ("fixed_cost", "cost_coeffs"), loc)
@@ -153,8 +154,8 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class NetworkInstance:
-    buses: tuple
-    lines: tuple
+    buses: tuple           # the four collections are stored as tuples,
+    lines: tuple           # so that every instance hashes
     battery_specs: tuple
     generator_specs: tuple
     shed_penalty: float    # $/MW of unserved real or reactive demand per step
@@ -165,6 +166,8 @@ class NetworkInstance:
     name: str = "instance"
 
     def __post_init__(self):
+        for name in ("buses", "lines", "battery_specs", "generator_specs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         _require_finite(self, ("shed_penalty",), self.name)
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
@@ -221,9 +224,6 @@ class LoadProfile:
             raise InstanceError("load array shape does not match horizon/buses")
         if self.horizon and not (np.isfinite(self.p).all() and np.isfinite(self.q).all()):
             raise InstanceError("loads contain non-finite values")
-
-    def window(self, start, end):
-        return self.p[start:end], self.q[start:end]
 
 
 def _union_find(instance):

@@ -12,7 +12,9 @@ try:
     import cvxpy as cp
 except ImportError:     # the oracles skip the cross-check without it
     cp = None
-# module gate: lifted, this module shows the known defects of ROADMAP item 1
+# module gate: lifted without cvxpy, the two oracle tests skip and two
+# known defects fail, test_boundary_prices_zero_without_load and
+# test_prices_rescue_the_myopic_sweep (ROADMAP items 5 and 9)
 pytest.importorskip("cvxpy")
 
 from microplan.decomposition import init_duals, mpc_solve, partition, rh_solve
@@ -127,13 +129,13 @@ def test_seam_prices_match_independent_duals(inst, loads4, plan42):
     assert len(lam) == 1
     for k, i in enumerate(rows):
         expect = -cvx_duals[i]
-        assert lam[0].values[k] == pytest.approx(expect, rel=1e-3, abs=1e-4)
+        assert lam[0][k] == pytest.approx(expect, rel=1e-3, abs=1e-4)
 
 
 def test_boundary_prices_zero_without_load(inst):
     loads = flat_loads(inst, 4, p=0.0, q=0.0)
     lam = init_duals(inst, loads, partition(4, 2))
-    assert np.abs(lam[0].values).max() <= 1e-6
+    assert np.abs(lam[0]).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -1442,7 +1442,8 @@ def test_network_without_candidates():
 
 
 def test_instance_holding_lists_assembles():
-    # such an instance cannot be hashed, so its layout is not shared
+    # the instance stores its lists as tuples, so it hashes, equals the
+    # tuple-built one and shares its cached layout
     inst = gen_bat_instance()
     listed = NetworkInstance(list(inst.buses), list(inst.lines),
                              list(inst.battery_specs),
@@ -1450,4 +1451,15 @@ def test_instance_holding_lists_assembles():
                              dt=0.25, slack_bus="b1", name="pair")
     loads = flat_loads(inst, 4)
     assert layout_digest(assemble(listed, loads)) \
+        == layout_digest(assemble(inst, loads))
+
+
+def test_instance_mixing_lists_and_tuples_assembles():
+    inst = gen_bat_instance()
+    mixed = NetworkInstance(inst.buses, inst.lines, list(inst.battery_specs),
+                            tuple(inst.generator_specs), shed_penalty=1e7,
+                            dt=0.25, slack_bus="b1", name="pair")
+    assert hash(mixed) == hash(inst)
+    loads = flat_loads(inst, 4)
+    assert layout_digest(assemble(mixed, loads)) \
         == layout_digest(assemble(inst, loads))

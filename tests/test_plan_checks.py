@@ -16,11 +16,12 @@ import pytest
 
 from microplan import decomposition
 from microplan.decomposition import (
-    BoundaryState, DecompositionError, DualVector, init_duals, mpc_solve,
+    BINARY_SLOT_KINDS, DecompositionError, _handoff, init_duals, mpc_solve,
     partition, relative_gap, rh_solve, stitch,
 )
 from microplan.formulation import (
-    assemble, check_feasibility, coupling_slots, horizon_start_boundary,
+    BUILD_KINDS, FormulationError, assemble, check_feasibility,
+    coupling_slots, horizon_start_boundary,
 )
 from microplan.mip import solve_miqcqp
 
@@ -94,13 +95,17 @@ def test_partition_rejects_bad_counts():
         partition(4, 5)
 
 
-def test_boundary_state_at_horizon_start(inst):
-    bs = BoundaryState.horizon_start(inst)
-    assert np.array_equal(bs.values, horizon_start_boundary(inst))
-    assert bs.value("sc", "bat1") == 1.0
-    assert bs.value("x", "g1") == 0.0
-    with pytest.raises(KeyError):
-        bs.value("sc", "nope")
+def test_omitted_boundary_pins_the_horizon_start(inst, loads4):
+    # every slot but the build decisions, which the window owns
+    model = assemble(inst, loads4, window=(0, 2))
+    start = horizon_start_boundary(inst)
+    pins = model.coupling.init_pin_rows
+    state = [k for k, s in enumerate(model.coupling.slots)
+             if s.kind not in BUILD_KINDS]
+    assert [k for k, row in enumerate(pins) if row is not None] == state
+    rows = [pins[k] for k in state]
+    assert np.array_equal(model.row_lo[rows], start[state])
+    assert np.array_equal(model.row_hi[rows], start[state])
 
 
 def test_terminal_state_snaps_binary_noise(inst, loads4):
@@ -111,18 +116,19 @@ def test_terminal_state_snaps_binary_noise(inst, loads4):
     k_sc = next(k for k, s in enumerate(slots) if s.kind == "sc")
     x[model.coupling.terminal_cols[k_z]] = 1.0 - 1e-9
     x[model.coupling.terminal_cols[k_sc]] = 0.7 + 1e-9
-    bs = BoundaryState.from_terminal(model, x)
-    assert bs.values[k_z] == 1.0
-    assert bs.values[k_sc] == 0.7 + 1e-9
+    handed = _handoff(model, x)
+    assert handed[k_z] == 1.0
+    assert handed[k_sc] == 0.7 + 1e-9
 
 
-def test_price_vector_validation(inst):
-    zero = DualVector.zero(inst)
-    assert not zero.values.any()
-    with pytest.raises(DecompositionError):
-        DualVector(values=np.zeros(1), slots=zero.slots)
-    with pytest.raises(DecompositionError):
-        DualVector(values=np.full(len(zero.slots), np.nan), slots=zero.slots)
+def test_price_vector_validation(inst, loads4):
+    n = len(coupling_slots(inst))
+    with pytest.raises(FormulationError, match="price vector has 1 entries"):
+        assemble(inst, loads4, window=(0, 2), duals_in=np.zeros(1))
+    nan = np.zeros(n)
+    nan[0] = np.nan
+    with pytest.raises(FormulationError, match="price vector must be finite"):
+        assemble(inst, loads4, window=(0, 2), duals_in=nan)
 
 
 def test_relative_gap_is_percent():
@@ -136,7 +142,7 @@ def test_stored_energy_cannot_hurt(inst, loads4, plan42):
     lam = init_duals(inst, loads4, plan42)
     slots = coupling_slots(inst)
     k_sc = next(k for k, s in enumerate(slots) if s.kind == "sc")
-    assert lam[0].values[k_sc] <= 1e-8
+    assert lam[0][k_sc] <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +240,35 @@ def test_plan_must_cover_the_loads(pair, name, steps, stages):
         DRIVERS[name](inst, loads, partition(steps, stages))
 
 
+def test_handoff_pins_exact_integers(inst, monkeypatch):
+    # at this load the middle stage's optimal point holds its pinned
+    # z_d/g1 import as 2.0e-17, and hands it on as 0.0
+    loads = flat_loads(inst, 6, p=0.6, q=0.1)
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(assemble(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(decomposition, "assemble", recording)
+    rh_solve(inst, loads, partition(6, 3))
+    assert len(built) == 3
+    binary = [k for k, s in enumerate(coupling_slots(inst))
+              if s.kind in BINARY_SLOT_KINDS]
+    for model in built[1:]:
+        rows = [model.coupling.init_pin_rows[k] for k in binary]
+        handed = model.row_lo[rows]
+        assert np.array_equal(handed, model.row_hi[rows])
+        assert set(handed) <= {0.0, 1.0} and not np.signbit(handed).any()
+
+
 def test_torn_seam_is_detected():
     inst = gen_bat_instance()
     loads = flat_loads(inst, 4)
     plan = partition(4, 2)
     m0 = assemble(inst, loads, window=plan.windows[0])
     x0 = solve_miqcqp(m0).solution.x
-    torn = BoundaryState.from_terminal(m0, x0).values.copy()
+    torn = _handoff(m0, x0)
     torn[0] += 0.01
     m1 = assemble(inst, loads, window=plan.windows[1], boundary=torn,
                   own_builds=False)
