@@ -275,9 +275,10 @@ def _sweep(instance, loads, plan: StagePlan, prices, sweep, gap_tol,
     Stage 0 starts from the horizon start, stage s from stage s-1's
     terminal state (:func:`_handoff`), and stage s prices its own
     terminal state with the array ``prices[s]``; the last stage is never
-    priced.  Each stage is solved by branch and bound, and its
-    incumbent's engine solution supplies the stage point and pin duals.  The negated duals of stage s's
-    boundary pins are the price stage s-1 sees in the next sweep.
+    priced and hands nothing on.  Each stage is solved by branch and
+    bound, and its incumbent's engine solution supplies the stage point
+    and pin duals.  The negated duals of stage s's boundary pins are the
+    price stage s-1 sees in the next sweep.
     Returns the stage models, their points, the new prices and one
     StageStat per stage.
     """
@@ -305,7 +306,8 @@ def _sweep(instance, loads, plan: StagePlan, prices, sweep, gap_tol,
         if s > 0:
             new_prices.append(
                 -get_duals(sol, list(model.coupling.init_pin_rows)))
-        boundary = _handoff(model, sol.x)
+        if s < plan.stage_count - 1:
+            boundary = _handoff(model, sol.x)
     return models, xs, new_prices, stats
 
 

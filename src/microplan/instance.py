@@ -7,6 +7,13 @@ per-unit on the instance's MVA base; costs stay in dollars and energy in
 per-unit hours.  Instances are immutable after construction and safe to
 share across concurrent solver runs.
 
+A load file's header names its columns, in any order, and may add columns
+that are ignored; every other non-blank line is a row with as many fields
+as the header, and blank lines are skipped.  Loads are in MW and MVAr in
+the file and per-unit in a :class:`LoadProfile`.  The file is read and
+written a column at a time, as arrays, and an error in it names the file's
+own line.
+
 The graph checks (connectivity at construction, the radial diagnostic)
 are in-tree: one union-find pass over the lines, with no graph library.
 """
@@ -481,11 +488,41 @@ def write_instance(instance: NetworkInstance, path) -> Path:
     return out
 
 
-def parse_loads(path, instance: NetworkInstance, dt: float) -> LoadProfile:
-    """Read a ``step,bus,p_mw,q_mvar`` CSV into a dense per-unit profile.
+LOAD_COLUMNS = ("step", "bus", "p_mw", "q_mvar")
 
-    Buses absent from the file default to zero load; every bus present must
-    cover the same contiguous step range starting at 0.
+
+def _leading(kind, texts, name, errors):
+    """`kind` (int or float) applied to each of `texts` up to the first
+    it rejects, as an array; the rejected position and its reason are
+    appended to `errors`."""
+    values = []
+    try:
+        values.extend(map(kind, texts))   # keeps the values before a failure
+    except ValueError as exc:
+        errors.append((len(values), f"malformed row ({exc})"))
+    try:
+        return np.array(values, dtype=np.int64 if kind is int else float)
+    except OverflowError:                 # an int beyond 64 bits
+        k = next(k for k, v in enumerate(values) if not -2**63 <= v < 2**63)
+        errors.append((k, f"malformed row ({name} {values[k]} is out of range)"))
+        return np.array(values[:k], dtype=np.int64)
+
+
+def parse_loads(path, instance: NetworkInstance, dt: float) -> LoadProfile:
+    """Read a loads CSV into a dense per-unit profile.
+
+    The first line is the header.  It names the columns ``step``, ``bus``,
+    ``p_mw`` and ``q_mvar`` in any order; further columns are allowed and
+    ignored.  Every other non-blank line is one row with as many fields as
+    the header; blank lines are skipped.  ``step`` is a nonnegative
+    integer, ``bus`` a bus id of `instance`, and ``p_mw``/``q_mvar`` finite
+    MW and MVAr, divided by ``instance.base_mva`` into per-unit.  Each
+    ``(step, bus)`` pair appears once.  Buses absent from the file default
+    to zero load; every bus present must cover the same contiguous step
+    range starting at 0.
+
+    A bad row raises :class:`InstanceError` located at its ``file:line``;
+    when several rows are bad, the first in the file is named.
     """
     path = Path(path)
     if dt <= 0:
@@ -493,70 +530,111 @@ def parse_loads(path, instance: NetworkInstance, dt: float) -> LoadProfile:
     if not path.exists():
         raise InstanceError("file not found", str(path))
     idx = instance.bus_index()
-    series = {}
+    n = len(instance.buses)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         log.warning("load file %s is empty; using a zero-length profile", path)
-        n = len(instance.buses)
         z = np.zeros((0, n))
         return LoadProfile(horizon=0, bus_ids=tuple(idx), p=z, q=z.copy(), dt=dt)
 
-    for lineno, row in enumerate(rows, start=2):
-        loc = f"{path}:{lineno}"
-        try:
-            step = int(row["step"])
-            bus = str(row["bus"])
-            p = float(row["p_mw"])
-            q = float(row["q_mvar"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InstanceError(f"malformed row ({exc})", loc)
-        if step < 0:
-            raise InstanceError("negative step index", loc)
-        if bus not in idx:
-            raise InstanceError(f"unknown bus {bus!r}", loc)
-        series.setdefault(bus, {})[step] = (p, q)
+    def at(k):
+        return f"{path}:{lines[k]}"
 
-    lengths = {bus: len(steps) for bus, steps in series.items()}
-    if sum(lengths.values()) != len(rows):
-        # a row repeated a (step, bus) pair: name the repeat
-        seen = set()
-        for lineno, row in enumerate(rows, start=2):
-            key = (int(row["step"]), str(row["bus"]))
-            if key in seen:
-                raise InstanceError(f"step {key[0]} of bus {key[1]!r} repeats",
-                                    f"{path}:{lineno}")
-            seen.add(key)
-    horizon = max(lengths.values())
-    for bus, steps in series.items():
-        if len(steps) != horizon or sorted(steps) != list(range(horizon)):
-            raise InstanceError(
-                f"bus {bus!r} covers {len(steps)} steps, expected 0..{horizon - 1}",
-                str(path))
+    for name in LOAD_COLUMNS:
+        if name not in header:
+            raise InstanceError(f"malformed row ({name!r})", at(0))
+    col = {name: k for k, name in enumerate(header)}
 
-    n = len(instance.buses)
+    # each check appends (row position, reason) for its first bad row, in
+    # the order the reasons rank within one row; the first row wins
+    errors = []
+    width = len(header)
+    fields = np.fromiter(map(len, rows), np.intp, len(rows))
+    ragged = np.flatnonzero(fields != width)
+    end = ragged[0] if ragged.size else len(rows)
+    if ragged.size:
+        errors.append((end, f"malformed row ({fields[end]} fields, the header "
+                            f"has {width})"))
+    columns = list(zip(*rows[:end])) if end else [()] * width
+    step_text, names, p_text, q_text = (columns[col[c]] for c in LOAD_COLUMNS)
+    step = _leading(int, step_text, "step", errors)
+    p_mw = _leading(float, p_text, "p_mw", errors)
+    q_mvar = _leading(float, q_text, "q_mvar", errors)
+    end = min([k for k, _ in errors], default=end)
+    step, p_mw, q_mvar, names = step[:end], p_mw[:end], q_mvar[:end], names[:end]
+    code = {b: idx.get(b, -1) for b in set(names)}
+    bus = np.fromiter(map(code.__getitem__, names), np.intp, end)
+    for bad, reason in ((step < 0, "negative step index"),
+                        (bus < 0, "unknown bus {bus!r}"),
+                        (~np.isfinite(p_mw), "p_mw {p!r} is not finite"),
+                        (~np.isfinite(q_mvar), "q_mvar {q!r} is not finite")):
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            k = hits[0]
+            errors.append(
+                (k, reason.format(bus=names[k], p=p_text[k], q=q_text[k])))
+    if errors:
+        k, reason = min(errors, key=lambda e: e[0])
+        raise InstanceError(reason, at(k))
+
+    # sorted by bus, then step; a stable sort keeps file order among repeats
+    order = np.lexsort((step, bus))
+    by_step, by_bus = step[order], bus[order]
+    again = (by_step[1:] == by_step[:-1]) & (by_bus[1:] == by_bus[:-1])
+    if again.any():
+        k = order[1:][again].min()
+        raise InstanceError(f"step {step[k]} of bus {names[k]!r} repeats", at(k))
+    # with no repeats, a bus covers 0..h-1 iff it has h steps, the last h-1
+    counts = np.bincount(bus, minlength=n)
+    horizon = int(counts.max())
+    present = np.flatnonzero(counts)
+    last = by_step[np.flatnonzero(np.append(by_bus[1:] != by_bus[:-1], True))]
+    short = present[(counts[present] != horizon) | (last != horizon - 1)]
+    if short.size:
+        j = min(short, key=lambda j: np.argmax(bus == j))   # first in the file
+        raise InstanceError(
+            f"bus {instance.buses[j].id!r} covers {counts[j]} steps, "
+            f"expected 0..{horizon - 1}", str(path))
+
     p = np.zeros((horizon, n))
     q = np.zeros((horizon, n))
-    for bus, steps in series.items():
-        j = idx[bus]
-        for step, (pv, qv) in steps.items():
-            p[step, j] = pv / instance.base_mva
-            q[step, j] = qv / instance.base_mva
+    p[step, bus] = p_mw / instance.base_mva
+    q[step, bus] = q_mvar / instance.base_mva
     return LoadProfile(horizon=horizon, bus_ids=tuple(idx), p=p, q=q, dt=dt)
 
 
+def _csv_field(text):
+    """`text` as :mod:`csv` writes a field in its default dialect: quoted,
+    inner quotes doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_loads(profile: LoadProfile, instance: NetworkInstance, path) -> Path:
-    """Emit a loads CSV (MW/MVAr) readable by :func:`parse_loads`."""
+    """Emit a loads CSV readable by :func:`parse_loads`, the bytes
+    :mod:`csv`'s writer gives: the header ``step,bus,p_mw,q_mvar``, then
+    one row per step and bus, step-major in ``profile.bus_ids`` order, with
+    MW and MVAr written as the ``repr`` of the per-unit values times
+    ``instance.base_mva`` (so they read back exactly), each line ended by
+    ``\\r\\n``."""
     path = Path(path)
     base = instance.base_mva
+    n = len(profile.bus_ids)
+    steps = map(str, np.repeat(np.arange(profile.horizon), n).tolist())
+    buses = tuple(map(_csv_field, profile.bus_ids)) * profile.horizon
+    p = map(repr, (profile.p * base).ravel().tolist())
+    q = map(repr, (profile.q * base).ravel().tolist())
+    text = "".join(map("{},{},{},{}\r\n".format, steps, buses, p, q))
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "bus", "p_mw", "q_mvar"])
-        for t in range(profile.horizon):
-            for j, bus in enumerate(profile.bus_ids):
-                writer.writerow([t, bus, repr(float(profile.p[t, j] * base)),
-                                 repr(float(profile.q[t, j] * base))])
+        fh.write(",".join(LOAD_COLUMNS) + "\r\n" + text)
     return path
 
 

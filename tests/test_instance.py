@@ -1,5 +1,6 @@
 """Instance parsing, validation, and synthetic load generation."""
 
+import csv
 import json
 import os
 import subprocess
@@ -319,6 +320,111 @@ class TestLoads:
         np.testing.assert_allclose(back.p, prof.p, rtol=0, atol=0)
         np.testing.assert_allclose(back.q, prof.q, rtol=0, atol=0)
 
+
+    def test_error_names_the_files_own_line(self, tmp_path):
+        # blank lines are skipped, but they count in the line number
+        inst = two_bus()
+        f = tmp_path / "loads.csv"
+        f.write_text("step,bus,p_mw,q_mvar\n0,a,1,0\n\n\n0,zz,1,0\n")
+        with pytest.raises(InstanceError, match=r"loads\.csv:5: unknown bus 'zz'$"):
+            parse_loads(f, inst, dt=0.25)
+
+    def test_extra_field_rejected(self, tmp_path):
+        inst = two_bus()
+        f = tmp_path / "loads.csv"
+        f.write_text("step,bus,p_mw,q_mvar\n0,a,1,0\n0,b,1,0,7\n")
+        with pytest.raises(InstanceError, match=r"loads\.csv:3: malformed row "
+                                                r"\(5 fields, the header has 4\)$"):
+            parse_loads(f, inst, dt=0.25)
+
+    def test_short_row_rejected(self, tmp_path):
+        inst = two_bus()
+        f = tmp_path / "loads.csv"
+        f.write_text("step,bus,p_mw,q_mvar\n0,a,1,0\n0,b,1\n")
+        with pytest.raises(InstanceError, match=r"loads\.csv:3: malformed row "
+                                                r"\(3 fields, the header has 4\)$"):
+            parse_loads(f, inst, dt=0.25)
+
+    def test_missing_column_rejected(self, tmp_path):
+        inst = two_bus()
+        f = tmp_path / "loads.csv"
+        f.write_text("step,bus,p_mw\n0,a,1\n")
+        with pytest.raises(InstanceError,
+                           match=r"loads\.csv:2: malformed row \('q_mvar'\)$"):
+            parse_loads(f, inst, dt=0.25)
+
+    def test_non_numeric_value_names_its_line(self, tmp_path):
+        inst = two_bus()
+        f = tmp_path / "loads.csv"
+        f.write_text("step,bus,p_mw,q_mvar\n0,a,1,0\n0,b,x,0\n")
+        with pytest.raises(InstanceError,
+                           match=r"loads\.csv:3: malformed row \(could not "
+                                 r"convert string to float: 'x'\)$"):
+            parse_loads(f, inst, dt=0.25)
+
+    def test_out_of_range_step_rejected(self, tmp_path):
+        inst = two_bus()
+        f = tmp_path / "loads.csv"
+        f.write_text(f"step,bus,p_mw,q_mvar\n{2**64},a,1,0\n")
+        with pytest.raises(InstanceError, match=r"loads\.csv:2: malformed row "
+                                                r"\(step \d+ is out of range\)$"):
+            parse_loads(f, inst, dt=0.25)
+
+    @pytest.mark.parametrize("value", ["nan", "1e400", "-inf"])
+    def test_non_finite_load_names_its_line(self, tmp_path, value):
+        inst = two_bus()
+        f = tmp_path / "loads.csv"
+        f.write_text(f"step,bus,p_mw,q_mvar\n0,a,1,0\n0,b,1,{value}\n")
+        with pytest.raises(InstanceError, match=rf"loads\.csv:3: q_mvar "
+                                                rf"'{value}' is not finite$"):
+            parse_loads(f, inst, dt=0.25)
+
+    def test_first_bad_row_wins(self, tmp_path):
+        inst = two_bus()
+        f = tmp_path / "loads.csv"
+        f.write_text("step,bus,p_mw,q_mvar\n0,a,1,0\n0,zz,1,0\n1,a,x\n"
+                     "0,a,1,0\n")
+        with pytest.raises(InstanceError, match=r"loads\.csv:3: unknown bus 'zz'$"):
+            parse_loads(f, inst, dt=0.25)
+        # within one row, a malformed field is named before the bus
+        f.write_text("step,bus,p_mw,q_mvar\n0,a,1,0\n-1,zz,y,0\n")
+        with pytest.raises(InstanceError, match=r"loads\.csv:3: malformed row"):
+            parse_loads(f, inst, dt=0.25)
+
+    def test_column_order_and_extra_columns(self, tmp_path):
+        inst = two_bus(base_mva=2.0)
+        plain = tmp_path / "plain.csv"
+        plain.write_text("step,bus,p_mw,q_mvar\n0,a,1.0,0.3\n1,a,2.0,0.6\n"
+                         "0,b,4.0,1.2\n1,b,0.5,0.1\n")
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("q_mvar,note,bus,step,p_mw\n0.1,x,b,1,0.5\n"
+                            "0.3,,a,0,1.0\n1.2,y,b,0,4.0\n0.6,z,a,1,2.0\n")
+        want = parse_loads(plain, inst, dt=0.25)
+        got = parse_loads(shuffled, inst, dt=0.25)
+        assert np.array_equal(got.p, want.p) and np.array_equal(got.q, want.q)
+
+    @pytest.mark.parametrize("bus_ids", [("a", "b"), ('a,"1"', "b\n2")])
+    def test_write_matches_csv_writer(self, tmp_path, bus_ids):
+        a, b = bus_ids
+        inst = two_bus(
+            base_mva=2.0,
+            buses=(Bus(a, 0.81, 1.21), Bus(b, 0.81, 1.21)),
+            lines=(Line("ab", a, b, r=0.01, x=0.02, s_max=5.0),),
+            battery_specs=(), generator_specs=())
+        prof = synth_load(inst, days=1, dt=0.25, base=1.0, seed=3)
+        assert prof.horizon == 96
+        ref = tmp_path / "ref.csv"
+        with ref.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step", "bus", "p_mw", "q_mvar"])
+            for t in range(prof.horizon):
+                for j, bus in enumerate(prof.bus_ids):
+                    writer.writerow([t, bus, repr(float(prof.p[t, j] * 2.0)),
+                                     repr(float(prof.q[t, j] * 2.0))])
+        f = write_loads(prof, inst, tmp_path / "loads.csv")
+        assert f.read_bytes() == ref.read_bytes()
+        back = parse_loads(f, inst, dt=0.25)
+        assert np.array_equal(back.p, prof.p) and np.array_equal(back.q, prof.q)
 
 class TestSynthLoad:
     def test_deterministic(self):

@@ -262,6 +262,22 @@ def test_handoff_pins_exact_integers(inst, monkeypatch):
         assert set(handed) <= {0.0, 1.0} and not np.signbit(handed).any()
 
 
+def test_handoff_only_between_stages(pair, monkeypatch):
+    inst, loads = pair
+    calls = []
+
+    def counting(model, x):
+        calls.append(model)
+        return _handoff(model, x)
+
+    monkeypatch.setattr(decomposition, "_handoff", counting)
+    rh_solve(inst, loads, partition(6, 3))
+    assert len(calls) == 2
+    calls.clear()
+    mpc_solve(inst, loads, partition(6, 3), iterations=2, mode="zero-init")
+    assert len(calls) == 4
+
+
 def test_torn_seam_is_detected():
     inst = gen_bat_instance()
     loads = flat_loads(inst, 4)
