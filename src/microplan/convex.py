@@ -59,22 +59,28 @@ branch and bound, builds one workspace and takes a view of it per bound
 set (:meth:`QpWorkspace.with_bounds`): the Ruiz scaling and the stacked
 rows, balls and costs do not depend on the bounds and are shared.
 
-A point is reported optimal when it certifies (:func:`certify`): (1)
-every row, bound and ball holds and (2) stationarity holds, entry by
-entry within EPS_ABS + EPS_REL times the magnitude of the entry's terms,
-with every multiplier first projected onto its valid sign, so that a
-multiplier on a missing or wrong side counts as a stationarity error;
-(3) the complementarity gap, each multiplier times the distance to the
-side it claims, is at most EPS_ABS times max(1 USD, |objective|).  The
-polish returns its pass with the lowest certificate ratio.  When no pass
-certifies, the interior point's own point and duals are returned, as
+Optimal comes in two kinds.  A polished point is *certified*: it is
+reported optimal when it passes :func:`certify`: (1) every row, bound
+and ball holds and (2) stationarity holds, entry by entry within
+EPS_ABS + EPS_REL times the magnitude of the entry's terms, with every
+multiplier first projected onto its valid sign, so that a multiplier on
+a missing or wrong side counts as a stationarity error; (3) the
+complementarity gap, each multiplier times the distance to the side it
+claims, is at most EPS_ABS times max(1 USD, |objective|).  The polish
+returns its pass with the lowest certificate ratio.  When no pass
+certifies, the interior point's own point and duals are returned, and
+they are *proven* optimal when (1) holds and the objective exceeds the
+result's ``bound`` by at most EPS_GAP times max(1 USD, |objective|): no
+feasible point is cheaper by more than that, though the multipliers may
+fail (2) and (3).  Their detail is ``polish rejected``, followed by the
+interior point's reason to stop if it had one.  Otherwise the result is
 ``iteration-limit``, with detail saying why the interior point stopped
-(after at most MAX_ITER steps), or as ``optimal`` with detail ``polish
-rejected`` if the interior point had met its own termination test.  A
-program whose every column has finite bounds is never reported
-``unbounded``.  Each interior-point step is logged at DEBUG level on
-this module's logger, with its step number, primal and dual residuals
-and objective.
+(after at most MAX_ITER steps), or ``polish rejected`` if it had met its
+own termination test.  :meth:`QpWorkspace.interior` labels its result by
+the interior point's own test alone.  A program whose every column has
+finite bounds is never reported ``unbounded``.  Each interior-point step
+is logged at DEBUG level on this module's logger, with its step number,
+primal and dual residuals and objective.
 
 Dual sign convention.  Multipliers y satisfy the stationarity condition
 
@@ -271,6 +277,7 @@ MAX_ITER = 100
 SCALING_ITERS = 10
 EPS_ABS = 1e-8
 EPS_REL = 1e-6
+EPS_GAP = 1e-7
 POLISH_DELTA = 1e-6
 POLISH_PASSES = 8
 REFINE_STEPS = 3
@@ -328,6 +335,25 @@ def _valid_sign(y, lo, hi):
                    np.where(np.isfinite(hi), np.inf, 0.0))
 
 
+def _primal(prog: ConvexProgram, x):
+    """The primal half of :func:`certify`.  Returns the row and bound
+    values v of `x` with their sides lo and hi, each ball's radius and
+    column norm, the worst absolute violation of a row, bound or ball,
+    and the worst ratio of a violation to its tolerance, EPS_ABS +
+    EPS_REL times the magnitude of its terms."""
+    owner, cols, rc = prog.cone_owner, prog.cone_cols, prog.radius_col
+    v = np.concatenate([prog.a @ x, x])
+    lo, hi = np.concatenate([prog.l, prog.lb]), np.concatenate([prog.u, prog.ub])
+    at = np.clip(v, lo, hi)
+    norm = np.sqrt(np.bincount(owner, x[cols] ** 2, minlength=rc.size))
+    radius = np.where(rc >= 0, x[rc], prog.radius)
+    viol = np.concatenate([np.abs(v - at), np.maximum(norm - radius, 0.0)])
+    prim_ref = np.concatenate([np.maximum(np.abs(v), np.abs(at)),
+                               np.maximum(np.abs(radius), norm)])
+    return (v, lo, hi, radius, norm, float(viol.max(initial=0.0)),
+            float((viol / (EPS_ABS + EPS_REL * prim_ref)).max(initial=0.0)))
+
+
 def certify(prog: ConvexProgram, x, y_rows, y_bounds, cone_duals) -> Certificate:
     """Test a primal-dual point against the three optimality conditions
     of the module docstring.  Rows and bounds are treated alike, as
@@ -340,14 +366,7 @@ def certify(prog: ConvexProgram, x, y_rows, y_bounds, cone_duals) -> Certificate
     necessary, so it can reject a valid point.  The formulation builds
     no balls that share a column."""
     owner, cols, rc = prog.cone_owner, prog.cone_cols, prog.radius_col
-    v = np.concatenate([prog.a @ x, x])
-    lo, hi = np.concatenate([prog.l, prog.lb]), np.concatenate([prog.u, prog.ub])
-    at = np.clip(v, lo, hi)
-    norm = np.sqrt(np.bincount(owner, x[cols] ** 2, minlength=rc.size))
-    radius = np.where(rc >= 0, x[rc], prog.radius)
-    viol = np.concatenate([np.abs(v - at), np.maximum(norm - radius, 0.0)])
-    prim_ref = np.concatenate([np.maximum(np.abs(v), np.abs(at)),
-                               np.maximum(np.abs(radius), norm)])
+    v, lo, hi, radius, norm, prim, prim_ratio = _primal(prog, x)
 
     y = _valid_sign(np.concatenate([y_rows, y_bounds]).astype(float), lo, hi)
     lam = np.maximum(np.asarray(cone_duals, dtype=float), 0.0)
@@ -377,11 +396,10 @@ def certify(prog: ConvexProgram, x, y_rows, y_bounds, cone_duals) -> Certificate
     gap = float(np.abs(y * (side - v)).sum()
                 + (lam * np.abs(radius - norm)).sum())
     ratio = max(
-        float((viol / (EPS_ABS + EPS_REL * prim_ref)).max(initial=0.0)),
+        prim_ratio,
         float((np.abs(stat) / (EPS_ABS + EPS_REL * stat_ref)).max(initial=0.0)),
         gap / (EPS_ABS * max(1.0, abs(prog.objective(x)))))
-    return Certificate(float(viol.max(initial=0.0)),
-                       float(np.abs(stat).max(initial=0.0)), gap, ratio)
+    return Certificate(prim, float(np.abs(stat).max(initial=0.0)), gap, ratio)
 
 
 def _refined(lu, mat, shift, rhs):
@@ -664,7 +682,11 @@ class QpWorkspace:
     # -- solve ------------------------------------------------------------
 
     def solve(self) -> PrimalDualSolution:
-        """Interior-point solve, then the active-set polish of its point."""
+        """Interior-point solve, then the active-set polish of its point.
+        When no polish pass certifies, the interior point's own result
+        is ``optimal`` only if `_proven`, with detail ``polish rejected``
+        and the interior point's reason to stop, if it had one, and
+        ``iteration-limit`` otherwise."""
         t0 = time.perf_counter()
         (status, detail, x, y, prim_res, dual_res, it), pins = self._interior()
         if status in ("optimal", "iteration-limit"):
@@ -673,10 +695,24 @@ class QpWorkspace:
                 x, y, cert = polished
                 prim_res, dual_res = cert.prim, cert.stat
                 status, detail = "optimal", "polished"
-            elif status == "optimal":
-                detail = "polish rejected"
+            elif self._proven(x, y):
+                # the interior point's reason to stop, if any, stays on
+                status = "optimal"
+                detail = "; ".join(filter(None, ("polish rejected", detail)))
+            else:
+                status, detail = "iteration-limit", detail or "polish rejected"
         return self._package(status, detail, x, y, prim_res, dual_res, it,
                              time.perf_counter() - t0)
+
+    def _proven(self, x_sc, y_sc):
+        """Whether an unpolished point is optimal by proof: it passes
+        `certify`'s primal test, and its objective exceeds the
+        weak-duality bound of its multipliers by at most EPS_GAP times
+        max(1 USD, |objective|)."""
+        x = self._unscaled(x_sc, y_sc)[0]
+        objective = self.prog.objective(x)
+        return (_primal(self.prog, x)[-1] <= 1.0 and objective - self._bound(y_sc)
+                <= EPS_GAP * max(1.0, abs(objective)))
 
     def interior(self) -> PrimalDualSolution:
         """The interior point alone, with no polish: its point and

@@ -327,7 +327,12 @@ def mpc_solve(instance, loads, plan: StagePlan, iterations: int = 3,
     first sweep the receding-horizon baseline.
     The best stitched plan over all sweeps is returned; its bound is the
     weak-duality bound of the relaxed monolith's result, which holds
-    whether or not that solve converged.  When it is not optimal,
+    whether or not that solve converged.  That result is optimal either
+    certified, polished to the engine's optimality conditions, or
+    proven, unpolished (detail ``polish rejected``) but feasible and
+    within 1e-7 × max(1 USD, |objective|) of its bound; a proven
+    result's prices are the interior point's multipliers, which prove
+    the bound but need not be stationary.  When it is not optimal,
     `dual-init` raises, having no prices; `zero-init` needs it only for
     the bound, so it reports the bound its multipliers prove (NaN if it
     ended infeasible or unbounded), with the reason in `bound_detail`.

@@ -7,6 +7,9 @@ per-unit on the instance's MVA base; costs stay in dollars and energy in
 per-unit hours.  Instances are immutable after construction and safe to
 share across concurrent solver runs.
 
+``network.json``'s four record lists (buses, lines, batteries and
+generators) are read and written by one table, :data:`RECORD_LISTS`.
+
 A load file's header names its columns, in any order, and may add columns
 that are ignored; every other non-blank line is a row with as many fields
 as the header, and blank lines are skipped.  Loads are in MW and MVAr in
@@ -24,7 +27,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -313,14 +316,74 @@ def _require(data, key, location):
     return data[key]
 
 
-def _whole(data, key, location, default=None):
-    """Field `key`, a count or a number of steps, as an int; it is
-    required unless a default is given, and a fraction is an error
-    rather than truncated."""
-    value = _require(data, key, location) if default is None else data.get(key, default)
-    if isinstance(value, float) and not value.is_integer():
-        raise InstanceError(f"{key} must be a whole number, got {value!r}", location)
-    return int(value)
+# The record lists of network.json, one row each: its key, the
+# NetworkInstance attribute it fills, the name a record goes by in an
+# error's location, the record type, and one row per field of a record:
+# the field's key, the attribute it fills, its reader (int for a count or
+# a number of steps, where a fraction is an error rather than truncated),
+# its default, None where the key is required, and whether the file
+# holds it in MW, MVA, MVAr or MWh rather than per-unit.
+RECORD_LISTS = (
+    ("buses", "buses", "bus", Bus, (
+        ("id", "id", str, None, False),
+        ("v_min", "v_min", float, None, False),
+        ("v_max", "v_max", float, None, False),
+        ("max_batteries", "max_batteries", int, 0, False),
+        ("max_generators", "max_generators", int, 0, False))),
+    ("lines", "lines", "line", Line, (
+        ("id", "id", str, None, False),
+        ("from_bus", "from_bus", str, None, False),
+        ("to_bus", "to_bus", str, None, False),
+        ("r", "r", float, None, False),
+        ("x", "x", float, None, False),
+        ("s_max_mva", "s_max", float, None, True))),
+    ("batteries", "battery_specs", "battery", BatterySpec, (
+        ("id", "id", str, None, False),
+        ("bus", "bus", str, None, False),
+        ("fixed_cost", "fixed_cost", float, None, False),
+        ("capacity_cost_per_mva", "capacity_cost", float, None, False),
+        ("max_power_mva", "max_power", float, None, True),
+        ("max_energy_mwh", "max_energy", float, None, True),
+        ("eta_ch", "eta_ch", float, None, False),
+        ("eta_dis", "eta_dis", float, None, False),
+        ("initial_soc_mwh", "initial_soc", float, 0.0, True),
+        ("p_min_mw", "p_min", float, None, True),
+        ("p_max_mw", "p_max", float, None, True),
+        ("q_min_mvar", "q_min", float, None, True),
+        ("q_max_mvar", "q_max", float, None, True))),
+    ("generators", "generator_specs", "generator", GeneratorSpec, (
+        ("id", "id", str, None, False),
+        ("bus", "bus", str, None, False),
+        ("fixed_cost", "fixed_cost", float, None, False),
+        ("cost_coeffs", "cost_coeffs", lambda c: tuple(map(float, c)), None, False),
+        ("min_up", "min_up", int, None, False),
+        ("min_down", "min_down", int, None, False),
+        ("ramp_up_mw", "ramp_up", float, None, True),
+        ("ramp_down_mw", "ramp_down", float, None, True),
+        ("efficiency", "efficiency", float, None, False),
+        ("p_min_mw", "p_min", float, None, True),
+        ("p_max_mw", "p_max", float, None, True),
+        ("q_min_mvar", "q_min", float, None, True),
+        ("q_max_mvar", "q_max", float, None, True))),
+)
+
+
+def _read(entry, fields, location, base):
+    """The keyword arguments of one record: `entry` read by `fields`."""
+    kwargs = {}
+    for key, attr, read, default, in_mw in fields:
+        value = _require(entry, key, location) if default is None \
+            else entry.get(key, default)
+        if read is int and isinstance(value, float) and not value.is_integer():
+            raise InstanceError(f"{key} must be a whole number, got {value!r}", location)
+        kwargs[attr] = read(value) / base if in_mw else read(value)
+    return kwargs
+
+
+def _written(record, fields, base):
+    """`record` as network.json holds it, by `fields`."""
+    return {key: getattr(record, attr) * base if in_mw else getattr(record, attr)
+            for key, attr, _, _, in_mw in fields}
 
 
 def parse_instance(path) -> NetworkInstance:
@@ -356,75 +419,20 @@ def parse_instance(path) -> NetworkInstance:
     if base <= 0:
         raise InstanceError("base_mva must be positive", loc)
 
-    buses = []
-    for entry in _require(data, "buses", loc):
-        bloc = f"{loc}: bus {entry.get('id', '?')}"
-        buses.append(Bus(
-            id=str(_require(entry, "id", bloc)),
-            v_min=float(_require(entry, "v_min", bloc)),
-            v_max=float(_require(entry, "v_max", bloc)),
-            max_batteries=_whole(entry, "max_batteries", bloc, 0),
-            max_generators=_whole(entry, "max_generators", bloc, 0),
-        ))
-
-    lines = []
-    for entry in data.get("lines", []):
-        lloc = f"{loc}: line {entry.get('id', '?')}"
-        lines.append(Line(
-            id=str(_require(entry, "id", lloc)),
-            from_bus=str(_require(entry, "from_bus", lloc)),
-            to_bus=str(_require(entry, "to_bus", lloc)),
-            r=float(_require(entry, "r", lloc)),
-            x=float(_require(entry, "x", lloc)),
-            s_max=float(_require(entry, "s_max_mva", lloc)) / base,
-        ))
-
-    batteries = []
-    for entry in data.get("batteries", []):
-        bloc = f"{loc}: battery {entry.get('id', '?')}"
-        batteries.append(BatterySpec(
-            id=str(_require(entry, "id", bloc)),
-            bus=str(_require(entry, "bus", bloc)),
-            fixed_cost=float(_require(entry, "fixed_cost", bloc)),
-            capacity_cost=float(_require(entry, "capacity_cost_per_mva", bloc)),
-            max_power=float(_require(entry, "max_power_mva", bloc)) / base,
-            max_energy=float(_require(entry, "max_energy_mwh", bloc)) / base,
-            eta_ch=float(_require(entry, "eta_ch", bloc)),
-            eta_dis=float(_require(entry, "eta_dis", bloc)),
-            initial_soc=float(entry.get("initial_soc_mwh", 0.0)) / base,
-            p_min=float(_require(entry, "p_min_mw", bloc)) / base,
-            p_max=float(_require(entry, "p_max_mw", bloc)) / base,
-            q_min=float(_require(entry, "q_min_mvar", bloc)) / base,
-            q_max=float(_require(entry, "q_max_mvar", bloc)) / base,
-        ))
-
-    generators = []
-    for entry in data.get("generators", []):
-        gloc = f"{loc}: generator {entry.get('id', '?')}"
-        coeffs = _require(entry, "cost_coeffs", gloc)
-        if not isinstance(coeffs, (list, tuple)) or len(coeffs) != 3:
-            raise InstanceError("cost_coeffs must have three entries", gloc)
-        generators.append(GeneratorSpec(
-            id=str(_require(entry, "id", gloc)),
-            bus=str(_require(entry, "bus", gloc)),
-            fixed_cost=float(_require(entry, "fixed_cost", gloc)),
-            cost_coeffs=tuple(float(c) for c in coeffs),
-            min_up=_whole(entry, "min_up", gloc),
-            min_down=_whole(entry, "min_down", gloc),
-            ramp_up=float(_require(entry, "ramp_up_mw", gloc)) / base,
-            ramp_down=float(_require(entry, "ramp_down_mw", gloc)) / base,
-            efficiency=float(_require(entry, "efficiency", gloc)),
-            p_min=float(_require(entry, "p_min_mw", gloc)) / base,
-            p_max=float(_require(entry, "p_max_mw", gloc)) / base,
-            q_min=float(_require(entry, "q_min_mvar", gloc)) / base,
-            q_max=float(_require(entry, "q_max_mvar", gloc)) / base,
-        ))
+    _require(data, "buses", loc)
+    records = {}
+    for key, attr, label, kind, fields in RECORD_LISTS:
+        records[attr] = []
+        for entry in data.get(key, []):
+            where = f"{loc}: {label} {entry.get('id', '?')}"
+            if kind is GeneratorSpec:   # checked before any other field
+                coeffs = _require(entry, "cost_coeffs", where)
+                if not isinstance(coeffs, (list, tuple)) or len(coeffs) != 3:
+                    raise InstanceError("cost_coeffs must have three entries", where)
+            records[attr].append(kind(**_read(entry, fields, where, base)))
 
     instance = NetworkInstance(
-        buses=tuple(buses),
-        lines=tuple(lines),
-        battery_specs=tuple(batteries),
-        generator_specs=tuple(generators),
+        **records,
         shed_penalty=float(_require(data, "shed_penalty", loc)),
         dt=float(_require(data, "dt_hours", loc)),
         base_mva=base,
@@ -458,31 +466,9 @@ def write_instance(instance: NetworkInstance, path) -> Path:
         "dt_hours": instance.dt,
         "slack_bus": instance.slack_bus,
         "grid_connected": instance.grid_connected,
-        "buses": [asdict(b) for b in instance.buses],
-        "lines": [{
-            "id": ln.id, "from_bus": ln.from_bus, "to_bus": ln.to_bus,
-            "r": ln.r, "x": ln.x, "s_max_mva": ln.s_max * base,
-        } for ln in instance.lines],
-        "batteries": [{
-            "id": b.id, "bus": b.bus, "fixed_cost": b.fixed_cost,
-            "capacity_cost_per_mva": b.capacity_cost,
-            "max_power_mva": b.max_power * base,
-            "max_energy_mwh": b.max_energy * base,
-            "eta_ch": b.eta_ch, "eta_dis": b.eta_dis,
-            "initial_soc_mwh": b.initial_soc * base,
-            "p_min_mw": b.p_min * base, "p_max_mw": b.p_max * base,
-            "q_min_mvar": b.q_min * base, "q_max_mvar": b.q_max * base,
-        } for b in instance.battery_specs],
-        "generators": [{
-            "id": d.id, "bus": d.bus, "fixed_cost": d.fixed_cost,
-            "cost_coeffs": list(d.cost_coeffs),
-            "min_up": d.min_up, "min_down": d.min_down,
-            "ramp_up_mw": d.ramp_up * base, "ramp_down_mw": d.ramp_down * base,
-            "efficiency": d.efficiency,
-            "p_min_mw": d.p_min * base, "p_max_mw": d.p_max * base,
-            "q_min_mvar": d.q_min * base, "q_max_mvar": d.q_max * base,
-        } for d in instance.generator_specs],
     }
+    for key, attr, _, _, fields in RECORD_LISTS:
+        data[key] = [_written(r, fields, base) for r in getattr(instance, attr)]
     out = path / "network.json"
     out.write_text(json.dumps(data, indent=2) + "\n")
     return out

@@ -4,6 +4,10 @@ Every result the engine packages is checked as it is made: an
 ``optimal`` result's weak-duality bound may not exceed its objective by
 more than 1e-9 times max(1 USD, |objective|).  A bound above the
 objective would let branch and bound prune a region holding the optimum.
+
+Every ``optimal`` result that ``QpWorkspace.solve`` reports without a
+polish is optimal by proof, so its objective may exceed its bound by at
+most 1e-7 times max(1 USD, |objective|).
 """
 
 import pytest
@@ -11,6 +15,7 @@ import pytest
 from microplan import convex
 
 BOUND_SLACK = 1e-9
+PROOF_GAP = 1e-7
 
 
 @pytest.fixture(autouse=True)
@@ -27,3 +32,19 @@ def bound_at_most_objective(monkeypatch):
         return sol
 
     monkeypatch.setattr(convex.QpWorkspace, "_package", checked)
+
+
+@pytest.fixture(autouse=True)
+def unpolished_optimum_is_proven(monkeypatch):
+    solve = convex.QpWorkspace.solve
+
+    def checked(self):
+        sol = solve(self)
+        if sol.status == "optimal" and not sol.polished:
+            gap = sol.objective - sol.bound
+            assert gap <= PROOF_GAP * max(1.0, abs(sol.objective)), (
+                f"{sol.detail} result: objective {sol.objective!r} is "
+                f"{gap!r} above its bound")
+        return sol
+
+    monkeypatch.setattr(convex.QpWorkspace, "solve", checked)

@@ -9,6 +9,7 @@ with the engine under test.
 import itertools
 import logging
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from microplan.convex import (
     ConeRow, Cones, ConvexProgram, EngineError, PrimalDualSolution,
     QpWorkspace, _Cones, certify, get_duals, solve_qcqp,
 )
-from microplan.formulation import assemble, relax_integrality
+from microplan.decomposition import partition
+from microplan.formulation import assemble, build_seamed, relax_integrality
 from microplan.instance import synth_load
 from test_formulation import flat_loads, gen_bat_instance
 
 INF = np.inf
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def kkt_equality_oracle(p_diag, q, a_eq, b):
@@ -572,6 +575,25 @@ class TestStatuses:
         sol = solve_qcqp(prog)
         assert sol.status == "infeasible"
 
+    def test_unpolished_point_is_optimal_only_by_proof(self, monkeypatch):
+        # with no polish, the interior point's result is optimal only if
+        # it is feasible and within 1e-7 of its weak-duality bound
+        monkeypatch.setattr(QpWorkspace, "_polish", lambda *args: None)
+        boxed = solve_qcqp(make_prog(
+            [0.0, 0.0], [1.0, -2.0],
+            rows=[([1.0, 1.0], -INF, 1.5), ([1.0, -1.0], -1.0, 1.0)],
+            lb=[0.0, 0.0], ub=[1.0, 1.0]))
+        assert (boxed.status, boxed.detail) == ("optimal", "polish rejected")
+        assert boxed.objective - boxed.bound <= 1e-7 * max(1.0, abs(boxed.objective))
+        # min x s.t. x >= 1, x free: the bound of any multiplier that does
+        # not cancel the cost exactly is -inf, so the point is unproven
+        free = make_prog([0.0], [1.0], rows=[([1.0], 1.0, INF)])
+        assert QpWorkspace(free).interior().status == "optimal"
+        sol = solve_qcqp(free)
+        assert sol.bound == -INF
+        assert (sol.status, sol.detail) == ("iteration-limit", "polish rejected")
+        assert sol.objective == pytest.approx(1.0, abs=1e-8)
+
     def test_get_duals_requires_optimal(self):
         prog = make_prog([1.0], [0.0], rows=[([1.0], -INF, -1.0)],
                          lb=[0.0], ub=[1.0])
@@ -773,6 +795,22 @@ class TestQcqp:
             norm = np.linalg.norm(x[list(cone.cols)])
             gap += sol.cone_duals[k] * abs(radius - norm)
         assert gap <= 1e-8 * max(1.0, abs(sol.objective))
+
+    def test_feeder_relaxation_is_proven_optimal(self, monkeypatch):
+        # the seam-joined relaxation of the benchmark's 30-bus feeder over
+        # 96 steps and 8 stages (5-7 s on a 2-vCPU host): its polish is
+        # rejected, and its interior point stops on a cone boundary or
+        # stalls, as rounding goes with the BLAS thread count, within
+        # 3e-9 of its bound
+        monkeypatch.syspath_prepend(str(BENCH))
+        from workloads import feeder_instance, feeder_loads
+        inst = feeder_instance(0)
+        prog = relax_integrality(build_seamed(
+            inst, feeder_loads(inst, 0), partition(96, 8).windows).model).to_convex()
+        sol = solve_qcqp(prog)
+        assert sol.status == "optimal"
+        assert convex._primal(prog, sol.x)[-1] <= 1.0
+        assert sol.objective - sol.bound <= 1e-7 * max(1.0, abs(sol.objective))
 
     def test_array_cones_equal_listed_cones(self):
         # a model hands the engine its balls as arrays; the same balls as
