@@ -43,16 +43,23 @@ whose first column is ``o``, column ``(kind, owner, t)`` is
 
     o + F + (t - start) * C + pos(kind, owner),
 
-with ``pos`` its place in the step.  Each constraint family is therefore
-written as one block of NumPy arrays over its (time, owner) dimensions:
-its bounds, and its entries as (row, column, coefficient) triplets.  The
-model's constraint matrix is made from every family's entries at once,
-as one CSR matrix, and stays in that form from the builder to the
-engine (the approach of Hofmann, "Linopy: Linear optimization with
-n-dimensional labeled variables", JOSS 2023): ``to_convex`` hands it on
-without a copy, and ``row_coefs`` reads one row's ``{col: coef}`` from
-it when asked.  CSR keeps each row's entries in column order, so the
-order in which a family writes its terms never reaches the engine.
+with ``pos`` its place in the step.  The rows and balls follow a layout
+fixed by the instance too, so the layout holds one term table for all
+of them: per row (or ball) family and owner, where its row is at each
+step and its bounds, and per term, its step position or build column,
+its step lag and its coefficient.  A term of lag L at step t reads step
+``t - L``, or, before the window has L steps behind it, the column
+importing the state of ``L - t`` steps before the window start.  So a
+window is written as arrays over (term, step) in one pass, whatever
+its length, and the boundary's import and hand-on columns are read by
+the same rule.  The model's constraint matrix is made from every
+window's (row, column, coefficient) entries at once, as one CSR matrix,
+and stays in that form from the builder to the engine (the approach of
+Hofmann, "Linopy: Linear optimization with n-dimensional labeled
+variables", JOSS 2023): ``to_convex`` hands it on without a copy, and
+``row_coefs`` reads one row's ``{col: coef}`` from it when asked.  CSR
+keeps each row's entries in column order, so the order in which the
+entries are written never reaches the engine.
 
 A built model holds no Python object per column, row or ball either.
 It keeps the layout, a ``(first, start, end, owned)`` tuple per window
@@ -69,9 +76,9 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,6 +95,13 @@ INIT_KINDS = {
     "y": "init_y", "w": "init_w",
     "z_b": "import_z_b", "s_b": "import_s_b", "z_d": "import_z_d",
 }
+
+# the step column kind whose state each imported state kind carries
+_STATE_KINDS = {"sc": "sc_b", "x": "x_d", "p": "p_d", "y": "y_d", "w": "w_d"}
+
+# the column grid's entry where a step position imports no state; it
+# stays negative after any window offset, so it cannot pass for a column
+_NO_IMPORT = -(1 << 62)
 
 
 class FormulationError(ValueError):
@@ -274,27 +288,67 @@ class MdopModel:
         return 0.5 * float(x @ (self.p_diag * x)) + float(self.q @ x) + self.const
 
 
-def _template(rows):
-    """Template rows, (positions, coefficients) each, as flat (row,
-    position, coefficient) entry arrays."""
-    sizes = [len(pos) for pos, _ in rows]
-    return (np.repeat(np.arange(len(rows), dtype=np.int64), sizes),
-            np.array(list(chain.from_iterable(pos for pos, _ in rows)),
-                     dtype=np.int64),
-            np.array(list(chain.from_iterable(c for _, c in rows)),
-                     dtype=float))
+class _Terms(NamedTuple):
+    """Row templates and their terms.  Template r's row at step t of a
+    window of `steps` steps is its row ``a * steps + c + s * t``,
+    counted from the window's first row; `at` holds a, c and s.  Term k
+    belongs to template `row[k]`, has coefficient `coef[k]`, and reads
+    its column at `off[k]` of the window's column grid at step 0
+    (:meth:`_Layout.offset`)."""
+    at: np.ndarray
+    row: np.ndarray
+    off: np.ndarray
+    coef: np.ndarray
 
 
-def _per_owner(values, owners):
-    """Each value as a list with one entry per owner: a list stays as it
-    is, a number is repeated."""
-    return [v if isinstance(v, list) else [v] * owners for v in values]
+def _terms(templates, terms) -> _Terms:
+    """A :class:`_Terms` of (a, c, s) templates and (row, off, coef)
+    terms."""
+    a, c, s = zip(*templates) if templates else [()] * 3
+    row, off, coef = zip(*terms) if terms else [()] * 3
+    return _Terms(np.array([a, c, s], dtype=np.int64).reshape(3, -1),
+                  np.array(row, dtype=np.int64), np.array(off, dtype=np.int64),
+                  np.array(coef, dtype=float))
+
+
+class _RowBlock(NamedTuple):
+    """Consecutive rows of a window from its row ``per_step * steps +
+    once``: groups of families whose rows cycle through one group's
+    families at each step, group after group, or, with `names` None,
+    hold once.  `bounds` holds each family's lo and hi, shaped (2,
+    groups, 1, families per group); the families `loaded` of the first
+    group take both from the loads' columns `load_cols` at each step
+    instead.  Labelled by a :class:`_Cycle` of `names` and `owners`, or
+    by the list `owners` for rows once."""
+    per_step: int
+    once: int
+    bounds: np.ndarray
+    loaded: np.ndarray
+    load_cols: np.ndarray
+    names: list | None
+    owners: list
+
+
+class _BallBlock(NamedTuple):
+    """Consecutive balls of a window from its ball ``per_step * steps``,
+    which cycle as the rows of a :class:`_RowBlock` do.  Per family,
+    the grid offsets `off` of its two columns, shaped (groups, 1,
+    families per group, 2), and its `radius` or, where `radius_col` is
+    not -1, the fixed column whose value is its radius, each shaped
+    (groups, 1, families per group)."""
+    per_step: int
+    off: np.ndarray
+    radius: np.ndarray
+    radius_col: np.ndarray
+    names: list
+    owners: list
 
 
 class _Layout:
-    """The column and row layout of a window, which depends on the
-    instance and the step length alone (see :class:`ModelBuilder`).
-    Shared by every builder of the same instance, so read-only."""
+    """The column layout of a window and the term table of its rows and
+    balls, which depend on the instance and the step length alone (see
+    :class:`ModelBuilder`).  Shared by every builder of the same
+    instance, so read-only."""
 
     def __init__(self, instance: NetworkInstance, dt: float):
         self.instance = instance
@@ -303,12 +357,16 @@ class _Layout:
         self.start_boundary = horizon_start_boundary(instance)
         self._lay_out_fixed()
         self._lay_out_step()
-        self._lay_out_network()
-        self._lay_out_resources()
+        self._lay_out_imports()
+        self._lay_out_rows()
+        self._lay_out_balls()
+        self._lay_out_slots()
         for arr in (self.start_boundary, self.step_data, self.step_binary,
-                    self.resource_caps,
-                    *self.fixed_data.values(), *self.network_template,
-                    *self.resource_template):
+                    self.fixed_binary, self.imports, *self.fixed_data.values(),
+                    *self.rows, *self.once, self.slot_init, self.slot_term,
+                    self.slot_built,
+                    *(arr for block in self.row_blocks + self.ball_blocks
+                      for arr in block if isinstance(arr, np.ndarray))):
             arr.flags.writeable = False
 
     def _lay_out_fixed(self):
@@ -335,6 +393,7 @@ class _Layout:
                 cols.append(("w", d.id, h, 0.0, 1.0, 0.0))
         kinds, owners, lags, lb, ub, cost = zip(*cols) if cols else [()] * 6
         self.fixed = len(cols)
+        self.lags = max(lags, default=0)
         self.fixed_pos = {key: i for i, key in enumerate(zip(kinds, owners,
                                                              lags))}
         # a column's key is (kind, owner, window start - lag), with lag
@@ -349,8 +408,8 @@ class _Layout:
         self.fixed_data = {
             True: np.array([lb, ub, cost, zero], dtype=float).reshape(4, -1),
             False: np.array([lb, ub, zero, zero], dtype=float).reshape(4, -1)}
-        self.fixed_binary = [i for i, k in enumerate(kinds)
-                             if k in ("z_b", "z_d")]
+        self.fixed_binary = np.array([i for i, k in enumerate(kinds)
+                                      if k in ("z_b", "z_d")], dtype=np.int64)
 
     def _lay_out_step(self):
         """The columns of one time step, with their bounds and costs; a
@@ -408,8 +467,50 @@ class _Layout:
             raise FormulationError(f"duplicate column {(*key, 0)}")
         self.step_data = np.array([lb, ub, cost, quad], dtype=float)
         self.step_binary = np.flatnonzero(binary)
-        self.shed_pos = [[self.step_pos[(kind, bus.id)] for bus in inst.buses]
-                         for kind in ("shed_p", "shed_q")]
+        # in the column order of the loads: every bus's real, then reactive
+        self.shed_pos = [self.step_pos[(kind, bus.id)]
+                         for kind in ("shed_p", "shed_q") for bus in inst.buses]
+
+    def _lay_out_imports(self):
+        """The column grid of a window (:meth:`grid`) has ``lags + steps``
+        rows of ``width = F + C`` entries, counted from the window's first
+        column.  Row ``lags + t`` holds the fixed columns, then step t's.
+        Row ``lags - j`` holds the fixed columns, then at each step
+        position the column importing that position's state of j steps
+        before the window start; `imports` is that part of those rows,
+        `_NO_IMPORT` where a position imports no state."""
+        self.width = self.fixed + len(self.step_kinds)
+        imports = np.full((self.lags, len(self.step_kinds)), _NO_IMPORT,
+                          dtype=np.int64)
+        for (kind, owner, lag), i in self.fixed_pos.items():
+            if lag:
+                imports[self.lags - lag,
+                        self.step_pos[(_STATE_KINDS[kind], owner)]] = i
+        self.imports = imports
+
+    def grid(self, steps, first):
+        """The column grid, flat, of a window of `steps` steps whose
+        first column is `first`."""
+        lags, fixed, size = self.lags, self.fixed, len(self.step_kinds)
+        grid = np.empty((lags + steps, self.width), dtype=np.int64)
+        grid[:, :fixed] = np.arange(first, first + fixed)
+        grid[:lags, fixed:] = first + self.imports
+        grid[lags:, fixed:] = np.arange(first + fixed,
+                                        first + fixed + steps * size
+                                        ).reshape(steps, size)
+        return grid.ravel()
+
+    def offset(self, kind, owner, lag=0):
+        """Where a term of column kind `kind` and `owner` reads its
+        column in the flat grid at step 0.  With lag L, at step t it
+        reads `width * t` further on, at row ``lags + t - L``: step
+        ``t - L`` when ``t >= L``, and the state imported from ``L - t``
+        steps before the window start otherwise.  A build decision reads
+        the same column at every row."""
+        if kind in BUILD_KINDS:
+            return self.lags * self.width + self.fixed_pos[(kind, owner, 0)]
+        return (self.lags - lag) * self.width + self.fixed \
+            + self.step_pos[(kind, owner)]
 
     def _injections(self):
         """Per bus, the (p kind, q kind, owner, sign) of every column in
@@ -431,57 +532,184 @@ class _Layout:
                 ("grid_p", "grid_q", inst.slack_bus, 1.0))
         return [(bus.id, table[bus.id]) for bus in inst.buses]
 
-    def _lay_out_network(self):
-        """The network rows of one step, in row order: every bus's real
-        and reactive balance, then every line's voltage drop, as a
-        template over step positions."""
-        pos = self.step_pos.__getitem__
-        rows = []
-        for bus_id, injections in self._injections():
-            p_kinds, q_kinds, owners, signs = zip(*injections)
-            rows.append(("balance_p", bus_id,
-                         list(map(pos, zip(p_kinds, owners))), signs))
-            rows.append(("balance_q", bus_id,
-                         list(map(pos, zip(q_kinds, owners))), signs))
-        for line in self.instance.lines:
-            # v_to = v_from - 2 (r p + x q)
-            rows.append(("volt_drop", line.id,
-                         [pos(("v", line.to_bus)), pos(("v", line.from_bus)),
-                          pos(("p_line", line.id)), pos(("q_line", line.id))],
-                         (1.0, -1.0, 2.0 * line.r, 2.0 * line.x)))
-        self.network_families = [row[0] for row in rows]
-        self.network_owners = [row[1] for row in rows]
-        self.network_template = _template([row[2:] for row in rows])
-
-    def _lay_out_resources(self):
-        """Per bus, at most its allowed number of batteries and of
-        generators built; per battery, capacity only where it is built.
-        A template over fixed positions."""
+    def _network(self):
+        """At each step, every bus's real and reactive balance, then
+        every line's voltage drop, as one group; and per balance, its
+        place in the group and the column of the loads that bounds it."""
         inst = self.instance
-        pos = self.fixed_pos
+        rows, loads = [], []
+        for j, (bus_id, injections) in enumerate(self._injections()):
+            for side, family in enumerate(("balance_p", "balance_q")):
+                loads.append((len(rows), side * len(inst.buses) + j))
+                rows.append((family, bus_id,
+                             [(kinds[side], owner, 0, sign)
+                              for *kinds, owner, sign in injections],
+                             0.0, 0.0))
+        for line in inst.lines:
+            # v_to = v_from - 2 (r p + x q)
+            rows.append(("volt_drop", line.id, [
+                ("v", line.to_bus, 0, 1.0), ("v", line.from_bus, 0, -1.0),
+                ("p_line", line.id, 0, 2.0 * line.r),
+                ("q_line", line.id, 0, 2.0 * line.x)], 0.0, 0.0))
+        return [rows], loads
+
+    def _resource_limits(self):
+        """Per bus, at most its allowed number of batteries and of
+        generators built; per battery, capacity only where it is built."""
+        inst = self.instance
         at_bus = {bus.id: ([], []) for bus in inst.buses}
         for b in inst.battery_specs:
-            at_bus[b.bus][0].append(pos[("z_b", b.id, 0)])
+            at_bus[b.bus][0].append(("z_b", b.id, 0, 1.0))
         for d in inst.generator_specs:
-            at_bus[d.bus][1].append(pos[("z_d", d.id, 0)])
-        labels, rows, caps = [], [], []
+            at_bus[d.bus][1].append(("z_d", d.id, 0, 1.0))
+        rows = []
         for bus in inst.buses:
             for family, terms, cap in zip(("bat_count", "gen_count"),
                                           at_bus[bus.id],
                                           (bus.max_batteries,
                                            bus.max_generators)):
                 if terms:
-                    labels.append((family, bus.id, None))
-                    rows.append((terms, [1.0] * len(terms)))
-                    caps.append(float(cap))
+                    rows.append((family, bus.id, terms, -np.inf, cap))
         for b in inst.battery_specs:
-            labels.append(("cap_if_built", b.id, None))
-            rows.append(([pos[("s_b", b.id, 0)], pos[("z_b", b.id, 0)]],
-                         [1.0, -b.max_power]))
-            caps.append(0.0)
-        self.resource_labels = labels
-        self.resource_caps = np.array(caps, dtype=float)
-        self.resource_template = _template(rows)
+            rows.append(("cap_if_built", b.id, [
+                ("s_b", b.id, 0, 1.0), ("z_b", b.id, 0, -b.max_power)],
+                -np.inf, 0.0))
+        return [rows] if rows else []
+
+    @staticmethod
+    def _commitment(d):
+        """A generator's 12 commitment families at one step."""
+        inf, i = np.inf, d.id
+        x, y, w = ("x_d", i, 0, 1.0), ("y_d", i, 0, 1.0), ("w_d", i, 0, 1.0)
+        return [
+            ("committed_if_built", i, [x, ("z_d", i, 0, -1.0)], -inf, 0.0),
+            ("start_stop", i, [x, ("x_d", i, 1, -1.0), ("y_d", i, 0, -1.0), w],
+             0.0, 0.0),
+            ("start_xor_stop", i, [y, w], -inf, 1.0),
+            ("p_max_if_on", i, [("phat_d", i, 0, 1.0), ("x_d", i, 0, -d.p_max)],
+             -inf, 0.0),
+            ("p_min_if_on", i, [("phat_d", i, 0, -1.0), ("x_d", i, 0, d.p_min)],
+             -inf, 0.0),
+            ("q_max_if_on", i, [("q_d", i, 0, 1.0), ("x_d", i, 0, -d.q_max)],
+             -inf, 0.0),
+            ("q_min_if_on", i, [("q_d", i, 0, -1.0), ("x_d", i, 0, d.q_min)],
+             -inf, 0.0),
+            ("delivered", i, [("p_d", i, 0, 1.0),
+                              ("phat_d", i, 0, -d.efficiency)], 0.0, 0.0),
+            ("ramp_up", i, [("p_d", i, 0, 1.0), ("p_d", i, 1, -1.0)],
+             -inf, d.ramp_up),
+            ("ramp_down", i, [("p_d", i, 0, -1.0), ("p_d", i, 1, 1.0)],
+             -inf, d.ramp_down),
+            # the starts (stops) of the last min_up (min_down) steps
+            ("min_up", i, [("y_d", i, lag, 1.0) for lag in range(d.min_up)]
+             + [("x_d", i, 0, -1.0)], -inf, 0.0),
+            ("min_down", i, [("w_d", i, lag, 1.0)
+                             for lag in range(d.min_down)] + [x], -inf, 1.0),
+        ]
+
+    def _storage(self, b):
+        """A battery's 4 families at one step."""
+        inf, i = np.inf, b.id
+        return [
+            ("soc_step", i, [("sc_b", i, 0, 1.0), ("sc_b", i, 1, -1.0),
+                             ("phat_b", i, 0, self.dt)], 0.0, 0.0),
+            ("soc_if_built", i, [("sc_b", i, 0, 1.0),
+                                 ("z_b", i, 0, -b.max_energy)], -inf, 0.0),
+            ("eff_dis", i, [("p_b", i, 0, 1.0), ("phat_b", i, 0, -b.eta_dis)],
+             -inf, 0.0),
+            ("eff_ch", i, [("p_b", i, 0, 1.0),
+                           ("phat_b", i, 0, -1.0 / b.eta_ch)], -inf, 0.0),
+        ]
+
+    def _lay_out_rows(self):
+        """The row templates of a window, in row order: the network rows
+        at each step; the resource limits, once; then, owner after owner
+        and at each step, a generator's commitment families and a
+        battery's.  `rows` holds the terms of the rows at each step and
+        `once` those of the rows once, each a :class:`_Terms`, and
+        `row_blocks` their :class:`_RowBlock` s in row order."""
+        inst = self.instance
+        per_step = once = 0
+        tables = {True: ([], []), False: ([], [])}     # templates, terms
+        self.row_blocks = []
+        for groups, loads, repeats in (
+                (*self._network(), True),
+                (self._resource_limits(), [], False),
+                ([self._commitment(d) for d in inst.generator_specs], [], True),
+                ([self._storage(b) for b in inst.battery_specs], [], True)):
+            if not groups:
+                continue
+            templates, terms = tables[repeats]
+            width = len(groups[0])
+            for g, group in enumerate(groups):
+                for f, (_, _, fam_terms, _, _) in enumerate(group):
+                    terms += [(len(templates), self.offset(kind, owner, lag),
+                               coef) for kind, owner, lag, coef in fam_terms]
+                    templates.append((per_step + g * width, once + f, width)
+                                     if repeats else
+                                     (per_step, once + g * width + f, 0))
+            families = [f for group in groups for f in group]
+            bounds = np.array([[f[3] for f in families],
+                               [f[4] for f in families]], dtype=float)
+            self.row_blocks.append(_RowBlock(
+                per_step, once, bounds.reshape(2, len(groups), 1, width),
+                *np.array(loads, dtype=np.int64).reshape(-1, 2).T,
+                [f[0] for f in groups[0]] if repeats else None,
+                [f[1] for f in families] if repeats
+                else [(f[0], f[1], None) for f in families]))
+            if repeats:
+                per_step += len(families)
+            else:
+                once += len(families)
+        self.rows, self.once = _terms(*tables[True]), _terms(*tables[False])
+
+    def _lay_out_balls(self):
+        """The :class:`_BallBlock` s of a window, in ball order: at each
+        step every line's rating; then, battery after battery and at each
+        step, its power within its capacity column."""
+        inst = self.instance
+        per_step = 0
+        self.ball_blocks = []
+        for names, groups in (
+                (["thermal"] * len(inst.lines),
+                 [[("p_line", "q_line", line.id, line.s_max, None)
+                   for line in inst.lines]]),
+                (["bat_rating"], [[("p_b", "q_b", b.id, 0.0, ("s_b", b.id, 0))]
+                                  for b in inst.battery_specs])):
+            families = [f for group in groups for f in group]
+            shape = (len(groups), 1, len(names))
+            self.ball_blocks.append(_BallBlock(
+                per_step,
+                np.array([(self.offset(p, i), self.offset(q, i))
+                          for p, q, i, _, _ in families],
+                         dtype=np.int64).reshape(*shape, 2),
+                np.array([f[3] for f in families], dtype=float).reshape(shape),
+                np.array([-1 if f[4] is None else self.fixed_pos[f[4]]
+                          for f in families], dtype=np.int64).reshape(shape),
+                names, [f[2] for f in families]))
+            per_step += len(families)
+        self.balls_per_step = per_step
+
+    def _lay_out_slots(self):
+        """Where each coupling slot's columns are in the grid: a state
+        slot of lookback `back` (its `hist`, at least 1) is imported at
+        step 0 with lag `back` and handed on at the last step with lag
+        ``back - 1``; a build slot reads its build column at both ends,
+        and imports nothing where the window owns the builds
+        (`slot_built`)."""
+        init, term = [], []
+        for slot in self.slots:
+            if slot.kind in BUILD_KINDS:
+                init.append(self.offset(slot.kind, slot.owner))
+                term.append(init[-1])
+            else:
+                kind, back = _STATE_KINDS[slot.kind], max(slot.hist, 1)
+                init.append(self.offset(kind, slot.owner, back))
+                term.append(self.offset(kind, slot.owner, back - 1))
+        self.slot_init = np.array(init, dtype=np.int64)
+        self.slot_term = np.array(term, dtype=np.int64)
+        self.slot_built = np.array([slot.kind in BUILD_KINDS
+                                    for slot in self.slots], dtype=bool)
 
 
 @lru_cache(maxsize=8)
@@ -493,26 +721,27 @@ def _layout(instance: NetworkInstance, dt: float) -> _Layout:
 
 class ModelBuilder:
     """Writes the columns, rows and cones of one time window, or of
-    consecutive windows one after another, a constraint family at a time.
+    consecutive windows one after another, each window in one pass.
 
     Columns.  A window's columns follow the block layout of the module
     docstring.  The `layout` (a :class:`_Layout`, fixed by the instance
     and the step length) places a column of one step by `step_pos` and a
-    fixed one, ``o + fixed_pos[(kind, owner, lag)]``, by its lag behind
-    the window start.  Every row family takes its columns over the window
-    from these places as one NumPy index array.
+    fixed one by `fixed_pos[(kind, owner, lag)]`, its lag behind the
+    window start.
 
-    Rows and cones.  A family is written as a column array and a
-    coefficient per term position, plus its bounds.  The families are
-    interleaved into the model's row order by stride: the network rows
-    cycle through every bus balance and every voltage drop at each step,
-    the commitment and battery rows through one owner's families at each
-    step, owner after owner.  The families of one such cycle become one
-    block of (row, column, coefficient) entry arrays and bounds
-    (:meth:`_owner_rows`).  Families with few rows each (the network's,
-    the resource limits) are templates in the layout, repeated over the
-    window (:meth:`_from_template`).  :meth:`model` makes the constraint
-    matrix from every block's entries in one CSR construction.
+    Rows and cones.  The layout holds one term table for every row and
+    ball family: per row template, where its row is at each step and its
+    bounds, and per term, its coefficient and where it reads its column
+    in the window's column grid.  A term of lag L reads, at step t, the
+    column of step ``t - L``, or, where ``t < L``, the column importing
+    the state of ``L - t`` steps before the window start.  So
+    :meth:`build_window` resolves a whole window, every family at every
+    step, with one NumPy gather over (term, step), writes each block's
+    bounds and balls by broadcasting over its steps, and reads the
+    columns that import and hand on each coupling slot by the same rule.
+    Its entries are (row, column, coefficient) arrays, whose order does
+    not matter; :meth:`model` makes the constraint matrix from every
+    block's entries in one CSR construction.
 
     Names.  Each window leaves a ``(first, start, end, owned)`` tuple,
     each row or ball block a ``(first, labels)`` pair (labels that repeat
@@ -527,14 +756,15 @@ class ModelBuilder:
         self.instance = instance
         self.loads = loads
         self.layout = _layout(instance, loads.dt)
+        # every bus's real load, then its reactive
+        self.demand = np.concatenate([loads.p, loads.q], axis=1)
         self.col_blocks = []         # (first, start, end, owned) per window
         self.n = 0                   # columns so far
         self.col_data = []           # rows lb, ub, q, p_diag per window
         self.binary_cols = []        # binary column indices per window
         self.m = 0                   # rows so far
         self.entries = []            # (row, col, coef) arrays per block
-        self.row_lo = []             # bound arrays per row block
-        self.row_hi = []
+        self.row_bounds = []         # rows lo, hi per row block
         self.row_blocks = []         # (first row, labels) per row block
         self.k = 0                   # balls so far
         self.cones = []              # (cols, radius, radius_col) per block
@@ -554,74 +784,88 @@ class ModelBuilder:
         self.own_builds = own_builds
 
     def build_window(self):
-        """Every constraint family of the current window, boundary pins
-        not yet added."""
-        self.build_columns()
-        self.build_power_flow()
-        self.build_resource_limits()
-        self.build_unit_commitment()
-        self.build_battery()
+        """Every column, row and ball of the current window, boundary
+        pins not yet added, and the columns that import each coupling
+        slot at its start (`init_cols`, -1 for a build decision the
+        window owns) and hand it on at its end (`terminal_cols`)."""
+        lay = self.layout
+        start, end = self.window
+        steps = end - start
+        first, m, k = self.n, self.m, self.k
+        self._columns()
+        t = np.arange(steps)
+        ahead = lay.width * t        # grid offset of step t
+        cols = lay.grid(steps, first)
+
+        rows, once = lay.rows, lay.once
+        a, c, s = rows.at
+        at = (a * steps + (c + m))[:, None] + s[:, None] * t
+        self.entries.append((at[rows.row].ravel(),
+                             cols[rows.off[:, None] + ahead].ravel(),
+                             np.repeat(rows.coef, steps)))
+        a, c, _ = once.at
+        self.entries.append(((a * steps + (c + m))[once.row], cols[once.off],
+                             once.coef))
+        size = rows.at.shape[1] * steps + once.at.shape[1]
+        bounds = np.empty((2, size))
+        for block in lay.row_blocks:
+            _, groups, _, width = block.bounds.shape
+            reps = 1 if block.names is None else steps
+            row = block.per_step * steps + block.once
+            view = bounds[:, row:row + groups * reps * width].reshape(
+                2, groups, reps, width)
+            view[...] = block.bounds
+            if block.loaded.size:
+                view[:, 0][..., block.loaded] = \
+                    self.demand[start:end, block.load_cols]
+            labels = block.owners if block.names is None \
+                else _Cycle(block.names, block.owners, start, steps)
+            self.row_blocks.append((m + row, labels))
+        self.row_bounds.append(bounds)
+        self.m += size
+
+        size = lay.balls_per_step * steps
+        balls = np.empty((size, 2), dtype=np.int64)
+        radius, radius_col = np.empty(size), np.empty(size, dtype=np.int64)
+        for block in lay.ball_blocks:
+            groups, _, width = block.radius.shape
+            ball = block.per_step * steps
+            span = slice(ball, ball + groups * steps * width)
+            balls[span] = cols[block.off + ahead[:, None, None]].reshape(-1, 2)
+            radius[span].reshape(groups, steps, width)[...] = block.radius
+            radius_col[span].reshape(groups, steps, width)[...] = np.where(
+                block.radius_col < 0, -1, first + block.radius_col)
+            self.cone_blocks.append((k + ball, _Cycle(
+                block.names, block.owners, start, steps)))
+        self.cones.append((balls, radius, radius_col))
+        self.k += size
+
+        self.init_cols = cols[lay.slot_init]
+        if self.own_builds:
+            self.init_cols[lay.slot_built] = -1
+        self.terminal_cols = cols[lay.slot_term + ahead[-1]]
         return self
 
-    # -- index arrays -------------------------------------------------------
-
-    @property
-    def steps(self):
-        return self.window[1] - self.window[0]
-
-    def _owner_series(self, kinds, ids):
-        """For each kind, the (owners, steps) columns of that kind of
-        every owner in `ids`, by the stride formula."""
-        step_pos = self.layout.step_pos
-        pos = [[step_pos[(kind, i)] for i in ids] for kind in kinds]
-        return np.array(pos, dtype=np.int64)[:, :, None] + self.step_starts
-
-    def _fixed_col(self, slot, lag):
-        """The fixed column of `slot`'s kind and owner at `lag`."""
-        key = (slot.kind, slot.owner, lag)
-        return self.window_first + self.layout.fixed_pos[key]
-
-    def _fixed_cols(self, kind, ids, lag=0):
-        """(owners, 1) fixed columns of `kind` at `lag` for `ids`."""
-        pos = [[self.layout.fixed_pos[(kind, i, lag)]] for i in ids]
-        return self.window_first + np.array(pos, dtype=np.int64)
-
-    def _lagged(self, series, kind, ids):
-        """(owners, steps) `series` one step back; the window's first step
-        reads the state imported at its start."""
-        return np.concatenate([self._fixed_cols(kind, ids, 1),
-                               series[:, :-1]], axis=1)
-
-    def _history(self, series, kind, ids, depth):
-        """(depth, owners, steps) columns of the last `depth` start (or
-        stop) events up to each step, position-major: those inside the
-        window in time order, then those before its start, read from the
-        imported history."""
-        steps = series.shape[1]
-        imported = [[self.layout.fixed_pos[(kind, i, h)]
-                     for h in range(depth - 1, 0, -1)] for i in ids]
-        lookup = np.concatenate(
-            [self.window_first + np.array(imported, dtype=np.int64)
-             .reshape(len(ids), depth - 1), series], axis=1)
-        # at step r the events at lookup[r:r + depth], rolled so that the
-        # `before` imported ones come last
-        r = np.arange(steps)
-        before = np.maximum(depth - 1 - r, 0)
-        at = (np.arange(depth)[:, None] + before) % depth + r
-        return lookup[:, at].transpose(1, 0, 2)
-
-    # -- row and cone blocks ----------------------------------------------
-
-    @staticmethod
-    def _from_template(template, size, first):
-        """The entries of a layout template of `size` rows, repeated for
-        each entry of the column array `first` (rep-major), its positions
-        counted from that entry."""
-        rows, pos, coefs = template
-        first = np.reshape(first, (-1, 1))
-        reps = np.arange(len(first))[:, None] * size
-        return ((reps + rows).ravel(), (first + pos).ravel(),
-                np.tile(coefs, len(first)))
+    def _columns(self):
+        """The current window's columns: their bounds, costs and binaries."""
+        lay = self.layout
+        start, end = self.window
+        steps = end - start
+        first, owned, fixed = self.n, self.own_builds, lay.fixed
+        width = len(lay.step_kinds)
+        self.col_blocks.append((first, int(start), int(end), owned))
+        self.n += fixed + width * steps
+        data = np.empty((4, fixed + width * steps))
+        data[:, :fixed] = lay.fixed_data[owned]
+        step = data[:, fixed:].reshape(4, steps, width)
+        step[...] = lay.step_data[:, None]
+        shed = self.demand[start:end]
+        step[1][:, lay.shed_pos] = np.where(shed < 0.0, 0.0, shed)
+        self.col_data.append(data)
+        step_binary = lay.step_binary + width * np.arange(steps)[:, None]
+        self.binary_cols.append(first + fixed + step_binary.ravel())
+        if owned:
+            self.binary_cols.append(first + lay.fixed_binary)
 
     def _row_block(self, labels, lo, hi, entries):
         """Append one row per label with its bounds (numbers or one value
@@ -633,194 +877,12 @@ class ModelBuilder:
         self.m += len(labels)
         self.row_blocks.append((first, labels))
         self.entries.append((first + rows, cols, vals))
-        for side, bound in ((self.row_lo, lo), (self.row_hi, hi)):
-            block = np.empty(len(labels))
-            block[:] = bound
-            side.append(block)
+        bounds = np.empty((2, len(labels)))
+        bounds[0], bounds[1] = lo, hi
+        self.row_bounds.append(bounds)
         return range(first, self.m)
 
-    def _owner_rows(self, ids, families):
-        """Rows that cycle through `families` at every step, owner after
-        owner: row ``(o * steps + t) * P + f`` of the block is family f's
-        row for owner o at step t.  A family is (name, cols, coefs, lo,
-        hi): per term position, an (owners, steps) column array, -1 where
-        an owner's rows lack that term, and a coefficient, one number or a
-        list with one per owner; each bound is a number or a list with one
-        per owner.  All families are made in one pass."""
-        start = self.window[0]
-        steps, owners = self.steps, len(ids)
-        names, cols, coefs, lo, hi = zip(*families)
-        width = len(names)
-        family = np.repeat(np.arange(width), [len(c) for c in cols])
-        cols = np.array(list(chain.from_iterable(cols)), dtype=np.int64)
-        vals = np.array(_per_owner(chain.from_iterable(coefs), owners),
-                        dtype=float)
-        rows = np.arange(owners * steps).reshape(owners, steps) * width \
-            + family[:, None, None]
-        used = cols >= 0
-        entries = (rows[used], cols[used],
-                   np.broadcast_to(vals[:, :, None], cols.shape)[used])
-        bounds = np.array([_per_owner(lo, owners), _per_owner(hi, owners)],
-                          dtype=float)
-        lo, hi = bounds.transpose(0, 2, 1).repeat(steps, axis=1).reshape(2, -1)
-        self._row_block(_Cycle(names, [i for i in ids for _ in names],
-                               start, steps), lo, hi, entries)
-
-    def _cone_block(self, labels, p, q, radius, radius_col):
-        """One ball per label: the norm of columns `p` and `q` (arrays
-        with one entry per label) within `radius`, or within the value of
-        column `radius_col` where that is not -1."""
-        self.cones.append((np.stack([p, q], axis=1), radius, radius_col))
-        self.cone_blocks.append((self.k, labels))
-        self.k += len(labels)
-
-    # -- builders, one constraint family each -----------------------------
-
-    def build_columns(self):
-        lay = self.layout
-        start, end = self.window
-        steps = end - start
-        owned = self.own_builds
-        first = self.n
-        width = len(lay.step_kinds)
-        self.window_first = first
-        self.step_starts = first + lay.fixed + width * np.arange(steps)
-        self.col_blocks.append((first, int(start), int(end), owned))
-        self.n += lay.fixed + width * steps
-        data = np.tile(lay.step_data, steps)
-        for load, pos in zip((self.loads.p, self.loads.q), lay.shed_pos):
-            load = load[start:end]
-            data[1].reshape(steps, width)[:, pos] = np.where(load < 0.0, 0.0,
-                                                              load)
-        self.col_data.append(np.concatenate([lay.fixed_data[owned], data],
-                                            axis=1))
-        self.binary_cols.append(np.concatenate([
-            first + np.array(lay.fixed_binary if owned else [],
-                             dtype=np.int64),
-            (self.step_starts[:, None] + lay.step_binary).ravel()]))
-
-    def build_power_flow(self):
-        lay = self.layout
-        start, end = self.window
-        size = len(lay.network_families)
-        demand = np.zeros((self.steps, size))
-        buses = len(self.instance.buses)
-        demand[:, 0:2 * buses:2] = self.loads.p[start:end]
-        demand[:, 1:2 * buses:2] = self.loads.q[start:end]
-        self._row_block(_Cycle(lay.network_families, lay.network_owners,
-                               start, self.steps),
-                        demand.ravel(), demand.ravel(),
-                        self._from_template(lay.network_template, size,
-                                            self.step_starts))
-
-        lines = self.instance.lines
-        ids = [line.id for line in lines]
-        p, q = self._owner_series(("p_line", "q_line"), ids)
-        self._cone_block(_Cycle(["thermal"] * len(ids), ids, start,
-                                self.steps),
-                         p.T.ravel(), q.T.ravel(),
-                         np.tile([line.s_max for line in lines], self.steps),
-                         np.full(p.size, -1))
-
-    def build_resource_limits(self):
-        lay = self.layout
-        self._row_block(lay.resource_labels, -np.inf, lay.resource_caps,
-                        self._from_template(lay.resource_template,
-                                            len(lay.resource_labels),
-                                            self.window_first))
-
-    def build_unit_commitment(self):
-        gens = self.instance.generator_specs
-        if not gens:
-            return
-        inf = np.inf
-        steps = self.steps
-        ids = [d.id for d in gens]
-        x, y, w, phat, p, q = self._owner_series(
-            ("x_d", "y_d", "w_d", "phat_d", "p_d", "q_d"), ids)
-        z = np.repeat(self._fixed_cols("z_d", ids), steps, axis=1)
-        x_prev = self._lagged(x, "x", ids)
-        p_prev = self._lagged(p, "p", ids)
-        history = {}
-        for kind, series, depths, x_coef in (
-                ("y", y, [d.min_up for d in gens], -1.0),
-                ("w", w, [d.min_down for d in gens], 1.0)):
-            # the last `depth` events of each generator, one pass per depth
-            events = np.full((max(depths), len(gens), steps), -1)
-            for depth in dict.fromkeys(depths):
-                members = [g for g, dep in enumerate(depths) if dep == depth]
-                events[:depth, members] = self._history(
-                    series[members], kind, [ids[g] for g in members], depth)
-            history[kind] = ([*events, x], (1.0,) * len(events) + (x_coef,))
-        self._owner_rows(ids, [
-            ("committed_if_built", [x, z], (1.0, -1.0), -inf, 0.0),
-            ("start_stop", [x, x_prev, y, w], (1.0, -1.0, -1.0, 1.0),
-             0.0, 0.0),
-            ("start_xor_stop", [y, w], (1.0, 1.0), -inf, 1.0),
-            ("p_max_if_on", [phat, x], (1.0, [-d.p_max for d in gens]),
-             -inf, 0.0),
-            ("p_min_if_on", [phat, x], (-1.0, [d.p_min for d in gens]),
-             -inf, 0.0),
-            ("q_max_if_on", [q, x], (1.0, [-d.q_max for d in gens]),
-             -inf, 0.0),
-            ("q_min_if_on", [q, x], (-1.0, [d.q_min for d in gens]),
-             -inf, 0.0),
-            ("delivered", [p, phat], (1.0, [-d.efficiency for d in gens]),
-             0.0, 0.0),
-            ("ramp_up", [p, p_prev], (1.0, -1.0),
-             -inf, [d.ramp_up for d in gens]),
-            ("ramp_down", [p, p_prev], (-1.0, 1.0),
-             -inf, [d.ramp_down for d in gens]),
-            ("min_up", *history["y"], -inf, 0.0),
-            ("min_down", *history["w"], -inf, 1.0),
-        ])
-
-    def build_battery(self):
-        bats = self.instance.battery_specs
-        if not bats:
-            return
-        inf = np.inf
-        steps = self.steps
-        ids = [b.id for b in bats]
-        phat, p, q, sc = self._owner_series(("phat_b", "p_b", "q_b", "sc_b"),
-                                            ids)
-        z = np.repeat(self._fixed_cols("z_b", ids), steps, axis=1)
-        s = np.repeat(self._fixed_cols("s_b", ids), steps, axis=1)
-        self._cone_block(_Cycle(["bat_rating"], ids, self.window[0], steps),
-                         p.ravel(), q.ravel(), np.zeros(p.size), s.ravel())
-        self._owner_rows(ids, [
-            ("soc_step", [sc, self._lagged(sc, "sc", ids), phat],
-             (1.0, -1.0, self.loads.dt), 0.0, 0.0),
-            ("soc_if_built", [sc, z], (1.0, [-b.max_energy for b in bats]),
-             -inf, 0.0),
-            ("eff_dis", [p, phat], (1.0, [-b.eta_dis for b in bats]),
-             -inf, 0.0),
-            ("eff_ch", [p, phat], (1.0, [-1.0 / b.eta_ch for b in bats]),
-             -inf, 0.0),
-        ])
-
     # -- boundary and coupling --------------------------------------------
-
-    def _slot_init_col(self, slot: Slot):
-        """The column importing `slot` at the window start; None for a
-        build decision this window owns."""
-        if slot.kind in BUILD_KINDS:
-            return None if self.own_builds else self._fixed_col(slot, 0)
-        return self._fixed_col(slot, slot.hist if slot.kind in ("y", "w")
-                               else 1)
-
-    def _slot_terminal_col(self, slot: Slot):
-        """The column handing `slot` on at the window end."""
-        start, end = self.window
-        if slot.kind in BUILD_KINDS:
-            return self._fixed_col(slot, 0)
-        t = end - 1 if slot.kind in ("sc", "x", "p") else end - slot.hist
-        if t < start:
-            # window shorter than the history depth: the value passes through
-            return self._fixed_col(slot, start - t)
-        kind = {"sc": "sc_b", "x": "x_d", "p": "p_d", "y": "y_d", "w": "w_d"}
-        return int(self.step_starts[t - start]) \
-            + self.layout.step_pos[(kind[slot.kind], slot.owner)]
 
     def pin_boundary(self, boundary: np.ndarray):
         """Equality rows fixing the imported state; their duals are the
@@ -830,16 +892,17 @@ class ModelBuilder:
             raise FormulationError(
                 f"boundary has {boundary.shape[0]} entries, "
                 f"expected {len(slots)}")
-        init = [self._slot_init_col(slot) for slot in slots]
-        pinned = [k for k, j in enumerate(init) if j is not None]
-        rows = iter(self._row_block(
+        pinned = np.flatnonzero(self.init_cols >= 0)
+        rows = self._row_block(
             [("couple", slots[k].kind, slots[k].owner, slots[k].hist)
              for k in pinned],
             boundary[pinned], boundary[pinned],
-            (np.arange(len(pinned)),
-             np.array([init[k] for k in pinned], dtype=np.int64),
-             np.ones(len(pinned)))))
-        return [None if j is None else next(rows) for j in init]
+            (np.arange(pinned.size), self.init_cols[pinned],
+             np.ones(pinned.size)))
+        pins = [None] * len(slots)
+        for k, i in zip(pinned.tolist(), rows):
+            pins[k] = i
+        return pins
 
     # -- assembly ---------------------------------------------------------
 
@@ -848,7 +911,7 @@ class ModelBuilder:
         if boundary is None:
             boundary = self.layout.start_boundary
         pins = self.pin_boundary(np.asarray(boundary, dtype=float))
-        terminal = tuple(self._slot_terminal_col(s) for s in slots)
+        terminal = tuple(self.terminal_cols.tolist())
         if duals_in is not None:
             duals_in = np.asarray(duals_in, dtype=float)
             if duals_in.shape != (len(slots),):
@@ -874,11 +937,11 @@ class ModelBuilder:
         n = self.n
         rows, cols, vals = map(np.concatenate, zip(*self.entries))
         balls, radius, radius_col = map(np.concatenate, zip(*self.cones))
+        row_lo, row_hi = np.concatenate(self.row_bounds, axis=1)
         return MdopModel(
             n=n, p_diag=p_diag, q=q, const=self.const,
             a=sp.csr_matrix((vals, (rows, cols)), shape=(self.m, n)),
-            row_lo=np.concatenate(self.row_lo),
-            row_hi=np.concatenate(self.row_hi),
+            row_lo=row_lo, row_hi=row_hi,
             cones=Cones(balls.ravel(), np.arange(len(balls)).repeat(2),
                         radius, radius_col), lb=lb, ub=ub,
             binaries=frozenset(np.concatenate(self.binary_cols).tolist()),
@@ -965,13 +1028,12 @@ def build_seamed(instance: NetworkInstance, loads: LoadProfile,
     builder.build_window()
     pins0 = builder.pin_boundary(builder.layout.start_boundary)
     # each window's slot columns, read while it is the current window
-    init_cols, term_cols = [], []
-    for s, win in enumerate(windows):
-        if s:
-            builder.begin_window(win, own_builds=False)
-            builder.build_window()
-        init_cols.append([builder._slot_init_col(slot) for slot in slots])
-        term_cols.append([builder._slot_terminal_col(slot) for slot in slots])
+    init_cols, term_cols = [], [builder.terminal_cols]
+    for win in windows[1:]:
+        builder.begin_window(win, own_builds=False)
+        builder.build_window()
+        init_cols.append(builder.init_cols)
+        term_cols.append(builder.terminal_cols)
 
     # later windows are sewn to their predecessor's terminal state
     seam_rows = []
@@ -980,10 +1042,10 @@ def build_seamed(instance: NetworkInstance, loads: LoadProfile,
             [("seam", s, slot.kind, slot.owner, slot.hist) for slot in slots],
             0.0, 0.0,
             (np.tile(np.arange(len(slots)), 2),
-             np.array(init_cols[s] + term_cols[s - 1], dtype=np.int64),
+             np.concatenate([init_cols[s - 1], term_cols[s - 1]]),
              np.repeat([1.0, -1.0], len(slots))))))
 
-    meta = CouplingMeta(slots=slots, terminal_cols=tuple(term_cols[-1]),
+    meta = CouplingMeta(slots=slots, terminal_cols=tuple(term_cols[-1].tolist()),
                         init_pin_rows=tuple(pins0))
     model = builder.model(meta, (0, loads.horizon))
     return SeamedModel(model=model, windows=tuple(windows),

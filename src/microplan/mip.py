@@ -8,11 +8,15 @@ finds incumbents early; the heap keeps the global bound honest.
 
 The search builds one engine workspace for its base program, and each
 node takes a view of it with the node's bounds.  A node relaxation is
-the conic interior point alone: the search uses only its point, to
-branch on, and the weak-duality bound of its multipliers, which holds
-whether or not it converged.  The polish runs only where its output is
-used: a node whose binaries are rounded into an incumbent candidate
-(an integral node, or the rounding heuristic's) hands its point to the
+the conic interior point: the search uses only its point, to branch
+on, and the weak-duality bound of its multipliers, which holds whether
+or not it converged.  An interior point that stops short
+(``iteration-limit``) may prove a bound a little below the node's
+optimum, enough to leave a zero-cost stage short of its gap, so its
+point is polished, and the polish stands in for it where it
+certifies.  Otherwise the polish runs only where its output is used: a
+node whose binaries are rounded into an incumbent candidate (an
+integral node, or the rounding heuristic's) hands its point to the
 solve that confirms them, which polishes it and solves cold only if the
 polish does not certify; the incumbent's certified point and duals
 price the seams.  Each explored node is logged at DEBUG level on this
@@ -122,10 +126,19 @@ class _NodeSolver:
         return self.workspace.with_bounds(lb, ub)
 
     def relax(self, fixings):
-        """The node relaxation by the interior point alone: a point to
-        branch on and the bound its multipliers prove."""
+        """The node relaxation by the interior point: a point to branch
+        on and the bound its multipliers prove.  An interior point that
+        stops short may prove a bound just below the node's optimum, so
+        its point is polished, and the polish is the relaxation when it
+        certifies."""
         ws = self.view(fixings)
-        return None if ws is None else ws.interior()
+        if ws is None:
+            return None
+        sol = ws.interior()
+        if sol.status != "iteration-limit":
+            return sol
+        polished = ws.polish_from(sol)
+        return sol if polished is None else polished
 
     def confirm(self, fixings, start):
         """The program with the bounds of `fixings`, solved from

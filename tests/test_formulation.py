@@ -1286,6 +1286,18 @@ def later_stage_model():
                     duals_in=np.linspace(-2.0, 3.0, k), own_builds=False)
 
 
+def shared_bus_one_step_cases():
+    """`shared_bus_case` sewn over five 1-step windows, so the start/stop
+    histories (depths 3 and 2) pass through several windows, and its
+    middle 1-step stage with imported builds and a pinned boundary."""
+    inst, loads, _ = shared_bus_case()
+    k = len(coupling_slots(inst))
+    sewn = build_seamed(inst, loads, [(t, t + 1) for t in range(5)]).model
+    stage = assemble(inst, loads, window=(2, 3),
+                     boundary=np.linspace(0.05, 0.6, k), own_builds=False)
+    return sewn, stage
+
+
 def pinned_models():
     pair = gen_bat_instance()
     models = {"pair": assemble(pair, flat_loads(pair, 4))}
@@ -1295,6 +1307,8 @@ def pinned_models():
                        ("shared-bus", shared_bus_case)):
         models[name] = build_seamed(*case()).model
     models["later-stage"] = later_stage_model()
+    models["shared-bus-1-step"], models["shared-bus-stage"] = \
+        shared_bus_one_step_cases()
     return models
 
 
@@ -1309,6 +1323,11 @@ PINNED_LAYOUTS = {
                   "a7d4e3d522caf57b0a2c359ff6f16be7",
     "later-stage": "9ca2ea3e5efbd7a56e4ceda3d1ed1949"
                    "f9e1c1e17926c270abd82e2c81b30a40",
+    # taken before each window's families were read from one term table
+    "shared-bus-1-step": "d60946666b323da53fe023459dc45654"
+                         "e3c608071e01048c1753b555140f1eca",
+    "shared-bus-stage": "e0e31a7954b279895746f99b8be5458a"
+                        "733bb3b9d3269e1e578e164cd933a7d5",
 }
 
 

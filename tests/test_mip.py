@@ -21,7 +21,10 @@ from test_formulation import (
 )
 
 from microplan import convex, mip
-from microplan.convex import PrimalDualSolution, certify, get_duals, solve_qcqp
+from microplan.convex import (
+    PrimalDualSolution, QpWorkspace, certify, get_duals, solve_qcqp,
+)
+from microplan.decomposition import partition, rh_solve
 from microplan.formulation import (
     FormulationError, assemble, build_seamed, coupling_slots, fix_binaries,
     horizon_start_boundary,
@@ -373,6 +376,22 @@ def test_confirm_solves_cold_when_the_start_does_not_certify(two_step,
         assert np.array_equal(getattr(got, key), getattr(cold, key)), key
     for key in ("status", "detail", "iterations", "objective", "bound"):
         assert getattr(got, key) == getattr(cold, key), key
+
+
+def test_node_that_stops_short_is_polished(monkeypatch):
+    # every node's interior point stops short with a bound 1e-3 USD below
+    # what it proves: unpolished, the zero-cost middle stage closes with
+    # gap 1e-3 and reads `feasible`
+    interior = QpWorkspace.interior
+
+    def short(self):
+        sol = interior(self)
+        return replace(sol, status="iteration-limit", bound=sol.bound - 1e-3)
+
+    monkeypatch.setattr(QpWorkspace, "interior", short)
+    inst = gen_bat_instance()
+    res = rh_solve(inst, flat_loads(inst, 6), partition(6, 3))
+    assert [s.status for s in res.stage_stats] == ["optimal-within-gap"] * 3
 
 
 def test_fractional_picks_the_farthest_binary_lowest_on_ties(two_step):
