@@ -188,7 +188,10 @@ class ConvexProgram:
         self.p_diag = np.asarray(p_diag, dtype=float)
         self.q = np.asarray(q, dtype=float)
         self.n = self.q.shape[0]
-        self.a = sp.csr_matrix(a) if a is not None else sp.csr_matrix((0, self.n))
+        # a CSR matrix is kept as it is given, not wrapped again
+        if a is None:
+            a = sp.csr_matrix((0, self.n))
+        self.a = a if isinstance(a, sp.csr_matrix) else sp.csr_matrix(a)
         if self.a.shape[1] != self.n:
             raise EngineError(f"A has {self.a.shape[1]} columns, expected {self.n}")
         self.m = self.a.shape[0]
@@ -1215,9 +1218,14 @@ class QpWorkspace:
             # one factorization: re-anchoring at each solution drives the
             # anchor error to zero (finitely, on polyhedral pieces), so
             # the accepted point is stationary for the unmodified
-            # objective rather than stationary-up-to-delta
+            # objective rather than stationary-up-to-delta.  It stops
+            # once the anchor settles, or at the first move that fails
+            # to halve the one before: along directions of little
+            # curvature the iteration contracts slowly, and `certify`
+            # judges the candidate where it stops
             anchor = x_lin
             sol = None
+            last = np.inf
             for _ in range(10):
                 rhs = np.concatenate([POLISH_DELTA * anchor - self.qs,
                                       vals])
@@ -1228,8 +1236,10 @@ class QpWorkspace:
                     return best
                 move = float(np.abs(sol[:n] - anchor).max(initial=0.0))
                 anchor = sol[:n]
-                if move <= 1e-14 * (1.0 + float(np.abs(anchor).max(initial=0.0))):
+                if move <= 1e-14 * (1.0 + float(np.abs(anchor).max(initial=0.0))) \
+                        or move > 0.5 * last:
                     break
+                last = move
 
             # a column pinned at a bound sits on it exactly, so that no
             # rounding residue reaches its cost

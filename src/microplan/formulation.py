@@ -50,16 +50,21 @@ step and its bounds, and per term, its step position or build column,
 its step lag and its coefficient.  A term of lag L at step t reads step
 ``t - L``, or, before the window has L steps behind it, the column
 importing the state of ``L - t`` steps before the window start.  So a
-window is written as arrays over (term, step) in one pass, whatever
-its length, and the boundary's import and hand-on columns are read by
-the same rule.  The model's constraint matrix is made from every
-window's (row, column, coefficient) entries at once, as one CSR matrix,
-and stays in that form from the builder to the engine (the approach of
-Hofmann, "Linopy: Linear optimization with n-dimensional labeled
-variables", JOSS 2023): ``to_convex`` hands it on without a copy, and
-``row_coefs`` reads one row's ``{col: coef}`` from it when asked.  CSR
-keeps each row's entries in column order, so the order in which the
-entries are written never reaches the engine.
+window is written as arrays over its steps in one pass, whatever its
+length, and the boundary's import and hand-on columns are read by the
+same rule.
+
+The model's constraint matrix is written in CSR form from the start.
+Each row lists its columns in increasing order, and in a block of
+owners whose rows hold as many entries, a row's first entry and each
+entry's column move by a fixed amount a step (but for the window's
+first steps, where a term reads imported state).  So each window
+writes every block's entries as one array over (owner, step, entry),
+straight into CSR arrays sized for the whole model.  The matrix stays
+in that form from the builder to the engine (the approach of Hofmann,
+"Linopy: Linear optimization with n-dimensional labeled variables",
+JOSS 2023): ``to_convex`` hands it on as it is, and ``row_coefs``
+reads one row's ``{col: coef}`` from it when asked.
 
 A built model holds no Python object per column, row or ball either.
 It keeps the layout, a ``(first, start, end, owned)`` tuple per window
@@ -76,6 +81,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -102,6 +108,9 @@ _STATE_KINDS = {"sc": "sc_b", "x": "x_d", "p": "p_d", "y": "y_d", "w": "w_d"}
 # the column grid's entry where a step position imports no state; it
 # stays negative after any window offset, so it cannot pass for a column
 _NO_IMPORT = -(1 << 62)
+
+# the largest index a constraint matrix holds in 32-bit index arrays
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class FormulationError(ValueError):
@@ -210,8 +219,9 @@ class MdopModel:
     ``row_lo <= a x <= row_hi``, ``lb <= x <= ub`` and the norm balls
     `cones`, under the objective ``1/2 x' diag(p_diag) x + q' x + const``.
 
-    `a` is the constraint matrix in CSR form, made once by
-    :class:`ModelBuilder`, and the model's only copy of its rows.
+    `a` is the constraint matrix in canonical CSR form, written in that
+    order by :class:`ModelBuilder`, and the model's only copy of its
+    rows.
     Columns, rows and balls are named only when asked, by :meth:`col`
     and the ``describe_*`` methods, from `layout` and the blocks (module
     docstring, "Block layout").  :meth:`to_convex` hands `a` and `cones`
@@ -288,43 +298,40 @@ class MdopModel:
         return 0.5 * float(x @ (self.p_diag * x)) + float(self.q @ x) + self.const
 
 
-class _Terms(NamedTuple):
-    """Row templates and their terms.  Template r's row at step t of a
-    window of `steps` steps is its row ``a * steps + c + s * t``,
-    counted from the window's first row; `at` holds a, c and s.  Term k
-    belongs to template `row[k]`, has coefficient `coef[k]`, and reads
-    its column at `off[k]` of the window's column grid at step 0
-    (:meth:`_Layout.offset`)."""
-    at: np.ndarray
-    row: np.ndarray
-    off: np.ndarray
-    coef: np.ndarray
-
-
-def _terms(templates, terms) -> _Terms:
-    """A :class:`_Terms` of (a, c, s) templates and (row, off, coef)
-    terms."""
-    a, c, s = zip(*templates) if templates else [()] * 3
-    row, off, coef = zip(*terms) if terms else [()] * 3
-    return _Terms(np.array([a, c, s], dtype=np.int64).reshape(3, -1),
-                  np.array(row, dtype=np.int64), np.array(off, dtype=np.int64),
-                  np.array(coef, dtype=float))
-
-
 class _RowBlock(NamedTuple):
     """Consecutive rows of a window from its row ``per_step * steps +
-    once``: groups of families whose rows cycle through one group's
-    families at each step, group after group, or, with `names` None,
-    hold once.  `bounds` holds each family's lo and hi, shaped (2,
-    groups, 1, families per group); the families `loaded` of the first
-    group take both from the loads' columns `load_cols` at each step
-    instead.  Labelled by a :class:`_Cycle` of `names` and `owners`, or
-    by the list `owners` for rows once."""
+    once``, and their entries from its entry ``step_terms * steps +
+    once_terms``: groups of families whose rows cycle through one
+    group's families at each step, group after group, or, with `names`
+    None, hold once.  Labelled by a :class:`_Cycle` of `names` and
+    `owners`, or by the list `owners` for rows once.
+
+    Every group's rows hold as many entries at each step (`size`, the
+    last axis of `coef`), so the block's entries are an array over
+    (group, step, entry) in CSR order.  Per group, shaped (groups, 1,
+    ...): `bounds` holds each family's lo and hi (led by an axis for the
+    two), `lead` the entries of the group's rows before each family's
+    row at a step, and `coef`, `col` and `slope` each entry's
+    coefficient and its column ``col + slope * t`` at step t, counted
+    from the window's first column.  Before step ``lags``, where a term
+    may read state imported from before the window start, the entries
+    at step t are `early_col` and `early_coef` at t instead, each row's
+    columns still in increasing order.  The families `loaded` of the
+    first group take their lo and hi from the loads' columns
+    `load_cols` at each step."""
     per_step: int
     once: int
+    step_terms: int
+    once_terms: int
     bounds: np.ndarray
     loaded: np.ndarray
     load_cols: np.ndarray
+    lead: np.ndarray
+    coef: np.ndarray
+    col: np.ndarray
+    slope: np.ndarray
+    early_col: np.ndarray
+    early_coef: np.ndarray
     names: list | None
     owners: list
 
@@ -363,11 +370,11 @@ class _Layout:
         self._lay_out_slots()
         for arr in (self.start_boundary, self.step_data, self.step_binary,
                     self.fixed_binary, self.imports, *self.fixed_data.values(),
-                    *self.rows, *self.once, self.slot_init, self.slot_term,
-                    self.slot_built,
+                    self.slot_init, self.slot_term, self.slot_built,
                     *(arr for block in self.row_blocks + self.ball_blocks
-                      for arr in block if isinstance(arr, np.ndarray))):
-            arr.flags.writeable = False
+                      for arr in block)):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
     def _lay_out_fixed(self):
         """The fixed columns of a window, keyed (kind, owner, lag): the
@@ -622,46 +629,78 @@ class _Layout:
         ]
 
     def _lay_out_rows(self):
-        """The row templates of a window, in row order: the network rows
-        at each step; the resource limits, once; then, owner after owner
-        and at each step, a generator's commitment families and a
-        battery's.  `rows` holds the terms of the rows at each step and
-        `once` those of the rows once, each a :class:`_Terms`, and
-        `row_blocks` their :class:`_RowBlock` s in row order."""
+        """The row blocks of a window (:class:`_RowBlock`), in row order:
+        the network rows at each step; the resource limits, once; then,
+        owner after owner and at each step, a generator's commitment
+        families and a battery's, consecutive owners whose rows hold as
+        many entries in one block.  `rows` and `terms` count a window's
+        rows and entries at each step and once."""
         inst = self.instance
-        per_step = once = 0
-        tables = {True: ([], []), False: ([], [])}     # templates, terms
+        per_step = once = step_terms = once_terms = 0
         self.row_blocks = []
         for groups, loads, repeats in (
                 (*self._network(), True),
                 (self._resource_limits(), [], False),
                 ([self._commitment(d) for d in inst.generator_specs], [], True),
                 ([self._storage(b) for b in inst.battery_specs], [], True)):
-            if not groups:
-                continue
-            templates, terms = tables[repeats]
-            width = len(groups[0])
-            for g, group in enumerate(groups):
-                for f, (_, _, fam_terms, _, _) in enumerate(group):
-                    terms += [(len(templates), self.offset(kind, owner, lag),
-                               coef) for kind, owner, lag, coef in fam_terms]
-                    templates.append((per_step + g * width, once + f, width)
-                                     if repeats else
-                                     (per_step, once + g * width + f, 0))
-            families = [f for group in groups for f in group]
-            bounds = np.array([[f[3] for f in families],
-                               [f[4] for f in families]], dtype=float)
-            self.row_blocks.append(_RowBlock(
-                per_step, once, bounds.reshape(2, len(groups), 1, width),
-                *np.array(loads, dtype=np.int64).reshape(-1, 2).T,
-                [f[0] for f in groups[0]] if repeats else None,
-                [f[1] for f in families] if repeats
-                else [(f[0], f[1], None) for f in families]))
-            if repeats:
-                per_step += len(families)
-            else:
-                once += len(families)
-        self.rows, self.once = _terms(*tables[True]), _terms(*tables[False])
+            for _, run in groupby(groups, key=lambda group: sum(
+                    len(family[2]) for family in group)):
+                run = list(run)
+                block = self._lay_out_block(run, loads, repeats, per_step,
+                                            once, step_terms, once_terms)
+                self.row_blocks.append(block)
+                loads = []          # they bound the first group's rows
+                rows, terms = block.bounds[0].size, block.coef.size
+                if repeats:
+                    per_step, step_terms = per_step + rows, step_terms + terms
+                else:
+                    once, once_terms = once + rows, once_terms + terms
+        self.rows = (per_step, once)
+        self.terms = (step_terms, once_terms)
+
+    def _lay_out_block(self, groups, loads, repeats, *starts):
+        """The :class:`_RowBlock` of `groups` of (name, owner, terms, lo,
+        hi) families, whose rows hold as many entries, from the window's
+        row and entry `starts`."""
+        families = [family for group in groups for family in group]
+        shape = (len(groups), 1, -1)
+        # each group's terms row by row: row, grid offset, coefficient
+        terms = [[(f, self.offset(kind, owner, lag), coef)
+                  for f, family in enumerate(group)
+                  for kind, owner, lag, coef in family[2]]
+                 for group in groups]
+        fam, off = (np.array([[term[i] for term in group] for group in terms],
+                             dtype=np.int64) for i in (0, 1))
+        coef = np.array([[term[2] for term in group] for group in terms])
+        lead = np.array([np.cumsum([0] + [len(family[2])
+                                          for family in group[:-1]])
+                         for group in groups], dtype=np.int64)
+        # each term's column at steps 0 to lags + 1, counted from the
+        # window's first column, and the entries at steps 0 to lags in
+        # CSR order: row by row, and by column within a row
+        t = np.arange(self.lags + 2)
+        cols = self.grid(t.size, 0)[off[:, None, :] + self.width * t[:, None]]
+        slope = cols[:, -1] - cols[:, -2]
+        order = np.lexsort((cols[:, :-1], np.broadcast_to(
+            fam[:, None, :], cols[:, :-1].shape)))
+        at_col = np.take_along_axis(cols[:, :-1], order, axis=-1)
+        at_coef = coef[np.arange(len(groups))[:, None, None], order]
+        slope = np.take_along_axis(slope, order[:, -1], axis=-1)[:, None, :]
+        col = at_col[:, -1:] - slope * self.lags
+        # offsets within a window, held as 32-bit integers: a window of
+        # a model with 32-bit indices is then written without a cast
+        lead, col, slope, early_col = (
+            arr.astype(np.int32)
+            for arr in (lead.reshape(shape), col, slope, at_col[:, :-1]))
+        return _RowBlock(
+            *starts, np.array([[f[3] for f in families],
+                               [f[4] for f in families]],
+                              dtype=float).reshape(2, *shape),
+            *np.array(loads, dtype=np.int64).reshape(-1, 2).T,
+            lead, at_coef[:, -1:], col, slope, early_col, at_coef[:, :-1],
+            [f[0] for f in groups[0]] if repeats else None,
+            [f[1] for f in families] if repeats
+            else [(f[0], f[1], None) for f in families])
 
     def _lay_out_balls(self):
         """The :class:`_BallBlock` s of a window, in ball order: at each
@@ -720,8 +759,11 @@ def _layout(instance: NetworkInstance, dt: float) -> _Layout:
 
 
 class ModelBuilder:
-    """Writes the columns, rows and cones of one time window, or of
-    consecutive windows one after another, each window in one pass.
+    """Writes the columns, rows and balls of consecutive time windows,
+    each window in one pass, into arrays sized in advance for the whole
+    model: the windows' columns and balls in order, and as rows the
+    first window's, its boundary pins, each later window's, then one
+    seam row per coupling slot at each later window's start.
 
     Columns.  A window's columns follow the block layout of the module
     docstring.  The `layout` (a :class:`_Layout`, fixed by the instance
@@ -729,189 +771,185 @@ class ModelBuilder:
     fixed one by `fixed_pos[(kind, owner, lag)]`, its lag behind the
     window start.
 
-    Rows and cones.  The layout holds one term table for every row and
-    ball family: per row template, where its row is at each step and its
-    bounds, and per term, its coefficient and where it reads its column
-    in the window's column grid.  A term of lag L reads, at step t, the
-    column of step ``t - L``, or, where ``t < L``, the column importing
-    the state of ``L - t`` steps before the window start.  So
-    :meth:`build_window` resolves a whole window, every family at every
-    step, with one NumPy gather over (term, step), writes each block's
-    bounds and balls by broadcasting over its steps, and reads the
-    columns that import and hand on each coupling slot by the same rule.
-    Its entries are (row, column, coefficient) arrays, whose order does
-    not matter; :meth:`model` makes the constraint matrix from every
-    block's entries in one CSR construction.
+    Rows and cones.  The layout holds one term table for every row
+    family, in blocks of owners whose rows hold as many entries
+    (:class:`_RowBlock`): per family, its bounds and where its row's
+    entries start, and per entry, its coefficient and its column, which
+    moves by a fixed slope a step.  A term of lag L reads, at step t,
+    the column of step ``t - L``, or, where ``t < L``, the column
+    importing the state of ``L - t`` steps before the window start; a
+    block holds the entries of those first steps as they are.  Each row
+    lists its columns in increasing order, so a block's row starts,
+    bounds and entries are arrays over (owner, step, ...) in CSR order,
+    and :meth:`_window` writes each by broadcasting over the window's
+    steps, straight into the model's CSR and bound arrays; it writes
+    the balls into the model's ball arrays the same way.  It reads the
+    columns that import and hand on each coupling slot from the
+    window's column grid (:meth:`_Layout.grid`).  :meth:`finish` wraps
+    the arrays as they are: the rows need no sort and the windows no
+    concatenation.
 
     Names.  Each window leaves a ``(first, start, end, owned)`` tuple,
     each row or ball block a ``(first, labels)`` pair (labels that repeat
-    over the steps as a :class:`_Cycle`), which :meth:`model` hands to the
-    model as they are.  `window` and `own_builds` describe the window
-    being built; :meth:`begin_window` starts the next one.
+    over the steps as a :class:`_Cycle`), which :meth:`finish` hands to
+    the model as they are.
     """
 
     def __init__(self, instance: NetworkInstance, loads: LoadProfile,
-                 window, own_builds=True):
+                 windows, own_builds=True):
+        """`windows` in time order; the first owns the build decisions
+        if `own_builds`, the later ones import them."""
         _check_bus_order(instance, loads)
-        self.instance = instance
+        self.windows = [tuple(w) for w in windows]
+        for start, end in self.windows:
+            if not (0 <= start < end <= loads.horizon):
+                raise FormulationError(
+                    f"window [{start}, {end}) outside the load horizon "
+                    f"{loads.horizon}")
         self.loads = loads
-        self.layout = _layout(instance, loads.dt)
+        self.own_builds = own_builds
+        self.layout = lay = _layout(instance, loads.dt)
         # every bus's real load, then its reactive
         self.demand = np.concatenate([loads.p, loads.q], axis=1)
+        # the first window pins every slot but the builds it owns
+        self.pinned = np.flatnonzero(~lay.slot_built | (not own_builds))
+        count = len(self.windows)
+        steps = sum(end - start for start, end in self.windows)
+        seams = len(lay.slots) * (count - 1)
+        n = lay.fixed * count + len(lay.step_kinds) * steps
+        m = lay.rows[0] * steps + lay.rows[1] * count + self.pinned.size + seams
+        nnz = lay.terms[0] * steps + lay.terms[1] * count \
+            + self.pinned.size + 2 * seams
+        k = lay.balls_per_step * steps
+        index = np.int32 if max(m, n, nnz) <= _INT32_MAX else np.int64
+        self.col_data = np.empty((4, n))     # rows lb, ub, q, p_diag
+        self.binary_cols = []                # binary column indices per window
+        self.row_bounds = np.empty((2, m))   # rows lo, hi
+        self.indptr = np.empty(m + 1, dtype=index)
+        self.indices = np.empty(nnz, dtype=index)
+        self.data = np.empty(nnz)
+        self.balls = np.empty((k, 2), dtype=np.int64)
+        self.radius = np.empty(k)
+        self.radius_col = np.empty(k, dtype=np.int64)
+        self.n = self.m = self.nnz = self.k = 0      # written so far
         self.col_blocks = []         # (first, start, end, owned) per window
-        self.n = 0                   # columns so far
-        self.col_data = []           # rows lb, ub, q, p_diag per window
-        self.binary_cols = []        # binary column indices per window
-        self.m = 0                   # rows so far
-        self.entries = []            # (row, col, coef) arrays per block
-        self.row_bounds = []         # rows lo, hi per row block
         self.row_blocks = []         # (first row, labels) per row block
-        self.k = 0                   # balls so far
-        self.cones = []              # (cols, radius, radius_col) per block
         self.cone_blocks = []        # (first ball, labels) per ball block
-        self.const = 0.0
-        self.begin_window(window, own_builds)
 
-    def begin_window(self, window, own_builds):
-        """Start a window whose columns, rows and cones follow everything
-        built so far."""
-        start, end = window
-        if not (0 <= start < end <= self.loads.horizon):
-            raise FormulationError(
-                f"window [{start}, {end}) outside the load horizon "
-                f"{self.loads.horizon}")
-        self.window = (start, end)
-        self.own_builds = own_builds
-
-    def build_window(self):
-        """Every column, row and ball of the current window, boundary
-        pins not yet added, and the columns that import each coupling
-        slot at its start (`init_cols`, -1 for a build decision the
-        window owns) and hand it on at its end (`terminal_cols`)."""
+    def _window(self, start, end, owned):
+        """Every column, row and ball of window ``[start, end)``, and the
+        columns that import each coupling slot at its start and hand it
+        on at its end."""
         lay = self.layout
-        start, end = self.window
         steps = end - start
-        first, m, k = self.n, self.m, self.k
-        self._columns()
-        t = np.arange(steps)
-        ahead = lay.width * t        # grid offset of step t
-        cols = lay.grid(steps, first)
+        first, m, at, k = self.n, self.m, self.nnz, self.k
+        self._columns(start, end, owned)
+        ahead = lay.width * np.arange(steps)     # grid offset of each step
+        grid = lay.grid(steps, first)
 
-        rows, once = lay.rows, lay.once
-        a, c, s = rows.at
-        at = (a * steps + (c + m))[:, None] + s[:, None] * t
-        self.entries.append((at[rows.row].ravel(),
-                             cols[rows.off[:, None] + ahead].ravel(),
-                             np.repeat(rows.coef, steps)))
-        a, c, _ = once.at
-        self.entries.append(((a * steps + (c + m))[once.row], cols[once.off],
-                             once.coef))
-        size = rows.at.shape[1] * steps + once.at.shape[1]
-        bounds = np.empty((2, size))
+        # each block's rows, their bounds and their entries, in CSR order;
+        # index arithmetic in the matrix's own index type
+        index = self.indices.dtype.type
+        t = np.arange(steps, dtype=index)[:, None]
         for block in lay.row_blocks:
-            _, groups, _, width = block.bounds.shape
+            groups, _, width = block.lead.shape
+            size = block.coef.shape[-1]
             reps = 1 if block.names is None else steps
-            row = block.per_step * steps + block.once
-            view = bounds[:, row:row + groups * reps * width].reshape(
+            row = m + block.per_step * steps + block.once
+            entry = at + block.step_terms * steps + block.once_terms
+            end_row = row + groups * reps * width
+            end_entry = entry + groups * reps * size
+            bounds = self.row_bounds[:, row:end_row].reshape(
                 2, groups, reps, width)
-            view[...] = block.bounds
+            bounds[...] = block.bounds
             if block.loaded.size:
-                view[:, 0][..., block.loaded] = \
+                bounds[:, 0][..., block.loaded] = \
                     self.demand[start:end, block.load_cols]
+            # group g's rows at step t start `lead` after the block's
+            # entry (g * reps + t) * size
+            np.add(block.lead, np.arange(entry, end_entry, size, dtype=index
+                                         ).reshape(groups, reps, 1),
+                   out=self.indptr[row:end_row].reshape(groups, reps, width))
+            cols = self.indices[entry:end_entry].reshape(groups, reps, size)
+            np.multiply(block.slope, t[:reps], out=cols)
+            cols += block.col + index(first)
+            coefs = self.data[entry:end_entry].reshape(groups, reps, size)
+            coefs[...] = block.coef
+            early = min(reps, lay.lags)
+            cols[:, :early] = block.early_col[:, :early] + index(first)
+            coefs[:, :early] = block.early_coef[:, :early]
             labels = block.owners if block.names is None \
                 else _Cycle(block.names, block.owners, start, steps)
-            self.row_blocks.append((m + row, labels))
-        self.row_bounds.append(bounds)
-        self.m += size
+            self.row_blocks.append((row, labels))
+        self.m += lay.rows[0] * steps + lay.rows[1]
+        self.nnz += lay.terms[0] * steps + lay.terms[1]
 
-        size = lay.balls_per_step * steps
-        balls = np.empty((size, 2), dtype=np.int64)
-        radius, radius_col = np.empty(size), np.empty(size, dtype=np.int64)
         for block in lay.ball_blocks:
             groups, _, width = block.radius.shape
-            ball = block.per_step * steps
+            ball = k + block.per_step * steps
             span = slice(ball, ball + groups * steps * width)
-            balls[span] = cols[block.off + ahead[:, None, None]].reshape(-1, 2)
-            radius[span].reshape(groups, steps, width)[...] = block.radius
-            radius_col[span].reshape(groups, steps, width)[...] = np.where(
-                block.radius_col < 0, -1, first + block.radius_col)
-            self.cone_blocks.append((k + ball, _Cycle(
+            self.balls[span] = grid[block.off
+                                    + ahead[:, None, None]].reshape(-1, 2)
+            self.radius[span].reshape(groups, steps, width)[...] = \
+                block.radius
+            self.radius_col[span].reshape(groups, steps, width)[...] = \
+                np.where(block.radius_col < 0, -1, first + block.radius_col)
+            self.cone_blocks.append((ball, _Cycle(
                 block.names, block.owners, start, steps)))
-        self.cones.append((balls, radius, radius_col))
-        self.k += size
+        self.k += lay.balls_per_step * steps
+        return grid[lay.slot_init], grid[lay.slot_term + ahead[-1]]
 
-        self.init_cols = cols[lay.slot_init]
-        if self.own_builds:
-            self.init_cols[lay.slot_built] = -1
-        self.terminal_cols = cols[lay.slot_term + ahead[-1]]
-        return self
-
-    def _columns(self):
-        """The current window's columns: their bounds, costs and binaries."""
+    def _columns(self, start, end, owned):
+        """The columns of window ``[start, end)``: their bounds, costs and
+        binaries."""
         lay = self.layout
-        start, end = self.window
         steps = end - start
-        first, owned, fixed = self.n, self.own_builds, lay.fixed
+        first, fixed = self.n, lay.fixed
         width = len(lay.step_kinds)
         self.col_blocks.append((first, int(start), int(end), owned))
         self.n += fixed + width * steps
-        data = np.empty((4, fixed + width * steps))
+        data = self.col_data[:, first:self.n]
         data[:, :fixed] = lay.fixed_data[owned]
         step = data[:, fixed:].reshape(4, steps, width)
         step[...] = lay.step_data[:, None]
         shed = self.demand[start:end]
         step[1][:, lay.shed_pos] = np.where(shed < 0.0, 0.0, shed)
-        self.col_data.append(data)
         step_binary = lay.step_binary + width * np.arange(steps)[:, None]
         self.binary_cols.append(first + fixed + step_binary.ravel())
         if owned:
             self.binary_cols.append(first + lay.fixed_binary)
 
-    def _row_block(self, labels, lo, hi, entries):
+    def _row_block(self, labels, lo, hi, cols, coefs):
         """Append one row per label with its bounds (numbers or one value
-        per row), and the block's `entries`, (row, column, coefficient)
-        arrays whose rows count from the block's first.  Returns the new
-        rows' indices."""
-        first = self.m
-        rows, cols, vals = entries
+        per row); row i holds the columns `cols[i]`, in increasing order,
+        with the coefficients `coefs[i]` (broadcast to `cols`).  Returns
+        the new rows' indices."""
+        first, at = self.m, self.nnz
         self.m += len(labels)
+        self.nnz += cols.size
         self.row_blocks.append((first, labels))
-        self.entries.append((first + rows, cols, vals))
-        bounds = np.empty((2, len(labels)))
-        bounds[0], bounds[1] = lo, hi
-        self.row_bounds.append(bounds)
+        self.row_bounds[0, first:self.m] = lo
+        self.row_bounds[1, first:self.m] = hi
+        self.indptr[first:self.m] = np.arange(at, self.nnz, cols.shape[1])
+        self.indices[at:self.nnz] = cols.ravel()
+        self.data[at:self.nnz].reshape(cols.shape)[...] = coefs
         return range(first, self.m)
-
-    # -- boundary and coupling --------------------------------------------
-
-    def pin_boundary(self, boundary: np.ndarray):
-        """Equality rows fixing the imported state; their duals are the
-        boundary prices."""
-        slots = self.layout.slots
-        if boundary.shape != (len(slots),):
-            raise FormulationError(
-                f"boundary has {boundary.shape[0]} entries, "
-                f"expected {len(slots)}")
-        pinned = np.flatnonzero(self.init_cols >= 0)
-        rows = self._row_block(
-            [("couple", slots[k].kind, slots[k].owner, slots[k].hist)
-             for k in pinned],
-            boundary[pinned], boundary[pinned],
-            (np.arange(pinned.size), self.init_cols[pinned],
-             np.ones(pinned.size)))
-        pins = [None] * len(slots)
-        for k, i in zip(pinned.tolist(), rows):
-            pins[k] = i
-        return pins
 
     # -- assembly ---------------------------------------------------------
 
     def finish(self, boundary=None, duals_in=None) -> MdopModel:
-        slots = self.layout.slots
-        if boundary is None:
-            boundary = self.layout.start_boundary
-        pins = self.pin_boundary(np.asarray(boundary, dtype=float))
-        terminal = tuple(self.terminal_cols.tolist())
+        """The model: every window, the first window's state pinned to
+        `boundary` (the horizon start if None), each later window's seam
+        rows, kept in `seam_rows`, and the last window's terminal state
+        priced by `duals_in`."""
+        lay = self.layout
+        slots = lay.slots
+        boundary = lay.start_boundary if boundary is None \
+            else np.asarray(boundary, dtype=float)
+        if boundary.shape != (len(slots),):
+            raise FormulationError(
+                f"boundary has {boundary.shape[0]} entries, "
+                f"expected {len(slots)}")
         if duals_in is not None:
             duals_in = np.asarray(duals_in, dtype=float)
             if duals_in.shape != (len(slots),):
@@ -920,35 +958,53 @@ class ModelBuilder:
                     f"expected {len(slots)}")
             if not np.isfinite(duals_in).all():
                 raise FormulationError("price vector must be finite")
-        meta = CouplingMeta(slots=slots, terminal_cols=terminal,
-                            init_pin_rows=tuple(pins))
-        model = self.model(meta, self.window)
+
+        ends = []                    # (init, terminal) columns per window
+        for w, (start, end) in enumerate(self.windows):
+            ends.append(self._window(start, end, self.own_builds and w == 0))
+            if w == 0:
+                # equality rows fixing the imported state; their duals
+                # are the boundary prices
+                pinned = self.pinned
+                rows = self._row_block(
+                    [("couple", slots[i].kind, slots[i].owner, slots[i].hist)
+                     for i in pinned.tolist()],
+                    boundary[pinned], boundary[pinned],
+                    ends[0][0][pinned, None], 1.0)
+                pins = [None] * len(slots)
+                for i, row in zip(pinned.tolist(), rows):
+                    pins[i] = row
+        # later windows are sewn to their predecessor's terminal state,
+        # whose columns come first
+        self.seam_rows = tuple(tuple(self._row_block(
+            [("seam", s, slot.kind, slot.owner, slot.hist) for slot in slots],
+            0.0, 0.0, np.stack([ends[s - 1][1], ends[s][0]], axis=1),
+            [-1.0, 1.0])) for s in range(1, len(self.windows)))
+        self.indptr[self.m] = self.nnz
+
+        terminal = ends[-1][1]
+        lb, ub, q, p_diag = self.col_data
+        row_lo, row_hi = self.row_bounds
+        model = MdopModel(
+            n=self.n, p_diag=p_diag, q=q, const=0.0,
+            a=sp.csr_matrix((self.data, self.indices, self.indptr),
+                            shape=(self.m, self.n)),
+            row_lo=row_lo, row_hi=row_hi,
+            cones=Cones(self.balls.ravel(), np.arange(self.k).repeat(2),
+                        self.radius, self.radius_col), lb=lb, ub=ub,
+            binaries=frozenset(np.concatenate(self.binary_cols).tolist()),
+            coupling=CouplingMeta(slots=slots,
+                                  terminal_cols=tuple(terminal.tolist()),
+                                  init_pin_rows=tuple(pins)),
+            window=(self.windows[0][0], self.windows[-1][1]),
+            dt=self.loads.dt, layout=lay, col_blocks=tuple(self.col_blocks),
+            row_blocks=tuple(self.row_blocks),
+            cone_blocks=tuple(self.cone_blocks))
         if duals_in is not None:
             # the terminal state's cost-to-go, one slot at a time
             for gamma, j in zip(duals_in, terminal):
                 model.q[j] += float(gamma)
         return model
-
-    def model(self, coupling: CouplingMeta, window) -> MdopModel:
-        """Freeze the accumulated columns, rows and cones; the constraint
-        matrix is made here, in one CSR construction from every block's
-        entries, and the balls' arrays in one concatenation."""
-        lb, ub, q, p_diag = np.concatenate(self.col_data, axis=1)
-        n = self.n
-        rows, cols, vals = map(np.concatenate, zip(*self.entries))
-        balls, radius, radius_col = map(np.concatenate, zip(*self.cones))
-        row_lo, row_hi = np.concatenate(self.row_bounds, axis=1)
-        return MdopModel(
-            n=n, p_diag=p_diag, q=q, const=self.const,
-            a=sp.csr_matrix((vals, (rows, cols)), shape=(self.m, n)),
-            row_lo=row_lo, row_hi=row_hi,
-            cones=Cones(balls.ravel(), np.arange(len(balls)).repeat(2),
-                        radius, radius_col), lb=lb, ub=ub,
-            binaries=frozenset(np.concatenate(self.binary_cols).tolist()),
-            coupling=coupling, window=window, dt=self.loads.dt,
-            layout=self.layout, col_blocks=tuple(self.col_blocks),
-            row_blocks=tuple(self.row_blocks),
-            cone_blocks=tuple(self.cone_blocks))
 
 
 def assemble(instance: NetworkInstance, loads: LoadProfile, window=None,
@@ -964,8 +1020,8 @@ def assemble(instance: NetworkInstance, loads: LoadProfile, window=None,
     """
     if window is None:
         window = (0, loads.horizon)
-    builder = ModelBuilder(instance, loads, window, own_builds=own_builds)
-    return builder.build_window().finish(boundary=boundary, duals_in=duals_in)
+    return ModelBuilder(instance, loads, [window], own_builds=own_builds
+                        ).finish(boundary=boundary, duals_in=duals_in)
 
 
 def relax_integrality(model: MdopModel) -> MdopModel:
@@ -1023,33 +1079,10 @@ def build_seamed(instance: NetworkInstance, loads: LoadProfile,
             f"last window ends at {windows[-1][1]}, not at the load "
             f"horizon {loads.horizon}")
 
-    slots = coupling_slots(instance)
-    builder = ModelBuilder(instance, loads, windows[0], own_builds=True)
-    builder.build_window()
-    pins0 = builder.pin_boundary(builder.layout.start_boundary)
-    # each window's slot columns, read while it is the current window
-    init_cols, term_cols = [], [builder.terminal_cols]
-    for win in windows[1:]:
-        builder.begin_window(win, own_builds=False)
-        builder.build_window()
-        init_cols.append(builder.init_cols)
-        term_cols.append(builder.terminal_cols)
-
-    # later windows are sewn to their predecessor's terminal state
-    seam_rows = []
-    for s in range(1, len(windows)):
-        seam_rows.append(tuple(builder._row_block(
-            [("seam", s, slot.kind, slot.owner, slot.hist) for slot in slots],
-            0.0, 0.0,
-            (np.tile(np.arange(len(slots)), 2),
-             np.concatenate([init_cols[s - 1], term_cols[s - 1]]),
-             np.repeat([1.0, -1.0], len(slots))))))
-
-    meta = CouplingMeta(slots=slots, terminal_cols=tuple(term_cols[-1].tolist()),
-                        init_pin_rows=tuple(pins0))
-    model = builder.model(meta, (0, loads.horizon))
+    builder = ModelBuilder(instance, loads, windows)
+    model = builder.finish()
     return SeamedModel(model=model, windows=tuple(windows),
-                       seam_rows=tuple(seam_rows))
+                       seam_rows=builder.seam_rows)
 
 
 # ---------------------------------------------------------------------------

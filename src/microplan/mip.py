@@ -14,13 +14,17 @@ or not it converged.  An interior point that stops short
 (``iteration-limit``) may prove a bound a little below the node's
 optimum, enough to leave a zero-cost stage short of its gap, so its
 point is polished, and the polish stands in for it where it
-certifies.  Otherwise the polish runs only where its output is used: a
-node whose binaries are rounded into an incumbent candidate (an
-integral node, or the rounding heuristic's) hands its point to the
-solve that confirms them, which polishes it and solves cold only if the
-polish does not certify; the incumbent's certified point and duals
-price the seams.  Each explored node is logged at DEBUG level on this
-module's logger, with its number, depth, bound, incumbent and gap.
+certifies.  A node whose own gap, the relative gap between the
+objective of the point it stopped at and its bound, is already within
+the search's ``gap_tol`` is not polished: its bound is as close to its
+point as the search asks of any bound.  Otherwise the polish runs only
+where its output is used: a node whose binaries are rounded into an
+incumbent candidate (an integral node, or the rounding heuristic's)
+hands its point to the solve that confirms them, which polishes it and
+solves cold only if the polish does not certify; the incumbent's
+certified point and duals price the seams.  Each explored node is
+logged at DEBUG level on this module's logger, with its number, depth,
+bound, incumbent and gap.
 """
 
 import heapq
@@ -125,17 +129,19 @@ class _NodeSolver:
             return None
         return self.workspace.with_bounds(lb, ub)
 
-    def relax(self, fixings):
+    def relax(self, fixings, gap_tol):
         """The node relaxation by the interior point: a point to branch
         on and the bound its multipliers prove.  An interior point that
         stops short may prove a bound just below the node's optimum, so
-        its point is polished, and the polish is the relaxation when it
-        certifies."""
+        its point is polished, unless its objective is already within
+        `gap_tol` of that bound, and the polish is the relaxation when
+        it certifies."""
         ws = self.view(fixings)
         if ws is None:
             return None
         sol = ws.interior()
-        if sol.status != "iteration-limit":
+        if sol.status != "iteration-limit" \
+                or _relative_gap(sol.objective, sol.bound) <= gap_tol:
             return sol
         polished = ws.polish_from(sol)
         return sol if polished is None else polished
@@ -232,7 +238,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
                 interrupted = True
                 break
             nodes += 1
-            sol = solver.relax(cur.fixings)
+            sol = solver.relax(cur.fixings, gap_tol)
             if sol is None or sol.status == "infeasible":
                 log_node(cur.depth)
                 break

@@ -735,6 +735,40 @@ class TestQcqp:
         cert = certify(prog, sol.x, sol.y_rows, sol.y_bounds, sol.cone_duals)
         assert cert.ratio <= 1.0
 
+    def test_polish_stops_when_its_anchor_settles(self, monkeypatch):
+        # the T=8 relax-ladder rung's polish re-anchors its pinned solve
+        # until a move fails to halve the one before: at most 5 refined
+        # back-solves a pass, half the cap of 10, which its slowly
+        # shrinking moves would otherwise reach on every pass
+        count = {"polish": False, "passes": 0, "solves": 0}
+        polish, refined, certified = (QpWorkspace._polish, convex._refined,
+                                      convex.certify)
+
+        def polishing(self, *args):
+            count["polish"] = True
+            try:
+                return polish(self, *args)
+            finally:
+                count["polish"] = False
+
+        def tally(key, call):
+            def counted(*args):
+                count[key] += count["polish"]
+                return call(*args)
+            return counted
+
+        monkeypatch.setattr(QpWorkspace, "_polish", polishing)
+        monkeypatch.setattr(convex, "_refined", tally("solves", refined))
+        # one certificate per pass
+        monkeypatch.setattr(convex, "certify", tally("passes", certified))
+        inst = gen_bat_instance()
+        loads = synth_load(inst, 1, 0.25, {"b2": 0.4}, seed=0)
+        sol = solve_qcqp(relax_integrality(
+            assemble(inst, loads, window=(0, 8))).to_convex())
+        assert (sol.status, sol.detail) == ("optimal", "polished")
+        assert count["passes"] >= 1
+        assert count["solves"] <= 5 * count["passes"]
+
     @pytest.mark.parametrize("steps, shape", [(4, (82, 94, 8)),
                                               (8, (154, 178, 16)),
                                               (12, (226, 262, 24))],

@@ -30,6 +30,7 @@ try:
 except ImportError:     # the oracles skip the cross-check without it
     cp = None
 
+from microplan import formulation
 from microplan.decomposition import partition
 from microplan.formulation import (
     FormulationError, INIT_KINDS, ModelBuilder, assemble, build_seamed,
@@ -1370,6 +1371,7 @@ def test_to_convex_shares_the_model_matrix():
     inst = gen_bat_instance()
     model = assemble(inst, flat_loads(inst, 3))
     prog = model.to_convex()
+    assert prog.a is model.a
     for name in ("data", "indices", "indptr"):
         assert np.shares_memory(getattr(prog.a, name),
                                 getattr(model.a, name)), name
@@ -1382,6 +1384,109 @@ def test_to_convex_shares_the_model_matrix():
     assert rows[-1] == rows[len(rows) - 1]
     with pytest.raises(IndexError):
         rows[len(rows)]
+
+
+def coo_matrix_of(a):
+    """The CSR matrix that a (row, column, coefficient) construction
+    makes of `a`'s entries, given in shuffled order: sorted by row, then
+    by column, with repeated positions summed."""
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    order = np.random.default_rng(0).permutation(a.nnz)
+    return sp.csr_matrix((a.data[order], (rows[order], a.indices[order])),
+                         shape=a.shape)
+
+
+def assert_canonical_csr(model):
+    """`model.a` is the matrix a COO construction of its entries makes,
+    down to the index types, and the engine takes it as it is."""
+    a, want = model.a, coo_matrix_of(model.a)
+    assert type(a) is sp.csr_matrix and a.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(a, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+    assert model.to_convex().a is a
+
+
+def test_matrix_is_written_in_csr_order():
+    # every kind of model: full, seam-joined, stages with and without
+    # builds, pinned and priced; their entries are pinned by the digests
+    for model in pinned_models().values():
+        assert_canonical_csr(model)
+
+
+def test_matrix_with_64_bit_indices(monkeypatch):
+    # a model too large for 32-bit indices writes the same matrix with
+    # 64-bit index arithmetic
+    built = pinned_models()
+    monkeypatch.setattr(formulation, "_INT32_MAX", 0)
+    inst = gen_bat_instance()
+    assert ModelBuilder(inst, flat_loads(inst, 4), [(0, 4)]).indices.dtype \
+        == np.int64
+    for name, model in pinned_models().items():
+        want = built[name].a
+        for key in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(model.a, key), getattr(want, key)), \
+                (name, key)
+
+
+def feeder_models(seed):
+    """The benchmark feeder's full, seam-joined and stage models, a stage
+    with its own builds, one pinned at a boundary and one priced."""
+    from workloads import feeder_instance, feeder_loads
+    inst = feeder_instance(seed)
+    loads = feeder_loads(inst, seed)
+    windows = partition(96, 8).windows
+    k = len(coupling_slots(inst))
+    return {
+        "full": assemble(inst, loads),
+        "seamed": build_seamed(inst, loads, windows).model,
+        "stage": assemble(inst, loads, window=windows[0]),
+        "pinned": assemble(inst, loads, window=windows[3], own_builds=False,
+                           boundary=np.linspace(0.0, 0.5, k)),
+        "priced": assemble(inst, loads, window=windows[5], own_builds=False,
+                           duals_in=np.linspace(-2.0, 3.0, k)),
+    }
+
+
+def matrix_digest(a):
+    h = hashlib.sha256()
+    for arr in (a.indptr, a.indices):
+        h.update(np.asarray(arr, dtype=np.int64).tobytes())
+    h.update(np.asarray(a.data, dtype=np.float64).tobytes())
+    return h.hexdigest()[:32]
+
+
+# the constraint matrices of the builder that made them from (row,
+# column, coefficient) entries by one COO-to-CSR construction; a pinned
+# and a priced stage share theirs
+FEEDER_MATRICES = {
+    0: {"full": "28bd427c90ab826719fac928744172cc",
+        "seamed": "e975aa9234575db289f9ab07c730040c",
+        "stage": "1b92eff7a528c50dfa8a5ee52ad00b78",
+        "pinned": "e1b4daf62e38fb54732f301ec999a8c6",
+        "priced": "e1b4daf62e38fb54732f301ec999a8c6"},
+    1: {"full": "998eba1dc86e7c1d796d2f422d68ef65",
+        "seamed": "ca6c594eb523418bf62f2e79c05b3078",
+        "stage": "9c27f33f5dcf3e2f661895b8103b0809",
+        "pinned": "02f3805c7603da352f7ca6678a47e6d1",
+        "priced": "02f3805c7603da352f7ca6678a47e6d1"},
+    2: {"full": "20e8f8c781b8a0130eed3cfc0a50ddd1",
+        "seamed": "39b7d132bffb522a5dfa9336068492f3",
+        "stage": "75cd31ca0a9c2873fbdd00429f7ccf4f",
+        "pinned": "fcb9418bfa515bb8343e7e9f650bd3df",
+        "priced": "fcb9418bfa515bb8343e7e9f650bd3df"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FEEDER_MATRICES))
+def test_feeder_matrices_equal_the_coo_construction(seed, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "bench"))
+    models = feeder_models(seed)
+    assert {kind: matrix_digest(m.a) for kind, m in models.items()} \
+        == FEEDER_MATRICES[seed]
+    for model in models.values():
+        assert_canonical_csr(model)
 
 
 def seamed_five_bus():

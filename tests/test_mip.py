@@ -394,6 +394,32 @@ def test_node_that_stops_short_is_polished(monkeypatch):
     assert [s.status for s in res.stage_stats] == ["optimal-within-gap"] * 3
 
 
+@pytest.mark.parametrize("short, polishes", [(1e-6, 0), (1e-2, 1)],
+                         ids=["within-gap", "outside-gap"])
+def test_node_polished_only_outside_its_gap(two_step, monkeypatch, short,
+                                            polishes):
+    # an interior point that stops short is polished only where its own
+    # gap, from its point's objective down to its bound, exceeds gap_tol
+    interior, polish_from = QpWorkspace.interior, QpWorkspace.polish_from
+    starts = []
+
+    def stopped(self):
+        sol = interior(self)
+        return replace(sol, status="iteration-limit", bound=sol.objective
+                       - short * max(abs(sol.objective), 1.0))
+
+    def counted(self, start):
+        starts.append(start)
+        return polish_from(self, start)
+
+    monkeypatch.setattr(QpWorkspace, "interior", stopped)
+    monkeypatch.setattr(QpWorkspace, "polish_from", counted)
+    sol = _NodeSolver(two_step).relax((), gap_tol=1e-4)
+    assert len(starts) == polishes
+    if not polishes:
+        assert sol.status == "iteration-limit"
+
+
 def test_fractional_picks_the_farthest_binary_lowest_on_ties(two_step):
     solver = _NodeSolver(two_step)
     b = solver.binaries
