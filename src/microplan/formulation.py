@@ -50,7 +50,7 @@ step and its bounds, and per term, its step position or build column,
 its step lag and its coefficient.  A term of lag L at step t reads step
 ``t - L``, or, before the window has L steps behind it, the column
 importing the state of ``L - t`` steps before the window start.  So a
-window is written as arrays over its steps in one pass, whatever its
+window is expanded as arrays over its steps in one pass, whatever its
 length, and the boundary's import and hand-on columns are read by the
 same rule.
 
@@ -58,13 +58,26 @@ The model's constraint matrix is written in CSR form from the start.
 Each row lists its columns in increasing order, and in a block of
 owners whose rows hold as many entries, a row's first entry and each
 entry's column move by a fixed amount a step (but for the window's
-first steps, where a term reads imported state).  So each window
-writes every block's entries as one array over (owner, step, entry),
-straight into CSR arrays sized for the whole model.  The matrix stays
-in that form from the builder to the engine (the approach of Hofmann,
-"Linopy: Linear optimization with n-dimensional labeled variables",
-JOSS 2023): ``to_convex`` hands it on as it is, and ``row_coefs``
-reads one row's ``{col: coef}`` from it when asked.
+first steps, where a term reads imported state).  So a window's every
+block expands into one array over (owner, step, entry) in CSR order.
+
+Two windows of one shape ``(steps, owned, pinned)`` (as long, both
+owning the build decisions or both importing them, and both followed
+by boundary pins or neither) write the same entries, counted from
+their first column, row, entry and ball.  So the blocks are expanded
+once per shape, at offset 0, into a read-only template kept by the
+layout for as long as it lives; it holds the window's column data, row
+bounds, CSR arrays, balls, binaries, block starts and slot columns,
+and the pin rows of a builder's first window.  Every window is then
+written as offset copies of its shape's template, straight into CSR
+arrays sized for the whole model, and only what its data sets is its
+own: the balance rows' bounds and the shed columns' upper bounds from
+its loads, the pin bounds from the boundary, and the labels of its
+steps.  The matrix stays in that form from the builder to the engine
+(the approach of Hofmann, "Linopy: Linear optimization with
+n-dimensional labeled variables", JOSS 2023): ``to_convex`` hands it on
+as it is, and ``row_coefs`` reads one row's ``{col: coef}`` from it
+when asked.
 
 A built model holds no Python object per column, row or ball either.
 It keeps the layout, a ``(first, start, end, owned)`` tuple per window
@@ -105,8 +118,8 @@ INIT_KINDS = {
 # the step column kind whose state each imported state kind carries
 _STATE_KINDS = {"sc": "sc_b", "x": "x_d", "p": "p_d", "y": "y_d", "w": "w_d"}
 
-# the column grid's entry where a step position imports no state; it
-# stays negative after any window offset, so it cannot pass for a column
+# the column grid's entry where a step position imports no state; it is
+# negative, so it cannot pass for a column
 _NO_IMPORT = -(1 << 62)
 
 # the largest index a constraint matrix holds in 32-bit index arrays
@@ -351,11 +364,59 @@ class _BallBlock(NamedTuple):
     owners: list
 
 
+class _Template(NamedTuple):
+    """A window of one shape, written once at offset 0: every array is
+    counted from the window's first column, row, entry and ball.
+
+    `owned` tells whether the window owns the build decisions.  `cols`
+    holds the columns' lb, ub, q and p_diag, and `binary` the binary
+    columns.  `bounds` holds the rows' lo and hi, and `indptr`,
+    `indices` and `data` their entries in CSR order (`indptr` without
+    its closing entry).  `balls` holds each ball's two columns, `radius`
+    its radius and `radius_col` its radius column, -1 at the balls
+    `constant` whose radius is a number.  `row_labels` and `ball_labels`
+    hold a ``(first, names, owners)`` triple per block: a block with
+    `names` None is labelled by its list `owners`, and the others by a
+    :class:`_Cycle` from the window's start.  `init` and `term` are the
+    columns that import and hand on each coupling slot.
+
+    What the window's data sets is left to the builder.  At each step,
+    each column of the loads (every bus's real load, then its reactive)
+    is the ub of one shed column, in `shed_cols`, and the lo and hi of
+    one balance row, in `load_rows`, both shaped (steps, 2 * buses).  In
+    a pinned window, the last rows pin the slots `pinned` to the
+    boundary.  `pins` is the pin row of each slot, None where none."""
+    owned: bool
+    cols: np.ndarray
+    binary: np.ndarray
+    bounds: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    balls: np.ndarray
+    radius: np.ndarray
+    radius_col: np.ndarray
+    constant: np.ndarray
+    row_labels: tuple
+    ball_labels: tuple
+    init: np.ndarray
+    term: np.ndarray
+    shed_cols: np.ndarray
+    load_rows: np.ndarray
+    pinned: np.ndarray
+    pins: tuple
+
+
 class _Layout:
     """The column layout of a window and the term table of its rows and
     balls, which depend on the instance and the step length alone (see
-    :class:`ModelBuilder`).  Shared by every builder of the same
-    instance, so read-only."""
+    :class:`ModelBuilder`), and one :class:`_Template` per window shape
+    ``(steps, owned, pinned)``: its length, whether it owns the build
+    decisions, and whether it is a builder's first window, followed by
+    its boundary pins.  :meth:`template` makes a shape's template on
+    first use (:meth:`_expand`), and keeps it as long as the layout.
+    Shared by every builder of the same instance, so read-only, the
+    templates too."""
 
     def __init__(self, instance: NetworkInstance, dt: float):
         self.instance = instance
@@ -370,11 +431,23 @@ class _Layout:
         self._lay_out_slots()
         for arr in (self.start_boundary, self.step_data, self.step_binary,
                     self.fixed_binary, self.imports, *self.fixed_data.values(),
-                    self.slot_init, self.slot_term, self.slot_built,
+                    self.shed_pos, self.slot_init, self.slot_term,
+                    self.slot_built,
                     *(arr for block in self.row_blocks + self.ball_blocks
                       for arr in block)):
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
+        self.templates = {}          # (steps, owned, pinned) -> _Template
+
+    def template(self, steps, owned, pinned) -> _Template:
+        """The template of a window of `steps` steps that owns the build
+        decisions if `owned`, and is followed by its boundary pins if
+        `pinned`."""
+        key = (steps, owned, pinned)
+        template = self.templates.get(key)
+        if template is None:
+            template = self.templates[key] = self._expand(*key)
+        return template
 
     def _lay_out_fixed(self):
         """The fixed columns of a window, keyed (kind, owner, lag): the
@@ -475,8 +548,9 @@ class _Layout:
         self.step_data = np.array([lb, ub, cost, quad], dtype=float)
         self.step_binary = np.flatnonzero(binary)
         # in the column order of the loads: every bus's real, then reactive
-        self.shed_pos = [self.step_pos[(kind, bus.id)]
-                         for kind in ("shed_p", "shed_q") for bus in inst.buses]
+        self.shed_pos = np.array([self.step_pos[(kind, bus.id)]
+                                  for kind in ("shed_p", "shed_q")
+                                  for bus in inst.buses], dtype=np.int64)
 
     def _lay_out_imports(self):
         """The column grid of a window (:meth:`grid`) has ``lags + steps``
@@ -495,15 +569,14 @@ class _Layout:
                         self.step_pos[(_STATE_KINDS[kind], owner)]] = i
         self.imports = imports
 
-    def grid(self, steps, first):
-        """The column grid, flat, of a window of `steps` steps whose
-        first column is `first`."""
+    def grid(self, steps):
+        """The column grid, flat, of a window of `steps` steps, counted
+        from its first column."""
         lags, fixed, size = self.lags, self.fixed, len(self.step_kinds)
         grid = np.empty((lags + steps, self.width), dtype=np.int64)
-        grid[:, :fixed] = np.arange(first, first + fixed)
-        grid[:lags, fixed:] = first + self.imports
-        grid[lags:, fixed:] = np.arange(first + fixed,
-                                        first + fixed + steps * size
+        grid[:, :fixed] = np.arange(fixed)
+        grid[:lags, fixed:] = self.imports
+        grid[lags:, fixed:] = np.arange(fixed, fixed + steps * size
                                         ).reshape(steps, size)
         return grid.ravel()
 
@@ -679,7 +752,7 @@ class _Layout:
         # window's first column, and the entries at steps 0 to lags in
         # CSR order: row by row, and by column within a row
         t = np.arange(self.lags + 2)
-        cols = self.grid(t.size, 0)[off[:, None, :] + self.width * t[:, None]]
+        cols = self.grid(t.size)[off[:, None, :] + self.width * t[:, None]]
         slope = cols[:, -1] - cols[:, -2]
         order = np.lexsort((cols[:, :-1], np.broadcast_to(
             fam[:, None, :], cols[:, :-1].shape)))
@@ -687,8 +760,8 @@ class _Layout:
         at_coef = coef[np.arange(len(groups))[:, None, None], order]
         slope = np.take_along_axis(slope, order[:, -1], axis=-1)[:, None, :]
         col = at_col[:, -1:] - slope * self.lags
-        # offsets within a window, held as 32-bit integers: a window of
-        # a model with 32-bit indices is then written without a cast
+        # offsets within a window, held as 32-bit integers: a template
+        # with 32-bit indices is then written without a cast
         lead, col, slope, early_col = (
             arr.astype(np.int32)
             for arr in (lead.reshape(shape), col, slope, at_col[:, :-1]))
@@ -750,6 +823,108 @@ class _Layout:
         self.slot_built = np.array([slot.kind in BUILD_KINDS
                                     for slot in self.slots], dtype=bool)
 
+    def _expand(self, steps, owned, pinned) -> _Template:
+        """Every column, row and ball of a window of shape ``(steps,
+        owned, pinned)`` at offset 0, each block broadcast over the
+        window's steps (:class:`_RowBlock`, :class:`_BallBlock`), and the
+        columns that import and hand on each coupling slot, read from
+        the window's column grid (:meth:`grid`)."""
+        fixed, size = self.fixed, len(self.step_kinds)
+        # the slots pinned after the window: all but the builds it owns
+        pinned = np.flatnonzero(~self.slot_built | (not owned)) if pinned \
+            else np.empty(0, dtype=np.int64)
+        n = fixed + size * steps
+        m = self.rows[0] * steps + self.rows[1] + pinned.size
+        nnz = self.terms[0] * steps + self.terms[1] + pinned.size
+        k = self.balls_per_step * steps
+        index = np.int32 if max(m, n, nnz) <= _INT32_MAX else np.int64
+
+        cols = np.empty((4, n))
+        cols[:, :fixed] = self.fixed_data[owned]
+        cols[:, fixed:].reshape(4, steps, size)[...] = self.step_data[:, None]
+        at_step = fixed + size * np.arange(steps)[:, None]
+        binary = [(self.step_binary + at_step).ravel()]
+        if owned:
+            binary.append(self.fixed_binary)
+
+        # each block's rows, their bounds and their entries, in CSR order
+        bounds = np.empty((2, m))
+        indptr = np.empty(m, dtype=index)
+        indices = np.empty(nnz, dtype=index)
+        data = np.empty(nnz)
+        t = np.arange(steps, dtype=index)[:, None]
+        row_labels = []
+        # the balance row each column of the loads bounds at each step
+        load_rows = np.empty((steps, self.shed_pos.size), dtype=np.int64)
+        for block in self.row_blocks:
+            groups, _, width = block.lead.shape
+            terms = block.coef.shape[-1]
+            reps = 1 if block.names is None else steps
+            row = block.per_step * steps + block.once
+            entry = block.step_terms * steps + block.once_terms
+            end_row = row + groups * reps * width
+            end_entry = entry + groups * reps * terms
+            bounds[:, row:end_row].reshape(2, groups, reps, width)[...] = \
+                block.bounds
+            load_rows[:, block.load_cols] = \
+                row + width * np.arange(reps)[:, None] + block.loaded
+            # group g's rows at step t start `lead` after the block's
+            # entry (g * reps + t) * terms
+            np.add(block.lead, np.arange(entry, end_entry, terms, dtype=index
+                                         ).reshape(groups, reps, 1),
+                   out=indptr[row:end_row].reshape(groups, reps, width))
+            at = indices[entry:end_entry].reshape(groups, reps, terms)
+            np.multiply(block.slope, t[:reps], out=at)
+            at += block.col
+            coefs = data[entry:end_entry].reshape(groups, reps, terms)
+            coefs[...] = block.coef
+            early = min(reps, self.lags)
+            at[:, :early] = block.early_col[:, :early]
+            coefs[:, :early] = block.early_coef[:, :early]
+            row_labels.append((row, block.names, block.owners))
+
+        ahead = self.width * np.arange(steps)    # grid offset of each step
+        grid = self.grid(steps)
+        balls = np.empty((k, 2), dtype=np.int64)
+        radius = np.empty(k)
+        radius_col = np.empty(k, dtype=np.int64)
+        ball_labels = []
+        for block in self.ball_blocks:
+            groups, _, width = block.radius.shape
+            ball = block.per_step * steps
+            span = slice(ball, ball + groups * steps * width)
+            balls[span] = grid[block.off + ahead[:, None, None]].reshape(-1, 2)
+            radius[span].reshape(groups, steps, width)[...] = block.radius
+            radius_col[span].reshape(groups, steps, width)[...] = \
+                block.radius_col
+            ball_labels.append((ball, block.names, block.owners))
+        init, term = grid[self.slot_init], grid[self.slot_term + ahead[-1]]
+
+        # equality rows fixing the imported state, last; their duals are
+        # the boundary prices
+        row = m - pinned.size
+        bounds[:, row:] = self.start_boundary[pinned]
+        indptr[row:] = np.arange(nnz - pinned.size, nnz)
+        indices[nnz - pinned.size:] = init[pinned]
+        data[nnz - pinned.size:] = 1.0
+        pins = [None] * len(self.slots)
+        for i, r in zip(pinned.tolist(), range(row, m)):
+            pins[i] = r
+        if pinned.size:
+            row_labels.append((row, None, [
+                ("couple", self.slots[i].kind, self.slots[i].owner,
+                 self.slots[i].hist) for i in pinned.tolist()]))
+
+        template = _Template(
+            owned, cols, np.concatenate(binary), bounds, indptr, indices,
+            data, balls, radius, radius_col, np.flatnonzero(radius_col < 0),
+            tuple(row_labels), tuple(ball_labels), init, term,
+            self.shed_pos + at_step, load_rows, pinned, tuple(pins))
+        for arr in template:
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        return template
+
 
 @lru_cache(maxsize=8)
 def _layout(instance: NetworkInstance, dt: float) -> _Layout:
@@ -780,14 +955,13 @@ class ModelBuilder:
     importing the state of ``L - t`` steps before the window start; a
     block holds the entries of those first steps as they are.  Each row
     lists its columns in increasing order, so a block's row starts,
-    bounds and entries are arrays over (owner, step, ...) in CSR order,
-    and :meth:`_window` writes each by broadcasting over the window's
-    steps, straight into the model's CSR and bound arrays; it writes
-    the balls into the model's ball arrays the same way.  It reads the
-    columns that import and hand on each coupling slot from the
-    window's column grid (:meth:`_Layout.grid`).  :meth:`finish` wraps
-    the arrays as they are: the rows need no sort and the windows no
-    concatenation.
+    bounds and entries are arrays over (owner, step, ...) in CSR order.
+
+    Windows.  :meth:`_window` writes every window as offset copies of
+    its shape's :class:`_Template` (module docstring, "Block layout"),
+    in the model's own index type, then what the window's loads,
+    boundary and start set.  :meth:`finish` wraps the arrays as they
+    are: the rows need no sort and the windows no concatenation.
 
     Names.  Each window leaves a ``(first, start, end, owned)`` tuple,
     each row or ball block a ``(first, labels)`` pair (labels that repeat
@@ -807,20 +981,18 @@ class ModelBuilder:
                     f"window [{start}, {end}) outside the load horizon "
                     f"{loads.horizon}")
         self.loads = loads
-        self.own_builds = own_builds
         self.layout = lay = _layout(instance, loads.dt)
         # every bus's real load, then its reactive
         self.demand = np.concatenate([loads.p, loads.q], axis=1)
-        # the first window pins every slot but the builds it owns
-        self.pinned = np.flatnonzero(~lay.slot_built | (not own_builds))
-        count = len(self.windows)
-        steps = sum(end - start for start, end in self.windows)
-        seams = len(lay.slots) * (count - 1)
-        n = lay.fixed * count + len(lay.step_kinds) * steps
-        m = lay.rows[0] * steps + lay.rows[1] * count + self.pinned.size + seams
-        nnz = lay.terms[0] * steps + lay.terms[1] * count \
-            + self.pinned.size + 2 * seams
-        k = lay.balls_per_step * steps
+        # the first window pins the state it imports to the boundary
+        self.templates = [lay.template(end - start, own_builds and w == 0,
+                                       w == 0)
+                          for w, (start, end) in enumerate(self.windows)]
+        seams = len(lay.slots) * (len(self.windows) - 1)
+        n = sum(t.cols.shape[1] for t in self.templates)
+        m = sum(t.bounds.shape[1] for t in self.templates) + seams
+        nnz = sum(t.data.size for t in self.templates) + 2 * seams
+        k = sum(t.radius.size for t in self.templates)
         index = np.int32 if max(m, n, nnz) <= _INT32_MAX else np.int64
         self.col_data = np.empty((4, n))     # rows lb, ub, q, p_diag
         self.binary_cols = []                # binary column indices per window
@@ -836,88 +1008,46 @@ class ModelBuilder:
         self.row_blocks = []         # (first row, labels) per row block
         self.cone_blocks = []        # (first ball, labels) per ball block
 
-    def _window(self, start, end, owned):
-        """Every column, row and ball of window ``[start, end)``, and the
+    def _window(self, start, end, template, boundary):
+        """Every column, row and ball of window ``[start, end)``, its
+        state pinned to `boundary` if its `template` pins it, and the
         columns that import each coupling slot at its start and hand it
         on at its end."""
-        lay = self.layout
+        tm = template
         steps = end - start
         first, m, at, k = self.n, self.m, self.nnz, self.k
-        self._columns(start, end, owned)
-        ahead = lay.width * np.arange(steps)     # grid offset of each step
-        grid = lay.grid(steps, first)
-
-        # each block's rows, their bounds and their entries, in CSR order;
-        # index arithmetic in the matrix's own index type
+        self.n, self.m = first + tm.cols.shape[1], m + tm.bounds.shape[1]
+        self.nnz, self.k = at + tm.data.size, k + tm.radius.size
+        self.col_blocks.append((first, int(start), int(end), tm.owned))
+        # the template's arrays moved to the window's first column, row,
+        # entry and ball; index arithmetic in the matrix's own index type
         index = self.indices.dtype.type
-        t = np.arange(steps, dtype=index)[:, None]
-        for block in lay.row_blocks:
-            groups, _, width = block.lead.shape
-            size = block.coef.shape[-1]
-            reps = 1 if block.names is None else steps
-            row = m + block.per_step * steps + block.once
-            entry = at + block.step_terms * steps + block.once_terms
-            end_row = row + groups * reps * width
-            end_entry = entry + groups * reps * size
-            bounds = self.row_bounds[:, row:end_row].reshape(
-                2, groups, reps, width)
-            bounds[...] = block.bounds
-            if block.loaded.size:
-                bounds[:, 0][..., block.loaded] = \
-                    self.demand[start:end, block.load_cols]
-            # group g's rows at step t start `lead` after the block's
-            # entry (g * reps + t) * size
-            np.add(block.lead, np.arange(entry, end_entry, size, dtype=index
-                                         ).reshape(groups, reps, 1),
-                   out=self.indptr[row:end_row].reshape(groups, reps, width))
-            cols = self.indices[entry:end_entry].reshape(groups, reps, size)
-            np.multiply(block.slope, t[:reps], out=cols)
-            cols += block.col + index(first)
-            coefs = self.data[entry:end_entry].reshape(groups, reps, size)
-            coefs[...] = block.coef
-            early = min(reps, lay.lags)
-            cols[:, :early] = block.early_col[:, :early] + index(first)
-            coefs[:, :early] = block.early_coef[:, :early]
-            labels = block.owners if block.names is None \
-                else _Cycle(block.names, block.owners, start, steps)
-            self.row_blocks.append((row, labels))
-        self.m += lay.rows[0] * steps + lay.rows[1]
-        self.nnz += lay.terms[0] * steps + lay.terms[1]
-
-        for block in lay.ball_blocks:
-            groups, _, width = block.radius.shape
-            ball = k + block.per_step * steps
-            span = slice(ball, ball + groups * steps * width)
-            self.balls[span] = grid[block.off
-                                    + ahead[:, None, None]].reshape(-1, 2)
-            self.radius[span].reshape(groups, steps, width)[...] = \
-                block.radius
-            self.radius_col[span].reshape(groups, steps, width)[...] = \
-                np.where(block.radius_col < 0, -1, first + block.radius_col)
-            self.cone_blocks.append((ball, _Cycle(
-                block.names, block.owners, start, steps)))
-        self.k += lay.balls_per_step * steps
-        return grid[lay.slot_init], grid[lay.slot_term + ahead[-1]]
-
-    def _columns(self, start, end, owned):
-        """The columns of window ``[start, end)``: their bounds, costs and
-        binaries."""
-        lay = self.layout
-        steps = end - start
-        first, fixed = self.n, lay.fixed
-        width = len(lay.step_kinds)
-        self.col_blocks.append((first, int(start), int(end), owned))
-        self.n += fixed + width * steps
-        data = self.col_data[:, first:self.n]
-        data[:, :fixed] = lay.fixed_data[owned]
-        step = data[:, fixed:].reshape(4, steps, width)
-        step[...] = lay.step_data[:, None]
-        shed = self.demand[start:end]
-        step[1][:, lay.shed_pos] = np.where(shed < 0.0, 0.0, shed)
-        step_binary = lay.step_binary + width * np.arange(steps)[:, None]
-        self.binary_cols.append(first + fixed + step_binary.ravel())
-        if owned:
-            self.binary_cols.append(first + lay.fixed_binary)
+        cols = self.col_data[:, first:self.n]
+        cols[...] = tm.cols
+        loads = self.demand[start:end]
+        cols[1][tm.shed_cols] = np.where(loads < 0.0, 0.0, loads)
+        self.binary_cols.append(tm.binary + first)
+        bounds = self.row_bounds[:, m:self.m]
+        bounds[...] = tm.bounds
+        for side in bounds:
+            side[tm.load_rows] = loads
+        if tm.pinned.size:
+            bounds[:, -tm.pinned.size:] = boundary[tm.pinned]
+        np.add(tm.indptr, index(at), out=self.indptr[m:self.m])
+        np.add(tm.indices, index(first), out=self.indices[at:self.nnz])
+        self.data[at:self.nnz] = tm.data
+        self.row_blocks += [
+            (m + row, owners if names is None
+             else _Cycle(names, owners, start, steps))
+            for row, names, owners in tm.row_labels]
+        np.add(tm.balls, first, out=self.balls[k:self.k])
+        self.radius[k:self.k] = tm.radius
+        radius_col = self.radius_col[k:self.k]
+        np.add(tm.radius_col, first, out=radius_col)
+        radius_col[tm.constant] = -1
+        self.cone_blocks += [(k + ball, _Cycle(names, owners, start, steps))
+                             for ball, names, owners in tm.ball_labels]
+        return tm.init + first, tm.term + first
 
     def _row_block(self, labels, lo, hi, cols, coefs):
         """Append one row per label with its bounds (numbers or one value
@@ -959,21 +1089,9 @@ class ModelBuilder:
             if not np.isfinite(duals_in).all():
                 raise FormulationError("price vector must be finite")
 
-        ends = []                    # (init, terminal) columns per window
-        for w, (start, end) in enumerate(self.windows):
-            ends.append(self._window(start, end, self.own_builds and w == 0))
-            if w == 0:
-                # equality rows fixing the imported state; their duals
-                # are the boundary prices
-                pinned = self.pinned
-                rows = self._row_block(
-                    [("couple", slots[i].kind, slots[i].owner, slots[i].hist)
-                     for i in pinned.tolist()],
-                    boundary[pinned], boundary[pinned],
-                    ends[0][0][pinned, None], 1.0)
-                pins = [None] * len(slots)
-                for i, row in zip(pinned.tolist(), rows):
-                    pins[i] = row
+        ends = [self._window(start, end, template, boundary)
+                for (start, end), template in zip(self.windows,
+                                                   self.templates)]
         # later windows are sewn to their predecessor's terminal state,
         # whose columns come first
         self.seam_rows = tuple(tuple(self._row_block(
@@ -995,7 +1113,8 @@ class ModelBuilder:
             binaries=frozenset(np.concatenate(self.binary_cols).tolist()),
             coupling=CouplingMeta(slots=slots,
                                   terminal_cols=tuple(terminal.tolist()),
-                                  init_pin_rows=tuple(pins)),
+                                  # the first window's pins, at its row 0
+                                  init_pin_rows=self.templates[0].pins),
             window=(self.windows[0][0], self.windows[-1][1]),
             dt=self.loads.dt, layout=lay, col_blocks=tuple(self.col_blocks),
             row_blocks=tuple(self.row_blocks),

@@ -27,6 +27,7 @@ import csv
 import json
 import logging
 import math
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -174,6 +175,10 @@ class NetworkInstance:
     slack_bus: str = ""
     grid_connected: bool = False
     name: str = "instance"
+    # the hash of the fields above, taken once: a model build looks its
+    # layout up by the instance, and hashing it field by field each time
+    # walks every bus, line and candidate
+    _hash: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("buses", "lines", "battery_specs", "generator_specs"):
@@ -207,6 +212,18 @@ class NetworkInstance:
         comps, _ = _union_find(self)
         if len(comps) > 1:
             raise InstanceError(f"graph is disconnected: components {comps}", self.name)
+        object.__setattr__(self, "_hash", hash(tuple(
+            getattr(self, f.name) for f in dataclasses.fields(self)
+            if f.compare)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its fields, so that a copy in another process
+        # hashes by that process's string hashes
+        return type(self), tuple(getattr(self, f.name)
+                                 for f in dataclasses.fields(self) if f.init)
 
     def bus_index(self):
         return {b.id: i for i, b in enumerate(self.buses)}

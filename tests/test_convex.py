@@ -164,6 +164,35 @@ class TestValidation:
             with pytest.raises(EngineError, match=match):
                 build()
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("a", [[1.0, 1.0, 0.0]], "A has 3 columns, expected 2"),
+        ("p_diag", [1.0], "p_diag shape mismatch"),
+        ("p_diag", [[1.0, 1.0]], "p_diag shape mismatch"),
+        ("l", [-1.0, -1.0], "row bound shape mismatch"),
+        ("u", [], "row bound shape mismatch"),
+        ("lb", [-2.0], "variable bound shape mismatch"),
+        ("ub", [2.0, 2.0, 2.0], "variable bound shape mismatch"),
+        ("cones", [ConeRow(())], "cone 0 has no columns"),
+        ("cones", Cones([], [], [1.0], [-1]), "cone 0 has no columns"),
+    ])
+    def test_malformed_program_rejected(self, name, value, message):
+        data = dict(p_diag=[1.0, 1.0], q=[-1.0, 0.5], a=[[1.0, 1.0]],
+                    l=[-1.0], u=[1.0], lb=[-2.0, -2.0], ub=[2.0, 2.0],
+                    cones=[ConeRow((0, 1), radius=3.0)])
+        data[name] = value
+        with pytest.raises(EngineError) as info:
+            ConvexProgram(**data)
+        assert str(info.value) == message
+
+    def test_program_without_rows_is_a_box_qp(self):
+        prog = ConvexProgram([1.0, 1.0], [-1.0, 0.5], None, [], [],
+                             lb=[-2.0, 0.0], ub=[0.5, 2.0])
+        assert prog.m == 0 and prog.a.shape == (0, 2)
+        sol = solve_qcqp(prog)
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.x, [0.5, 0.0], atol=1e-7)
+        assert sol.objective == pytest.approx(-0.375, abs=1e-9)
+
     def test_bad_cone_rejected(self):
         with pytest.raises(EngineError, match="cone 0"):
             make_prog([1.0, 1.0], [0.0, 0.0],

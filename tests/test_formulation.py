@@ -1489,6 +1489,69 @@ def test_feeder_matrices_equal_the_coo_construction(seed, monkeypatch):
         assert_canonical_csr(model)
 
 
+def assert_same_model(got, want):
+    """Every array with its dtype, the binaries, the coupling and every
+    column, row and ball label of `got` equal `want`'s."""
+    for name in ("p_diag", "q", "row_lo", "row_hi", "lb", "ub"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.a, name), getattr(want.a, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("cols", "owner", "radius", "radius_col"):
+        a, b = getattr(got.cones, name), getattr(want.cones, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (got.n, got.const, got.a.shape, got.window, got.dt) \
+        == (want.n, want.const, want.a.shape, want.window, want.dt)
+    assert got.binaries == want.binaries
+    assert got.coupling == want.coupling
+    assert got.col_blocks == want.col_blocks
+    assert col_keys(got) == col_keys(want)
+    assert row_labels(got) == row_labels(want)
+    assert cone_labels(got) == cone_labels(want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_templates_write_the_models_they_were_made_for(seed, monkeypatch):
+    # each window is copied from the template of its shape; a model made
+    # with every template made afresh equals one from kept templates
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "bench"))
+    from workloads import feeder_instance, feeder_loads
+    inst = feeder_instance(seed)
+    loads = feeder_loads(inst, seed)
+    windows = partition(96, 8).windows
+    k = len(coupling_slots(inst))
+    builds = [lambda: build_seamed(inst, loads, windows).model]
+    for s, w in enumerate(windows):
+        builds.append(lambda s=s, w=w: assemble(
+            inst, loads, window=w, own_builds=(s == 0),
+            boundary=np.linspace(0.0, 0.5, k) if s % 2 else None,
+            duals_in=np.linspace(-2.0, 3.0, k) if s < len(windows) - 1
+            else None))
+    lay = formulation._layout(inst, loads.dt)
+    cold = []
+    for build in builds:
+        lay.templates.clear()
+        cold.append(build())
+    for build in reversed(builds):     # each shape's template made once
+        build()
+    warm = [build() for build in builds]
+    for got, want in zip(warm, cold):
+        assert_same_model(got, want)
+    # one template per shape: the seam-joined model's first and later
+    # windows, and a later stage's, which is pinned
+    assert sorted(lay.templates) == [(12, False, False), (12, False, True),
+                                     (12, True, True)]
+    template = lay.template(12, False, True)
+    assert lay.template(12, False, True) is template
+    for arr in template:
+        if isinstance(arr, np.ndarray):
+            assert not arr.flags.writeable
+    # a model's arrays are its own, not the template's
+    assert not np.shares_memory(warm[2].a.data, template.data)
+
+
 def seamed_five_bus():
     inst, loads, windows = five_bus_case()
     return build_seamed(inst, loads, windows).model

@@ -1,8 +1,10 @@
 """Instance parsing, validation, and synthetic load generation."""
 
 import csv
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +14,11 @@ import pytest
 
 import microplan
 
+from microplan import formulation
 from microplan.instance import (
-    Bus, Line, BatterySpec, GeneratorSpec, NetworkInstance, InstanceError,
-    RadialReport, parse_instance, write_instance, parse_loads, write_loads,
-    synth_load, validate_radial,
+    Bus, Line, BatterySpec, GeneratorSpec, LoadProfile, NetworkInstance,
+    InstanceError, RadialReport, parse_instance, write_instance, parse_loads,
+    write_loads, synth_load, validate_radial,
 )
 
 
@@ -85,6 +88,104 @@ class TestConstruction:
     def test_history_depth(self):
         gen = two_bus().generator_specs[0]
         assert gen.history_depth == 2
+
+    def test_hash_taken_once_and_one_layout(self, tmp_path):
+        # a copy and a file round trip are equal instances: they hash
+        # alike and share one model layout
+        inst = two_bus(name="h")
+        copy = dataclasses.replace(inst)
+        write_instance(inst, tmp_path / "h")
+        back = parse_instance(tmp_path / "h")
+        assert copy == inst == back
+        assert hash(copy) == hash(inst) == hash(back)
+        assert "_hash" not in repr(inst)
+        assert dataclasses.replace(inst, name="other") != inst
+        layout = formulation._layout(inst, inst.dt)
+        assert formulation._layout(copy, inst.dt) is layout
+        assert formulation._layout(back, inst.dt) is layout
+
+        def unhashable(bus):
+            raise AssertionError(f"bus {bus.id} hashed again")
+
+        # taken at construction: hashing the instance walks no bus
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Bus, "__hash__", unhashable)
+            assert hash(back) == hash(inst)
+
+    def test_copy_in_another_process_hashes_there(self, tmp_path):
+        # the stored hash is of one process's string hashes; a copy
+        # unpickled under another hash seed takes that process's hash
+        path = os.pathsep.join([str(Path(__file__).parent),
+                                str(Path(microplan.__file__).parents[1])])
+        dump = ("import pickle, sys; from test_instance import two_bus; "
+                "open(sys.argv[1], 'wb').write(pickle.dumps(two_bus()))")
+        load = ("import pickle, sys; from test_instance import two_bus; "
+                "back = pickle.loads(open(sys.argv[1], 'rb').read()); "
+                "print(back == two_bus(), hash(back) == hash(two_bus()))")
+        out = tmp_path / "inst.pickle"
+        for seed, probe in (("1", dump), ("2", load)):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", probe, str(out)],
+                                 capture_output=True, text=True, check=True,
+                                 env=env)
+        assert run.stdout.split() == ["True", "True"]
+        assert pickle.loads(out.read_bytes()) == two_bus()
+
+
+def cost_coeffs_in_file(tmp_path):
+    """`two_bus` written to `tmp_path` with two cost coefficients for its
+    generator, and read back."""
+    out = write_instance(two_bus(), tmp_path)
+    data = json.loads(out.read_text())
+    data["generators"][0]["cost_coeffs"] = [6.0, 35.0]
+    out.write_text(json.dumps(data))
+    parse_instance(tmp_path)
+
+
+GEN = dict(fixed_cost=200.0, cost_coeffs=(6.0, 35.0, 50.0), min_up=2,
+           min_down=2, ramp_up=1.0, ramp_down=1.0, efficiency=0.5,
+           p_min=0.2, p_max=4.0)
+
+
+@pytest.mark.parametrize("make, message, location", [
+    (lambda tmp: Bus("a", 0.81, 1.21, max_batteries=-1),
+     "candidate counts must be nonnegative", "bus a"),
+    (lambda tmp: Bus("a", 0.81, 1.21, max_generators=-2),
+     "candidate counts must be nonnegative", "bus a"),
+    (lambda tmp: Line("ab", "a", "a", 0.01, 0.02, 5.0),
+     "line endpoints coincide", "line ab"),
+    (lambda tmp: BatterySpec("bat", "a", 100.0, 300.0, max_power=0.0,
+                             max_energy=4.0, eta_ch=0.8, eta_dis=0.7),
+     "max_power must be positive", "battery bat"),
+    (lambda tmp: GeneratorSpec("gen", "b", **dict(GEN, cost_coeffs=(6.0, 35.0))),
+     "cost_coeffs must be (c0, c1, c2)", "generator gen"),
+    (cost_coeffs_in_file,
+     "cost_coeffs must have three entries", "{tmp}/network.json: generator gen"),
+    (lambda tmp: GeneratorSpec("gen", "b", **dict(GEN, min_up=0)),
+     "min up/down times must be >= 1 step", "generator gen"),
+    (lambda tmp: GeneratorSpec("gen", "b", **dict(GEN, min_down=0)),
+     "min up/down times must be >= 1 step", "generator gen"),
+    (lambda tmp: two_bus(buses=(Bus("a", 0.81, 1.21), Bus("a", 0.9, 1.1))),
+     "duplicate bus ids", "instance"),
+    (lambda tmp: two_bus(slack_bus="zz"),
+     "slack bus 'zz' not in bus list", "instance"),
+    (lambda tmp: two_bus(base_mva=0.0), "base_mva must be positive",
+     "instance"),
+    (lambda tmp: LoadProfile(horizon=2, bus_ids=("a", "b"), p=np.zeros((2, 3)),
+                             q=np.zeros((2, 2)), dt=0.25),
+     "load array shape does not match horizon/buses", ""),
+    (lambda tmp: parse_loads(tmp / "loads.csv", two_bus(), 0.0),
+     "dt must be positive", "{tmp}/loads.csv"),
+    (lambda tmp: synth_load(two_bus(), days=0, dt=0.25, base=1.0),
+     "days must be >= 1", ""),
+])
+def test_input_checks(tmp_path, make, message, location):
+    location = location.format(tmp=tmp_path)
+    with pytest.raises(InstanceError) as info:
+        make(tmp_path)
+    assert info.value.location == location
+    assert str(info.value) == (f"{location}: {message}" if location
+                               else message)
 
 
 def network(bus_ids, ends):

@@ -514,3 +514,25 @@ def test_tightener_finds_the_columns_of_a_scan():
         assert tight.caps == caps, name
         assert [(jz, xs.tolist()) for jz, xs in tight.gates] == gates, name
         assert bool(caps) == bool(gates) == (name != "later stage"), name
+
+
+def test_budget_exits():
+    # the 2-bus T=4 monolith closes in 5 nodes; cut short after one, it
+    # keeps the root's rounded incumbent, and with no time at all it
+    # has none
+    inst = gen_bat_instance()
+    model = assemble(inst, flat_loads(inst, 4, p=0.4, q=0.1))
+    full = solve_miqcqp(model)
+    assert full.status == "optimal-within-gap" and full.nodes == 5
+    assert full.objective == pytest.approx(223.6931687685298, rel=1e-9)
+
+    one = solve_miqcqp(model, node_limit=1)
+    assert one.status == "feasible" and one.nodes == 1
+    assert one.best_bound == pytest.approx(164.924225, rel=1e-8)
+    assert one.best_bound <= full.objective <= one.objective
+    assert one.gap > 1e-4 and one.x is not None and one.binaries
+
+    none = solve_miqcqp(model, time_limit=0)
+    assert none.status == "node-limit" and none.nodes == 0
+    assert none.x is None and none.binaries is None and none.solution is None
+    assert none.objective == np.inf and none.best_bound == -np.inf

@@ -21,9 +21,9 @@ from microplan.decomposition import (
 )
 from microplan.formulation import (
     BUILD_KINDS, FormulationError, assemble, check_feasibility,
-    coupling_slots, horizon_start_boundary,
+    coupling_slots, extract_plan, horizon_start_boundary, plan_costs,
 )
-from microplan.mip import solve_miqcqp
+from microplan.mip import MipResult, solve_miqcqp
 
 from test_formulation import flat_loads, gen_bat_instance
 
@@ -333,3 +333,42 @@ def test_receding_horizon_survives_a_failed_bound(pair, monkeypatch, caplog):
     with pytest.raises(DecompositionError,
                        match=r"monolithic relaxation ended iteration-limit"):
         mpc_solve(inst, loads, plan, mode="dual-init")
+
+
+def test_grid_import_is_checked_at_the_slack_bus(inst, loads4):
+    grid = dataclasses.replace(inst, grid_connected=True)
+    model = assemble(grid, loads4)
+    plan = extract_plan(model, solve_miqcqp(model).x)
+    # the grid is free: it serves the whole load at the slack bus b1
+    assert plan_costs(grid, plan).total == 0.0
+    np.testing.assert_allclose(plan.series[("grid_p", "b1")], 0.4, atol=1e-6)
+    np.testing.assert_allclose(plan.series[("grid_q", "b1")], 0.1, atol=1e-6)
+    assert check_feasibility(grid, loads4, plan).ok
+
+    plan.series[("grid_p", "b1")][2] += 0.1
+    report = check_feasibility(grid, loads4, plan)
+    assert [v[:3] for v in report.violations] == [("balance_p", "b1", 2)]
+    assert report.max_violation == pytest.approx(0.1, abs=1e-6)
+
+
+def test_stage_search_without_an_incumbent_is_named(pair, monkeypatch):
+    # stage 1's search ends with no incumbent: the sweep cannot go on
+    inst, loads = pair
+    solve = decomposition.solve_miqcqp
+    calls = []
+
+    def no_incumbent_in_stage_1(model, **kwargs):
+        calls.append(model.window)
+        if len(calls) == 2:
+            return MipResult(status="node-limit", x=None, objective=math.inf,
+                             best_bound=-math.inf, gap=math.inf, nodes=0,
+                             binaries=None)
+        return solve(model, **kwargs)
+
+    monkeypatch.setattr(decomposition, "solve_miqcqp", no_incumbent_in_stage_1)
+    with pytest.raises(DecompositionError,
+                       match=r"^sweep 1, stage 1: stage search ended "
+                             r"node-limit$") as info:
+        rh_solve(inst, loads, partition(6, 3))
+    assert calls == [(0, 2), (2, 4)]
+    assert isinstance(info.value.__cause__, DecompositionError)
