@@ -44,40 +44,34 @@ whose first column is ``o``, column ``(kind, owner, t)`` is
     o + F + (t - start) * C + pos(kind, owner),
 
 with ``pos`` its place in the step.  The rows and balls follow a layout
-fixed by the instance too, so the layout holds one term table for all
-of them: per row (or ball) family and owner, where its row is at each
-step and its bounds, and per term, its step position or build column,
-its step lag and its coefficient.  A term of lag L at step t reads step
+fixed by the instance too, so the layout holds one term table for the
+rows and one for the balls: per row (or ball) family and owner, a
+template saying where its row is at each step, or at the first step
+only, and per term, its template, its place in the window's column
+grid and its coefficient.  A term of lag L at step t reads step
 ``t - L``, or, before the window has L steps behind it, the column
 importing the state of ``L - t`` steps before the window start.  So a
-window is expanded as arrays over its steps in one pass, whatever its
-length, and the boundary's import and hand-on columns are read by the
-same rule.
-
-The model's constraint matrix is written in CSR form from the start.
-Each row lists its columns in increasing order, and in a block of
-owners whose rows hold as many entries, a row's first entry and each
-entry's column move by a fixed amount a step (but for the window's
-first steps, where a term reads imported state).  So a window's every
-block expands into one array over (owner, step, entry) in CSR order.
+window's rows are read from the table at its steps by one gather over
+(term, step), whatever its length, and the boundary's import and
+hand-on columns are read from the same grid.
 
 Two windows of one shape ``(steps, owned, pinned)`` (as long, both
 owning the build decisions or both importing them, and both followed
 by boundary pins or neither) write the same entries, counted from
-their first column, row, entry and ball.  So the blocks are expanded
-once per shape, at offset 0, into a read-only template kept by the
-layout for as long as it lives; it holds the window's column data, row
-bounds, CSR arrays, balls, binaries, block starts and slot columns,
-and the pin rows of a builder's first window.  Every window is then
-written as offset copies of its shape's template, straight into CSR
-arrays sized for the whole model, and only what its data sets is its
-own: the balance rows' bounds and the shed columns' upper bounds from
-its loads, the pin bounds from the boundary, and the labels of its
-steps.  The matrix stays in that form from the builder to the engine
-(the approach of Hofmann, "Linopy: Linear optimization with
-n-dimensional labeled variables", JOSS 2023): ``to_convex`` hands it on
-as it is, and ``row_coefs`` reads one row's ``{col: coef}`` from it
-when asked.
+their first column, row, entry and ball.  So the tables are read once
+per shape, at offset 0, into a read-only template kept by the layout
+for as long as it lives; it holds the window's column data, row
+bounds, its rows as CSR arrays, balls, binaries, block starts and slot
+columns, and the pin rows of a builder's first window.  Every window
+is then written as offset copies of its shape's template, straight
+into CSR arrays sized for the whole model, and only what its data sets
+is its own: the balance rows' bounds and the shed columns' upper
+bounds from its loads, the pin bounds from the boundary, and the
+labels of its steps.  The matrix stays in that form from the builder
+to the engine (the approach of Hofmann, "Linopy: Linear optimization
+with n-dimensional labeled variables", JOSS 2023): ``to_convex`` hands
+it on as it is, and ``row_coefs`` reads one row's ``{col: coef}`` from
+it when asked.
 
 A built model holds no Python object per column, row or ball either.
 It keeps the layout, a ``(first, start, end, owned)`` tuple per window
@@ -94,7 +88,6 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -311,57 +304,34 @@ class MdopModel:
         return 0.5 * float(x @ (self.p_diag * x)) + float(self.q @ x) + self.const
 
 
-class _RowBlock(NamedTuple):
-    """Consecutive rows of a window from its row ``per_step * steps +
-    once``, and their entries from its entry ``step_terms * steps +
-    once_terms``: groups of families whose rows cycle through one
-    group's families at each step, group after group, or, with `names`
-    None, hold once.  Labelled by a :class:`_Cycle` of `names` and
-    `owners`, or by the list `owners` for rows once.
-
-    Every group's rows hold as many entries at each step (`size`, the
-    last axis of `coef`), so the block's entries are an array over
-    (group, step, entry) in CSR order.  Per group, shaped (groups, 1,
-    ...): `bounds` holds each family's lo and hi (led by an axis for the
-    two), `lead` the entries of the group's rows before each family's
-    row at a step, and `coef`, `col` and `slope` each entry's
-    coefficient and its column ``col + slope * t`` at step t, counted
-    from the window's first column.  Before step ``lags``, where a term
-    may read state imported from before the window start, the entries
-    at step t are `early_col` and `early_coef` at t instead, each row's
-    columns still in increasing order.  The families `loaded` of the
-    first group take their lo and hi from the loads' columns
-    `load_cols` at each step."""
-    per_step: int
-    once: int
-    step_terms: int
-    once_terms: int
-    bounds: np.ndarray
-    loaded: np.ndarray
-    load_cols: np.ndarray
-    lead: np.ndarray
-    coef: np.ndarray
-    col: np.ndarray
-    slope: np.ndarray
-    early_col: np.ndarray
-    early_coef: np.ndarray
-    names: list | None
-    owners: list
-
-
-class _BallBlock(NamedTuple):
-    """Consecutive balls of a window from its ball ``per_step * steps``,
-    which cycle as the rows of a :class:`_RowBlock` do.  Per family,
-    the grid offsets `off` of its two columns, shaped (groups, 1,
-    families per group, 2), and its `radius` or, where `radius_col` is
-    not -1, the fixed column whose value is its radius, each shaped
-    (groups, 1, families per group)."""
-    per_step: int
+class _Table(NamedTuple):
+    """Row templates and their terms.  Template r has a row at step t of
+    a window of `steps` steps, its row ``a * steps + c + s * t`` counted
+    from the window's first row, at every step if `repeats[r]` and at
+    step 0 only otherwise; `at` holds a, c and s.  Term k belongs to
+    template `row[k]`, reads its column at `off[k]` of the window's
+    column grid at step 0 (:meth:`_Layout.offset`), and has the
+    coefficient `coef[k]`.  A table of balls holds a ball per template,
+    and its two columns as its terms."""
+    at: np.ndarray
+    repeats: np.ndarray
+    row: np.ndarray
     off: np.ndarray
-    radius: np.ndarray
-    radius_col: np.ndarray
-    names: list
-    owners: list
+    coef: np.ndarray
+
+    def read(self, steps, grid, width):
+        """Each template's row at each of `steps` steps, shaped
+        (templates, steps), a row at step 0 only repeated; and each
+        term's row, column and coefficient at every step where its
+        template has a row, gathered over (term, step) from the window's
+        flat column `grid` (:meth:`_Layout.grid`, rows `width` apart)."""
+        t = np.arange(steps)
+        a, c, s = self.at
+        rows = (a * steps + c)[:, None] + s[:, None] * t
+        keep = self.repeats[self.row][:, None] | (t == 0)
+        return rows, (rows[self.row][keep],
+                      grid[self.off[:, None] + width * t][keep],
+                      np.broadcast_to(self.coef[:, None], keep.shape)[keep])
 
 
 class _Template(NamedTuple):
@@ -408,15 +378,16 @@ class _Template(NamedTuple):
 
 
 class _Layout:
-    """The column layout of a window and the term table of its rows and
-    balls, which depend on the instance and the step length alone (see
-    :class:`ModelBuilder`), and one :class:`_Template` per window shape
-    ``(steps, owned, pinned)``: its length, whether it owns the build
-    decisions, and whether it is a builder's first window, followed by
-    its boundary pins.  :meth:`template` makes a shape's template on
-    first use (:meth:`_expand`), and keeps it as long as the layout.
-    Shared by every builder of the same instance, so read-only, the
-    templates too."""
+    """The column layout of a window and the term tables of its rows and
+    balls (:class:`_Table`), which depend on the instance and the step
+    length alone (module docstring, "Block layout"), and one
+    :class:`_Template` per window shape ``(steps, owned, pinned)``: its
+    length, whether it owns the build decisions, and whether it is a
+    builder's first window, followed by its boundary pins.
+    :meth:`template` makes a shape's template on first use, the tables
+    read at the window's steps (:meth:`_expand`), and keeps it as long
+    as the layout.  Shared by every builder of the same instance, so
+    read-only, the tables and templates too."""
 
     def __init__(self, instance: NetworkInstance, dt: float):
         self.instance = instance
@@ -432,11 +403,10 @@ class _Layout:
         for arr in (self.start_boundary, self.step_data, self.step_binary,
                     self.fixed_binary, self.imports, *self.fixed_data.values(),
                     self.shed_pos, self.slot_init, self.slot_term,
-                    self.slot_built,
-                    *(arr for block in self.row_blocks + self.ball_blocks
-                      for arr in block)):
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
+                    self.slot_built, *self.row_table, self.bounds,
+                    self.loaded, *self.ball_table, self.radius,
+                    self.radius_col):
+            arr.flags.writeable = False
         self.templates = {}          # (steps, owned, pinned) -> _Template
 
     def template(self, steps, owned, pinned) -> _Template:
@@ -614,13 +584,13 @@ class _Layout:
 
     def _network(self):
         """At each step, every bus's real and reactive balance, then
-        every line's voltage drop, as one group; and per balance, its
-        place in the group and the column of the loads that bounds it."""
+        every line's voltage drop, as one group; and per column of the
+        loads, the place in the group of the balance it bounds."""
         inst = self.instance
-        rows, loads = [], []
+        rows, loaded = [], np.empty(2 * len(inst.buses), dtype=np.int64)
         for j, (bus_id, injections) in enumerate(self._injections()):
             for side, family in enumerate(("balance_p", "balance_q")):
-                loads.append((len(rows), side * len(inst.buses) + j))
+                loaded[side * len(inst.buses) + j] = len(rows)
                 rows.append((family, bus_id,
                              [(kinds[side], owner, 0, sign)
                               for *kinds, owner, sign in injections],
@@ -631,7 +601,7 @@ class _Layout:
                 ("v", line.to_bus, 0, 1.0), ("v", line.from_bus, 0, -1.0),
                 ("p_line", line.id, 0, 2.0 * line.r),
                 ("q_line", line.id, 0, 2.0 * line.x)], 0.0, 0.0))
-        return [rows], loads
+        return [rows], loaded
 
     def _resource_limits(self):
         """Per bus, at most its allowed number of batteries and of
@@ -701,106 +671,80 @@ class _Layout:
                            ("phat_b", i, 0, -1.0 / b.eta_ch)], -inf, 0.0),
         ]
 
-    def _lay_out_rows(self):
-        """The row blocks of a window (:class:`_RowBlock`), in row order:
-        the network rows at each step; the resource limits, once; then,
-        owner after owner and at each step, a generator's commitment
-        families and a battery's, consecutive owners whose rows hold as
-        many entries in one block.  `rows` and `terms` count a window's
-        rows and entries at each step and once."""
-        inst = self.instance
-        per_step = once = step_terms = once_terms = 0
-        self.row_blocks = []
-        for groups, loads, repeats in (
-                (*self._network(), True),
-                (self._resource_limits(), [], False),
-                ([self._commitment(d) for d in inst.generator_specs], [], True),
-                ([self._storage(b) for b in inst.battery_specs], [], True)):
-            for _, run in groupby(groups, key=lambda group: sum(
-                    len(family[2]) for family in group)):
-                run = list(run)
-                block = self._lay_out_block(run, loads, repeats, per_step,
-                                            once, step_terms, once_terms)
-                self.row_blocks.append(block)
-                loads = []          # they bound the first group's rows
-                rows, terms = block.bounds[0].size, block.coef.size
-                if repeats:
-                    per_step, step_terms = per_step + rows, step_terms + terms
-                else:
-                    once, once_terms = once + rows, once_terms + terms
-        self.rows = (per_step, once)
-        self.terms = (step_terms, once_terms)
+    def _lay_out(self, blocks):
+        """The :class:`_Table` of `blocks` of (groups, repeats), in order,
+        each group a list of (name, owner, terms, *values) families, as
+        many in every group of a block: group after group, a group's rows
+        (or balls) cycle through its families at each step, or, unless
+        `repeats`, hold once.  Returns the table, each template's values,
+        each block's ``(per_step, once, names, owners)`` labels, `names`
+        None for rows once, and the count of rows at each step and once."""
+        per_step = once = 0
+        templates, terms, values, labels = [], [], [], []
+        for groups, repeats in blocks:
+            if not groups:
+                continue
+            width = len(groups[0])
+            families = [f for group in groups for f in group]
+            labels.append((per_step, once, [f[0] for f in groups[0]],
+                           [f[1] for f in families]) if repeats
+                          else (per_step, once, None,
+                                [(f[0], f[1], None) for f in families]))
+            for g, group in enumerate(groups):
+                for f, (_, _, family_terms, *family_values) in enumerate(group):
+                    terms += [(len(templates), self.offset(kind, owner, lag),
+                               coef) for kind, owner, lag, coef in family_terms]
+                    templates.append((per_step + g * width, once + f, width,
+                                      True) if repeats else
+                                     (per_step, once + g * width + f, 0, False))
+                    values.append(family_values)
+            if repeats:
+                per_step += len(families)
+            else:
+                once += len(families)
+        a, c, s, repeats = zip(*templates) if templates else [()] * 4
+        row, off, coef = zip(*terms) if terms else [()] * 3
+        table = _Table(np.array([a, c, s], dtype=np.int64).reshape(3, -1),
+                       np.array(repeats, dtype=bool),
+                       np.array(row, dtype=np.int64),
+                       np.array(off, dtype=np.int64),
+                       np.array(coef, dtype=float))
+        return table, values, labels, (per_step, once)
 
-    def _lay_out_block(self, groups, loads, repeats, *starts):
-        """The :class:`_RowBlock` of `groups` of (name, owner, terms, lo,
-        hi) families, whose rows hold as many entries, from the window's
-        row and entry `starts`."""
-        families = [family for group in groups for family in group]
-        shape = (len(groups), 1, -1)
-        # each group's terms row by row: row, grid offset, coefficient
-        terms = [[(f, self.offset(kind, owner, lag), coef)
-                  for f, family in enumerate(group)
-                  for kind, owner, lag, coef in family[2]]
-                 for group in groups]
-        fam, off = (np.array([[term[i] for term in group] for group in terms],
-                             dtype=np.int64) for i in (0, 1))
-        coef = np.array([[term[2] for term in group] for group in terms])
-        lead = np.array([np.cumsum([0] + [len(family[2])
-                                          for family in group[:-1]])
-                         for group in groups], dtype=np.int64)
-        # each term's column at steps 0 to lags + 1, counted from the
-        # window's first column, and the entries at steps 0 to lags in
-        # CSR order: row by row, and by column within a row
-        t = np.arange(self.lags + 2)
-        cols = self.grid(t.size)[off[:, None, :] + self.width * t[:, None]]
-        slope = cols[:, -1] - cols[:, -2]
-        order = np.lexsort((cols[:, :-1], np.broadcast_to(
-            fam[:, None, :], cols[:, :-1].shape)))
-        at_col = np.take_along_axis(cols[:, :-1], order, axis=-1)
-        at_coef = coef[np.arange(len(groups))[:, None, None], order]
-        slope = np.take_along_axis(slope, order[:, -1], axis=-1)[:, None, :]
-        col = at_col[:, -1:] - slope * self.lags
-        # offsets within a window, held as 32-bit integers: a template
-        # with 32-bit indices is then written without a cast
-        lead, col, slope, early_col = (
-            arr.astype(np.int32)
-            for arr in (lead.reshape(shape), col, slope, at_col[:, :-1]))
-        return _RowBlock(
-            *starts, np.array([[f[3] for f in families],
-                               [f[4] for f in families]],
-                              dtype=float).reshape(2, *shape),
-            *np.array(loads, dtype=np.int64).reshape(-1, 2).T,
-            lead, at_coef[:, -1:], col, slope, early_col, at_coef[:, :-1],
-            [f[0] for f in groups[0]] if repeats else None,
-            [f[1] for f in families] if repeats
-            else [(f[0], f[1], None) for f in families])
+    def _lay_out_rows(self):
+        """The row table of a window, in row order: the network rows at
+        each step; the resource limits, once; then, owner after owner and
+        at each step, a generator's commitment families and a battery's.
+        `bounds` holds each row template's lo and hi, `loaded` the
+        template of the balance that each column of the loads bounds (the
+        network's templates come first), and `rows` counts a window's
+        rows at each step and once."""
+        inst = self.instance
+        network, self.loaded = self._network()
+        self.row_table, bounds, self.row_labels, self.rows = self._lay_out([
+            (network, True), (self._resource_limits(), False),
+            ([self._commitment(d) for d in inst.generator_specs], True),
+            ([self._storage(b) for b in inst.battery_specs], True)])
+        self.bounds = np.array(bounds, dtype=float).reshape(-1, 2).T
 
     def _lay_out_balls(self):
-        """The :class:`_BallBlock` s of a window, in ball order: at each
-        step every line's rating; then, battery after battery and at each
-        step, its power within its capacity column."""
+        """The ball table of a window, in ball order: at each step every
+        line's rating; then, battery after battery and at each step, its
+        power within its capacity column.  `radius` holds each ball
+        template's radius, and `radius_col` the fixed column whose value
+        is its radius, -1 where none."""
         inst = self.instance
-        per_step = 0
-        self.ball_blocks = []
-        for names, groups in (
-                (["thermal"] * len(inst.lines),
-                 [[("p_line", "q_line", line.id, line.s_max, None)
-                   for line in inst.lines]]),
-                (["bat_rating"], [[("p_b", "q_b", b.id, 0.0, ("s_b", b.id, 0))]
-                                  for b in inst.battery_specs])):
-            families = [f for group in groups for f in group]
-            shape = (len(groups), 1, len(names))
-            self.ball_blocks.append(_BallBlock(
-                per_step,
-                np.array([(self.offset(p, i), self.offset(q, i))
-                          for p, q, i, _, _ in families],
-                         dtype=np.int64).reshape(*shape, 2),
-                np.array([f[3] for f in families], dtype=float).reshape(shape),
-                np.array([-1 if f[4] is None else self.fixed_pos[f[4]]
-                          for f in families], dtype=np.int64).reshape(shape),
-                names, [f[2] for f in families]))
-            per_step += len(families)
-        self.balls_per_step = per_step
+        self.ball_table, values, self.ball_labels, _ = self._lay_out([
+            ([[("thermal", line.id, [("p_line", line.id, 0, 1.0),
+                                     ("q_line", line.id, 0, 1.0)],
+                line.s_max, -1) for line in inst.lines]], True),
+            ([[("bat_rating", b.id, [("p_b", b.id, 0, 1.0),
+                                     ("q_b", b.id, 0, 1.0)],
+                0.0, self.fixed_pos[("s_b", b.id, 0)])]
+              for b in inst.battery_specs], True)])
+        radius, radius_col = zip(*values) if values else [()] * 2
+        self.radius = np.array(radius, dtype=float)
+        self.radius_col = np.array(radius_col, dtype=np.int64)
 
     def _lay_out_slots(self):
         """Where each coupling slot's columns are in the grid: a state
@@ -825,19 +769,16 @@ class _Layout:
 
     def _expand(self, steps, owned, pinned) -> _Template:
         """Every column, row and ball of a window of shape ``(steps,
-        owned, pinned)`` at offset 0, each block broadcast over the
-        window's steps (:class:`_RowBlock`, :class:`_BallBlock`), and the
-        columns that import and hand on each coupling slot, read from
-        the window's column grid (:meth:`grid`)."""
+        owned, pinned)`` at offset 0: the row and ball tables read at the
+        window's steps (:meth:`_Table.read`), the rows' entries made into
+        one CSR matrix, and the columns that import and hand on each
+        coupling slot, read from the window's column grid (:meth:`grid`)."""
         fixed, size = self.fixed, len(self.step_kinds)
         # the slots pinned after the window: all but the builds it owns
         pinned = np.flatnonzero(~self.slot_built | (not owned)) if pinned \
             else np.empty(0, dtype=np.int64)
         n = fixed + size * steps
         m = self.rows[0] * steps + self.rows[1] + pinned.size
-        nnz = self.terms[0] * steps + self.terms[1] + pinned.size
-        k = self.balls_per_step * steps
-        index = np.int32 if max(m, n, nnz) <= _INT32_MAX else np.int64
 
         cols = np.empty((4, n))
         cols[:, :fixed] = self.fixed_data[owned]
@@ -847,79 +788,47 @@ class _Layout:
         if owned:
             binary.append(self.fixed_binary)
 
-        # each block's rows, their bounds and their entries, in CSR order
-        bounds = np.empty((2, m))
-        indptr = np.empty(m, dtype=index)
-        indices = np.empty(nnz, dtype=index)
-        data = np.empty(nnz)
-        t = np.arange(steps, dtype=index)[:, None]
-        row_labels = []
-        # the balance row each column of the loads bounds at each step
-        load_rows = np.empty((steps, self.shed_pos.size), dtype=np.int64)
-        for block in self.row_blocks:
-            groups, _, width = block.lead.shape
-            terms = block.coef.shape[-1]
-            reps = 1 if block.names is None else steps
-            row = block.per_step * steps + block.once
-            entry = block.step_terms * steps + block.once_terms
-            end_row = row + groups * reps * width
-            end_entry = entry + groups * reps * terms
-            bounds[:, row:end_row].reshape(2, groups, reps, width)[...] = \
-                block.bounds
-            load_rows[:, block.load_cols] = \
-                row + width * np.arange(reps)[:, None] + block.loaded
-            # group g's rows at step t start `lead` after the block's
-            # entry (g * reps + t) * terms
-            np.add(block.lead, np.arange(entry, end_entry, terms, dtype=index
-                                         ).reshape(groups, reps, 1),
-                   out=indptr[row:end_row].reshape(groups, reps, width))
-            at = indices[entry:end_entry].reshape(groups, reps, terms)
-            np.multiply(block.slope, t[:reps], out=at)
-            at += block.col
-            coefs = data[entry:end_entry].reshape(groups, reps, terms)
-            coefs[...] = block.coef
-            early = min(reps, self.lags)
-            at[:, :early] = block.early_col[:, :early]
-            coefs[:, :early] = block.early_coef[:, :early]
-            row_labels.append((row, block.names, block.owners))
-
-        ahead = self.width * np.arange(steps)    # grid offset of each step
         grid = self.grid(steps)
-        balls = np.empty((k, 2), dtype=np.int64)
-        radius = np.empty(k)
-        radius_col = np.empty(k, dtype=np.int64)
-        ball_labels = []
-        for block in self.ball_blocks:
-            groups, _, width = block.radius.shape
-            ball = block.per_step * steps
-            span = slice(ball, ball + groups * steps * width)
-            balls[span] = grid[block.off + ahead[:, None, None]].reshape(-1, 2)
-            radius[span].reshape(groups, steps, width)[...] = block.radius
-            radius_col[span].reshape(groups, steps, width)[...] = \
-                block.radius_col
-            ball_labels.append((ball, block.names, block.owners))
-        init, term = grid[self.slot_init], grid[self.slot_term + ahead[-1]]
-
+        init = grid[self.slot_init]
+        term = grid[self.slot_term + self.width * (steps - 1)]
+        rows, (row, col, coef) = self.row_table.read(steps, grid, self.width)
+        bounds = np.empty((2, m))
+        bounds[:, rows] = self.bounds[:, :, None]
         # equality rows fixing the imported state, last; their duals are
         # the boundary prices
-        row = m - pinned.size
-        bounds[:, row:] = self.start_boundary[pinned]
-        indptr[row:] = np.arange(nnz - pinned.size, nnz)
-        indices[nnz - pinned.size:] = init[pinned]
-        data[nnz - pinned.size:] = 1.0
+        pin_rows = np.arange(m - pinned.size, m)
+        bounds[:, pin_rows] = self.start_boundary[pinned]
+        # no row holds two terms on one column, so no entries are summed
+        a = sp.csr_matrix((np.concatenate([coef, np.ones(pinned.size)]),
+                           (np.concatenate([row, pin_rows]),
+                            np.concatenate([col, init[pinned]]))),
+                          shape=(m, n))
         pins = [None] * len(self.slots)
-        for i, r in zip(pinned.tolist(), range(row, m)):
+        for i, r in zip(pinned.tolist(), pin_rows.tolist()):
             pins[i] = r
+        row_labels = [(per_step * steps + once, names, owners)
+                      for per_step, once, names, owners in self.row_labels]
         if pinned.size:
-            row_labels.append((row, None, [
+            row_labels.append((m - pinned.size, None, [
                 ("couple", self.slots[i].kind, self.slots[i].owner,
                  self.slots[i].hist) for i in pinned.tolist()]))
 
+        at, (ball, ball_col, _) = self.ball_table.read(steps, grid,
+                                                       self.width)
+        balls = ball_col[np.argsort(ball, kind="stable")].reshape(-1, 2)
+        radius = np.empty(len(balls))
+        radius[at] = self.radius[:, None]
+        radius_col = np.empty(len(balls), dtype=np.int64)
+        radius_col[at] = self.radius_col[:, None]
+
         template = _Template(
-            owned, cols, np.concatenate(binary), bounds, indptr, indices,
-            data, balls, radius, radius_col, np.flatnonzero(radius_col < 0),
-            tuple(row_labels), tuple(ball_labels), init, term,
-            self.shed_pos + at_step, load_rows, pinned, tuple(pins))
+            owned, cols, np.concatenate(binary), bounds, a.indptr[:-1],
+            a.indices, a.data, balls, radius, radius_col,
+            np.flatnonzero(radius_col < 0), tuple(row_labels),
+            tuple((per_step * steps, names, owners)
+                  for per_step, _, names, owners in self.ball_labels),
+            init, term, self.shed_pos + at_step, rows.T[:, self.loaded],
+            pinned, tuple(pins))
         for arr in template:
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
@@ -946,22 +855,13 @@ class ModelBuilder:
     fixed one by `fixed_pos[(kind, owner, lag)]`, its lag behind the
     window start.
 
-    Rows and cones.  The layout holds one term table for every row
-    family, in blocks of owners whose rows hold as many entries
-    (:class:`_RowBlock`): per family, its bounds and where its row's
-    entries start, and per entry, its coefficient and its column, which
-    moves by a fixed slope a step.  A term of lag L reads, at step t,
-    the column of step ``t - L``, or, where ``t < L``, the column
-    importing the state of ``L - t`` steps before the window start; a
-    block holds the entries of those first steps as they are.  Each row
-    lists its columns in increasing order, so a block's row starts,
-    bounds and entries are arrays over (owner, step, ...) in CSR order.
-
-    Windows.  :meth:`_window` writes every window as offset copies of
-    its shape's :class:`_Template` (module docstring, "Block layout"),
-    in the model's own index type, then what the window's loads,
-    boundary and start set.  :meth:`finish` wraps the arrays as they
-    are: the rows need no sort and the windows no concatenation.
+    Windows.  A window's template (:class:`_Template`) is the layout's
+    term tables read at the window's steps, made once per shape (module
+    docstring, "Block layout").  :meth:`_window` writes every window as
+    offset copies of its template's CSR arrays, columns and balls, in
+    the model's own index type, then what the window's loads, boundary
+    and start set.  :meth:`finish` wraps the arrays as they are: the
+    rows need no sort and the windows no concatenation.
 
     Names.  Each window leaves a ``(first, start, end, owned)`` tuple,
     each row or ball block a ``(first, labels)`` pair (labels that repeat

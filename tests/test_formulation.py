@@ -33,9 +33,9 @@ except ImportError:     # the oracles skip the cross-check without it
 from microplan import formulation
 from microplan.decomposition import partition
 from microplan.formulation import (
-    FormulationError, INIT_KINDS, ModelBuilder, assemble, build_seamed,
-    check_feasibility, coupling_slots, dump_model, extract_plan, fix_binaries,
-    horizon_start_boundary, plan_costs, relax_integrality,
+    BUILD_KINDS, FormulationError, INIT_KINDS, ModelBuilder, assemble,
+    build_seamed, check_feasibility, coupling_slots, dump_model, extract_plan,
+    fix_binaries, horizon_start_boundary, plan_costs, relax_integrality,
 )
 from microplan.instance import (
     BatterySpec, Bus, GeneratorSpec, Line, LoadProfile, NetworkInstance,
@@ -253,6 +253,50 @@ def one_step_case():
     # one-step windows under a three-step history repeat import keys
     inst = gen_bat_instance(min_up=3, min_down=2)
     return inst, flat_loads(inst, 4), [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+def shared_bus_case():
+    """Two generators and two batteries on one bus, with different
+    start/stop histories, sewn over two windows: the balance, count and
+    history rows each gather several candidates."""
+    buses = (
+        Bus("b1", 0.81, 1.21),
+        Bus("b2", 0.81, 1.21, max_batteries=1, max_generators=2),
+        Bus("b3", 0.85, 1.15),
+    )
+    lines = (
+        Line("l1", "b1", "b2", 0.01, 0.02, 2.0),
+        Line("l2", "b2", "b3", 0.02, 0.03, 1.5),
+    )
+    bats = (
+        BatterySpec("bat1", "b2", 90.0, 250.0, 0.8, 1.6, 0.9, 0.85,
+                    initial_soc=0.4, p_min=-0.8, p_max=0.8,
+                    q_min=-0.5, q_max=0.5),
+        BatterySpec("bat2", "b2", 60.0, 320.0, 0.5, 1.0, 0.85, 0.9,
+                    initial_soc=0.2, p_min=-0.5, p_max=0.5,
+                    q_min=-0.3, q_max=0.3),
+    )
+    gens = (
+        GeneratorSpec("g1", "b2", 200.0, (6.0, 35.0, 50.0), 3, 1,
+                      0.5, 0.5, 0.5, 0.1, 1.5, q_min=-1.0, q_max=1.0),
+        GeneratorSpec("g2", "b2", 150.0, (4.0, 40.0, 30.0), 1, 2,
+                      0.3, 0.4, 0.6, 0.05, 0.8, q_min=-0.4, q_max=0.4),
+    )
+    inst = NetworkInstance(buses, lines, bats, gens, shed_penalty=1e7,
+                           dt=0.25, slack_bus="b1", name="shared")
+    steps = np.arange(5)[:, None]
+    pm = np.array([0.0, 0.1, 0.15]) * (1.0 + 0.2 * np.cos(steps))
+    loads = LoadProfile(horizon=5, bus_ids=("b1", "b2", "b3"), p=pm,
+                        q=0.4 * pm, dt=inst.dt)
+    return inst, loads, [(0, 2), (2, 5)]
+
+
+def shared_bus_one_step_case():
+    """`shared_bus_case` over five 1-step windows, shorter than g1's
+    three-step start/stop history; g1's and g2's commitment rows hold
+    different entry counts."""
+    inst, loads, _ = shared_bus_case()
+    return inst, loads, [(t, t + 1) for t in range(5)]
 
 
 def col_keys(model):
@@ -1145,7 +1189,8 @@ def triplet_matrix(model):
                          shape=(len(model.row_coefs), model.n)).toarray()
 
 
-@pytest.mark.parametrize("case", [five_bus_case, one_step_case])
+@pytest.mark.parametrize("case", [five_bus_case, one_step_case,
+                                  shared_bus_case, shared_bus_one_step_case])
 def test_seamed_blocks_equal_stage_models(case):
     inst, loads, windows = case()
     seamed = build_seamed(inst, loads, windows)
@@ -1241,42 +1286,6 @@ def test_layout_digests_are_pinned():
     }
 
 
-def shared_bus_case():
-    """Two generators and two batteries on one bus, with different
-    start/stop histories, sewn over two windows: the balance, count and
-    history rows each gather several candidates."""
-    buses = (
-        Bus("b1", 0.81, 1.21),
-        Bus("b2", 0.81, 1.21, max_batteries=1, max_generators=2),
-        Bus("b3", 0.85, 1.15),
-    )
-    lines = (
-        Line("l1", "b1", "b2", 0.01, 0.02, 2.0),
-        Line("l2", "b2", "b3", 0.02, 0.03, 1.5),
-    )
-    bats = (
-        BatterySpec("bat1", "b2", 90.0, 250.0, 0.8, 1.6, 0.9, 0.85,
-                    initial_soc=0.4, p_min=-0.8, p_max=0.8,
-                    q_min=-0.5, q_max=0.5),
-        BatterySpec("bat2", "b2", 60.0, 320.0, 0.5, 1.0, 0.85, 0.9,
-                    initial_soc=0.2, p_min=-0.5, p_max=0.5,
-                    q_min=-0.3, q_max=0.3),
-    )
-    gens = (
-        GeneratorSpec("g1", "b2", 200.0, (6.0, 35.0, 50.0), 3, 1,
-                      0.5, 0.5, 0.5, 0.1, 1.5, q_min=-1.0, q_max=1.0),
-        GeneratorSpec("g2", "b2", 150.0, (4.0, 40.0, 30.0), 1, 2,
-                      0.3, 0.4, 0.6, 0.05, 0.8, q_min=-0.4, q_max=0.4),
-    )
-    inst = NetworkInstance(buses, lines, bats, gens, shed_penalty=1e7,
-                           dt=0.25, slack_bus="b1", name="shared")
-    steps = np.arange(5)[:, None]
-    pm = np.array([0.0, 0.1, 0.15]) * (1.0 + 0.2 * np.cos(steps))
-    loads = LoadProfile(horizon=5, bus_ids=("b1", "b2", "b3"), p=pm,
-                        q=0.4 * pm, dt=inst.dt)
-    return inst, loads, [(0, 2), (2, 5)]
-
-
 def later_stage_model():
     """The last stage of the five-bus case: imported builds, a pinned
     boundary and priced terminal state."""
@@ -1291,9 +1300,9 @@ def shared_bus_one_step_cases():
     """`shared_bus_case` sewn over five 1-step windows, so the start/stop
     histories (depths 3 and 2) pass through several windows, and its
     middle 1-step stage with imported builds and a pinned boundary."""
-    inst, loads, _ = shared_bus_case()
+    inst, loads, windows = shared_bus_one_step_case()
     k = len(coupling_slots(inst))
-    sewn = build_seamed(inst, loads, [(t, t + 1) for t in range(5)]).model
+    sewn = build_seamed(inst, loads, windows).model
     stage = assemble(inst, loads, window=(2, 3),
                      boundary=np.linspace(0.05, 0.6, k), own_builds=False)
     return sewn, stage
@@ -1489,6 +1498,97 @@ def test_feeder_matrices_equal_the_coo_construction(seed, monkeypatch):
         assert_canonical_csr(model)
 
 
+# the slot kind of the state each step column kind carries
+STATE_OF = {"sc_b": "sc", "x_d": "x", "p_d": "p", "y_d": "y", "w_d": "w"}
+
+
+def term_col(model, kind, owner, lag, t):
+    """The column a term of `kind`, `owner` and `lag` reads at time `t`
+    (None for a row once) of a single-window model, found by key: a
+    build decision at the window's own or imported build column, a step
+    column at ``t - lag``, or, before the window start, the column
+    importing that step's state."""
+    (_, start, _, owned), = model.col_blocks
+    if kind in BUILD_KINDS:
+        return model.col(kind, owner) if owned \
+            else model.col(INIT_KINDS[kind], owner, start)
+    if t - lag >= start:
+        return model.col(kind, owner, t - lag)
+    return model.col(INIT_KINDS[STATE_OF[kind]], owner, t - lag)
+
+
+def assert_rows_follow_their_specs(model, loads):
+    """Every labelled row of a single-window model holds its family's
+    terms at their columns and its family's bounds, balance rows bounded
+    by the loads; every ball holds its two columns and its radius or
+    radius column; and each family has a row (ball) at every step."""
+    lay = model.layout
+    inst = lay.instance
+    network, _ = lay._network()
+    families = [f for groups in (network, lay._resource_limits(),
+                                 [lay._commitment(d)
+                                  for d in inst.generator_specs],
+                                 [lay._storage(b) for b in inst.battery_specs])
+                for group in groups for f in group]
+    specs = {(name, owner): (terms, lo, hi)
+             for name, owner, terms, lo, hi in families}
+    start, end = model.window
+    bus = {b.id: j for j, b in enumerate(inst.buses)}
+    seen = set()
+    for i, label in enumerate(row_labels(model)):
+        if label[0] == "couple":
+            continue
+        name, owner, t = label
+        seen.add(label)
+        terms, lo, hi = specs[(name, owner)]
+        want = {term_col(model, kind, o, lag, t): coef
+                for kind, o, lag, coef in terms}
+        assert len(want) == len(terms), label
+        assert model.row_coefs[i] == want, label
+        if name in ("balance_p", "balance_q"):
+            lo = hi = (loads.p if name == "balance_p" else loads.q)[t,
+                                                                   bus[owner]]
+        assert (model.row_lo[i], model.row_hi[i]) == (lo, hi), label
+    once = {"bat_count", "gen_count", "cap_if_built"}
+    assert seen == {(name, owner, None if name in once else t)
+                    for name, owner in specs for t in range(start, end)}
+
+    balls = {("thermal", line.id): ("p_line", "q_line", line.s_max, None)
+             for line in inst.lines}
+    balls.update({("bat_rating", b.id): ("p_b", "q_b", 0.0, "s_b")
+                  for b in inst.battery_specs})
+    seen = set()
+    for k, (name, owner, t) in enumerate(cone_labels(model)):
+        seen.add((name, owner, t))
+        p, q, radius, radius_kind = balls[(name, owner)]
+        cone = model.cones[k]
+        assert cone.cols == (model.col(p, owner, t), model.col(q, owner, t))
+        assert cone.radius == radius
+        assert cone.radius_col == (None if radius_kind is None else
+                                   term_col(model, radius_kind, owner, 0, t))
+    assert seen == {(name, owner, t) for name, owner in balls
+                    for t in range(start, end)}
+
+
+def test_rows_follow_their_family_specs(monkeypatch):
+    # single-window models only: in a seam-joined model, `col` finds the
+    # latest window's column of an import key that windows share
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "bench"))
+    from workloads import feeder_instance, feeder_loads
+    inst = feeder_instance(0)
+    loads = feeder_loads(inst, 0)
+    models = [(m, loads) for kind, m in feeder_models(0).items()
+              if kind in ("stage", "pinned", "priced")]
+    _, five_loads, _ = five_bus_case()
+    _, shared_loads, _ = shared_bus_case()
+    models += [(later_stage_model(), five_loads),
+               (shared_bus_one_step_cases()[1], shared_loads)]
+    for model, model_loads in models:
+        assert len(model.col_blocks) == 1
+        assert_rows_follow_their_specs(model, model_loads)
+
+
 def assert_same_model(got, want):
     """Every array with its dtype, the binaries, the coupling and every
     column, row and ball label of `got` equal `want`'s."""
@@ -1548,6 +1648,10 @@ def test_templates_write_the_models_they_were_made_for(seed, monkeypatch):
     for arr in template:
         if isinstance(arr, np.ndarray):
             assert not arr.flags.writeable
+    # so is every array of the layout's tables, shared by every builder
+    for arr in (*lay.row_table, *lay.ball_table, lay.bounds, lay.loaded,
+                lay.radius, lay.radius_col):
+        assert not arr.flags.writeable
     # a model's arrays are its own, not the template's
     assert not np.shares_memory(warm[2].a.data, template.data)
 
