@@ -31,19 +31,18 @@ s, z or the scaled point lam at or below zero stops the step, as
 though s and z are inside, and the Jordan division divides by det(lam).
 Infeasibility or unboundedness is read off the homogeneous certificates.
 
-The second layer is the polish: the interior point's active set is
-resolved as an equality-constrained system, so that solutions and duals
-come out at near-machine accuracy.  An active ball is pinned by its
-tangent at the current point, with its curvature in the objective, and
-re-linearized at each pass's point until that point stops moving off
-the ball; a ball at its apex, where no tangent exists, has its columns
-pinned to zero.  Run alone (:meth:`QpWorkspace.polish_from`), the polish
-starts from the solution of a program that differs only in its bounds:
-it reads the active set off that point and its multipliers by the same
-rule, a side the point sits on counting as active.
-This is finite termination by active-set identification (Ye, Math.
-Prog. 1992) and solution polishing as in OSQP (Stellato et al., Math.
-Prog. Comp. 2020).
+The second layer is the polish (:meth:`QpWorkspace.polish_from`): an
+active set read off a point is resolved as an equality-constrained
+system, so that solutions and duals come out at near-machine accuracy.
+A row side or ball is active when its multiplier exceeds its slack or
+the point sits on it.  An active ball is pinned by its tangent at the
+current point, with its curvature in the objective, and re-linearized
+at each pass's point until that point stops moving off the ball; a ball
+at its apex, where no tangent exists, has its columns pinned to zero.
+The point may be the interior point's or the solution of a program that
+differs only in its bounds.  This is finite termination by active-set
+identification (Ye, Math. Prog. 1992) and solution polishing as in
+OSQP (Stellato et al., Math. Prog. Comp. 2020).
 
 Every result carries a weak-duality ``bound`` on its program's optimum,
 NaN only when it is ``infeasible`` or ``unbounded``.  It is computed
@@ -59,28 +58,27 @@ branch and bound, builds one workspace and takes a view of it per bound
 set (:meth:`QpWorkspace.with_bounds`): the Ruiz scaling and the stacked
 rows, balls and costs do not depend on the bounds and are shared.
 
-Optimal comes in two kinds.  A polished point is *certified*: it is
-reported optimal when it passes :func:`certify`: (1) every row, bound
+``optimal`` means polished or proven, from every entry.  A polished
+point is *certified*: it passes :func:`certify`: (1) every row, bound
 and ball holds and (2) stationarity holds, entry by entry within
 EPS_ABS + EPS_REL times the magnitude of the entry's terms, with every
 multiplier first projected onto its valid sign, so that a multiplier on
 a missing or wrong side counts as a stationarity error; (3) the
 complementarity gap, each multiplier times the distance to the side it
 claims, is at most EPS_ABS times max(1 USD, |objective|).  The polish
-returns its pass with the lowest certificate ratio.  When no pass
-certifies, the interior point's own point and duals are returned, and
-they are *proven* optimal when (1) holds and the objective exceeds the
-result's ``bound`` by at most EPS_GAP times max(1 USD, |objective|): no
-feasible point is cheaper by more than that, though the multipliers may
-fail (2) and (3).  Their detail is ``polish rejected``, followed by the
-interior point's reason to stop if it had one.  Otherwise the result is
-``iteration-limit``, with detail saying why the interior point stopped
-(after at most MAX_ITER steps), or ``polish rejected`` if it had met its
-own termination test.  :meth:`QpWorkspace.interior` labels its result by
-the interior point's own test alone.  A program whose every column has
-finite bounds is never reported ``unbounded``.  Each interior-point step
-is logged at DEBUG level on this module's logger, with its step number,
-primal and dual residuals and objective.
+returns its pass with the lowest certificate ratio, and nothing if none
+certifies.  An unpolished point, such as the interior point's, is
+*proven* optimal when (1) holds and its objective exceeds its ``bound``
+by at most EPS_GAP times max(1 USD, |objective|): no feasible point is
+cheaper by more than that, though its multipliers may fail (2) and (3).
+Otherwise it is ``iteration-limit``, with detail saying why the interior
+point stopped (after at most MAX_ITER steps), if it did not meet its own
+termination test.  :meth:`QpWorkspace.solve` returns the polish of the
+interior point, or, when that does not certify, the interior point's
+result with ``polish rejected`` in its detail.  A program whose every
+column has finite bounds is never reported ``unbounded``.  Each
+interior-point step is logged at DEBUG level on this module's logger,
+with its step number, primal and dual residuals and objective.
 
 Dual sign convention.  Multipliers y satisfy the stationarity condition
 
@@ -685,53 +683,34 @@ class QpWorkspace:
     # -- solve ------------------------------------------------------------
 
     def solve(self) -> PrimalDualSolution:
-        """Interior-point solve, then the active-set polish of its point.
-        When no polish pass certifies, the interior point's own result
-        is ``optimal`` only if `_proven`, with detail ``polish rejected``
-        and the interior point's reason to stop, if it had one, and
-        ``iteration-limit`` otherwise."""
+        """The interior point, then the polish of its point: the result
+        of :meth:`polish_from` on :meth:`interior`, with the interior
+        point's step count and the total time.  When no polish pass
+        certifies, the interior point's result stands, with ``polish
+        rejected`` added to its detail (an ``iteration-limit`` keeps its
+        reason to stop alone, if it had one)."""
         t0 = time.perf_counter()
-        (status, detail, x, y, prim_res, dual_res, it), pins = self._interior()
-        if status in ("optimal", "iteration-limit"):
-            polished = self._polish(*pins, x)
-            if polished is not None and polished[2].ratio <= 1.0:
-                x, y, cert = polished
-                prim_res, dual_res = cert.prim, cert.stat
-                status, detail = "optimal", "polished"
-            elif self._proven(x, y):
-                # the interior point's reason to stop, if any, stays on
-                status = "optimal"
-                detail = "; ".join(filter(None, ("polish rejected", detail)))
-            else:
-                status, detail = "iteration-limit", detail or "polish rejected"
-        return self._package(status, detail, x, y, prim_res, dual_res, it,
-                             time.perf_counter() - t0)
-
-    def _proven(self, x_sc, y_sc):
-        """Whether an unpolished point is optimal by proof: it passes
-        `certify`'s primal test, and its objective exceeds the
-        weak-duality bound of its multipliers by at most EPS_GAP times
-        max(1 USD, |objective|)."""
-        x = self._unscaled(x_sc, y_sc)[0]
-        objective = self.prog.objective(x)
-        return (_primal(self.prog, x)[-1] <= 1.0 and objective - self._bound(y_sc)
-                <= EPS_GAP * max(1.0, abs(objective)))
+        sol = self.interior()
+        if sol.status in ("optimal", "iteration-limit"):
+            polished = self.polish_from(sol)
+            if polished is not None:
+                polished.iterations = sol.iterations
+                sol = polished
+            elif sol.status == "optimal" or not sol.detail:
+                sol.detail = "; ".join(filter(None, ("polish rejected", sol.detail)))
+        sol.solve_time = time.perf_counter() - t0
+        return sol
 
     def interior(self) -> PrimalDualSolution:
         """The interior point alone, with no polish: its point and
-        multipliers as they stand, and the bound they prove."""
+        multipliers as they stand, the bound they prove, and the label
+        of that proof (module docstring)."""
         t0 = time.perf_counter()
-        point, _ = self._interior()
-        return self._package(*point, time.perf_counter() - t0)
-
-    def _interior(self):
-        """Run the interior point.  Returns its status, detail, scaled x
-        and stacked y, residuals and step count, and the `_pins` the
-        polish would start from (None on an empty row)."""
         if self.empty_row is not None:
             row, miss = self.empty_row
-            return ("infeasible", f"row {row} is empty", np.zeros(self.n),
-                    np.zeros(self.mt), miss, 0.0, 0), None
+            return self._package("infeasible", f"row {row} is empty",
+                                 np.zeros(self.n), np.zeros(self.mt), miss,
+                                 0.0, 0, time.perf_counter() - t0)
         ls, us, i_eq, i_up, i_lo = self._sides()
         # g x + s = h: equalities (s = 0), the upper and lower sides of
         # the other linear rows (s >= 0), then the ball blocks, whose
@@ -745,23 +724,23 @@ class QpWorkspace:
         cones = _Cones(np.concatenate([np.ones(n_lin, dtype=int),
                                        self.cones.sizes]))
 
-        status, it, (x, z, s, prim_res, dual_res), detail = \
+        status, it, (x, z, prim_res, dual_res), detail = \
             self._interior_point(g, h, i_eq.size, cones, self.e[rows])
         y = np.zeros(self.mt)
         np.add.at(y, rows, sign * z)
-        pins = self._pins(i_up, i_lo, z[i_eq.size:][cones.heads],
-                          cones.margin(s[i_eq.size:]))
-        return (status, detail, x, y, prim_res, dual_res, it), pins
+        return self._package(status, detail, x, y, prim_res, dual_res, it,
+                             time.perf_counter() - t0)
 
     def polish_from(self, start: PrimalDualSolution) -> PrimalDualSolution | None:
-        """The polish of another solve's point, with no interior point:
-        `start` solved a program with this one's rows, balls and costs
-        but other bounds.  Its x, clipped to this program's bounds, and
-        its multipliers are scaled as this workspace scales (the scaling
-        does not depend on the bounds), and the rows and balls are
-        pinned by the rule `solve` applies, save that a side or ball the
-        clipped point sits on is pinned too.  Returns the polished point
-        as ``optimal`` after 0 iterations if it certifies, else None."""
+        """The polish of a point: `start` solved this program, or one
+        with its rows, balls and costs but other bounds.  Its x, clipped
+        to this program's bounds, and its multipliers are scaled as this
+        workspace scales (the scaling does not depend on the bounds).  A
+        row side or ball is pinned when its multiplier exceeds its slack
+        (a ball's slack is its distance to the cone boundary), as the
+        sign alone misreads near-zero duals, or when the clipped point
+        sits on it.  Returns the polished point as ``optimal`` after 0
+        iterations if it certifies, else None."""
         t0 = time.perf_counter()
         prog, m, n, c0 = self.prog, self.prog.m, self.n, self.cone0
         parts = [np.asarray(v, dtype=float) for v in (
@@ -771,18 +750,24 @@ class QpWorkspace:
                               "rows and balls")
         x_sc = np.clip(parts[0], prog.lb, prog.ub) / self.d
         y = np.concatenate(parts[1:3]) * self.c / self.e[:c0]
+        lam = parts[3] * self.c / self.e[c0 + self.cones.heads]
         ls, us, _, i_up, i_lo = self._sides()
         ax = self.As @ x_sc
         _, radius, norm = self._balls(ax)
-        z0 = np.concatenate([np.maximum(y[i_up], 0.0), np.maximum(-y[i_lo], 0.0),
-                             parts[3] * self.c / self.e[c0 + self.cones.heads]])
-        margin = np.concatenate([us[i_up] - ax[i_up], ax[i_lo] - ls[i_lo],
-                                 radius - norm])
-        # a side or ball the start sits on is pinned whatever its
+        z = np.concatenate([np.maximum(y[i_up], 0.0), np.maximum(-y[i_lo], 0.0),
+                            lam])
+        slack = np.concatenate([us[i_up] - ax[i_up], ax[i_lo] - ls[i_lo],
+                                radius - norm])
+        # a side or ball the point sits on is pinned whatever its
         # multiplier: a polished start is exact there, and a zero
         # multiplier on it may be one of several optimal ones
-        margin = np.where(margin > 0.0, margin, -np.inf)
-        polished = self._polish(*self._pins(i_up, i_lo, z0, margin), x_sc)
+        act = z > np.where(slack > 0.0, slack, -np.inf)
+        n_lin = i_up.size + i_lo.size
+        up = np.zeros(self.mt, dtype=bool)
+        low = np.zeros(self.mt, dtype=bool)
+        up[i_up[act[:i_up.size]]] = True
+        low[i_lo[act[i_up.size:n_lin]]] = True
+        polished = self._polish(low, up, act[n_lin:], lam, x_sc)
         if polished is None or polished[2].ratio > 1.0:
             return None
         x, y, cert = polished
@@ -799,22 +784,6 @@ class QpWorkspace:
         return (ls, us, np.flatnonzero(eq), np.flatnonzero(np.isfinite(us) & ~eq),
                 np.flatnonzero(np.isfinite(ls) & ~eq))
 
-    def _pins(self, i_up, i_lo, z0, margin):
-        """The active set the polish starts from.  A row side or ball is
-        pinned when its multiplier exceeds its slack (a ball's slack is
-        its distance to the cone boundary); the multiplier sign alone
-        misreads near-zero duals.  `z0` and `margin` list the upper
-        sides `i_up`, the lower sides `i_lo`, then the balls.  Returns
-        the pinned lower and upper sides as masks over the stacked rows,
-        the mask of pinned balls and every ball's multiplier."""
-        n_lin = i_up.size + i_lo.size
-        act = z0 > margin
-        up = np.zeros(self.mt, dtype=bool)
-        low = np.zeros(self.mt, dtype=bool)
-        up[i_up[act[:i_up.size]]] = True
-        low[i_lo[act[i_up.size:n_lin]]] = True
-        return low, up, act[n_lin:], z0[n_lin:]
-
     def _interior_point(self, g, h, me, cones, e_g):
         """Homogeneous self-dual primal-dual iteration with Mehrotra
         predictor-corrector steps on the scaled program
@@ -825,7 +794,7 @@ class QpWorkspace:
         embedded with the homogenizing pair (tau, kappa) so that the
         limit is either a solution (tau > 0) or an infeasibility
         certificate (kappa > 0).  Returns the status, the step count,
-        the point (x, z, s, primal residual, dual residual): the iterate
+        the point (x, z, primal residual, dual residual): the iterate
         meeting the tolerances, or the best iterate seen otherwise, and
         why an ``iteration-limit`` run stopped (empty for the other
         statuses):
@@ -947,7 +916,7 @@ class QpWorkspace:
             merit = max(prim_res / prim_ref, dual_res / dual_ref,
                         gap / max(1.0, abs(pobj)))
             if best is None or merit < best[0]:
-                best = (merit, (xh, zh, sh, prim_res, dual_res))
+                best = (merit, (xh, zh, prim_res, dual_res))
             if merit <= EPS_OPT:
                 status = "optimal"
                 break
@@ -1097,15 +1066,24 @@ class QpWorkspace:
 
     def _package(self, status, detail, x_sc, y_sc, prim_res, dual_res,
                  it, elapsed):
+        """The result of a scaled point.  An unpolished point that is
+        neither infeasible nor unbounded is ``optimal`` only if proven
+        (module docstring), ``iteration-limit`` otherwise."""
         x, y_rows, y_bounds, cone_duals = self._unscaled(x_sc, y_sc)
-        bound = np.nan if status in ("infeasible", "unbounded") \
-            else self._bound(y_sc)
+        objective = self.prog.objective(x)
+        bound = np.nan
+        if status not in ("infeasible", "unbounded"):
+            bound = self._bound(y_sc)
+            if detail != "polished":
+                proven = _primal(self.prog, x)[-1] <= 1.0 and \
+                    objective - bound <= EPS_GAP * max(1.0, abs(objective))
+                status = "optimal" if proven else "iteration-limit"
         return PrimalDualSolution(
             status=status,
             x=x,
             y_rows=y_rows,
             y_bounds=y_bounds,
-            objective=self.prog.objective(x),
+            objective=objective,
             prim_res=prim_res,
             dual_res=dual_res,
             iterations=it,

@@ -10,21 +10,22 @@ The search builds one engine workspace for its base program, and each
 node takes a view of it with the node's bounds.  A node relaxation is
 the conic interior point: the search uses only its point, to branch
 on, and the weak-duality bound of its multipliers, which holds whether
-or not it converged.  An interior point that stops short
-(``iteration-limit``) may prove a bound a little below the node's
-optimum, enough to leave a zero-cost stage short of its gap, so its
-point is polished, and the polish stands in for it where it
-certifies.  A node whose own gap, the relative gap between the
-objective of the point it stopped at and its bound, is already within
-the search's ``gap_tol`` is not polished: its bound is as close to its
-point as the search asks of any bound.  Otherwise the polish runs only
-where its output is used: a node whose binaries are rounded into an
-incumbent candidate (an integral node, or the rounding heuristic's)
-hands its point to the solve that confirms them, which polishes it and
-solves cold only if the polish does not certify; the incumbent's
-certified point and duals price the seams.  Each explored node is
-logged at DEBUG level on this module's logger, with its number, depth,
-bound, incumbent and gap.
+or not it converged.  The engine labels that point by one rule:
+``optimal`` only if proven, its bound within 1e-7 of its objective.
+An ``iteration-limit`` point, stopped short or unproven, may prove a
+bound below the node's optimum (-inf, with a free costless column),
+enough to leave a zero-cost stage short of its gap, so its point is
+polished, and the polish stands in for it where it certifies.  A node
+whose own gap, the relative gap between the objective of its point
+and its bound, is already within the search's ``gap_tol`` is not
+polished: its bound is as close to its point as the search asks of any
+bound.  Otherwise the polish runs only where its output is used: a
+node whose binaries are rounded into an incumbent candidate (an
+integral node, or the rounding heuristic's) hands its point to the
+solve that confirms them, which polishes it and solves cold only if the
+polish does not certify; the incumbent's certified point and duals
+price the seams.  Each explored node is logged at DEBUG level on this
+module's logger, with its number, depth, bound, incumbent and gap.
 """
 
 import heapq
@@ -132,10 +133,10 @@ class _NodeSolver:
     def relax(self, fixings, gap_tol):
         """The node relaxation by the interior point: a point to branch
         on and the bound its multipliers prove.  An interior point that
-        stops short may prove a bound just below the node's optimum, so
-        its point is polished, unless its objective is already within
-        `gap_tol` of that bound, and the polish is the relaxation when
-        it certifies."""
+        is not proven optimal may prove a bound below the node's
+        optimum, so its point is polished, unless its objective is
+        already within `gap_tol` of that bound, and the polish is the
+        relaxation when it certifies."""
         ws = self.view(fixings)
         if ws is None:
             return None

@@ -5,9 +5,11 @@ Every result the engine packages is checked as it is made: an
 more than 1e-9 times max(1 USD, |objective|).  A bound above the
 objective would let branch and bound prune a region holding the optimum.
 
-Every ``optimal`` result that ``QpWorkspace.solve`` reports without a
-polish is optimal by proof, so its objective may exceed its bound by at
-most 1e-7 times max(1 USD, |objective|).
+Every ``optimal`` result that ``QpWorkspace.interior`` reports is
+optimal by proof, so its objective may exceed its bound by at most 1e-7
+times max(1 USD, |objective|).  Every unpolished point the engine
+labels, whether a branch-and-bound node's or one that ``solve`` keeps
+when its polish is rejected, comes from there.
 """
 
 import pytest
@@ -36,15 +38,15 @@ def bound_at_most_objective(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def unpolished_optimum_is_proven(monkeypatch):
-    solve = convex.QpWorkspace.solve
+    interior = convex.QpWorkspace.interior
 
     def checked(self):
-        sol = solve(self)
-        if sol.status == "optimal" and not sol.polished:
+        sol = interior(self)
+        if sol.status == "optimal":
             gap = sol.objective - sol.bound
             assert gap <= PROOF_GAP * max(1.0, abs(sol.objective)), (
-                f"{sol.detail} result: objective {sol.objective!r} is "
+                f"unpolished optimal: objective {sol.objective!r} is "
                 f"{gap!r} above its bound")
         return sol
 
-    monkeypatch.setattr(convex.QpWorkspace, "solve", checked)
+    monkeypatch.setattr(convex.QpWorkspace, "interior", checked)

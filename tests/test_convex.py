@@ -615,9 +615,10 @@ class TestStatuses:
         assert (boxed.status, boxed.detail) == ("optimal", "polish rejected")
         assert boxed.objective - boxed.bound <= 1e-7 * max(1.0, abs(boxed.objective))
         # min x s.t. x >= 1, x free: the bound of any multiplier that does
-        # not cancel the cost exactly is -inf, so the point is unproven
+        # not cancel the cost exactly is -inf, so the point is unproven,
+        # from the interior point alone as from the solve
         free = make_prog([0.0], [1.0], rows=[([1.0], 1.0, INF)])
-        assert QpWorkspace(free).interior().status == "optimal"
+        assert QpWorkspace(free).interior().status == "iteration-limit"
         sol = solve_qcqp(free)
         assert sol.bound == -INF
         assert (sol.status, sol.detail) == ("iteration-limit", "polish rejected")

@@ -420,6 +420,18 @@ def test_node_polished_only_outside_its_gap(two_step, monkeypatch, short,
         assert sol.status == "iteration-limit"
 
 
+def test_root_relaxation_with_an_unbounded_proof_is_polished():
+    # the grid columns are free and cost nothing, so the root's
+    # weak-duality bound is -inf: its interior point is not proven, and
+    # the node takes the polish of it rather than an unpolished optimal
+    inst = gen_bat_instance(grid=True)
+    model = assemble(inst, flat_loads(inst, 4))
+    sol = _NodeSolver(model).relax((), 1e-4)
+    assert (sol.status, sol.polished) == ("optimal", True)
+    res = solve_miqcqp(model)
+    assert (res.status, res.nodes) == ("optimal-within-gap", 1)
+
+
 def test_fractional_picks_the_farthest_binary_lowest_on_ties(two_step):
     solver = _NodeSolver(two_step)
     b = solver.binaries
