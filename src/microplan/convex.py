@@ -211,10 +211,16 @@ class ConvexProgram:
                              ("a", self.a.data), ("const", self.const)):
             if not np.isfinite(values).all():
                 raise EngineError(f"{name} holds a non-finite value")
-        for name, values in (("l", self.l), ("u", self.u), ("lb", self.lb),
-                             ("ub", self.ub)):
+        # nor a side that no finite value meets
+        for name, values, what, never in (
+                ("l", self.l, "row", np.inf), ("u", self.u, "row", -np.inf),
+                ("lb", self.lb, "variable", np.inf),
+                ("ub", self.ub, "variable", -np.inf)):
             if np.isnan(values).any():
                 raise EngineError(f"{name} holds NaN")
+            bad = np.flatnonzero(values == never)
+            if bad.size:
+                raise EngineError(f"{what} {bad[0]} has {name} = {never}")
         if self.p_diag.min(initial=0.0) < -1e-12:
             raise EngineError("quadratic objective has a negative diagonal entry")
         self.p_diag = np.maximum(self.p_diag, 0.0)

@@ -19,14 +19,14 @@ Diesel fuel-side power ``phat`` delivers ``p = efficiency * phat``.
 
 Seam-joined layout
 ------------------
-Every window is built by one routine, so a stage model from
-:func:`assemble` and the matching block of the seam-joined model from
-:func:`build_seamed` agree column for column, row for row and cone for
-cone.  A stage model lists its window's rows and then the boundary pins.
-The seam-joined model lists window 0 with its horizon-start pins, then
-each later window without pins, then one seam row per coupling slot at
-every interior boundary.  A stage's block is therefore found by offsets
-alone, and its pin rows stand in for that boundary's seam rows.
+Every window is written from its length's template, so a stage model
+from :func:`assemble` and the matching block of the seam-joined model
+from :func:`build_seamed` agree column for column, row for row and cone
+for cone.  A stage model lists its window's rows, then the boundary
+pins.  The seam-joined model lists window 0, its horizon-start pins,
+each later window, then one seam row per coupling slot at every
+interior boundary, the pins and seams written alike.  So a stage's
+block is found by offsets alone, its pins standing in for seams.
 
 The seam-joined model is written window after window into one
 :class:`ModelBuilder`, with no copy pass.  A window shorter than a
@@ -55,28 +55,26 @@ window's rows are read from the table at its steps by one gather over
 (term, step), whatever its length, and the boundary's import and
 hand-on columns are read from the same grid.
 
-Two windows of one shape ``(steps, owned, pinned)`` (as long, both
-owning the build decisions or both importing them, and both followed
-by boundary pins or neither) write the same entries, counted from
-their first column, row, entry and ball.  So the tables are read once
-per shape, at offset 0, into a read-only template kept by the layout
-for as long as it lives; it holds the window's column data, row
-bounds, its rows as CSR arrays, balls, binaries, block starts and slot
-columns, and the pin rows of a builder's first window.  Every window
-is then written as offset copies of its shape's template, straight
-into CSR arrays sized for the whole model, and only what its data sets
-is its own: the balance rows' bounds and the shed columns' upper
-bounds from its loads, the pin bounds from the boundary, and the
-labels of its steps.  The matrix stays in that form from the builder
-to the engine (the approach of Hofmann, "Linopy: Linear optimization
-with n-dimensional labeled variables", JOSS 2023): ``to_convex`` hands
-it on as it is, and ``row_coefs`` reads one row's ``{col: coef}`` from
-it when asked.
+Two windows of one length write the same entries, counted from their
+first column, row, entry and ball.  So the tables are read once per
+length, at offset 0, into a read-only template kept by the layout for
+as long as it lives; it holds the column data, row bounds, rows as CSR
+arrays, balls, binaries, block starts and slot columns of a window that
+imports the build decisions.  Every window is then written as offset
+copies of its length's template, straight into CSR arrays sized for the
+whole model, and only what its data and place set is its own: the
+balance rows' bounds and the shed columns' upper bounds from its loads,
+the labels of its steps, and the build decisions' costs and binaries
+where it owns them.  The pins and seams follow as rows of their own.
+The matrix stays in that form from the builder to the engine (the
+approach of Hofmann, "Linopy: Linear optimization with n-dimensional
+labeled variables", JOSS 2023): ``to_convex`` hands it on as it is, and
+``row_coefs`` reads one row's ``{col: coef}`` from it when asked.
 
 A built model holds no Python object per column, row or ball either.
 It keeps the layout, a ``(first, start, end, owned)`` tuple per window
 and a ``(first, labels)`` pair per row or ball block, whose labels are
-a list or, for a block that repeats over the steps, a :class:`_Cycle`.
+a sequence or, for a block that repeats over the steps, a :class:`_Cycle`.
 :meth:`MdopModel.col` finds a column by the formula above, and
 ``describe_col``, ``describe_row`` and ``describe_cone`` name a column,
 row or ball when asked; nothing is named before.
@@ -335,12 +333,12 @@ class _Table(NamedTuple):
 
 
 class _Template(NamedTuple):
-    """A window of one shape, written once at offset 0: every array is
+    """A window of one length, written once at offset 0: every array is
     counted from the window's first column, row, entry and ball.
 
-    `owned` tells whether the window owns the build decisions.  `cols`
-    holds the columns' lb, ub, q and p_diag, and `binary` the binary
-    columns.  `bounds` holds the rows' lo and hi, and `indptr`,
+    `cols` holds the columns' lb, ub, q and p_diag, the fixed ones those
+    of a window importing the build decisions, and `binary` the binary
+    step columns.  `bounds` holds the rows' lo and hi, and `indptr`,
     `indices` and `data` their entries in CSR order (`indptr` without
     its closing entry).  `balls` holds each ball's two columns, `radius`
     its radius and `radius_col` its radius column, -1 at the balls
@@ -350,13 +348,12 @@ class _Template(NamedTuple):
     :class:`_Cycle` from the window's start.  `init` and `term` are the
     columns that import and hand on each coupling slot.
 
-    What the window's data sets is left to the builder.  At each step,
-    each column of the loads (every bus's real load, then its reactive)
-    is the ub of one shed column, in `shed_cols`, and the lo and hi of
-    one balance row, in `load_rows`, both shaped (steps, 2 * buses).  In
-    a pinned window, the last rows pin the slots `pinned` to the
-    boundary.  `pins` is the pin row of each slot, None where none."""
-    owned: bool
+    What the window's data and place set is left to the builder: the
+    build decisions' costs and binaries where it owns them, its boundary
+    pins, and its loads.  At each step, each column of the loads (every
+    bus's real load, then its reactive) is the ub of one shed column, in
+    `shed_cols`, and the lo and hi of one balance row, in `load_rows`,
+    both shaped (steps, 2 * buses)."""
     cols: np.ndarray
     binary: np.ndarray
     bounds: np.ndarray
@@ -373,21 +370,18 @@ class _Template(NamedTuple):
     term: np.ndarray
     shed_cols: np.ndarray
     load_rows: np.ndarray
-    pinned: np.ndarray
-    pins: tuple
 
 
 class _Layout:
     """The column layout of a window and the term tables of its rows and
     balls (:class:`_Table`), which depend on the instance and the step
-    length alone (module docstring, "Block layout"), and one
-    :class:`_Template` per window shape ``(steps, owned, pinned)``: its
-    length, whether it owns the build decisions, and whether it is a
-    builder's first window, followed by its boundary pins.
-    :meth:`template` makes a shape's template on first use, the tables
-    read at the window's steps (:meth:`_expand`), and keeps it as long
-    as the layout.  Shared by every builder of the same instance, so
-    read-only, the tables and templates too."""
+    length alone (module docstring, "Block layout"); the slots a
+    builder's first window pins to the boundary, and their row labels,
+    per ownership of the build decisions; and one :class:`_Template` per
+    window length.  :meth:`template` makes a length's template on first
+    use, the tables read at the window's steps (:meth:`_expand`), and
+    keeps it as long as the layout.  Shared by every builder of the same
+    instance, so read-only, the tables and templates too."""
 
     def __init__(self, instance: NetworkInstance, dt: float):
         self.instance = instance
@@ -403,20 +397,17 @@ class _Layout:
         for arr in (self.start_boundary, self.step_data, self.step_binary,
                     self.fixed_binary, self.imports, *self.fixed_data.values(),
                     self.shed_pos, self.slot_init, self.slot_term,
-                    self.slot_built, *self.row_table, self.bounds,
+                    *self.pinned.values(), *self.row_table, self.bounds,
                     self.loaded, *self.ball_table, self.radius,
                     self.radius_col):
             arr.flags.writeable = False
-        self.templates = {}          # (steps, owned, pinned) -> _Template
+        self.templates = {}          # steps -> _Template
 
-    def template(self, steps, owned, pinned) -> _Template:
-        """The template of a window of `steps` steps that owns the build
-        decisions if `owned`, and is followed by its boundary pins if
-        `pinned`."""
-        key = (steps, owned, pinned)
-        template = self.templates.get(key)
+    def template(self, steps) -> _Template:
+        """The template of a window of `steps` steps."""
+        template = self.templates.get(steps)
         if template is None:
-            template = self.templates[key] = self._expand(*key)
+            template = self.templates[steps] = self._expand(steps)
         return template
 
     def _lay_out_fixed(self):
@@ -750,9 +741,10 @@ class _Layout:
         """Where each coupling slot's columns are in the grid: a state
         slot of lookback `back` (its `hist`, at least 1) is imported at
         step 0 with lag `back` and handed on at the last step with lag
-        ``back - 1``; a build slot reads its build column at both ends,
-        and imports nothing where the window owns the builds
-        (`slot_built`)."""
+        ``back - 1``; a build slot reads its build column at both ends.
+        A builder's first window pins every slot to the boundary but the
+        builds it owns: `pinned[owned]` holds those slots, `pin_labels`
+        their rows' labels."""
         init, term = [], []
         for slot in self.slots:
             if slot.kind in BUILD_KINDS:
@@ -764,54 +756,36 @@ class _Layout:
                 term.append(self.offset(kind, slot.owner, back - 1))
         self.slot_init = np.array(init, dtype=np.int64)
         self.slot_term = np.array(term, dtype=np.int64)
-        self.slot_built = np.array([slot.kind in BUILD_KINDS
-                                    for slot in self.slots], dtype=bool)
+        self.pinned = {owned: np.flatnonzero(
+            [not (owned and slot.kind in BUILD_KINDS) for slot in self.slots])
+            for owned in (True, False)}
+        self.pin_labels = {owned: tuple(
+            ("couple", self.slots[i].kind, self.slots[i].owner,
+             self.slots[i].hist) for i in pinned.tolist())
+            for owned, pinned in self.pinned.items()}
 
-    def _expand(self, steps, owned, pinned) -> _Template:
-        """Every column, row and ball of a window of shape ``(steps,
-        owned, pinned)`` at offset 0: the row and ball tables read at the
-        window's steps (:meth:`_Table.read`), the rows' entries made into
-        one CSR matrix, and the columns that import and hand on each
-        coupling slot, read from the window's column grid (:meth:`grid`)."""
+    def _expand(self, steps) -> _Template:
+        """Every column, row and ball of a window of `steps` steps that
+        imports the build decisions, at offset 0: the row and ball tables
+        read at the window's steps (:meth:`_Table.read`), the rows'
+        entries made into one CSR matrix, and the columns that import and
+        hand on each coupling slot, read from the window's column grid
+        (:meth:`grid`)."""
         fixed, size = self.fixed, len(self.step_kinds)
-        # the slots pinned after the window: all but the builds it owns
-        pinned = np.flatnonzero(~self.slot_built | (not owned)) if pinned \
-            else np.empty(0, dtype=np.int64)
         n = fixed + size * steps
-        m = self.rows[0] * steps + self.rows[1] + pinned.size
+        m = self.rows[0] * steps + self.rows[1]
 
         cols = np.empty((4, n))
-        cols[:, :fixed] = self.fixed_data[owned]
+        cols[:, :fixed] = self.fixed_data[False]
         cols[:, fixed:].reshape(4, steps, size)[...] = self.step_data[:, None]
         at_step = fixed + size * np.arange(steps)[:, None]
-        binary = [(self.step_binary + at_step).ravel()]
-        if owned:
-            binary.append(self.fixed_binary)
 
         grid = self.grid(steps)
-        init = grid[self.slot_init]
-        term = grid[self.slot_term + self.width * (steps - 1)]
         rows, (row, col, coef) = self.row_table.read(steps, grid, self.width)
         bounds = np.empty((2, m))
         bounds[:, rows] = self.bounds[:, :, None]
-        # equality rows fixing the imported state, last; their duals are
-        # the boundary prices
-        pin_rows = np.arange(m - pinned.size, m)
-        bounds[:, pin_rows] = self.start_boundary[pinned]
         # no row holds two terms on one column, so no entries are summed
-        a = sp.csr_matrix((np.concatenate([coef, np.ones(pinned.size)]),
-                           (np.concatenate([row, pin_rows]),
-                            np.concatenate([col, init[pinned]]))),
-                          shape=(m, n))
-        pins = [None] * len(self.slots)
-        for i, r in zip(pinned.tolist(), pin_rows.tolist()):
-            pins[i] = r
-        row_labels = [(per_step * steps + once, names, owners)
-                      for per_step, once, names, owners in self.row_labels]
-        if pinned.size:
-            row_labels.append((m - pinned.size, None, [
-                ("couple", self.slots[i].kind, self.slots[i].owner,
-                 self.slots[i].hist) for i in pinned.tolist()]))
+        a = sp.csr_matrix((coef, (row, col)), shape=(m, n))
 
         at, (ball, ball_col, _) = self.ball_table.read(steps, grid,
                                                        self.width)
@@ -822,13 +796,16 @@ class _Layout:
         radius_col[at] = self.radius_col[:, None]
 
         template = _Template(
-            owned, cols, np.concatenate(binary), bounds, a.indptr[:-1],
-            a.indices, a.data, balls, radius, radius_col,
-            np.flatnonzero(radius_col < 0), tuple(row_labels),
+            cols, (self.step_binary + at_step).ravel(), bounds,
+            a.indptr[:-1], a.indices, a.data, balls, radius, radius_col,
+            np.flatnonzero(radius_col < 0),
+            tuple((per_step * steps + once, names, owners)
+                  for per_step, once, names, owners in self.row_labels),
             tuple((per_step * steps, names, owners)
                   for per_step, _, names, owners in self.ball_labels),
-            init, term, self.shed_pos + at_step, rows.T[:, self.loaded],
-            pinned, tuple(pins))
+            grid[self.slot_init],
+            grid[self.slot_term + self.width * (steps - 1)],
+            self.shed_pos + at_step, rows.T[:, self.loaded])
         for arr in template:
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
@@ -856,12 +833,13 @@ class ModelBuilder:
     window start.
 
     Windows.  A window's template (:class:`_Template`) is the layout's
-    term tables read at the window's steps, made once per shape (module
+    term tables read at the window's steps, made once per length (module
     docstring, "Block layout").  :meth:`_window` writes every window as
     offset copies of its template's CSR arrays, columns and balls, in
-    the model's own index type, then what the window's loads, boundary
-    and start set.  :meth:`finish` wraps the arrays as they are: the
-    rows need no sort and the windows no concatenation.
+    the model's own index type, then what its loads, start and ownership
+    of the builds set; :meth:`_row_block` writes the boundary pins and
+    the seams.  :meth:`finish` wraps the arrays as they are: the rows
+    need no sort and the windows no concatenation.
 
     Names.  Each window leaves a ``(first, start, end, owned)`` tuple,
     each row or ball block a ``(first, labels)`` pair (labels that repeat
@@ -881,17 +859,18 @@ class ModelBuilder:
                     f"window [{start}, {end}) outside the load horizon "
                     f"{loads.horizon}")
         self.loads = loads
+        self.own_builds = own_builds
         self.layout = lay = _layout(instance, loads.dt)
         # every bus's real load, then its reactive
         self.demand = np.concatenate([loads.p, loads.q], axis=1)
-        # the first window pins the state it imports to the boundary
-        self.templates = [lay.template(end - start, own_builds and w == 0,
-                                       w == 0)
-                          for w, (start, end) in enumerate(self.windows)]
-        seams = len(lay.slots) * (len(self.windows) - 1)
+        self.templates = [lay.template(end - start)
+                          for start, end in self.windows]
+        # the first window's pins, then the seams
+        sewn = lay.pinned[own_builds].size \
+            + len(lay.slots) * (len(self.windows) - 1)
         n = sum(t.cols.shape[1] for t in self.templates)
-        m = sum(t.bounds.shape[1] for t in self.templates) + seams
-        nnz = sum(t.data.size for t in self.templates) + 2 * seams
+        m = sum(t.bounds.shape[1] for t in self.templates) + sewn
+        nnz = sum(t.data.size for t in self.templates) + 2 * sewn
         k = sum(t.radius.size for t in self.templates)
         index = np.int32 if max(m, n, nnz) <= _INT32_MAX else np.int64
         self.col_data = np.empty((4, n))     # rows lb, ub, q, p_diag
@@ -908,17 +887,16 @@ class ModelBuilder:
         self.row_blocks = []         # (first row, labels) per row block
         self.cone_blocks = []        # (first ball, labels) per ball block
 
-    def _window(self, start, end, template, boundary):
-        """Every column, row and ball of window ``[start, end)``, its
-        state pinned to `boundary` if its `template` pins it, and the
-        columns that import each coupling slot at its start and hand it
-        on at its end."""
+    def _window(self, start, end, template, owned):
+        """Every column, row and ball of window ``[start, end)``, which
+        owns the build decisions if `owned`, and the columns that import
+        each coupling slot at its start and hand it on at its end."""
         tm = template
         steps = end - start
         first, m, at, k = self.n, self.m, self.nnz, self.k
         self.n, self.m = first + tm.cols.shape[1], m + tm.bounds.shape[1]
         self.nnz, self.k = at + tm.data.size, k + tm.radius.size
-        self.col_blocks.append((first, int(start), int(end), tm.owned))
+        self.col_blocks.append((first, int(start), int(end), owned))
         # the template's arrays moved to the window's first column, row,
         # entry and ball; index arithmetic in the matrix's own index type
         index = self.indices.dtype.type
@@ -927,12 +905,13 @@ class ModelBuilder:
         loads = self.demand[start:end]
         cols[1][tm.shed_cols] = np.where(loads < 0.0, 0.0, loads)
         self.binary_cols.append(tm.binary + first)
+        if owned:
+            cols[:, :self.layout.fixed] = self.layout.fixed_data[True]
+            self.binary_cols.append(self.layout.fixed_binary + first)
         bounds = self.row_bounds[:, m:self.m]
         bounds[...] = tm.bounds
         for side in bounds:
             side[tm.load_rows] = loads
-        if tm.pinned.size:
-            bounds[:, -tm.pinned.size:] = boundary[tm.pinned]
         np.add(tm.indptr, index(at), out=self.indptr[m:self.m])
         np.add(tm.indices, index(first), out=self.indices[at:self.nnz])
         self.data[at:self.nnz] = tm.data
@@ -975,23 +954,23 @@ class ModelBuilder:
         lay = self.layout
         slots = lay.slots
         boundary = lay.start_boundary if boundary is None \
-            else np.asarray(boundary, dtype=float)
-        if boundary.shape != (len(slots),):
-            raise FormulationError(
-                f"boundary has {boundary.shape[0]} entries, "
-                f"expected {len(slots)}")
+            else _per_slot(boundary, "boundary", len(slots))
         if duals_in is not None:
-            duals_in = np.asarray(duals_in, dtype=float)
-            if duals_in.shape != (len(slots),):
-                raise FormulationError(
-                    f"price vector has {duals_in.shape[0]} entries, "
-                    f"expected {len(slots)}")
-            if not np.isfinite(duals_in).all():
-                raise FormulationError("price vector must be finite")
+            duals_in = _per_slot(duals_in, "price vector", len(slots))
 
-        ends = [self._window(start, end, template, boundary)
-                for (start, end), template in zip(self.windows,
-                                                   self.templates)]
+        owned = self.own_builds
+        ends = [self._window(*self.windows[0], self.templates[0], owned)]
+        # equality rows fixing the first window's imported state; their
+        # duals are the boundary prices
+        pinned = lay.pinned[owned]
+        pins = boundary[pinned]
+        rows = self._row_block(lay.pin_labels[owned], pins, pins,
+                               ends[0][0][pinned, None], 1.0)
+        init_pin_rows = [None] * len(slots)
+        for i, row in zip(pinned.tolist(), rows):
+            init_pin_rows[i] = row
+        ends += [self._window(*window, template, False) for window, template
+                 in zip(self.windows[1:], self.templates[1:])]
         # later windows are sewn to their predecessor's terminal state,
         # whose columns come first
         self.seam_rows = tuple(tuple(self._row_block(
@@ -1013,8 +992,7 @@ class ModelBuilder:
             binaries=frozenset(np.concatenate(self.binary_cols).tolist()),
             coupling=CouplingMeta(slots=slots,
                                   terminal_cols=tuple(terminal.tolist()),
-                                  # the first window's pins, at its row 0
-                                  init_pin_rows=self.templates[0].pins),
+                                  init_pin_rows=tuple(init_pin_rows)),
             window=(self.windows[0][0], self.windows[-1][1]),
             dt=self.loads.dt, layout=lay, col_blocks=tuple(self.col_blocks),
             row_blocks=tuple(self.row_blocks),
@@ -1024,6 +1002,19 @@ class ModelBuilder:
             for gamma, j in zip(duals_in, terminal):
                 model.q[j] += float(gamma)
         return model
+
+
+def _per_slot(values, name, slots):
+    """`values` as one finite number per coupling slot, of `slots`."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (slots,):
+        raise FormulationError(
+            f"{name} has {values.size} entries, expected {slots}"
+            if values.ndim == 1 else
+            f"{name} has shape {values.shape}, expected ({slots},)")
+    if not np.isfinite(values).all():
+        raise FormulationError(f"{name} must be finite")
+    return values
 
 
 def assemble(instance: NetworkInstance, loads: LoadProfile, window=None,

@@ -126,6 +126,23 @@ class TestValidation:
         with pytest.raises(EngineError, match="lb > ub"):
             make_prog([1.0], [0.0], lb=[1.0], ub=[0.0])
 
+    @pytest.mark.parametrize("where, value, match", [
+        ("row", INF, "row 1 has l = inf"),
+        ("row", -INF, "row 1 has u = -inf"),
+        ("variable", INF, "variable 1 has lb = inf"),
+        ("variable", -INF, "variable 1 has ub = -inf"),
+    ])
+    def test_sides_no_finite_value_meets_rejected(self, where, value, match):
+        # x + y = +inf, say, or a column fixed at -inf; a side infinite
+        # the other way stays legal (test_non_finite_data_rejected)
+        sides = {"row": [[-1.0, 1.0], [0.0, 2.0]],
+                 "variable": [[-2.0, 2.0], [-2.0, 2.0]]}
+        sides[where][1] = [value, value]
+        (l, u), (lb, ub) = (np.array(sides[k]).T for k in ("row", "variable"))
+        with pytest.raises(EngineError, match=match):
+            ConvexProgram([1.0, 1.0], [0.0, 0.0], [[1.0, 0.0], [1.0, 1.0]],
+                          l, u, lb, ub)
+
     @pytest.mark.parametrize("name, value, match", [
         ("p_diag", np.nan, "p_diag holds a non-finite"),
         ("p_diag", INF, "p_diag holds a non-finite"),

@@ -1666,12 +1666,11 @@ def test_templates_write_the_models_they_were_made_for(seed, monkeypatch):
     warm = [build() for build in builds]
     for got, want in zip(warm, cold):
         assert_same_model(got, want)
-    # one template per shape: the seam-joined model's first and later
-    # windows, and a later stage's, which is pinned
-    assert sorted(lay.templates) == [(12, False, False), (12, False, True),
-                                     (12, True, True)]
-    template = lay.template(12, False, True)
-    assert lay.template(12, False, True) is template
+    # one template per length, whether a window owns the builds, is
+    # pinned to a boundary or sewn to the window before it
+    assert sorted(lay.templates) == [12]
+    template = lay.template(12)
+    assert lay.template(12) is template
     for arr in template:
         if isinstance(arr, np.ndarray):
             assert not arr.flags.writeable

@@ -129,6 +129,31 @@ def test_price_vector_validation(inst, loads4):
     nan[0] = np.nan
     with pytest.raises(FormulationError, match="price vector must be finite"):
         assemble(inst, loads4, window=(0, 2), duals_in=nan)
+    for prices, shape in [(1.0, r"\(\)"), (np.zeros((2, n)), rf"\(2, {n}\)")]:
+        with pytest.raises(FormulationError, match=rf"price vector has shape "
+                           rf"{shape}, expected \({n},\)"):
+            assemble(inst, loads4, window=(0, 2), duals_in=prices)
+
+
+def test_boundary_validation(inst, loads4):
+    # one finite value per slot, or an error naming what was given; an
+    # infinite pin would be a free row to the engine
+    n = len(coupling_slots(inst))
+    start = horizon_start_boundary(inst)
+    for boundary, match in [
+            (5.0, rf"boundary has shape \(\), expected \({n},\)"),
+            (np.zeros((2, n)), rf"boundary has shape \(2, {n}\), expected "
+                               rf"\({n},\)"),
+            (np.zeros(n + 1), f"boundary has {n + 1} entries, expected {n}")]:
+        with pytest.raises(FormulationError, match=match):
+            assemble(inst, loads4, window=(1, 3), boundary=boundary,
+                     own_builds=False)
+    for value in (np.inf, -np.inf, np.nan):
+        bad = start.copy()
+        bad[0] = value
+        with pytest.raises(FormulationError, match="boundary must be finite"):
+            assemble(inst, loads4, window=(1, 3), boundary=bad,
+                     own_builds=False)
 
 
 def test_relative_gap_is_percent():
