@@ -56,7 +56,9 @@ interior layer alone (:meth:`QpWorkspace.interior`), and a caller with
 many programs that differ only in their bounds, such as the nodes of a
 branch and bound, builds one workspace and takes a view of it per bound
 set (:meth:`QpWorkspace.with_bounds`): the Ruiz scaling and the stacked
-rows, balls and costs do not depend on the bounds and are shared.
+rows, balls and costs do not depend on the bounds and are shared.  A
+view binds its scaled sides and index sets once, and each layer reads
+them and has one exit: a raw scaled point, or a certified result.
 
 ``optimal`` means polished or proven, from every entry.  A polished
 point is *certified*: it passes :func:`certify`: (1) every row, bound
@@ -75,8 +77,8 @@ Otherwise it is ``iteration-limit``, with detail saying why the interior
 point stopped (after at most MAX_ITER steps), if it did not meet its own
 termination test.  :meth:`QpWorkspace.solve` returns the polish of the
 interior point, or, when that does not certify, the interior point's
-result with ``polish rejected`` in its detail.  A program whose every
-column has finite bounds is never reported ``unbounded``.  Each
+result with ``polish rejected`` in its detail, packaged only then.  A
+program whose every column has finite bounds is never ``unbounded``.  Each
 interior-point step is logged at DEBUG level on this module's logger,
 with its step number, primal and dual residuals and objective.
 
@@ -586,7 +588,8 @@ class QpWorkspace:
     rows are stacked so that they share the equilibration, but the
     interior point factors none of their inequalities: it folds them
     into the diagonal.  A fixed column (lb = ub) stays an equality row,
-    and the polish pins an active bound as a row.
+    and the polish pins an active bound as a row.  A view binds its
+    sides and index sets once (:meth:`_bind`), which both layers read.
     """
 
     def __init__(self, prog: ConvexProgram):
@@ -596,7 +599,6 @@ class QpWorkspace:
                                             minlength=len(prog.cones)))
         self.cone0 = m + n                   # first cone row
         self.mt = m + n + self.cones.owner.size
-        self._bind(prog)
         heads, rc = self.cones.heads, prog.radius_col
         h = np.zeros(self.cones.owner.size)
         h[heads] = np.where(rc < 0, prog.radius, 0.0)
@@ -604,8 +606,9 @@ class QpWorkspace:
         cols = np.concatenate([rc[rc >= 0], prog.cone_cols])
         cone_a = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
                                shape=(h.size, n))
-        self._scale(sp.vstack([prog.a, sp.eye(n, format="csr"), cone_a],
-                              format="csr"))
+        self._scale(prog, sp.vstack([prog.a, sp.eye(n, format="csr"), cone_a],
+                                    format="csr"))
+        self._bind(prog)
         self.h_cone = self.e[self.cone0:] * h
         # a ball's row holds at most one entry of As: its column and value
         # (column -1 on a constant radius's row)
@@ -625,11 +628,18 @@ class QpWorkspace:
 
     def _bind(self, prog):
         """Take `prog` as the program: its variable bounds are the only
-        stacked data that `_scale` and the cone layout leave out."""
+        stacked data that `_scale` and the cone layout leave out.  Binds
+        the stacked sides, scaled (`ls`, `us`), and the indices of their
+        equalities and of the other rows' finite upper and lower sides."""
         self.prog = prog
         cone_rows = self.mt - self.cone0
         self.l = np.concatenate([prog.l, prog.lb, np.full(cone_rows, -np.inf)])
         self.u = np.concatenate([prog.u, prog.ub, np.full(cone_rows, np.inf)])
+        self.ls, self.us = self.l * self.e, self.u * self.e
+        eq = (self.ls == self.us) & np.isfinite(self.us)
+        self.i_eq = np.flatnonzero(eq)
+        self.i_up = np.flatnonzero(np.isfinite(self.us) & ~eq)
+        self.i_lo = np.flatnonzero(np.isfinite(self.ls) & ~eq)
         # with every column boxed the cost is bounded below, so a primal
         # ray of decreasing cost can only be a rounding artefact
         self.boxed = bool(np.isfinite(prog.lb).all()
@@ -646,7 +656,7 @@ class QpWorkspace:
                                  p.cones, p.const))
         return view
 
-    def _scale(self, a):
+    def _scale(self, prog, a):
         """Modified Ruiz equilibration plus cost normalization.  The rows
         of a ball share the largest scale among them, so the scaled
         block lies in the same cone."""
@@ -654,8 +664,8 @@ class QpWorkspace:
         d = np.ones(n)
         e = np.ones(mt)
         c = 1.0
-        p = self.prog.p_diag.copy()
-        q = self.prog.q.copy()
+        p = prog.p_diag.copy()
+        q = prog.q.copy()
         a = a.tocoo()
         row, col_of, mag = a.row, a.col, np.abs(a.data)
         group = np.concatenate([np.arange(c0), c0 + self.cones.owner])
@@ -691,18 +701,21 @@ class QpWorkspace:
     def solve(self) -> PrimalDualSolution:
         """The interior point, then the polish of its point: the result
         of :meth:`polish_from` on :meth:`interior`, with the interior
-        point's step count and the total time.  When no polish pass
-        certifies, the interior point's result stands, with ``polish
-        rejected`` added to its detail (an ``iteration-limit`` keeps its
-        reason to stop alone, if it had one)."""
+        point's step count and the total time.  Only when no polish
+        pass certifies is the interior point's result packaged: it
+        stands, with ``polish rejected`` added to its detail (an
+        ``iteration-limit`` keeps its reason to stop alone, if it had
+        one)."""
         t0 = time.perf_counter()
-        sol = self.interior()
-        if sol.status in ("optimal", "iteration-limit"):
-            polished = self.polish_from(sol)
-            if polished is not None:
-                polished.iterations = sol.iterations
-                sol = polished
-            elif sol.status == "optimal" or not sol.detail:
+        raw = self._interior_point()
+        status, _, x_sc, y_sc, *_, it = raw
+        tried = status in ("optimal", "iteration-limit")
+        sol = self._polish(*self._unscaled(x_sc, y_sc)) if tried else None
+        if sol is not None:
+            sol.iterations = it
+        else:
+            sol = self._package(*raw, 0.0)
+            if tried and (sol.status == "optimal" or not sol.detail):
                 sol.detail = "; ".join(filter(None, ("polish rejected", sol.detail)))
         sol.solve_time = time.perf_counter() - t0
         return sol
@@ -712,98 +725,36 @@ class QpWorkspace:
         multipliers as they stand, the bound they prove, and the label
         of that proof (module docstring)."""
         t0 = time.perf_counter()
-        if self.empty_row is not None:
-            row, miss = self.empty_row
-            return self._package("infeasible", f"row {row} is empty",
-                                 np.zeros(self.n), np.zeros(self.mt), miss,
-                                 0.0, 0, time.perf_counter() - t0)
-        ls, us, i_eq, i_up, i_lo = self._sides()
-        # g x + s = h: equalities (s = 0), the upper and lower sides of
-        # the other linear rows (s >= 0), then the ball blocks, whose
-        # values h + As x enter negated
-        n_lin = i_up.size + i_lo.size
-        rows = np.concatenate([i_eq, i_up, i_lo, np.arange(self.cone0, self.mt)])
-        sign = np.ones(rows.size)
-        sign[i_eq.size + i_up.size:] = -1.0
-        g = sp.diags(sign) @ self.As[rows]
-        h = np.concatenate([us[i_eq], us[i_up], -ls[i_lo], self.h_cone])
-        cones = _Cones(np.concatenate([np.ones(n_lin, dtype=int),
-                                       self.cones.sizes]))
-
-        status, it, (x, z, prim_res, dual_res), detail = \
-            self._interior_point(g, h, i_eq.size, cones, self.e[rows])
-        y = np.zeros(self.mt)
-        np.add.at(y, rows, sign * z)
-        return self._package(status, detail, x, y, prim_res, dual_res, it,
-                             time.perf_counter() - t0)
+        return self._package(*self._interior_point(), time.perf_counter() - t0)
 
     def polish_from(self, start: PrimalDualSolution) -> PrimalDualSolution | None:
-        """The polish of a point: `start` solved this program, or one
-        with its rows, balls and costs but other bounds.  Its x, clipped
-        to this program's bounds, and its multipliers are scaled as this
-        workspace scales (the scaling does not depend on the bounds).  A
-        row side or ball is pinned when its multiplier exceeds its slack
-        (a ball's slack is its distance to the cone boundary), as the
-        sign alone misreads near-zero duals, or when the clipped point
-        sits on it.  Returns the polished point as ``optimal`` after 0
-        iterations if it certifies, else None."""
-        t0 = time.perf_counter()
-        prog, m, n, c0 = self.prog, self.prog.m, self.n, self.cone0
+        """The polish of a point (:meth:`_polish`): `start` solved this
+        program, or one with its rows, balls and costs but other bounds.
+        Returns the polished point as ``optimal`` after 0 iterations if
+        it certifies, else None."""
         parts = [np.asarray(v, dtype=float) for v in (
             start.x, start.y_rows, start.y_bounds, start.cone_duals)]
-        if [v.shape for v in parts] != [(n,), (m,), (n,), (len(prog.cones),)]:
+        if [v.shape for v in parts] != [(self.n,), (self.prog.m,), (self.n,),
+                                        (len(self.prog.cones),)]:
             raise EngineError("start does not match the program's columns, "
                               "rows and balls")
-        x_sc = np.clip(parts[0], prog.lb, prog.ub) / self.d
-        y = np.concatenate(parts[1:3]) * self.c / self.e[:c0]
-        lam = parts[3] * self.c / self.e[c0 + self.cones.heads]
-        ls, us, _, i_up, i_lo = self._sides()
-        ax = self.As @ x_sc
-        _, radius, norm = self._balls(ax)
-        z = np.concatenate([np.maximum(y[i_up], 0.0), np.maximum(-y[i_lo], 0.0),
-                            lam])
-        slack = np.concatenate([us[i_up] - ax[i_up], ax[i_lo] - ls[i_lo],
-                                radius - norm])
-        # a side or ball the point sits on is pinned whatever its
-        # multiplier: a polished start is exact there, and a zero
-        # multiplier on it may be one of several optimal ones
-        act = z > np.where(slack > 0.0, slack, -np.inf)
-        n_lin = i_up.size + i_lo.size
-        up = np.zeros(self.mt, dtype=bool)
-        low = np.zeros(self.mt, dtype=bool)
-        up[i_up[act[:i_up.size]]] = True
-        low[i_lo[act[i_up.size:n_lin]]] = True
-        polished = self._polish(low, up, act[n_lin:], lam, x_sc)
-        if polished is None or polished[2].ratio > 1.0:
-            return None
-        x, y, cert = polished
-        return self._package("optimal", "polished", x, y, cert.prim, cert.stat,
-                             0, time.perf_counter() - t0)
+        return self._polish(*parts)
 
-    def _sides(self):
-        """Scaled row sides (ls, us) of the stacked rows, and the indices
-        of their equalities, of the finite upper sides of the other rows
-        and of their finite lower sides."""
-        ls = self.l * self.e
-        us = self.u * self.e
-        eq = (ls == us) & np.isfinite(us)
-        return (ls, us, np.flatnonzero(eq), np.flatnonzero(np.isfinite(us) & ~eq),
-                np.flatnonzero(np.isfinite(ls) & ~eq))
-
-    def _interior_point(self, g, h, me, cones, e_g):
+    def _interior_point(self):
         """Homogeneous self-dual primal-dual iteration with Mehrotra
-        predictor-corrector steps on the scaled program
+        predictor-corrector steps on the view's scaled program
 
             minimize 1/2 x' diag(ps) x + qs' x   s.t.  g x + s = h,
             s = 0 on the first `me` rows, s in `cones` on the rest,
 
         embedded with the homogenizing pair (tau, kappa) so that the
         limit is either a solution (tau > 0) or an infeasibility
-        certificate (kappa > 0).  Returns the status, the step count,
-        the point (x, z, primal residual, dual residual): the iterate
-        meeting the tolerances, or the best iterate seen otherwise, and
-        why an ``iteration-limit`` run stopped (empty for the other
-        statuses):
+        certificate (kappa > 0).  Every run, an empty row's included,
+        leaves through one exit with the arguments of :meth:`_package`
+        but the time: the status, the detail, the scaled x and stacked
+        multipliers of the iterate meeting the tolerances (or of the
+        best seen), its residuals and the step count.  The detail names
+        an empty row, or says why an ``iteration-limit`` run stopped:
 
         - "step limit": MAX_ITER steps were taken;
         - "stalled": mu did not halve over STALL_ITERS steps;
@@ -818,6 +769,18 @@ class QpWorkspace:
         A step computes one :class:`_Frame` of s and one of z, and one
         :class:`_Scaling`, for all its tests, directions and step lengths.
         """
+        ls, us, i_eq, i_up, i_lo = self.ls, self.us, self.i_eq, self.i_up, self.i_lo
+        me, n_lin = i_eq.size, i_up.size + i_lo.size
+        # the equalities, the upper and lower sides of the other linear
+        # rows, then the ball blocks, whose values h + As x enter negated
+        g_rows = np.concatenate([i_eq, i_up, i_lo, np.arange(self.cone0, self.mt)])
+        sign = np.ones(g_rows.size)
+        sign[me + i_up.size:] = -1.0
+        g = sp.diags(sign) @ self.As[g_rows]
+        h = np.concatenate([us[i_eq], us[i_up], -ls[i_lo], self.h_cone])
+        cones = _Cones(np.concatenate([np.ones(n_lin, dtype=int),
+                                       self.cones.sizes]))
+        e_g = self.e[g_rows]
         n, mg = self.n, g.shape[0]
         ps, qs, d, c = self.ps, self.qs, self.d, self.c
         gt = g.T.tocsr()
@@ -884,26 +847,29 @@ class QpWorkspace:
                 return out
             return solve
 
-        # start from the least-squares point of the rows (W = I), with
-        # slacks and multipliers shifted into the cones' interior
+        status, reason, mus, it = "iteration-limit", "", [], 0
         rhs_tau = np.concatenate([-qs, h])
-        sol = factor(cones.w2(np.ones(cones.count), cones.unit))(rhs_tau)
-        x, z = sol[:n], sol[n:]
-        s = np.zeros(mg)
-        s[me:] = -z[me:]
-        for v in (s, z):
-            lowest = float(cones.margin(v[me:]).min(initial=1.0))
-            if lowest < 1.0:
-                v[me + cones.heads] += 1.0 - lowest
-        tau = kappa = 1.0
+        if self.empty_row is not None:
+            row, miss = self.empty_row
+            status, reason = "infeasible", f"row {row} is empty"
+            best = (0.0, (np.zeros(n), np.zeros(mg), miss, 0.0))
+        else:
+            # start from the least-squares point of the rows (W = I), with
+            # slacks and multipliers shifted into the cones' interior
+            best = None
+            sol = factor(cones.w2(np.ones(cones.count), cones.unit))(rhs_tau)
+            x, z = sol[:n], sol[n:]
+            s = np.zeros(mg)
+            s[me:] = -z[me:]
+            for v in (s, z):
+                lowest = float(cones.margin(v[me:]).min(initial=1.0))
+                if lowest < 1.0:
+                    v[me + cones.heads] += 1.0 - lowest
+            tau = kappa = 1.0
         h_ref = float((np.abs(h) / e_g).max(initial=0.0))
         q_ref = float((np.abs(qs) / d).max(initial=0.0))
 
-        status, reason = "iteration-limit", ""
-        best = None
-        mus = []
-        it = 0
-        while True:
+        while status == "iteration-limit":
             xh, zh, sh = x / tau, z / tau, s / tau
             gx, px, gtz = g @ xh, ps * xh, gt @ zh
             prim_res = float((np.abs(gx + sh - h) / e_g).max(initial=0.0))
@@ -933,12 +899,14 @@ class QpWorkspace:
             gt_z, p_x, gx_s = gt @ z, ps * x, g @ x + s
             if htz < 0.0 and float((np.abs(gt_z) / d).max(initial=0.0)) \
                     <= EPS_INF * -htz:
-                return "infeasible", it, best[1], ""
+                status = "infeasible"
+                break
             if qx < 0.0 and not self.boxed:
                 curv = float((np.abs(p_x) / d).max(initial=0.0))
                 slip = float((np.abs(gx_s) / e_g).max(initial=0.0))
                 if curv <= EPS_INF * -qx and slip <= EPS_INF * -qx / c:
-                    return "unbounded", it, best[1], ""
+                    status = "unbounded"
+                    break
             mu = (float(s[me:] @ z[me:]) + tau * kappa) / (cones.count + 1)
             mus.append(mu)
             # a stalled iteration (mu not halving over the window) hands
@@ -1028,7 +996,10 @@ class QpWorkspace:
                     and tau > 0.0):
                 reason = "non-finite step"
                 break
-        return status, it, best[1], reason
+        x, z, prim_res, dual_res = best[1]
+        y = np.zeros(self.mt)
+        np.add.at(y, g_rows, sign * z)
+        return status, reason, x, y, prim_res, dual_res, it
 
     def _unscaled(self, x_sc, y_sc):
         """The point in the caller's units: x, row multipliers, bound
@@ -1053,7 +1024,7 @@ class QpWorkspace:
         minimized over its box in closed form.  It is -inf when a column
         without curvature is pushed toward an infinite bound."""
         m, c0, cones = self.prog.m, self.cone0, self.cones
-        ls, us = self.l[:m] * self.e[:m], self.u[:m] * self.e[:m]
+        ls, us = self.ls[:m], self.us[:m]
         y = np.zeros(self.mt)
         y[:m] = _valid_sign(y_sc[:m], ls, us)
         z = -y_sc[c0:]
@@ -1108,13 +1079,15 @@ class QpWorkspace:
         val = self.h_cone + ax[self.cone0:]
         return val, val[self.cones.heads], self.cones.tail_norm(val)
 
-    def _polish(self, low, up, act, lam, x_sc):
-        """Equality-constrained resolve on the active rows `low`/`up`
-        (plus every equality row) and the active balls `act`, whose
-        interior-point multipliers are `lam`; returns the scaled
-        candidate (x, y) with the lowest certificate ratio and that
-        certificate, or None if the first factorization fails.
-        Acceptance is the caller's decision.
+    def _polish(self, x, y_rows, y_bounds, cone_duals):
+        """Equality-constrained resolve on the active set of a point in
+        the caller's units, its x clipped to this program's bounds and
+        scaled with its multipliers.  Every equality row is pinned, and a
+        row side or ball when its multiplier exceeds its slack (a ball's
+        slack is its distance to the cone boundary), as the sign alone
+        misreads near-zero duals, or when the point sits on it.  Returns
+        the candidate of lowest certificate ratio as ``optimal`` after 0
+        iterations if it certifies, else None.
 
         An active ball is pinned by its tangent u·v = r at the current
         point (u the unit direction of its columns v), and its
@@ -1131,13 +1104,31 @@ class QpWorkspace:
         the inactive rows; at an exact optimum it is consistent with the
         unmodified optimality conditions, so nondegenerate solutions are
         unaffected."""
+        t0 = time.perf_counter()
         n, m, c0, cones = self.n, self.prog.m, self.cone0, self.cones
         owner, heads, tail = cones.owner, cones.heads, cones.tail
-        ls = self.l * self.e
-        us = self.u * self.e
-        eq = ls == us          # always pinned, whatever the multiplier sign
+        ls, us, i_up, i_lo = self.ls, self.us, self.i_up, self.i_lo
         e_k = self.e[c0 + heads]
         ccol, cval = self.cone_col, self.cone_val
+        x_lin = np.clip(x, self.prog.lb, self.prog.ub) / self.d
+        y = np.concatenate([y_rows, y_bounds]) * self.c / self.e[:c0]
+        lam = cone_duals * self.c / e_k
+        ax = self.As @ x_lin
+        val, radius, norm = self._balls(ax)
+        z = np.concatenate([np.maximum(y[i_up], 0.0), np.maximum(-y[i_lo], 0.0),
+                            lam])
+        slack = np.concatenate([us[i_up] - ax[i_up], ax[i_lo] - ls[i_lo],
+                                radius - norm])
+        # a side or ball the point sits on is pinned whatever its
+        # multiplier: a polished start is exact there, and a zero
+        # multiplier on it may be one of several optimal ones
+        act = z > np.where(slack > 0.0, slack, -np.inf)
+        n_lin = i_up.size + i_lo.size
+        eq, up, low = np.zeros((3, self.mt), dtype=bool)
+        eq[self.i_eq] = True           # pinned, whatever the multiplier sign
+        up[i_up[act[:i_up.size]]] = True
+        low[i_lo[act[i_up.size:n_lin]]] = True
+        act = act[n_lin:]
         lam = np.maximum(lam, 0.0)
 
         # The handed-over active set is only a guess.  Each pass solves
@@ -1147,8 +1138,6 @@ class QpWorkspace:
         # tangents to the candidate.  The candidate with the lowest
         # certificate ratio over all passes is returned.
         best = None
-        x_lin = x_sc
-        val, radius, norm = self._balls(self.As @ x_lin)
 
         def tangent(val, norm):
             """Block weights (-1, u) turning a ball's rows into its tangent
@@ -1165,7 +1154,7 @@ class QpWorkspace:
             t_vals = -np.bincount(pos, weights=(coef * self.h_cone)[in_t],
                                   minlength=int(tan.sum()))
             pinned = c0 + np.flatnonzero(tail & apex[owner])
-            idx = np.concatenate([np.flatnonzero(eq), np.flatnonzero(low),
+            idx = np.concatenate([self.i_eq, np.flatnonzero(low),
                                   np.flatnonzero(up), pinned])
             vals = np.concatenate([ls[eq], ls[low], us[up],
                                    np.zeros(pinned.size), t_vals])
@@ -1197,7 +1186,7 @@ class QpWorkspace:
             try:
                 lu = spla.splu(k_reg, panel_size=1)
             except RuntimeError:
-                return best
+                break
             # proximal-point iteration on the pinned subproblem, reusing
             # one factorization: re-anchoring at each solution drives the
             # anchor error to zero (finitely, on polyhedral pieces), so
@@ -1217,13 +1206,15 @@ class QpWorkspace:
                 # dual directions, which the refinement tolerates
                 sol = _refined(lu, k_reg, dual_shift, rhs)
                 if not np.all(np.isfinite(sol)):
-                    return best
+                    break
                 move = float(np.abs(sol[:n] - anchor).max(initial=0.0))
                 anchor = sol[:n]
                 if move <= 1e-14 * (1.0 + float(np.abs(anchor).max(initial=0.0))) \
                         or move > 0.5 * last:
                     break
                 last = move
+            if not np.all(np.isfinite(sol)):
+                break
 
             # a column pinned at a bound sits on it exactly, so that no
             # rounding residue reaches its cost
@@ -1285,7 +1276,11 @@ class QpWorkspace:
             act = (act | grow_c) & ~shrink_c
             lam = np.where(tan, np.maximum(t_full, 0.0), lam)
             x_lin = x_pol
-        return best
+        if best is None or best[2].ratio > 1.0:
+            return None
+        x_pol, y_pol, cert = best
+        return self._package("optimal", "polished", x_pol, y_pol, cert.prim,
+                             cert.stat, 0, time.perf_counter() - t0)
 
 
 def solve_qcqp(prog: ConvexProgram) -> PrimalDualSolution:

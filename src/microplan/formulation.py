@@ -121,9 +121,8 @@ class FormulationError(ValueError):
     pass
 
 
-def _check_bus_order(instance: NetworkInstance, loads: LoadProfile):
-    """Load column j must be bus j of the instance."""
-    buses = tuple(b.id for b in instance.buses)
+def _check_bus_order(buses: tuple, loads: LoadProfile):
+    """Load column j must be bus j of the instance, `buses` in order."""
     if tuple(loads.bus_ids) != buses:
         raise FormulationError(f"load profile buses {tuple(loads.bus_ids)} are"
                                f" not the instance's buses {buses} in order")
@@ -373,19 +372,21 @@ class _Template(NamedTuple):
 
 
 class _Layout:
-    """The column layout of a window and the term tables of its rows and
-    balls (:class:`_Table`), which depend on the instance and the step
-    length alone (module docstring, "Block layout"); the slots a
-    builder's first window pins to the boundary, and their row labels,
-    per ownership of the build decisions; and one :class:`_Template` per
-    window length.  :meth:`template` makes a length's template on first
-    use, the tables read at the window's steps (:meth:`_expand`), and
-    keeps it as long as the layout.  Shared by every builder of the same
-    instance, so read-only, the tables and templates too."""
+    """The instance's bus ids in order (`bus_ids`), the column layout of a
+    window and the term tables of its rows and balls (:class:`_Table`),
+    which depend on the instance and the step length alone (module
+    docstring, "Block layout"); the slots a builder's first window pins
+    to the boundary, and their row labels, per ownership of the build
+    decisions; and one :class:`_Template` per window length.
+    :meth:`template` makes a length's template on first use, the tables
+    read at the window's steps (:meth:`_expand`), and keeps it as long
+    as the layout.  Shared by every builder of the same instance, so
+    read-only, the tables and templates too."""
 
     def __init__(self, instance: NetworkInstance, dt: float):
         self.instance = instance
         self.dt = dt
+        self.bus_ids = tuple(b.id for b in instance.buses)
         self.slots = coupling_slots(instance)
         self.start_boundary = horizon_start_boundary(instance)
         self._lay_out_fixed()
@@ -851,7 +852,8 @@ class ModelBuilder:
                  windows, own_builds=True):
         """`windows` in time order; the first owns the build decisions
         if `own_builds`, the later ones import them."""
-        _check_bus_order(instance, loads)
+        self.layout = lay = _layout(instance, loads.dt)
+        _check_bus_order(lay.bus_ids, loads)
         self.windows = [tuple(w) for w in windows]
         for start, end in self.windows:
             if not (0 <= start < end <= loads.horizon):
@@ -860,7 +862,6 @@ class ModelBuilder:
                     f"{loads.horizon}")
         self.loads = loads
         self.own_builds = own_builds
-        self.layout = lay = _layout(instance, loads.dt)
         # every bus's real load, then its reactive
         self.demand = np.concatenate([loads.p, loads.q], axis=1)
         self.templates = [lay.template(end - start)
@@ -1190,7 +1191,7 @@ def check_feasibility(instance: NetworkInstance, loads: LoadProfile,
 
     The plan must cover [0, T) for the given loads.
     """
-    _check_bus_order(instance, loads)
+    _check_bus_order(tuple(b.id for b in instance.buses), loads)
     if plan.start != 0:
         raise FormulationError("plan must start at the horizon origin")
     T = plan.horizon

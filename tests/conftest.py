@@ -1,15 +1,17 @@
 """Suite-wide checks on the convex engine's results.
 
-Every result the engine packages is checked as it is made: an
-``optimal`` result's weak-duality bound may not exceed its objective by
-more than 1e-9 times max(1 USD, |objective|).  A bound above the
-objective would let branch and bound prune a region holding the optimum.
+Every result the engine packages is checked as it is made:
 
-Every ``optimal`` result that ``QpWorkspace.interior`` reports is
-optimal by proof, so its objective may exceed its bound by at most 1e-7
-times max(1 USD, |objective|).  Every unpolished point the engine
-labels, whether a branch-and-bound node's or one that ``solve`` keeps
-when its polish is rejected, comes from there.
+- an ``optimal`` result's weak-duality bound may not exceed its
+  objective by more than 1e-9 times max(1 USD, |objective|).  A bound
+  above the objective would let branch and bound prune a region holding
+  the optimum.
+- an ``optimal`` result that is not polished is optimal by proof, so its
+  objective may exceed its bound by at most 1e-7 times
+  max(1 USD, |objective|).  That covers every unpolished point the
+  engine labels: a branch-and-bound node's, one from
+  ``QpWorkspace.interior``, and one that ``solve`` keeps when its polish
+  is rejected.
 """
 
 import pytest
@@ -31,22 +33,11 @@ def bound_at_most_objective(monkeypatch):
             assert sol.bound <= sol.objective + slack, (
                 f"{sol.detail or 'optimal'} result: bound {sol.bound!r} is "
                 f"above objective {sol.objective!r}")
+            if sol.detail != "polished":
+                gap = sol.objective - sol.bound
+                assert gap <= PROOF_GAP * max(1.0, abs(sol.objective)), (
+                    f"unpolished optimal: objective {sol.objective!r} is "
+                    f"{gap!r} above its bound")
         return sol
 
     monkeypatch.setattr(convex.QpWorkspace, "_package", checked)
-
-
-@pytest.fixture(autouse=True)
-def unpolished_optimum_is_proven(monkeypatch):
-    interior = convex.QpWorkspace.interior
-
-    def checked(self):
-        sol = interior(self)
-        if sol.status == "optimal":
-            gap = sol.objective - sol.bound
-            assert gap <= PROOF_GAP * max(1.0, abs(sol.objective)), (
-                f"unpolished optimal: objective {sol.objective!r} is "
-                f"{gap!r} above its bound")
-        return sol
-
-    monkeypatch.setattr(convex.QpWorkspace, "interior", checked)

@@ -6,6 +6,7 @@ written directly from the optimality conditions, with no code shared
 with the engine under test.
 """
 
+import dataclasses
 import itertools
 import logging
 import warnings
@@ -1065,3 +1066,49 @@ class TestWorkspaceView:
             assert np.array_equal(getattr(alone, key), getattr(unpolished, key)), key
         assert (alone.status, alone.iterations, alone.bound) \
             == (unpolished.status, unpolished.iterations, unpolished.bound)
+
+
+class TestOnePackagePerSolve:
+    """`QpWorkspace.solve` packages the polish when it certifies, and the
+    interior point's result only when the polish is rejected."""
+
+    @staticmethod
+    def monolith_t4():
+        inst = gen_bat_instance()
+        loads = synth_load(inst, 1, 0.25, {"b2": 0.4}, seed=0)
+        return relax_integrality(
+            assemble(inst, loads, window=(0, 4))).to_convex()
+
+    @staticmethod
+    def assert_same(got, want, skip):
+        for f in dataclasses.fields(PrimalDualSolution):
+            if f.name not in skip:
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert np.array_equal(a, b, equal_nan=True) \
+                    if isinstance(a, (np.ndarray, float)) else a == b, f.name
+
+    def test_certified_solve_packages_once(self, monkeypatch):
+        prog = self.monolith_t4()
+        interior = QpWorkspace(prog).interior()
+        want = QpWorkspace(prog).polish_from(interior)
+        want.iterations = interior.iterations
+        calls = []
+        package = QpWorkspace._package
+
+        def counted(self, *args):
+            calls.append(args[:2])
+            return package(self, *args)
+
+        monkeypatch.setattr(QpWorkspace, "_package", counted)
+        got = QpWorkspace(prog).solve()
+        assert calls == [("optimal", "polished")]
+        self.assert_same(got, want, skip={"solve_time"})
+
+    def test_rejected_polish_packages_the_interior_point(self, monkeypatch):
+        prog = self.monolith_t4()
+        want = QpWorkspace(prog).interior()
+        assert (want.status, want.detail) == ("optimal", "")
+        monkeypatch.setattr(QpWorkspace, "_polish", lambda *args: None)
+        got = QpWorkspace(prog).solve()
+        assert got.detail == "polish rejected"
+        self.assert_same(got, want, skip={"solve_time", "detail"})
