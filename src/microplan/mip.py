@@ -1,10 +1,11 @@
 """Branch-and-bound over convex relaxations.
 
-The search is best-first with a depth-first plunge after every pick:
-the most promising open node is popped, and its children are followed
-downward (rounding the branch variable toward the relaxation value
-first) until the chain is pruned, infeasible, or integral.  Plunging
-finds incumbents early; the heap keeps the global bound honest.
+The search is best-first, in one loop: before each pick the budget is
+checked, then the open node of lowest bound is popped and explored
+once.  A fractional node queues both children with its own bound, the
+branch away from the relaxation value first, which wins ties.
+Incumbents come from integral nodes and from rounding the relaxation
+at node 1 and at every 50th node.
 
 The search builds one engine workspace for its base program, and each
 node takes a view of it with the node's bounds.  A node relaxation is
@@ -116,7 +117,7 @@ class _NodeSolver:
 
     def __init__(self, model):
         self.workspace = QpWorkspace(relax_integrality(model).to_convex())
-        self.binaries = sorted(model.binaries)
+        self.binaries = np.array(sorted(model.binaries), dtype=int)
         self.tightener = _Tightener(model)
 
     def view(self, fixings):
@@ -159,22 +160,34 @@ class _NodeSolver:
 
     def fractional(self, x):
         """Unfixed binary farthest from integer, lowest column on ties."""
-        best = None
-        for j in self.binaries:
-            f = abs(x[j] - round(x[j]))
-            if f > INT_TOL and (best is None or f > best[0]):
-                best = (f, j)
-        return None if best is None else best[1]
+        xb = x[self.binaries]
+        off = np.abs(xb - np.round(xb))
+        if not off.size or off.max() <= INT_TOL:
+            return None
+        return int(self.binaries[np.argmax(off)])
 
 
 def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
                  node_limit: int = 100_000, time_limit: float = 600.0) -> MipResult:
     """Solve the mixed-binary model to the requested relative gap.
 
+    Best-first: until the heap empties, `node_limit` nodes are explored
+    or `time_limit` seconds pass (checked before each pick), the open
+    node of lowest bound is popped, and a fractional one queues both
+    children with its bound.  A limit below 0 or NaN, or an infinite
+    `gap_tol`, raises `EngineError`.
+
     The search is deterministic for fixed inputs.  Each explored node is
     logged at DEBUG level (see the module docstring).
     """
     t0 = time.perf_counter()
+    # NaN fails every comparison, so each test also rejects it
+    for name, value, usable, rule in (
+            ("gap_tol", gap_tol, 0.0 <= gap_tol < np.inf, "finite and >= 0"),
+            ("node_limit", node_limit, node_limit >= 0, ">= 0"),
+            ("time_limit", time_limit, time_limit >= 0.0, ">= 0")):
+        if not usable:
+            raise EngineError(f"{name} must be {rule}, got {value!r}")
     solver = _NodeSolver(model)
 
     ub = np.inf
@@ -209,7 +222,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
         tolerance."""
         nonlocal ub, inc_sol, inc_fix
         full = dict(fixings)
-        for j in solver.binaries:
+        for j in solver.binaries.tolist():
             if j not in full:
                 full[j] = float(round(sol.x[j]))
         cand = solver.confirm(tuple(full.items()), sol)
@@ -220,50 +233,32 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
             inc_sol = cand
             inc_fix = full
 
-    interrupted = False
-    while heap:
+    while heap and not out_of_budget():
         bound0, _, node = heapq.heappop(heap)
         if prunable(bound0):
             lb_floor = min(lb_floor, bound0)
             continue
-        if out_of_budget():
-            heapq.heappush(heap, (bound0, 0, node))
-            interrupted = True
-            break
-
-        # plunge: follow the rounded child until the chain dies
-        cur = node
-        while cur is not None:
-            if out_of_budget():
-                heapq.heappush(heap, (cur.bound, seq + 10 ** 9, cur))
-                interrupted = True
-                break
-            nodes += 1
-            sol = solver.relax(cur.fixings, gap_tol)
-            if sol is None or sol.status == "infeasible":
-                log_node(cur.depth)
-                break
-            if sol.status == "unbounded":
-                raise EngineError("node relaxation is unbounded")
-            # weak duality: any multipliers bound the node, converged or not
-            bound = max(cur.bound, sol.bound)
-            jstar = solver.fractional(sol.x)
-            if jstar is None:
-                accept(cur.fixings, sol)
-            elif nodes == 1 or nodes % 50 == 0:
-                accept(cur.fixings, sol)   # rounding heuristic
-            log_node(cur.depth, bound)
-            if jstar is None or prunable(bound):
-                lb_floor = min(lb_floor, bound)
-                break
-            near = float(round(sol.x[jstar]))
+        nodes += 1
+        sol = solver.relax(node.fixings, gap_tol)
+        if sol is None or sol.status == "infeasible":
+            log_node(node.depth)
+            continue
+        if sol.status == "unbounded":
+            raise EngineError("node relaxation is unbounded")
+        # weak duality: any multipliers bound the node, converged or not
+        bound = max(node.bound, sol.bound)
+        jstar = solver.fractional(sol.x)
+        if jstar is None or nodes == 1 or nodes % 50 == 0:
+            accept(node.fixings, sol)   # integral, or the rounding heuristic
+        log_node(node.depth, bound)
+        if jstar is None or prunable(bound):
+            lb_floor = min(lb_floor, bound)
+            continue
+        near = float(round(sol.x[jstar]))
+        for value in (1.0 - near, near):
             seq += 1
-            heapq.heappush(heap, (bound, seq,
-                                  BnbNode(cur.fixings + ((jstar, 1.0 - near),),
-                                          bound, cur.depth + 1)))
-            cur = BnbNode(cur.fixings + ((jstar, near),), bound, cur.depth + 1)
-        if interrupted:
-            break
+            heapq.heappush(heap, (bound, seq, BnbNode(
+                node.fixings + ((jstar, value),), bound, node.depth + 1)))
 
     cands = [b for b, _, _ in heap]
     if np.isfinite(lb_floor):
@@ -274,7 +269,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
     gap = _relative_gap(ub, lb)
 
     if inc_sol is None:
-        status = "node-limit" if interrupted else "infeasible"
+        status = "node-limit" if heap else "infeasible"
     elif gap <= gap_tol:
         status = "optimal-within-gap"
         gap = max(gap, 0.0)

@@ -11,6 +11,7 @@ exact mixed-binary optimum the search must reproduce.
 
 import logging
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from test_formulation import (
 
 from microplan import convex, mip
 from microplan.convex import (
-    PrimalDualSolution, QpWorkspace, certify, get_duals, solve_qcqp,
+    EngineError, PrimalDualSolution, QpWorkspace, certify, get_duals, solve_qcqp,
 )
 from microplan.decomposition import partition, rh_solve
 from microplan.formulation import (
@@ -529,13 +530,13 @@ def test_tightener_finds_the_columns_of_a_scan():
 
 
 def test_budget_exits():
-    # the 2-bus T=4 monolith closes in 5 nodes; cut short after one, it
+    # the 2-bus T=4 monolith closes in 3 nodes; cut short after one, it
     # keeps the root's rounded incumbent, and with no time at all it
     # has none
     inst = gen_bat_instance()
     model = assemble(inst, flat_loads(inst, 4, p=0.4, q=0.1))
     full = solve_miqcqp(model)
-    assert full.status == "optimal-within-gap" and full.nodes == 5
+    assert full.status == "optimal-within-gap" and full.nodes == 3
     assert full.objective == pytest.approx(223.6931687685298, rel=1e-9)
 
     one = solve_miqcqp(model, node_limit=1)
@@ -548,3 +549,45 @@ def test_budget_exits():
     assert none.status == "node-limit" and none.nodes == 0
     assert none.x is None and none.binaries is None and none.solution is None
     assert none.objective == np.inf and none.best_bound == -np.inf
+
+
+def test_unusable_limits_are_rejected(two_step, two_step_result):
+    # a gap_tol below 0 or NaN is never met, so a closed search would read
+    # `feasible`; a NaN time_limit never expires; a negative node_limit
+    # stops before the root
+    for limit, value in (("gap_tol", -1.0), ("gap_tol", np.nan),
+                         ("gap_tol", np.inf), ("node_limit", -3),
+                         ("time_limit", np.nan), ("time_limit", -1.0)):
+        with pytest.raises(EngineError, match=limit):
+            solve_miqcqp(two_step, **{limit: value})
+    res = solve_miqcqp(two_step, gap_tol=0.0, time_limit=np.inf)
+    assert res.status == "optimal-within-gap"
+    assert res.objective == pytest.approx(two_step_result.objective, rel=1e-6)
+
+
+def test_every_explored_node_is_popped_best_first(three_step, monkeypatch):
+    # each node relaxation is of the node just taken off the heap, and the
+    # heap gives them up in nondecreasing order of their queued bound
+    events, bounds = [], []
+    heappop, relax = mip.heapq.heappop, _NodeSolver.relax
+
+    def popped(heap):
+        bound, seq, node = heappop(heap)
+        events.append(("pop", node.fixings))
+        bounds.append(bound)
+        return bound, seq, node
+
+    def relaxed(self, fixings, gap_tol):
+        events.append(("relax", fixings))
+        return relax(self, fixings, gap_tol)
+
+    monkeypatch.setattr(mip, "heapq", SimpleNamespace(
+        heappush=mip.heapq.heappush, heappop=popped))
+    monkeypatch.setattr(_NodeSolver, "relax", relaxed)
+    res = solve_miqcqp(three_step)
+    assert res.status == "optimal-within-gap"
+    relaxes = [k for k, (kind, _) in enumerate(events) if kind == "relax"]
+    assert len(relaxes) == res.nodes > 1
+    assert events[0][0] == "pop"
+    assert all(events[k - 1] == ("pop", events[k][1]) for k in relaxes)
+    assert bounds == sorted(bounds)
