@@ -21,7 +21,7 @@ import numpy as np
 from .convex import get_duals, solve_qcqp
 from .formulation import (
     MdopModel, OperatingPlan, assemble, build_seamed, coupling_slots,
-    extract_plan, plan_costs, relax_integrality,
+    extract_plan, plan_costs,
 )
 # solve_fixed_then_duals stays bound here: bench/tracer.py wraps it by this name
 from .mip import _relative_gap, solve_fixed_then_duals, solve_miqcqp  # noqa: F401
@@ -240,8 +240,7 @@ def _relaxed_monolith(instance, loads, plan):
     duals that seed the boundary prices.  Returns the seamed model, the
     solution and, when that solution is not optimal, why ("" otherwise)."""
     seamed = build_seamed(instance, loads, plan.windows)
-    relaxed = relax_integrality(seamed.model)
-    sol = solve_qcqp(relaxed.to_convex())
+    sol = solve_qcqp(seamed.model.to_convex())
     failure = "" if sol.status == "optimal" \
         else f"monolithic relaxation ended {sol.status} ({sol.detail})"
     return seamed, sol, failure

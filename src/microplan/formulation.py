@@ -73,8 +73,10 @@ labeled variables", JOSS 2023): ``to_convex`` hands it on as it is, and
 
 A built model holds no Python object per column, row or ball either.
 It keeps the layout, a ``(first, start, end, owned)`` tuple per window
-and a ``(first, labels)`` pair per row or ball block, whose labels are
-a sequence or, for a block that repeats over the steps, a :class:`_Cycle`.
+and a ``(first, names, owners, start, steps)`` tuple per row or ball
+block, read by :func:`_label`: a window's blocks hold the layout's
+label table as it is, with the window's start and steps, and a block of
+pins or seams its labels as `owners`, `names` None.
 :meth:`MdopModel.col` finds a column by the formula above, and
 ``describe_col``, ``describe_row`` and ``describe_cone`` name a column,
 row or ball when asked; nothing is named before.
@@ -189,23 +191,17 @@ class RowCoefs(SequenceView):
         return dict(zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist()))
 
 
-class _Cycle(SequenceView):
-    """Labels of rows (or balls) that cycle through the families `names`
-    at each of `steps` steps from `start`, group after group: row ``(g *
-    steps + t) * F + f`` is ``(names[f], owners[g * F + f], start + t)``."""
-
-    def __init__(self, names, owners, start, steps):
-        self.names, self.owners = names, owners
-        self.start, self.steps = start, steps
-
-    def __len__(self):
-        return len(self.owners) * self.steps
-
-    def _item(self, i):
-        width = len(self.names)
-        group, rest = divmod(i, self.steps * width)
-        t, f = divmod(rest, width)
-        return self.names[f], self.owners[group * width + f], self.start + t
+def _label(names, owners, start, steps, i):
+    """Item i of a row (or ball) block: ``owners[i]`` if `names` is None;
+    otherwise the block cycles through the families `names` at each of
+    `steps` steps from `start`, group after group, and item ``(g * steps
+    + t) * F + f`` is ``(names[f], owners[g * F + f], start + t)``."""
+    if names is None:
+        return owners[i]
+    width = len(names)
+    group, rest = divmod(i, steps * width)
+    t, f = divmod(rest, width)
+    return names[f], owners[group * width + f], start + t
 
 
 def _block_of(blocks, i, size):
@@ -248,8 +244,9 @@ class MdopModel:
     dt: float
     layout: _Layout
     col_blocks: tuple            # (first, start, end, owned) per window
-    row_blocks: tuple            # (first, labels) per row block
-    cone_blocks: tuple           # (first, labels) per ball block
+    row_blocks: tuple            # (first, names, owners, start, steps)
+                                 # per row block, read by _label
+    cone_blocks: tuple           # the same per ball block
 
     @property
     def row_coefs(self) -> RowCoefs:
@@ -257,6 +254,7 @@ class MdopModel:
         return RowCoefs(self.a)
 
     def to_convex(self) -> ConvexProgram:
+        """The continuous relaxation: `binaries` is not part of it."""
         return ConvexProgram(self.p_diag, self.q, self.a, self.row_lo,
                              self.row_hi, self.lb, self.ub, self.cones,
                              self.const)
@@ -289,13 +287,13 @@ class MdopModel:
 
     def describe_row(self, i) -> tuple:
         """The label of row i: (family, owner, time) for a window's rows."""
-        (_, labels), i = _block_of(self.row_blocks, i, self.a.shape[0])
-        return labels[i]
+        (_, *block), i = _block_of(self.row_blocks, i, self.a.shape[0])
+        return _label(*block, i)
 
     def describe_cone(self, k) -> tuple:
         """The label (family, owner, time) of ball k."""
-        (_, labels), k = _block_of(self.cone_blocks, k, len(self.cones))
-        return labels[k]
+        (_, *block), k = _block_of(self.cone_blocks, k, len(self.cones))
+        return _label(*block, k)
 
     def objective_value(self, x) -> float:
         return 0.5 * float(x @ (self.p_diag * x)) + float(self.q @ x) + self.const
@@ -340,12 +338,9 @@ class _Template(NamedTuple):
     step columns.  `bounds` holds the rows' lo and hi, and `indptr`,
     `indices` and `data` their entries in CSR order (`indptr` without
     its closing entry).  `balls` holds each ball's two columns, `radius`
-    its radius and `radius_col` its radius column, -1 at the balls
-    `constant` whose radius is a number.  `row_labels` and `ball_labels`
-    hold a ``(first, names, owners)`` triple per block: a block with
-    `names` None is labelled by its list `owners`, and the others by a
-    :class:`_Cycle` from the window's start.  `init` and `term` are the
-    columns that import and hand on each coupling slot.
+    its radius and `radius_col` its radius column, -1 where the radius
+    is a number.  `init` and `term` are the columns that import and hand
+    on each coupling slot.
 
     What the window's data and place set is left to the builder: the
     build decisions' costs and binaries where it owns them, its boundary
@@ -362,9 +357,6 @@ class _Template(NamedTuple):
     balls: np.ndarray
     radius: np.ndarray
     radius_col: np.ndarray
-    constant: np.ndarray
-    row_labels: tuple
-    ball_labels: tuple
     init: np.ndarray
     term: np.ndarray
     shed_cols: np.ndarray
@@ -670,7 +662,9 @@ class _Layout:
         (or balls) cycle through its families at each step, or, unless
         `repeats`, hold once.  Returns the table, each template's values,
         each block's ``(per_step, once, names, owners)`` labels, `names`
-        None for rows once, and the count of rows at each step and once."""
+        None for rows once (in a window of `steps` steps, the block's first
+        row is ``per_step * steps + once``), and the count of rows at each
+        step and once."""
         per_step = once = 0
         templates, terms, values, labels = [], [], [], []
         for groups, repeats in blocks:
@@ -799,11 +793,6 @@ class _Layout:
         template = _Template(
             cols, (self.step_binary + at_step).ravel(), bounds,
             a.indptr[:-1], a.indices, a.data, balls, radius, radius_col,
-            np.flatnonzero(radius_col < 0),
-            tuple((per_step * steps + once, names, owners)
-                  for per_step, once, names, owners in self.row_labels),
-            tuple((per_step * steps, names, owners)
-                  for per_step, _, names, owners in self.ball_labels),
             grid[self.slot_init],
             grid[self.slot_term + self.width * (steps - 1)],
             self.shed_pos + at_step, rows.T[:, self.loaded])
@@ -843,9 +832,10 @@ class ModelBuilder:
     need no sort and the windows no concatenation.
 
     Names.  Each window leaves a ``(first, start, end, owned)`` tuple,
-    each row or ball block a ``(first, labels)`` pair (labels that repeat
-    over the steps as a :class:`_Cycle`), which :meth:`finish` hands to
-    the model as they are.
+    and each row or ball block a ``(first, names, owners, start, steps)``
+    tuple, a window's read from the layout's `row_labels` and
+    `ball_labels` at its first row and ball, start and steps, which
+    :meth:`finish` hands to the model as they are.
     """
 
     def __init__(self, instance: NetworkInstance, loads: LoadProfile,
@@ -885,14 +875,14 @@ class ModelBuilder:
         self.radius_col = np.empty(k, dtype=np.int64)
         self.n = self.m = self.nnz = self.k = 0      # written so far
         self.col_blocks = []         # (first, start, end, owned) per window
-        self.row_blocks = []         # (first row, labels) per row block
-        self.cone_blocks = []        # (first ball, labels) per ball block
+        self.row_blocks = []         # (first row, names, owners, start, steps)
+        self.cone_blocks = []        # (first ball, names, owners, start, steps)
 
     def _window(self, start, end, template, owned):
         """Every column, row and ball of window ``[start, end)``, which
         owns the build decisions if `owned`, and the columns that import
         each coupling slot at its start and hand it on at its end."""
-        tm = template
+        tm, lay = template, self.layout
         steps = end - start
         first, m, at, k = self.n, self.m, self.nnz, self.k
         self.n, self.m = first + tm.cols.shape[1], m + tm.bounds.shape[1]
@@ -907,8 +897,8 @@ class ModelBuilder:
         cols[1][tm.shed_cols] = np.where(loads < 0.0, 0.0, loads)
         self.binary_cols.append(tm.binary + first)
         if owned:
-            cols[:, :self.layout.fixed] = self.layout.fixed_data[True]
-            self.binary_cols.append(self.layout.fixed_binary + first)
+            cols[:, :lay.fixed] = lay.fixed_data[True]
+            self.binary_cols.append(lay.fixed_binary + first)
         bounds = self.row_bounds[:, m:self.m]
         bounds[...] = tm.bounds
         for side in bounds:
@@ -917,16 +907,14 @@ class ModelBuilder:
         np.add(tm.indices, index(first), out=self.indices[at:self.nnz])
         self.data[at:self.nnz] = tm.data
         self.row_blocks += [
-            (m + row, owners if names is None
-             else _Cycle(names, owners, start, steps))
-            for row, names, owners in tm.row_labels]
+            (m + per_step * steps + once, names, owners, start, steps)
+            for per_step, once, names, owners in lay.row_labels]
         np.add(tm.balls, first, out=self.balls[k:self.k])
         self.radius[k:self.k] = tm.radius
-        radius_col = self.radius_col[k:self.k]
-        np.add(tm.radius_col, first, out=radius_col)
-        radius_col[tm.constant] = -1
-        self.cone_blocks += [(k + ball, _Cycle(names, owners, start, steps))
-                             for ball, names, owners in tm.ball_labels]
+        self.radius_col[k:self.k] = np.where(tm.radius_col < 0, -1,
+                                             tm.radius_col + first)
+        self.cone_blocks += [(k + per_step * steps, names, owners, start, steps)
+                             for per_step, _, names, owners in lay.ball_labels]
         return tm.init + first, tm.term + first
 
     def _row_block(self, labels, lo, hi, cols, coefs):
@@ -937,7 +925,7 @@ class ModelBuilder:
         first, at = self.m, self.nnz
         self.m += len(labels)
         self.nnz += cols.size
-        self.row_blocks.append((first, labels))
+        self.row_blocks.append((first, None, labels, 0, 0))
         self.row_bounds[0, first:self.m] = lo
         self.row_bounds[1, first:self.m] = hi
         self.indptr[first:self.m] = np.arange(at, self.nnz, cols.shape[1])
@@ -1201,8 +1189,10 @@ def check_feasibility(instance: NetworkInstance, loads: LoadProfile,
     bad = []
 
     def check(family, owner, t, amount):
-        if amount > tol:
-            bad.append((family, owner, t, float(amount)))
+        # NaN fails every test, so it is a violation of size inf
+        if not amount <= tol:
+            bad.append((family, owner, t,
+                        np.inf if np.isnan(amount) else float(amount)))
 
     def series(kind, owner):
         arr = plan.series.get((kind, owner))

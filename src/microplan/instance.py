@@ -651,7 +651,7 @@ def synth_load(instance: NetworkInstance, days: int, dt: float, base,
     shape peaking mid-day and ``noise`` is seeded white noise.  Reactive
     load is a fixed power-factor fraction of the real load.  `base` is
     either a single MW value applied to every bus or a mapping
-    ``bus id -> MW``.
+    ``bus id -> MW`` (absent buses get no load), nonnegative either way.
     """
     if days < 1:
         raise InstanceError("days must be >= 1")
@@ -665,9 +665,15 @@ def synth_load(instance: NetworkInstance, days: int, dt: float, base,
         raise InstanceError(f"dt={dt} does not evenly divide {days} days")
     n = len(instance.buses)
     if isinstance(base, dict):
+        ids = instance.bus_index()
+        unknown = next((key for key in base if key not in ids), None)
+        if unknown is not None:
+            raise InstanceError(f"base load for unknown bus {unknown!r}")
         base_mw = np.array([float(base.get(b.id, 0.0)) for b in instance.buses])
     else:
         base_mw = np.full(n, float(base))
+    if not (base_mw >= 0.0).all():
+        raise InstanceError("base load must be nonnegative")
 
     hours = (np.arange(steps) * dt) % 24.0
     diurnal = -np.cos(2.0 * np.pi * hours / 24.0)  # trough at midnight, peak at noon

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import EngineError, PrimalDualSolution, QpWorkspace, solve_qcqp
-from .formulation import MdopModel, fix_binaries, relax_integrality
+from .formulation import MdopModel, fix_binaries
 
 log = logging.getLogger(__name__)
 
@@ -106,7 +106,7 @@ class _Tightener:
         for js, jz in self.caps:
             ub[js] = min(ub[js], ub[jz] * self.base_ub[js])
         for jz, xs in self.gates:
-            np.minimum(ub[xs], ub[jz], out=ub[xs])
+            ub[xs] = np.minimum(ub[xs], ub[jz])
             lb[jz] = max(lb[jz], lb[xs].max(initial=0.0))
         return bool(np.all(lb <= ub))
 
@@ -116,7 +116,7 @@ class _NodeSolver:
     search, on the base program, and bound construction from fixings."""
 
     def __init__(self, model):
-        self.workspace = QpWorkspace(relax_integrality(model).to_convex())
+        self.workspace = QpWorkspace(model.to_convex())
         self.binaries = np.array(sorted(model.binaries), dtype=int)
         self.tightener = _Tightener(model)
 

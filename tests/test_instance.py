@@ -563,6 +563,15 @@ class TestSynthLoad:
         assert prof.p[0, 1] == 0.0
         assert prof.p[:, 0].max() > 0
 
+    def test_bad_base_rejected(self):
+        # an id not among the buses (ids are case-sensitive) or a negative
+        # base would leave silent zero loads
+        with pytest.raises(InstanceError, match="unknown bus 'B'"):
+            synth_load(two_bus(), days=1, dt=1.0, base={"a": 0.4, "B": 0.4})
+        for base in ({"b": -0.4}, -0.4):
+            with pytest.raises(InstanceError, match="must be nonnegative"):
+                synth_load(two_bus(), days=1, dt=1.0, base=base)
+
     def test_uneven_dt_rejected(self):
         with pytest.raises(InstanceError, match="does not evenly divide"):
             synth_load(two_bus(), days=1, dt=0.7, base=1.0)

@@ -529,6 +529,25 @@ def test_tightener_finds_the_columns_of_a_scan():
         assert bool(caps) == bool(gates) == (name != "later stage"), name
 
 
+def test_commitment_gate_moves_both_bounds():
+    # z_d fixed to 0 leaves no commitment upper bound above 0, and one
+    # committed step forces z_d up to 1
+    inst = gen_bat_instance()
+    model = assemble(inst, flat_loads(inst, 4, p=0.4, q=0.1))
+    tight = _Tightener(model)
+    (jz, xs), = tight.gates
+    assert len(xs) == 4 and np.all(model.ub[xs] == 1.0)
+    lb, ub = model.lb.copy(), model.ub.copy()
+    ub[jz] = 0.0
+    assert tight.apply(lb, ub)
+    assert np.all(ub[xs] == 0.0)
+
+    lb, ub = model.lb.copy(), model.ub.copy()
+    lb[xs[2]] = 1.0
+    assert tight.apply(lb, ub)
+    assert lb[jz] == 1.0 and np.all(ub[xs] == 1.0)
+
+
 def test_budget_exits():
     # the 2-bus T=4 monolith closes in 3 nodes; cut short after one, it
     # keeps the root's rounded incumbent, and with no time at all it

@@ -376,6 +376,24 @@ def test_grid_import_is_checked_at_the_slack_bus(inst, loads4):
     assert report.max_violation == pytest.approx(0.1, abs=1e-6)
 
 
+def test_nan_in_a_plan_is_a_violation(inst, loads4):
+    model = assemble(inst, loads4)
+    plan = extract_plan(model, solve_miqcqp(model).x)
+    assert check_feasibility(inst, loads4, plan).ok
+    for key in (("p_b", "bat1"), ("sc_b", "bat1"), ("v", "b2"),
+                ("shed_p", "b2"), ("x_d", "g1"), ("p_line", "l1"),
+                ("s_b", "bat1")):
+        bad = copy.deepcopy(plan)
+        if key in bad.builds:
+            bad.builds[key] = np.nan
+        else:
+            bad.series[key][1] = np.nan
+        report = check_feasibility(inst, loads4, bad)
+        assert not report.ok, key
+        assert report.max_violation == np.inf, key
+        assert report.worst(1)[0][3] == np.inf, key
+
+
 def test_stage_search_without_an_incumbent_is_named(pair, monkeypatch):
     # stage 1's search ends with no incumbent: the sweep cannot go on
     inst, loads = pair
