@@ -232,16 +232,13 @@ class ConvexProgram:
         if np.any(self.lb > self.ub + 1e-12):
             bad = int(np.argmax(self.lb - self.ub))
             raise EngineError(f"variable {bad} has lb > ub")
-        # the engine reads the balls as flat arrays
-        self.cone_cols, self.cone_owner = self.cones.cols, self.cones.owner
-        self.radius, self.radius_col = self.cones.radius, self.cones.radius_col
         self._check_cones()
 
     def _check_cones(self):
         """Name the first ball with no columns, a repeated or out-of-range
         column, a negative or non-finite constant radius, or a radius
         column out of range or among its own columns."""
-        owner, cols, rc = self.cone_owner, self.cone_cols, self.radius_col
+        owner, cols, rc = self.cones.owner, self.cones.cols, self.cones.radius_col
         sizes = np.bincount(owner, minlength=rc.size)
         has_radius_col = rc != -1
         bad_cols = np.zeros(len(sizes), dtype=bool)
@@ -252,8 +249,8 @@ class ConvexProgram:
         bad_rc = has_radius_col & ((rc < 0) | (rc >= self.n))
         bad_rc[owner[has_radius_col[owner] & (cols == rc[owner])]] = True
         empty = sizes == 0
-        negative = ~has_radius_col & (self.radius < 0)
-        infinite = ~has_radius_col & ~np.isfinite(self.radius)
+        negative = ~has_radius_col & (self.cones.radius < 0)
+        infinite = ~has_radius_col & ~np.isfinite(self.cones.radius)
         bad = empty | bad_cols | negative | infinite | bad_rc
         if not bad.any():
             return
@@ -350,12 +347,12 @@ def _primal(prog: ConvexProgram, x):
     column norm, the worst absolute violation of a row, bound or ball,
     and the worst ratio of a violation to its tolerance, EPS_ABS +
     EPS_REL times the magnitude of its terms."""
-    owner, cols, rc = prog.cone_owner, prog.cone_cols, prog.radius_col
+    owner, cols, rc = prog.cones.owner, prog.cones.cols, prog.cones.radius_col
     v = np.concatenate([prog.a @ x, x])
     lo, hi = np.concatenate([prog.l, prog.lb]), np.concatenate([prog.u, prog.ub])
     at = np.clip(v, lo, hi)
     norm = np.sqrt(np.bincount(owner, x[cols] ** 2, minlength=rc.size))
-    radius = np.where(rc >= 0, x[rc], prog.radius)
+    radius = np.where(rc >= 0, x[rc], prog.cones.radius)
     viol = np.concatenate([np.abs(v - at), np.maximum(norm - radius, 0.0)])
     prim_ref = np.concatenate([np.maximum(np.abs(v), np.abs(at)),
                                np.maximum(np.abs(radius), norm)])
@@ -374,7 +371,7 @@ def certify(prog: ConvexProgram, x, y_rows, y_bounds, cone_duals) -> Certificate
     proportion to their lambda: that test is sufficient but not
     necessary, so it can reject a valid point.  The formulation builds
     no balls that share a column."""
-    owner, cols, rc = prog.cone_owner, prog.cone_cols, prog.radius_col
+    owner, cols, rc = prog.cones.owner, prog.cones.cols, prog.cones.radius_col
     v, lo, hi, radius, norm, prim, prim_ratio = _primal(prog, x)
 
     y = _valid_sign(np.concatenate([y_rows, y_bounds]).astype(float), lo, hi)
@@ -435,15 +432,6 @@ def _refined(lu, mat, shift, rhs):
     return sol
 
 
-def _rows_of(csr, idx):
-    """Entries of the rows `idx` of `csr` as (position in idx, column,
-    value) triplets."""
-    start, count = csr.indptr[idx], np.diff(csr.indptr)[idx]
-    at = np.repeat(start - np.cumsum(count) + count, count) \
-        + np.arange(int(count.sum()))
-    return np.repeat(np.arange(idx.size), count), csr.indices[at], csr.data[at]
-
-
 class _Frame(NamedTuple):
     """A cone vector `v` with what a step reads of it: each block's
     `margin` (head minus tail norm, positive inside) and determinant
@@ -474,7 +462,8 @@ class _Scaling(NamedTuple):
 class _Cones:
     """A product of second-order cones {v : v[0] >= |v[1:]|}, laid out
     block after block in one vector; a block of size 1 is a nonnegative
-    row.  The methods act block-wise on vectors in that layout."""
+    row.  The methods act block-wise on vectors in that layout, and a
+    block's margin and determinant are read only off its :meth:`frame`."""
 
     def __init__(self, sizes):
         self.sizes = np.asarray(sizes, dtype=int)
@@ -501,16 +490,6 @@ class _Cones:
 
     def tail_norm(self, v):
         return np.sqrt(self.tail_dot(v, v))
-
-    def margin(self, v):
-        """Distance of each block to its cone's boundary, head minus
-        tail norm: positive inside."""
-        return v[self.heads] - self.tail_norm(v)
-
-    def det(self, v):
-        """Each block's determinant v0^2 - |v[1:]|^2."""
-        tn = self.tail_norm(v)
-        return (v[self.heads] - tn) * (v[self.heads] + tn)
 
     def frame(self, v):
         """The :class:`_Frame` of `v`: one tail norm serves the margin,
@@ -589,33 +568,34 @@ class QpWorkspace:
     interior point factors none of their inequalities: it folds them
     into the diagonal.  A fixed column (lb = ub) stays an equality row,
     and the polish pins an active bound as a row.  A view binds its
-    sides and index sets once (:meth:`_bind`), which both layers read.
+    sides, held only in scaled form, and its index sets once
+    (:meth:`_bind`), which both layers read.
     """
 
     def __init__(self, prog: ConvexProgram):
         n, m = prog.n, prog.m
         self.n = n
-        self.cones = _Cones(1 + np.bincount(prog.cone_owner,
+        self.cones = _Cones(1 + np.bincount(prog.cones.owner,
                                             minlength=len(prog.cones)))
         self.cone0 = m + n                   # first cone row
         self.mt = m + n + self.cones.owner.size
-        heads, rc = self.cones.heads, prog.radius_col
+        heads, rc = self.cones.heads, prog.cones.radius_col
         h = np.zeros(self.cones.owner.size)
-        h[heads] = np.where(rc < 0, prog.radius, 0.0)
-        rows = np.concatenate([heads[rc >= 0], np.flatnonzero(self.cones.tail)])
-        cols = np.concatenate([rc[rc >= 0], prog.cone_cols])
-        cone_a = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
-                               shape=(h.size, n))
-        self._scale(prog, sp.vstack([prog.a, sp.eye(n, format="csr"), cone_a],
-                                    format="csr"))
+        h[heads] = np.where(rc < 0, prog.cones.radius, 0.0)
+        # a ball's row holds at most one entry, 1 before scaling: its
+        # column (-1 on a constant radius's row) and its scaled value
+        self.cone_col = np.full(h.size, -1)
+        self.cone_col[heads[rc >= 0]] = rc[rc >= 0]
+        self.cone_col[self.cones.tail] = prog.cones.cols
+        has = np.flatnonzero(self.cone_col >= 0)
+        a = prog.a.tocoo()
+        self._scale(prog, np.concatenate([a.row, m + np.arange(n), self.cone0 + has]),
+                    np.concatenate([a.col, np.arange(n), self.cone_col[has]]),
+                    np.concatenate([a.data, np.ones(n + has.size)]))
         self._bind(prog)
         self.h_cone = self.e[self.cone0:] * h
-        # a ball's row holds at most one entry of As: its column and value
-        # (column -1 on a constant radius's row)
-        block = self.As[self.cone0:]
-        has = np.diff(block.indptr) > 0
-        self.cone_col, self.cone_val = np.full(h.size, -1), np.zeros(h.size)
-        self.cone_col[has], self.cone_val[has] = block.indices, block.data
+        self.cone_val = np.zeros(h.size)
+        self.cone_val[has] = self.e[self.cone0 + has] * self.d[self.cone_col[has]]
         # an empty row whose bounds exclude zero is its own certificate of
         # infeasibility; in the interior point its multiplier would grow
         # like 1/KKT_REG and could stall the iteration instead
@@ -632,10 +612,9 @@ class QpWorkspace:
         the stacked sides, scaled (`ls`, `us`), and the indices of their
         equalities and of the other rows' finite upper and lower sides."""
         self.prog = prog
-        cone_rows = self.mt - self.cone0
-        self.l = np.concatenate([prog.l, prog.lb, np.full(cone_rows, -np.inf)])
-        self.u = np.concatenate([prog.u, prog.ub, np.full(cone_rows, np.inf)])
-        self.ls, self.us = self.l * self.e, self.u * self.e
+        free = np.full(self.mt - self.cone0, np.inf)
+        self.ls = np.concatenate([prog.l, prog.lb, -free]) * self.e
+        self.us = np.concatenate([prog.u, prog.ub, free]) * self.e
         eq = (self.ls == self.us) & np.isfinite(self.us)
         self.i_eq = np.flatnonzero(eq)
         self.i_up = np.flatnonzero(np.isfinite(self.us) & ~eq)
@@ -656,8 +635,9 @@ class QpWorkspace:
                                  p.cones, p.const))
         return view
 
-    def _scale(self, prog, a):
-        """Modified Ruiz equilibration plus cost normalization.  The rows
+    def _scale(self, prog, row, col_of, data):
+        """Modified Ruiz equilibration plus cost normalization of the
+        stacked rows, given as (row, column, value) triplets.  The rows
         of a ball share the largest scale among them, so the scaled
         block lies in the same cone."""
         n, mt, c0 = self.n, self.mt, self.cone0
@@ -666,8 +646,7 @@ class QpWorkspace:
         c = 1.0
         p = prog.p_diag.copy()
         q = prog.q.copy()
-        a = a.tocoo()
-        row, col_of, mag = a.row, a.col, np.abs(a.data)
+        mag = np.abs(data)
         group = np.concatenate([np.arange(c0), c0 + self.cones.owner])
         for _ in range(SCALING_ITERS):
             scaled = mag * e[row] * d[col_of]
@@ -693,7 +672,7 @@ class QpWorkspace:
             q *= c_step
         self.d, self.e, self.c = d, e, c
         self.ps, self.qs = p, q
-        self.As = sp.csr_matrix((a.data * e[row] * d[col_of], (row, col_of)),
+        self.As = sp.csr_matrix((data * e[row] * d[col_of], (row, col_of)),
                                 shape=(mt, n))
 
     # -- solve ------------------------------------------------------------
@@ -862,7 +841,7 @@ class QpWorkspace:
             s = np.zeros(mg)
             s[me:] = -z[me:]
             for v in (s, z):
-                lowest = float(cones.margin(v[me:]).min(initial=1.0))
+                lowest = float(cones.frame(v[me:]).margin.min(initial=1.0))
                 if lowest < 1.0:
                     v[me + cones.heads] += 1.0 - lowest
             tau = kappa = 1.0
@@ -935,7 +914,7 @@ class QpWorkspace:
                 reason = "determinant underflow"
                 break
             w, lam = cones.scaling(fs, fz)
-            det_lam = cones.det(lam)
+            det_lam = cones.frame(lam).det
             if not det_lam.min(initial=1.0) > 0.0:
                 reason = "determinant underflow"
                 break
@@ -1004,15 +983,15 @@ class QpWorkspace:
     def _unscaled(self, x_sc, y_sc):
         """The point in the caller's units: x, row multipliers, bound
         multipliers and one multiplier per ball."""
-        m, n = self.prog.m, self.n
+        m, c0 = self.prog.m, self.cone0
         # interior and polished points may stray from a bound by rounding;
         # downstream stages take these values as exact boundary data
-        x = np.clip(x_sc * self.d, self.l[m:m + n], self.u[m:m + n])
+        x = np.clip(x_sc * self.d, self.prog.lb, self.prog.ub)
         y = y_sc * self.e / self.c
         # row and bound multipliers on their valid sign, as `certify`
         # reads them; a ball block's multipliers are -lambda (1, -normal)
-        y_lin = _valid_sign(y[:m + n], self.l[:m + n], self.u[:m + n])
-        return x, y_lin[:m], y_lin[m:], np.maximum(-y[self.cone0 + self.cones.heads], 0.0)
+        y_lin = _valid_sign(y[:c0], self.ls[:c0], self.us[:c0])
+        return x, y_lin[:m], y_lin[m:], np.maximum(-y[c0 + self.cones.heads], 0.0)
 
     def _bound(self, y_sc):
         """Weak-duality bound of the program from stacked multipliers
@@ -1032,7 +1011,7 @@ class QpWorkspace:
         y[c0:] = -z
         side = np.where(y[:m] > 0.0, us, np.where(y[:m] < 0.0, ls, 0.0))
         g = self.qs + self.As.T @ y
-        lo, hi = self.l[m:c0] / self.d, self.u[m:c0] / self.d
+        lo, hi = self.prog.lb / self.d, self.prog.ub / self.d
         curved = self.ps > 0.0
         x = np.where(g > 0.0, lo, np.where(g < 0.0, hi, np.clip(0.0, lo, hi)))
         x = np.where(curved, np.clip(-g / np.where(curved, self.ps, 1.0), lo, hi), x)
@@ -1161,11 +1140,11 @@ class QpWorkspace:
             nact = vals.size
             # the pinned rows of As, then one tangent row per pinned ball
             # summing its rows with the weights `coef`
-            r_pin, c_pin, v_pin = _rows_of(self.As, idx)
+            pin = self.As[idx].tocoo()
             t_ent = in_t & (ccol >= 0)
-            r_red = np.concatenate([r_pin, idx.size + pos[t_ent[in_t]]])
-            c_red = np.concatenate([c_pin, ccol[t_ent]])
-            v_red = np.concatenate([v_pin, (coef * cval)[t_ent]])
+            r_red = np.concatenate([pin.row, idx.size + pos[t_ent[in_t]]])
+            c_red = np.concatenate([pin.col, ccol[t_ent]])
+            v_red = np.concatenate([pin.data, (coef * cval)[t_ent]])
             # the ball's curvature lam (I - u u') / |v| on its columns
             pi, pj = cones.pi, cones.pj
             pair = tan[owner[pi]] & tail[pi] & tail[pj]
@@ -1235,7 +1214,7 @@ class QpWorkspace:
             # the radius variable's bound row carries it back
             z0 = np.where(apex, cones.tail_norm(y_pol[c0:]), 0.0)
             y_pol[c0 + heads] -= z0
-            rc = self.prog.radius_col
+            rc = self.prog.cones.radius_col
             shift = apex & (rc >= 0)
             np.add.at(y_pol, m + rc[shift],
                       z0[shift] * e_k[shift] / self.e[m + rc[shift]])

@@ -26,7 +26,11 @@ integral node, or the rounding heuristic's) hands its point to the
 solve that confirms them, which polishes it and solves cold only if the
 polish does not certify; the incumbent's certified point and duals
 price the seams.  Each explored node is logged at DEBUG level on this
-module's logger, with its number, depth, bound, incumbent and gap.
+module's logger, with its number, depth, bound, incumbent and gap.  That
+bound, and the result's, is the least over the open nodes, the nodes
+closed unbranched and the incumbent, a confirmed integral node's -inf
+counting as +inf; a search without an incumbent is ``infeasible`` only
+when it is +inf, and ``node-limit`` otherwise.
 """
 
 import heapq
@@ -57,7 +61,10 @@ class BnbNode:
 
 @dataclass
 class MipResult:
-    status: str                # optimal-within-gap | feasible | infeasible | node-limit
+    # with an incumbent, optimal-within-gap or feasible; without one,
+    # infeasible when `best_bound` is +inf, and node-limit otherwise: the
+    # search stopped at a limit, or no solve confirmed a candidate
+    status: str
     x: np.ndarray | None
     objective: float           # incumbent value, inf when none found
     best_bound: float
@@ -193,7 +200,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
     ub = np.inf
     inc_sol = None
     inc_fix = None
-    lb_floor = np.inf      # min bound over nodes pruned by the gap test
+    lb_floor = np.inf      # min bound over nodes closed without branching
     nodes = 0
     heap = []
     seq = 0
@@ -219,7 +226,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
         free are rounded to exact integers, and the convex rest is
         confirmed from the node's point, which the engine polishes
         before any cold solve; the result is certified at engine
-        tolerance."""
+        tolerance.  Returns whether the candidate was confirmed."""
         nonlocal ub, inc_sol, inc_fix
         full = dict(fixings)
         for j in solver.binaries.tolist():
@@ -227,11 +234,12 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
                 full[j] = float(round(sol.x[j]))
         cand = solver.confirm(tuple(full.items()), sol)
         if cand is None or cand.status != "optimal":
-            return
+            return False
         if cand.objective < ub - 1e-12:
             ub = cand.objective
             inc_sol = cand
             inc_fix = full
+        return True
 
     while heap and not out_of_budget():
         bound0, _, node = heapq.heappop(heap)
@@ -249,7 +257,10 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
         bound = max(node.bound, sol.bound)
         jstar = solver.fractional(sol.x)
         if jstar is None or nodes == 1 or nodes % 50 == 0:
-            accept(node.fixings, sol)   # integral, or the rounding heuristic
+            # integral, or the rounding heuristic; a confirmed integral
+            # node resolves its region, even with no finite bound on it
+            if accept(node.fixings, sol) and jstar is None and bound == -np.inf:
+                bound = np.inf
         log_node(node.depth, bound)
         if jstar is None or prunable(bound):
             lb_floor = min(lb_floor, bound)
@@ -260,16 +271,11 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
             heapq.heappush(heap, (bound, seq, BnbNode(
                 node.fixings + ((jstar, value),), bound, node.depth + 1)))
 
-    cands = [b for b, _, _ in heap]
-    if np.isfinite(lb_floor):
-        cands.append(lb_floor)
-    if np.isfinite(ub):
-        cands.append(ub)    # the incumbent's region is resolved exactly
-    lb = min(cands) if cands else ub    # empty frontier: tree fully resolved
+    lb = best_bound()
     gap = _relative_gap(ub, lb)
 
     if inc_sol is None:
-        status = "node-limit" if heap else "infeasible"
+        status = "infeasible" if lb == np.inf else "node-limit"
     elif gap <= gap_tol:
         status = "optimal-within-gap"
         gap = max(gap, 0.0)

@@ -1,4 +1,5 @@
-"""Suite-wide checks on the convex engine's results.
+"""Suite-wide checks on the results of the convex engine and of the
+branch-and-bound search.
 
 Every result the engine packages is checked as it is made:
 
@@ -12,11 +13,19 @@ Every result the engine packages is checked as it is made:
   engine labels: a branch-and-bound node's, one from
   ``QpWorkspace.interior``, and one that ``solve`` keeps when its polish
   is rejected.
+
+Every result of ``solve_miqcqp``, called through ``mip``,
+``decomposition`` or the test module's own name, is checked too:
+
+- an ``infeasible`` search has a bound of +inf and no incumbent.
+- a search with an incumbent has a bound at most BOUND_SLACK times
+  max(1 USD, |objective|) above the incumbent's objective.
 """
 
+import numpy as np
 import pytest
 
-from microplan import convex
+from microplan import convex, decomposition, mip
 
 BOUND_SLACK = 1e-9
 PROOF_GAP = 1e-7
@@ -41,3 +50,26 @@ def bound_at_most_objective(monkeypatch):
         return sol
 
     monkeypatch.setattr(convex.QpWorkspace, "_package", checked)
+
+
+@pytest.fixture(autouse=True)
+def search_bound_and_status_agree(monkeypatch, request):
+    solve = mip.solve_miqcqp
+
+    def checked(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        if res.status == "infeasible":
+            assert res.best_bound == np.inf and res.x is None, (
+                f"infeasible search: bound {res.best_bound!r}, "
+                f"incumbent {res.objective!r}")
+        if res.x is not None:
+            slack = BOUND_SLACK * max(1.0, abs(res.objective))
+            assert res.best_bound <= res.objective + slack, (
+                f"{res.status} search: bound {res.best_bound!r} is above "
+                f"incumbent {res.objective!r}")
+        return res
+
+    # decomposition and the test modules bind the name themselves
+    for module in (mip, decomposition, request.module):
+        if vars(module).get("solve_miqcqp") is solve:
+            monkeypatch.setattr(module, "solve_miqcqp", checked)

@@ -25,7 +25,7 @@ from microplan import convex, mip
 from microplan.convex import (
     EngineError, PrimalDualSolution, QpWorkspace, certify, get_duals, solve_qcqp,
 )
-from microplan.decomposition import partition, rh_solve
+from microplan.decomposition import DecompositionError, partition, rh_solve
 from microplan.formulation import (
     FormulationError, assemble, build_seamed, coupling_slots, fix_binaries,
     horizon_start_boundary,
@@ -610,3 +610,49 @@ def test_every_explored_node_is_popped_best_first(three_step, monkeypatch):
     assert events[0][0] == "pop"
     assert all(events[k - 1] == ("pop", events[k][1]) for k in relaxes)
     assert bounds == sorted(bounds)
+
+
+def test_nodes_pruned_at_pop_bound_the_result(monkeypatch):
+    # the 5-bus monolith explores 21 nodes and pops 16 more that the
+    # incumbent prunes unexplored; the result's bound is at most the
+    # bound each of those was queued with
+    events, bounds = [], []
+    heappop, relax = mip.heapq.heappop, _NodeSolver.relax
+
+    def popped(heap):
+        bound, seq, node = heappop(heap)
+        events.append("pop")
+        bounds.append(bound)
+        return bound, seq, node
+
+    def relaxed(self, fixings, gap_tol):
+        events.append("relax")
+        return relax(self, fixings, gap_tol)
+
+    monkeypatch.setattr(mip, "heapq", SimpleNamespace(
+        heappush=mip.heapq.heappush, heappop=popped))
+    monkeypatch.setattr(_NodeSolver, "relax", relaxed)
+    res = solve_miqcqp(assemble(*five_bus_case()[:2]))
+    assert res.status == "optimal-within-gap"
+    assert res.objective == pytest.approx(377.0528076191225, rel=1e-9)
+    assert res.nodes == events.count("relax") == 21
+    pops = [k for k, kind in enumerate(events) if kind == "pop"]
+    pruned = [b for b, k in zip(bounds, pops) if events[k + 1:k + 2] != ["relax"]]
+    assert len(pruned) == 16
+    assert all(res.best_bound <= b for b in pruned)
+
+
+def test_unconfirmed_candidates_leave_the_search_at_node_limit(two_step,
+                                                               monkeypatch):
+    # every confirming solve fails: the integral nodes are feasible, so
+    # the search ends without an incumbent but with their finite bound,
+    # which is node-limit, not infeasible
+    monkeypatch.setattr(_NodeSolver, "confirm", lambda self, fixings, start: None)
+    res = solve_miqcqp(two_step)
+    assert res.status == "node-limit" and res.nodes == 9
+    assert res.best_bound == pytest.approx(162.6418390632267, rel=1e-9)
+    assert res.x is None and res.binaries is None and res.objective == np.inf
+    inst = gen_bat_instance()
+    with pytest.raises(DecompositionError,
+                       match="stage search ended node-limit$"):
+        rh_solve(inst, flat_loads(inst, 2), partition(2, 1))
