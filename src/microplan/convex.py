@@ -14,9 +14,15 @@ Clarabel use.  The program is Ruiz-equilibrated and written as
 ``g x + s = h`` with s in a product of nonnegative rows and second-order
 cones, one cone (r, x[cols]) per ball; the rows of a ball share one
 scale, so the scaled cone is the same cone.  Each step factors one
-regularized, refined KKT system whose (2,2) block holds the
-Nesterov-Todd scaling of every cone.  The variable bounds never reach
-it: a nonnegative row with a single entry folds into its column's
+regularized KKT system whose (2,2) block holds the Nesterov-Todd
+scaling of every cone, and refines its back-solves only to the accuracy
+of the iterate they improve, as an inexact Newton method does (Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982): to REFINE_FORCING
+times the iterate's merit, at most 1e-8 and at least REFINE_TOL, the
+tolerance of the first solve and of the polish.  The system's pattern
+is written once per solve, straight from the workspace's CSR arrays,
+and each step sums its numbers into it.  The variable bounds never
+reach it: a nonnegative row with a single entry folds into its column's
 diagonal as a Schur complement, and its multiplier is recovered in
 closed form after each back-solve.  The reduced matrix is quasi-definite
 and is factored with diagonal pivots under a symmetric minimum-degree
@@ -50,15 +56,17 @@ from the result's own stacked multipliers, which need not be optimal:
 each row's multiplier is put on its valid sign and each ball's block
 into its cone, and the Lagrangian, separable over the columns, is
 minimized over their boxes in closed form (Neumaier & Shcherbina, Math.
-Prog. 2004).  So an unconverged or unpolished result still proves a
-bound.  A caller that needs only the point and the bound runs the
-interior layer alone (:meth:`QpWorkspace.interior`), and a caller with
-many programs that differ only in their bounds, such as the nodes of a
-branch and bound, builds one workspace and takes a view of it per bound
-set (:meth:`QpWorkspace.with_bounds`): the Ruiz scaling and the stacked
-rows, balls and costs do not depend on the bounds and are shared.  A
-view binds its scaled sides and index sets once, and each layer reads
-them and has one exit: a raw scaled point, or a certified result.
+Prog. 2004), less machine epsilon times the magnitudes of its terms, so
+that rounding cannot lift it.  So an unconverged or unpolished result
+still proves a bound.  A caller that needs only the point and the bound
+runs the interior layer alone (:meth:`QpWorkspace.interior`), and a
+caller with many programs that differ only in their bounds, such as the
+nodes of a branch and bound, builds one workspace and takes a view of it
+per bound set (:meth:`QpWorkspace.with_bounds`): the Ruiz scaling and
+the stacked rows, balls and costs do not depend on the bounds and are
+shared, and only the new bounds are checked.  A view binds its scaled
+sides and index sets once, and each layer reads them and has one exit:
+a raw scaled point, or a certified result.
 
 ``optimal`` means polished or proven, from every entry.  A polished
 point is *certified*: it passes :func:`certify`: (1) every row, bound
@@ -181,6 +189,25 @@ class Cones(SequenceView):
                        None if rc == -1 else rc)
 
 
+def _check_sides(*blocks):
+    """Check the sides of each (what, size, lo name, lo, hi name, hi)
+    block of rows or variables: each side has `size` entries, none NaN
+    and none that no finite value meets, then no lo above its hi."""
+    for what, size, lo_name, lo, hi_name, hi in blocks:
+        if lo.shape != (size,) or hi.shape != (size,):
+            raise EngineError(f"{what} bound shape mismatch")
+        for name, values, never in ((lo_name, lo, np.inf), (hi_name, hi, -np.inf)):
+            if np.isnan(values).any():
+                raise EngineError(f"{name} holds NaN")
+            bad = np.flatnonzero(values == never)
+            if bad.size:
+                raise EngineError(f"{what} {bad[0]} has {name} = {never}")
+    for what, _, lo_name, lo, hi_name, hi in blocks:
+        if np.any(lo > hi + 1e-12):
+            bad = int(np.argmax(lo - hi))
+            raise EngineError(f"{what} {bad} has {lo_name} > {hi_name}")
+
+
 class ConvexProgram:
     """Immutable problem data with convexity checked at construction."""
 
@@ -204,34 +231,16 @@ class ConvexProgram:
 
         if self.p_diag.shape != (self.n,):
             raise EngineError("p_diag shape mismatch")
-        if self.l.shape != (self.m,) or self.u.shape != (self.m,):
-            raise EngineError("row bound shape mismatch")
-        if self.lb.shape != (self.n,) or self.ub.shape != (self.n,):
-            raise EngineError("variable bound shape mismatch")
-        # only the bounds may be infinite, and nothing may be NaN
+        # only the sides may be infinite, and nothing may be NaN
         for name, values in (("p_diag", self.p_diag), ("q", self.q),
                              ("a", self.a.data), ("const", self.const)):
             if not np.isfinite(values).all():
                 raise EngineError(f"{name} holds a non-finite value")
-        # nor a side that no finite value meets
-        for name, values, what, never in (
-                ("l", self.l, "row", np.inf), ("u", self.u, "row", -np.inf),
-                ("lb", self.lb, "variable", np.inf),
-                ("ub", self.ub, "variable", -np.inf)):
-            if np.isnan(values).any():
-                raise EngineError(f"{name} holds NaN")
-            bad = np.flatnonzero(values == never)
-            if bad.size:
-                raise EngineError(f"{what} {bad[0]} has {name} = {never}")
         if self.p_diag.min(initial=0.0) < -1e-12:
             raise EngineError("quadratic objective has a negative diagonal entry")
         self.p_diag = np.maximum(self.p_diag, 0.0)
-        if np.any(self.l > self.u + 1e-12):
-            bad = int(np.argmax(self.l - self.u))
-            raise EngineError(f"row {bad} has l > u")
-        if np.any(self.lb > self.ub + 1e-12):
-            bad = int(np.argmax(self.lb - self.ub))
-            raise EngineError(f"variable {bad} has lb > ub")
+        _check_sides(("row", self.m, "l", self.l, "u", self.u),
+                     ("variable", self.n, "lb", self.lb, "ub", self.ub))
         self._check_cones()
 
     def _check_cones(self):
@@ -272,8 +281,9 @@ class ConvexProgram:
 # Interior-point constants: termination and infeasibility tolerances,
 # static KKT regularization, step damping, the stall window and the step
 # limit; then equilibration, the tolerances of `certify`, the polish's
-# proximal weight and pass limit, and the refinement's step limit and
-# relative stopping tolerance
+# proximal weight and pass limit, the refinement's step limit and
+# relative stopping tolerance, and the forcing factor that ties an
+# interior-point direction's tolerance to its iterate's merit
 EPS_OPT = 1e-9
 EPS_INF = 1e-8
 KKT_REG = 1e-8
@@ -288,6 +298,7 @@ POLISH_DELTA = 1e-6
 POLISH_PASSES = 8
 REFINE_STEPS = 3
 REFINE_TOL = 1e-13
+REFINE_FORCING = 1e-3
 
 
 @dataclass
@@ -408,17 +419,19 @@ def certify(prog: ConvexProgram, x, y_rows, y_bounds, cone_duals) -> Certificate
     return Certificate(prim, float(np.abs(stat).max(initial=0.0)), gap, ratio)
 
 
-def _refined(lu, mat, shift, rhs):
+def _refined(lu, mat, shift, rhs, tol=REFINE_TOL):
     """Back-solve against the exact matrix ``mat + diag(shift)``, where
     `lu` factors `mat`, with iterative refinement.  Refinement stops once
-    the residual is at most REFINE_TOL (1 + |rhs|_inf), after
-    REFINE_STEPS steps, or at the first step that fails to reduce it: a
-    singular system can make refinement diverge, and the best solution
-    is kept."""
+    the residual is at most `tol` (1 + |rhs|_inf), after REFINE_STEPS
+    steps, or at the first step that fails to reduce it: a singular
+    system can make refinement diverge, and the best solution is kept.
+    The polish and the interior point's first solve refine to
+    REFINE_TOL; an interior-point step refines only to its iterate's
+    accuracy (:meth:`QpWorkspace._interior_point`)."""
     sol = lu.solve(rhs)
     if not np.all(np.isfinite(sol)):
         return sol
-    tol = REFINE_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0)))
+    tol = tol * (1.0 + float(np.abs(rhs).max(initial=0.0)))
     res = rhs - (mat @ sol + shift * sol)
     for _ in range(REFINE_STEPS):
         err = float(np.abs(res).max(initial=0.0))
@@ -430,6 +443,30 @@ def _refined(lu, mat, shift, rhs):
             break
         sol, res = step, step_res
     return sol
+
+
+def _gather(a, rows, scale=None):
+    """Rows `rows` of the CSR matrix `a`, each times its `scale` if
+    given, read off `a`'s arrays: the CSR arrays (indptr, indices, data)
+    of ``a[rows]`` and the row of each entry."""
+    counts = np.diff(a.indptr)[rows]
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    row = np.repeat(np.arange(rows.size), counts)
+    ent = a.indptr[rows][row] + np.arange(ptr[-1]) - ptr[row]
+    data = a.data[ent] if scale is None else scale[row] * a.data[ent]
+    return ptr, a.indices[ent], data, row
+
+
+def _summed(rows, cols, vals, dim):
+    """The dim x dim CSC matrix of the entries (rows, cols, vals), with
+    repeated entries summed in their order, and each entry's slot in its
+    data, so that ``np.bincount(slot_of, vals, nnz)`` sums new values of
+    the same entries into it."""
+    slots, slot_of = np.unique(cols * dim + rows, return_inverse=True)
+    mat = sp.csc_matrix((np.bincount(slot_of, vals, slots.size), slots % dim,
+                         np.searchsorted(slots // dim, np.arange(dim + 1))),
+                        shape=(dim, dim))
+    return mat, slot_of
 
 
 class _Frame(NamedTuple):
@@ -567,9 +604,12 @@ class QpWorkspace:
     rows are stacked so that they share the equilibration, but the
     interior point factors none of their inequalities: it folds them
     into the diagonal.  A fixed column (lb = ub) stays an equality row,
-    and the polish pins an active bound as a row.  A view binds its
-    sides, held only in scaled form, and its index sets once
-    (:meth:`_bind`), which both layers read.
+    and the polish pins an active bound as a row.  The scaled rows are
+    held once, as the CSR matrix `As`, and every matrix of a solve or a
+    polish pass is gathered from its arrays by index arithmetic
+    (:func:`_gather`, :func:`_summed`).  A view binds its sides, held
+    only in scaled form, and its index sets once (:meth:`_bind`), which
+    both layers read.
     """
 
     def __init__(self, prog: ConvexProgram):
@@ -628,11 +668,14 @@ class QpWorkspace:
         """A view of this workspace for its program with the variable
         bounds `lb` and `ub`.  The scaled rows, balls and costs do not
         depend on the bounds, so the view shares them, as it shares the
-        empty-row check; no solve mutates them."""
-        p = self.prog
+        empty-row check; no solve mutates them.  Only the new bounds
+        are checked, as :class:`ConvexProgram` checks them."""
+        lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
+        _check_sides(("variable", self.n, "lb", lb, "ub", ub))
+        prog = copy.copy(self.prog)
+        prog.lb, prog.ub = lb, ub
         view = copy.copy(self)
-        view._bind(ConvexProgram(p.p_diag, p.q, p.a, p.l, p.u, lb, ub,
-                                 p.cones, p.const))
+        view._bind(prog)
         return view
 
     def _scale(self, prog, row, col_of, data):
@@ -648,12 +691,24 @@ class QpWorkspace:
         q = prog.q.copy()
         mag = np.abs(data)
         group = np.concatenate([np.arange(c0), c0 + self.cones.owner])
+
+        def runs(key):
+            """The entries sorted by `key`, where each run of one key
+            starts, and that key: a max over each run is exact."""
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            start = np.flatnonzero(np.diff(key, prepend=-1))
+            return order, start, key[start]
+
+        by_col, by_row = runs(col_of), runs(group[row])
         for _ in range(SCALING_ITERS):
             scaled = mag * e[row] * d[col_of]
             col_a = np.zeros(n)
-            np.maximum.at(col_a, col_of, scaled)
+            order, start, at = by_col
+            col_a[at] = np.maximum.reduceat(scaled[order], start)
             row_a = np.zeros(mt)
-            np.maximum.at(row_a, group[row], scaled)
+            order, start, at = by_row
+            row_a[at] = np.maximum.reduceat(scaled[order], start)
             row_a = row_a[group]
             col = np.maximum(np.abs(p), col_a)
             d_step = 1.0 / np.sqrt(np.where(col > 1e-12, col, 1.0))
@@ -755,21 +810,22 @@ class QpWorkspace:
         g_rows = np.concatenate([i_eq, i_up, i_lo, np.arange(self.cone0, self.mt)])
         sign = np.ones(g_rows.size)
         sign[me + i_up.size:] = -1.0
-        g = sp.diags(sign) @ self.As[g_rows]
+        n, mg = self.n, g_rows.size
+        g_ptr, g_col, g_val, g_row = _gather(self.As, g_rows, sign)
+        g = sp.csr_matrix((g_val, g_col, g_ptr), shape=(mg, n))
+        gt = g.T
         h = np.concatenate([us[i_eq], us[i_up], -ls[i_lo], self.h_cone])
         cones = _Cones(np.concatenate([np.ones(n_lin, dtype=int),
                                        self.cones.sizes]))
         e_g = self.e[g_rows]
-        n, mg = self.n, g.shape[0]
         ps, qs, d, c = self.ps, self.qs, self.d, self.c
-        gt = g.T.tocsr()
         # a nonnegative row with a single entry g_b, on column j (every
         # variable bound), leaves the factored system; `keep` lists the
         # other rows of g, `at` gives each its place in the reduced
         # system, and `full` places the reduced unknowns in the full ones
         single = me + cones.heads[cones.sizes == 1]
-        bnd = single[np.diff(g.indptr)[single] == 1]
-        j_b, g_b = g.indices[g.indptr[bnd]], g.data[g.indptr[bnd]]
+        bnd = single[np.diff(g_ptr)[single] == 1]
+        j_b, g_b = g_col[g_ptr[bnd]], g_val[g_ptr[bnd]]
         g_b2 = g_b * g_b
         kept = np.ones(mg, dtype=bool)
         kept[bnd] = False
@@ -777,33 +833,33 @@ class QpWorkspace:
         at = np.cumsum(kept) - 1
         full = np.concatenate([np.arange(n), n + keep])
         w_kept = kept[me + cones.pi]       # a bound row's W^2 entry is its w_b
-        g_k = g[keep]
         # the KKT pattern is fixed: [[P, G_k'], [G_k, 0]], the kept W^2
         # blocks and the diagonal; one CSC matrix holds it for the whole
         # solve, and each step sums its numbers into the matrix's data
-        static = sp.bmat([[sp.diags(ps), g_k.T], [g_k, None]], format="coo")
+        on_k = kept[g_row]
+        r_k, c_k, v_k = n + at[g_row[on_k]], g_col[on_k], g_val[on_k]
         dim = n + keep.size
         diag = np.arange(dim)
-        rows = np.concatenate([static.row, n + at[me + cones.pi[w_kept]], diag])
-        cols = np.concatenate([static.col, n + at[me + cones.pj[w_kept]], diag])
-        slots, slot_of = np.unique(cols * dim + rows, return_inverse=True)
-        indptr = np.searchsorted(slots // dim, np.arange(dim + 1))
+        w_i, w_j = n + at[me + cones.pi[w_kept]], n + at[me + cones.pj[w_kept]]
+        static = np.concatenate([ps, v_k, v_k])
+        rows = np.concatenate([diag[:n], c_k, r_k, w_i, diag])
+        cols = np.concatenate([diag[:n], r_k, c_k, w_j, diag])
+        kkt, slot_of = _summed(rows, cols, np.zeros(rows.size), dim)
         reg = KKT_REG * np.concatenate([np.ones(n), -np.ones(keep.size)])
-        kkt = sp.csc_matrix((np.zeros(slots.size), slots % dim, indptr),
-                            shape=(dim, dim))
 
-        def factor(w2):
+        def factor(w2, tol):
             """Factor [[P, G'], [G, -W^2]] through its bound rows'
             Schur complement: a bound row b, with W^2 entry w_b, adds
             g_b^2 / w_b to column j's diagonal, and the kept system
             [[P + D_b, G_k'], [G_k, -W_k^2]] is factored with a static
-            regularization, which refinement takes away again.  Returns
-            the back-solve of the full system."""
+            regularization, which refinement takes away again, down to
+            the relative residual `tol`.  Returns the back-solve of the
+            full system."""
             w_b = w2[~w_kept]
             kkt.data[:] = np.bincount(slot_of, np.concatenate([
-                static.data, -w2[w_kept],
+                static, -w2[w_kept],
                 reg + np.bincount(j_b, g_b2 / w_b, minlength=dim)]),
-                slots.size)
+                kkt.data.size)
             # regularized, the matrix is quasi-definite, so diagonal pivots
             # are stable under any symmetric fill-reducing ordering
             # (Vanderbei 1995); the panels are one column wide, as these
@@ -819,7 +875,7 @@ class QpWorkspace:
                 r_b = rhs[n + bnd]
                 red = rhs[full] + np.bincount(j_b, g_b * r_b / w_b,
                                               minlength=dim)
-                red = _refined(lu, kkt, -reg, red)
+                red = _refined(lu, kkt, -reg, red, tol)
                 out = np.empty(n + mg)
                 out[full] = red
                 out[n + bnd] = (g_b * red[j_b] - r_b) / w_b
@@ -836,7 +892,8 @@ class QpWorkspace:
             # start from the least-squares point of the rows (W = I), with
             # slacks and multipliers shifted into the cones' interior
             best = None
-            sol = factor(cones.w2(np.ones(cones.count), cones.unit))(rhs_tau)
+            sol = factor(cones.w2(np.ones(cones.count), cones.unit),
+                         REFINE_TOL)(rhs_tau)
             x, z = sol[:n], sol[n:]
             s = np.zeros(mg)
             s[me:] = -z[me:]
@@ -919,7 +976,10 @@ class QpWorkspace:
                 reason = "determinant underflow"
                 break
             try:
-                back = factor(cones.w2(w.eta, w.wbar))
+                # an inexact Newton step: its directions need only the
+                # accuracy of the iterate they improve
+                back = factor(cones.w2(w.eta, w.wbar), max(
+                    REFINE_TOL, min(1e-8, REFINE_FORCING * merit)))
             except RuntimeError:
                 reason = "factorization failed"
                 break
@@ -1000,8 +1060,10 @@ class QpWorkspace:
         z's head raised to the norm of its tail; the bound rows are left
         to the box.  Then the Lagrangian, at most the cost at every
         feasible point, is separable: each column's 1/2 p x^2 + g x is
-        minimized over its box in closed form.  It is -inf when a column
-        without curvature is pushed toward an infinite bound."""
+        minimized over its box in closed form, and the sum is lowered by
+        machine epsilon times the sum of its terms' magnitudes, which
+        bounds its rounding.  It is -inf when a column without curvature
+        is pushed toward an infinite bound."""
         m, c0, cones = self.prog.m, self.cone0, self.cones
         ls, us = self.ls[:m], self.us[:m]
         y = np.zeros(self.mt)
@@ -1016,8 +1078,16 @@ class QpWorkspace:
         x = np.where(g > 0.0, lo, np.where(g < 0.0, hi, np.clip(0.0, lo, hi)))
         x = np.where(curved, np.clip(-g / np.where(curved, self.ps, 1.0), lo, hi), x)
         xq = np.where(curved, x, 0.0)
-        low = float((g * x + 0.5 * self.ps * xq * xq).sum()) \
+        curve = 0.5 * self.ps * xq * xq
+        low = float((g * x + curve).sum()) \
             + float(self.h_cone @ y[c0:]) - float(y[:m] @ side)
+        if np.isfinite(low):
+            # rounding moves the sum by about machine epsilon times the
+            # magnitudes of its terms, which no bound may gain
+            low -= float(np.finfo(float).eps * (
+                np.abs(g) @ np.abs(x) + curve.sum()
+                + np.abs(self.h_cone) @ np.abs(y[c0:])
+                + np.abs(y[:m]) @ np.abs(side)))
         return low / self.c + self.prog.const
 
     def _package(self, status, detail, x_sc, y_sc, prim_res, dual_res,
@@ -1140,11 +1210,11 @@ class QpWorkspace:
             nact = vals.size
             # the pinned rows of As, then one tangent row per pinned ball
             # summing its rows with the weights `coef`
-            pin = self.As[idx].tocoo()
+            _, pin_col, pin_val, pin_row = _gather(self.As, idx)
             t_ent = in_t & (ccol >= 0)
-            r_red = np.concatenate([pin.row, idx.size + pos[t_ent[in_t]]])
-            c_red = np.concatenate([pin.col, ccol[t_ent]])
-            v_red = np.concatenate([pin.data, (coef * cval)[t_ent]])
+            r_red = np.concatenate([pin_row, idx.size + pos[t_ent[in_t]]])
+            c_red = np.concatenate([pin_col, ccol[t_ent]])
+            v_red = np.concatenate([pin_val, (coef * cval)[t_ent]])
             # the ball's curvature lam (I - u u') / |v| on its columns
             pi, pj = cones.pi, cones.pj
             pair = tan[owner[pi]] & tail[pi] & tail[pj]
@@ -1155,12 +1225,12 @@ class QpWorkspace:
             # refined against the anchored system: only the dual-block
             # regularization is refined away, the proximal term stays
             diag_p, diag_d = np.arange(n), n + np.arange(nact)
-            k_reg = sp.csc_matrix((
+            k_reg, _ = _summed(
+                np.concatenate([diag_p, ccol[pi[pair]], n + r_red, c_red, diag_d]),
+                np.concatenate([diag_p, ccol[pj[pair]], c_red, n + r_red, diag_d]),
                 np.concatenate([self.ps + POLISH_DELTA, v_curv, v_red, v_red,
                                 np.full(nact, -POLISH_DELTA)]),
-                (np.concatenate([diag_p, ccol[pi[pair]], n + r_red, c_red, diag_d]),
-                 np.concatenate([diag_p, ccol[pj[pair]], c_red, n + r_red, diag_d]))),
-                shape=(n + nact, n + nact))
+                n + nact)
             dual_shift = np.concatenate([np.zeros(n), np.full(nact, POLISH_DELTA)])
             try:
                 lu = spla.splu(k_reg, panel_size=1)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import EngineError, PrimalDualSolution, QpWorkspace, solve_qcqp
+from .convex import EPS_GAP, EngineError, PrimalDualSolution, QpWorkspace, solve_qcqp
 from .formulation import MdopModel, fix_binaries
 
 log = logging.getLogger(__name__)
@@ -176,7 +176,9 @@ class _NodeSolver:
 
 def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
                  node_limit: int = 100_000, time_limit: float = 600.0) -> MipResult:
-    """Solve the mixed-binary model to the requested relative gap.
+    """Solve the mixed-binary model to the requested relative gap, or
+    to the engine's EPS_GAP if that is larger: an unpolished node point
+    is proven only to within EPS_GAP of its bound.
 
     Best-first: until the heap empties, `node_limit` nodes are explored
     or `time_limit` seconds pass (checked before each pick), the open
@@ -196,6 +198,8 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
         if not usable:
             raise EngineError(f"{name} must be {rule}, got {value!r}")
     solver = _NodeSolver(model)
+    # no gap test asks for more than the engine proves of a point
+    close = max(gap_tol, EPS_GAP)
 
     ub = np.inf
     inc_sol = None
@@ -207,7 +211,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
     heapq.heappush(heap, (-np.inf, seq, BnbNode((), -np.inf, 0)))
 
     def prunable(bound):
-        return _relative_gap(ub, bound) <= gap_tol
+        return _relative_gap(ub, bound) <= close
 
     def out_of_budget():
         return nodes >= node_limit or time.perf_counter() - t0 > time_limit
@@ -276,7 +280,7 @@ def solve_miqcqp(model: MdopModel, gap_tol: float = 1e-4,
 
     if inc_sol is None:
         status = "infeasible" if lb == np.inf else "node-limit"
-    elif gap <= gap_tol:
+    elif gap <= close:
         status = "optimal-within-gap"
         gap = max(gap, 0.0)
     else:

@@ -20,12 +20,20 @@ Every result of ``solve_miqcqp``, called through ``mip``,
 - an ``infeasible`` search has a bound of +inf and no incumbent.
 - a search with an incumbent has a bound at most BOUND_SLACK times
   max(1 USD, |objective|) above the incumbent's objective.
+
+Every Hypothesis test runs under one profile, ``tier1``: the same
+examples on every run, no example database and no deadline.  A test
+sets only its own ``max_examples``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from microplan import convex, decomposition, mip
+
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 BOUND_SLACK = 1e-9
 PROOF_GAP = 1e-7

@@ -976,7 +976,7 @@ def test_extracted_plan_mirrors_solution_vector():
 # on a failure Hypothesis's pytest plugin imports libcst, which warns
 @pytest.mark.filterwarnings(
     "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(cuts=st.sets(st.integers(1, 5)), seed=st.integers(0, 2 ** 32 - 1))
 def test_keys_and_plans_agree_with_col_on_any_partition(cuts, seed):
     # some windows are shorter than the three-step start history, so

@@ -584,6 +584,27 @@ def test_unusable_limits_are_rejected(two_step, two_step_result):
     assert res.objective == pytest.approx(two_step_result.objective, rel=1e-6)
 
 
+def test_zero_gap_tol_asks_no_more_than_the_engine_proves(
+        two_step, two_step_result, monkeypatch):
+    # every node bound is held 1e-12 below the optimum, so the search's
+    # bound stays 1e-12 below its incumbent: far inside the EPS_GAP by
+    # which the engine proves an unpolished point optimal, which is as
+    # close as any gap test may ask a search to close
+    relax = _NodeSolver.relax
+    cap = two_step_result.objective - 1e-12 * abs(two_step_result.objective)
+
+    def shaded(self, fixings, gap_tol):
+        sol = relax(self, fixings, gap_tol)
+        if sol is not None and sol.status != "infeasible":
+            sol.bound = min(sol.bound, cap)
+        return sol
+
+    monkeypatch.setattr(_NodeSolver, "relax", shaded)
+    res = solve_miqcqp(two_step, gap_tol=0.0)
+    assert res.status == "optimal-within-gap"
+    assert 0.0 < res.gap <= convex.EPS_GAP
+
+
 def test_every_explored_node_is_popped_best_first(three_step, monkeypatch):
     # each node relaxation is of the node just taken off the heap, and the
     # heap gives them up in nondecreasing order of their queued bound
