@@ -20,8 +20,8 @@ import numpy as np
 
 from .convex import get_duals, solve_qcqp
 from .formulation import (
-    MdopModel, OperatingPlan, assemble, build_seamed, coupling_slots,
-    extract_plan, plan_costs,
+    BINARY_SLOT_KINDS, MdopModel, OperatingPlan, assemble, build_seamed,
+    coupling_slots, extract_plan, plan_costs,
 )
 # solve_fixed_then_duals stays bound here: bench/tracer.py wraps it by this name
 from .mip import _relative_gap, solve_fixed_then_duals, solve_miqcqp  # noqa: F401
@@ -29,7 +29,6 @@ from .mip import _relative_gap, solve_fixed_then_duals, solve_miqcqp  # noqa: F4
 log = logging.getLogger(__name__)
 
 SEAM_TOL = 1e-8
-BINARY_SLOT_KINDS = ("x", "y", "w", "z_b", "z_d")
 
 
 class DecompositionError(RuntimeError):

@@ -99,6 +99,9 @@ from .convex import Cones, ConvexProgram, SequenceView
 from .instance import InstanceError, LoadProfile, NetworkInstance
 
 BUILD_KINDS = ("z_b", "s_b", "z_d")
+# the coupling slots whose handed-on state is 0 or 1: commitment, start,
+# stop and the build binaries
+BINARY_SLOT_KINDS = ("x", "y", "w", "z_b", "z_d")
 
 # state imported at a window start gets its own column kinds so that the
 # registry key (kind, owner, time) stays unique in seam-joined models

@@ -8,7 +8,8 @@ Incumbents come from integral nodes and from rounding the relaxation
 at node 1 and at every 50th node.
 
 The search builds one engine workspace for its base program, and each
-node takes a view of it with the node's bounds.  A node relaxation is
+node takes a view of it with the node's bounds, propagated over the
+model's gate rows (:class:`_Tightener`).  A node relaxation is
 the conic interior point: the search uses only its point, to branch
 on, and the weak-duality bound of its multipliers, which holds whether
 or not it converged.  The engine labels that point by one rule:
@@ -74,8 +75,8 @@ class MipResult:
     solve_time: float = 0.0
     # the engine solution the incumbent came from, None without one: a
     # certified optimum of the relaxed model with every binary fixed and
-    # the `_Tightener` bounds applied, so its duals price every model
-    # row; it is the polish of the rounded node's point when that
+    # the bounds its gate rows imply applied, so its duals price every
+    # model row; it is the polish of the rounded node's point when that
     # certifies, and a cold solve otherwise
     solution: PrimalDualSolution | None = None
 
@@ -89,32 +90,29 @@ def _relative_gap(ub, lb):
 
 
 class _Tightener:
-    """Build-decision bound propagation, the only presolve performed:
-    battery capacity is capped by the build binary's upper bound, and
-    commitment is squeezed against the build binary from both sides."""
+    """Bound propagation over the model's gate rows, the only presolve
+    performed: each two-entry row ``a x - b z <= 0`` with a, b > 0 and z
+    binary, as every if-built and if-on row is, sets
+    ``ub[x] <= b ub[z] / a`` and ``lb[z] >= a lb[x] / b``."""
 
     def __init__(self, model: MdopModel):
-        start, end = model.window
-        slots = model.coupling.slots
-        self.base_ub = np.asarray(model.ub, dtype=float)
-        self.caps = []      # (s_b column, z_b column) with cap = ub_z * base ub_s
-        self.gates = []     # (z_d column, x_d columns)
-        # the build binaries exist only where a window owns the builds
-        if not any(owned for *_, owned in model.col_blocks):
-            return
-        for b in sorted({s.owner for s in slots if s.kind == "s_b"}):
-            self.caps.append((model.col("s_b", b), model.col("z_b", b)))
-        for g in sorted({s.owner for s in slots if s.kind == "x"}):
-            self.gates.append((model.col("z_d", g), np.array(
-                [model.col("x_d", g, t) for t in range(start, end)])))
+        a = model.a
+        rows = np.flatnonzero((np.diff(a.indptr) == 2) & (model.row_hi == 0.0)
+                              & (model.row_lo == -np.inf))
+        at = a.indptr[rows, None] + np.arange(2)
+        cols, vals = a.indices[at], a.data[at]
+        # the larger entry first: a gate's positive one
+        swap = vals[:, 0] < vals[:, 1]
+        cols[swap], vals[swap] = cols[swap, ::-1], vals[swap, ::-1]
+        gate = (vals[:, 0] > 0.0) & (vals[:, 1] < 0.0) & np.isin(
+            cols[:, 1], np.fromiter(model.binaries, dtype=int))
+        self.x, self.z = cols[gate, 0], cols[gate, 1]
+        self.a, self.b = vals[gate, 0], -vals[gate, 1]
 
     def apply(self, lb, ub):
         """Tighten in place; returns False on a contradiction."""
-        for js, jz in self.caps:
-            ub[js] = min(ub[js], ub[jz] * self.base_ub[js])
-        for jz, xs in self.gates:
-            ub[xs] = np.minimum(ub[xs], ub[jz])
-            lb[jz] = max(lb[jz], lb[xs].max(initial=0.0))
+        np.minimum.at(ub, self.x, ub[self.z] * self.b / self.a)
+        np.maximum.at(lb, self.z, lb[self.x] * self.a / self.b)
         return bool(np.all(lb <= ub))
 
 

@@ -1113,6 +1113,31 @@ def test_dump_parses_back_to_same_model(tmp_path):
                        cone.radius_col, tuple(cone.cols))
 
 
+def test_dump_writes_a_finite_lower_side(tmp_path):
+    # a ranged row is written as two lines, a row bounded only below as one
+    inst = gen_bat_instance()
+    model = assemble(inst, flat_loads(inst, 2))
+    assert not np.any(np.isfinite(model.row_lo) & (model.row_lo < model.row_hi))
+    lo, hi = model.row_lo.copy(), model.row_hi.copy()
+    ranged, below = np.flatnonzero(model.row_lo == -np.inf)[:2]
+    lo[ranged], hi[ranged] = -0.5, 1.5
+    lo[below], hi[below] = 0.25, np.inf
+
+    def rows(m, name):
+        text = dump_model(m, tmp_path / name).read_text()
+        return [line for line in text.splitlines() if line.startswith("row ")]
+
+    def body(i):
+        return " ".join(f"{j}:{c!r}" for j, c in model.row_coefs[i].items())
+
+    got = rows(replace(model, row_lo=lo, row_hi=hi), "ranged.txt")
+    assert got.count(f"row <= 1.5 {body(ranged)}") == 1
+    assert got.count(f"row >= -0.5 {body(ranged)}") == 1
+    assert got.count(f"row >= 0.25 {body(below)}") == 1
+    assert not any(line.startswith("row <= inf") for line in got)
+    assert len(got) == len(rows(model, "base.txt")) + 1
+
+
 # ---------------------------------------------------------------------------
 # seam-joined multi-window models
 

@@ -112,6 +112,13 @@ class TestConstruction:
             patch.setattr(Bus, "__hash__", unhashable)
             assert hash(back) == hash(inst)
 
+    def test_pickle_round_trip_keeps_equality_and_hash(self):
+        inst = two_bus(name="p")
+        back = pickle.loads(pickle.dumps(inst))
+        assert back is not inst
+        assert back == inst and hash(back) == hash(inst)
+        assert back.slack_bus == "a" and back.battery_specs == inst.battery_specs
+
     def test_copy_in_another_process_hashes_there(self, tmp_path):
         # the stored hash is of one process's string hashes; a copy
         # unpickled under another hash seed takes that process's hash
@@ -138,6 +145,16 @@ def cost_coeffs_in_file(tmp_path):
     out = write_instance(two_bus(), tmp_path)
     data = json.loads(out.read_text())
     data["generators"][0]["cost_coeffs"] = [6.0, 35.0]
+    out.write_text(json.dumps(data))
+    parse_instance(tmp_path)
+
+
+def zero_base_in_file(tmp_path):
+    """`two_bus` written to `tmp_path` with a base of 0 MVA, and read
+    back."""
+    out = write_instance(two_bus(), tmp_path)
+    data = json.loads(out.read_text())
+    data["base_mva"] = 0.0
     out.write_text(json.dumps(data))
     parse_instance(tmp_path)
 
@@ -178,6 +195,52 @@ GEN = dict(fixed_cost=200.0, cost_coeffs=(6.0, 35.0, 50.0), min_up=2,
      "dt must be positive", "{tmp}/loads.csv"),
     (lambda tmp: synth_load(two_bus(), days=0, dt=0.25, base=1.0),
      "days must be >= 1", ""),
+    (lambda tmp: Line("ab", "a", "b", -0.01, 0.02, 5.0),
+     "negative impedance", "line ab"),
+    (lambda tmp: Line("ab", "a", "b", 0.01, -0.02, 5.0),
+     "negative impedance", "line ab"),
+    (lambda tmp: BatterySpec("bat", "a", 100.0, 300.0, 1.5, 4.0, 0.8, 0.7,
+                             initial_soc=4.5),
+     "initial_soc outside [0, max_energy]", "battery bat"),
+    (lambda tmp: BatterySpec("bat", "a", 100.0, 300.0, 1.5, 4.0, 0.8, 0.7,
+                             initial_soc=-0.1),
+     "initial_soc outside [0, max_energy]", "battery bat"),
+    (lambda tmp: BatterySpec("bat", "a", 100.0, 300.0, 1.5, 4.0, 0.8, 0.7,
+                             p_min=1.0, p_max=-1.0),
+     "inverted generation limits", "battery bat"),
+    (lambda tmp: BatterySpec("bat", "a", 100.0, 300.0, 1.5, 4.0, 0.8, 0.7,
+                             q_min=0.5, q_max=0.0),
+     "inverted generation limits", "battery bat"),
+    (lambda tmp: GeneratorSpec("gen", "b", **dict(GEN, ramp_up=-1.0)),
+     "ramp limits must be nonnegative", "generator gen"),
+    (lambda tmp: GeneratorSpec("gen", "b", **dict(GEN, ramp_down=-0.5)),
+     "ramp limits must be nonnegative", "generator gen"),
+    (lambda tmp: GeneratorSpec("gen", "b", **dict(GEN, efficiency=0.0)),
+     "efficiency must lie in (0, 1]", "generator gen"),
+    (lambda tmp: GeneratorSpec("gen", "b", **dict(GEN, efficiency=1.5)),
+     "efficiency must lie in (0, 1]", "generator gen"),
+    (lambda tmp: GeneratorSpec("gen", "b", **dict(GEN, p_min=5.0)),
+     "inverted generation limits", "generator gen"),
+    (lambda tmp: two_bus(dt=0.0), "dt must be positive", "instance"),
+    (lambda tmp: two_bus(dt=-0.25), "dt must be positive", "instance"),
+    (lambda tmp: LoadProfile(horizon=1, bus_ids=("a", "b"),
+                             p=np.array([[0.1, np.nan]]), q=np.zeros((1, 2)),
+                             dt=0.25),
+     "loads contain non-finite values", ""),
+    (lambda tmp: LoadProfile(horizon=1, bus_ids=("a", "b"), p=np.zeros((1, 2)),
+                             q=np.array([[np.inf, 0.0]]), dt=0.25),
+     "loads contain non-finite values", ""),
+    (zero_base_in_file, "base_mva must be positive", "{tmp}/network.json"),
+    (lambda tmp: parse_loads(tmp / "missing.csv", two_bus(), 0.25),
+     "file not found", "{tmp}/missing.csv"),
+    (lambda tmp: synth_load(two_bus(), days=1, dt=0.25, base=1.0,
+                            daily_amplitude=-0.1),
+     "amplitudes must be nonnegative", ""),
+    (lambda tmp: synth_load(two_bus(), days=1, dt=0.25, base=1.0,
+                            noise_amplitude=-0.01),
+     "amplitudes must be nonnegative", ""),
+    (lambda tmp: synth_load(two_bus(), days=1, dt=0.0, base=1.0),
+     "dt must be positive", ""),
 ])
 def test_input_checks(tmp_path, make, message, location):
     location = location.format(tmp=tmp_path)
@@ -265,6 +328,33 @@ class TestFileRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InstanceError, match="file not found"):
             parse_instance(tmp_path / "nope")
+
+    def test_ring_is_read_with_a_warning(self, tmp_path, caplog):
+        buses = tuple(Bus(b, 0.8, 1.2) for b in "abc")
+        lines = (Line("ab", "a", "b", 0.01, 0.01, 5.0),
+                 Line("bc", "b", "c", 0.01, 0.01, 5.0),
+                 Line("ca", "c", "a", 0.01, 0.01, 5.0))
+        ring = NetworkInstance(buses=buses, lines=lines, battery_specs=(),
+                               generator_specs=(), shed_penalty=1e7, dt=0.25,
+                               name="ring")
+        write_instance(ring, tmp_path / "ring")
+        with caplog.at_level("WARNING", logger="microplan.instance"):
+            assert parse_instance(tmp_path / "ring") == ring
+        (record,) = caplog.records
+        assert record.getMessage().startswith(
+            "instance ring is not radial (cycle through (")
+        assert record.getMessage().endswith(
+            "); accepted with per-line voltage-drop rows")
+
+    def test_candidates_no_bus_allows_are_read_with_warnings(self, tmp_path,
+                                                             caplog):
+        inst = two_bus(buses=(Bus("a", 0.81, 1.21), Bus("b", 0.81, 1.21)))
+        write_instance(inst, tmp_path / "none")
+        with caplog.at_level("WARNING", logger="microplan.instance"):
+            assert parse_instance(tmp_path / "none") == inst
+        assert [r.getMessage() for r in caplog.records] == [
+            "bus a lists battery candidates but allows none",
+            "bus b lists generator candidates but allows none"]
 
     def test_invalid_json(self, tmp_path):
         d = tmp_path / "bad"

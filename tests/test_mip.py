@@ -30,6 +30,7 @@ from microplan.formulation import (
     FormulationError, assemble, build_seamed, coupling_slots, fix_binaries,
     horizon_start_boundary,
 )
+from microplan.instance import synth_load
 from microplan.mip import (
     MipResult, _NodeSolver, _Tightener, solve_fixed_then_duals, solve_miqcqp,
 )
@@ -496,47 +497,77 @@ def test_result_dataclass_round_trip(two_step_result):
     assert res.solve_time > 0.0
 
 
-def scanned_tightenings(model):
-    """The tightener's caps and gates found by a scan of every column,
-    with a dict index in which a repeated key keeps its latest column."""
-    start, end = model.window
-    index = {model.describe_col(j): j for j in range(model.n)}
-    caps, gates = [], []
-    for b in sorted({owner for kind, owner, _ in index if kind == "s_b"}):
-        if ("z_b", b, None) in index:
-            caps.append((index[("s_b", b, None)], index[("z_b", b, None)]))
-    for g in sorted({owner for kind, owner, _ in index if kind == "x_d"}):
-        if ("z_d", g, None) in index:
-            gates.append((index[("z_d", g, None)],
-                          [index[("x_d", g, t)] for t in range(start, end)]))
-    return caps, gates
+def scanned_gates(model):
+    """The gate rows found by a scan of every row, in row order:
+    (row, x, z, a, b) for each two-entry row ``a x - b z <= 0`` with
+    a, b > 0 and z binary."""
+    gates = []
+    for i, coefs in enumerate(model.row_coefs):
+        if len(coefs) != 2 or model.row_lo[i] != -np.inf or model.row_hi[i] != 0.0:
+            continue
+        (j, c), (k, d) = sorted(coefs.items(), key=lambda item: -item[1])
+        if c > 0.0 > d and k in model.binaries:
+            gates.append((i, j, k, c, -d))
+    return gates
+
+
+def tightener_gates(tight):
+    return list(zip(tight.x.tolist(), tight.z.tolist(), tight.a.tolist(),
+                    tight.b.tolist()))
 
 
 def test_tightener_finds_the_columns_of_a_scan():
+    # the tightener's gates are the scan's: every if-built row, every
+    # if-on upper row and a one-step min_up; a later stage imports its
+    # builds, which are no binaries there, so only commitment gates it
     pair = gen_bat_instance()
     inst, loads, windows = five_bus_case()
     models = {
         "2-bus": assemble(pair, flat_loads(pair, 4)),
+        "2-bus, min_up 1": assemble(gen_bat_instance(min_up=1),
+                                    flat_loads(pair, 4)),
         "5-bus": assemble(inst, loads),
         "later stage": assemble(inst, loads, window=(2, 6), own_builds=False),
         "seam-joined": build_seamed(inst, loads, windows).model,
     }
+    if_on = {"p_max_if_on", "q_max_if_on"}
+    if_built = {"cap_if_built", "soc_if_built", "committed_if_built"}
     for name, model in models.items():
-        caps, gates = scanned_tightenings(model)
-        tight = _Tightener(model)
-        assert tight.caps == caps, name
-        assert [(jz, xs.tolist()) for jz, xs in tight.gates] == gates, name
-        assert bool(caps) == bool(gates) == (name != "later stage"), name
+        scan = scanned_gates(model)
+        assert tightener_gates(_Tightener(model)) == [g[1:] for g in scan], name
+        families = {model.describe_row(g[0])[0] for g in scan}
+        want = if_on | (set() if name == "later stage" else if_built) \
+            | ({"min_up"} if name == "2-bus, min_up 1" else set())
+        assert families == want, name
+
+
+def test_an_explicit_zero_is_no_gate():
+    # either entry of the battery cap stored as an explicit zero takes
+    # that row, and only it, out of the gates
+    inst = gen_bat_instance()
+    model = assemble(inst, flat_loads(inst, 4))
+    gates = tightener_gates(_Tightener(model))
+    sb, zb = model.col("s_b", "bat1"), model.col("z_b", "bat1")
+    (row, *cap), = [g for g in scanned_gates(model) if g[1:3] == (sb, zb)]
+    for k in range(2):
+        a = model.a.copy()
+        a.data[a.indptr[row] + k] = 0.0
+        assert a.indptr[row + 1] - a.indptr[row] == 2
+        got = tightener_gates(_Tightener(replace(model, a=a)))
+        assert got == [g for g in gates if g != tuple(cap)]
 
 
 def test_commitment_gate_moves_both_bounds():
     # z_d fixed to 0 leaves no commitment upper bound above 0, and one
-    # committed step forces z_d up to 1
+    # committed step forces z_d up to 1; z_b fixed to 0 caps the
+    # battery's size and every state of charge at 0, and x_d fixed to 0
+    # caps that step's generator output at 0
     inst = gen_bat_instance()
     model = assemble(inst, flat_loads(inst, 4, p=0.4, q=0.1))
     tight = _Tightener(model)
-    (jz, xs), = tight.gates
-    assert len(xs) == 4 and np.all(model.ub[xs] == 1.0)
+    jz = model.col("z_d", "g1")
+    xs = np.array([model.col("x_d", "g1", t) for t in range(4)])
+    assert np.all(model.ub[xs] == 1.0)
     lb, ub = model.lb.copy(), model.ub.copy()
     ub[jz] = 0.0
     assert tight.apply(lb, ub)
@@ -546,6 +577,42 @@ def test_commitment_gate_moves_both_bounds():
     lb[xs[2]] = 1.0
     assert tight.apply(lb, ub)
     assert lb[jz] == 1.0 and np.all(ub[xs] == 1.0)
+
+    zb = model.col("z_b", "bat1")
+    caps = [model.col("s_b", "bat1")] + [model.col("sc_b", "bat1", t)
+                                         for t in range(4)]
+    assert np.all(model.ub[caps] > 0.0)
+    lb, ub = model.lb.copy(), model.ub.copy()
+    ub[zb] = 0.0
+    assert tight.apply(lb, ub)
+    assert np.all(ub[caps] == 0.0)
+
+    out = [model.col(kind, "g1", t) for t in range(4) for kind in ("phat_d", "q_d")]
+    assert np.all(model.ub[out] > 0.0)
+    lb, ub = model.lb.copy(), model.ub.copy()
+    ub[xs[1]] = 0.0
+    assert tight.apply(lb, ub)
+    assert np.all(ub[out[2:4]] == 0.0)
+    assert np.all(ub[out[:2] + out[4:]] == model.ub[out[:2] + out[4:]])
+
+
+def test_gate_rows_bound_the_search_work(monkeypatch):
+    # the 2-bus synth_load draw over 4 steps, every binary searched: 98
+    # SuperLU factorizations with every gate row propagated, 118 with
+    # only the battery caps and the commitment gates
+    inst = gen_bat_instance()
+    model = assemble(inst, synth_load(inst, 1, 0.25, {"b2": 0.4}, seed=0),
+                     window=(0, 4))
+    count, splu = [0], convex.spla.splu
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(convex.spla, "splu", counted)
+    res = solve_miqcqp(model)
+    assert res.status == "optimal-within-gap"
+    assert count[0] <= 105
 
 
 def test_budget_exits():
@@ -677,3 +744,35 @@ def test_unconfirmed_candidates_leave_the_search_at_node_limit(two_step,
     with pytest.raises(DecompositionError,
                        match="stage search ended node-limit$"):
         rh_solve(inst, flat_loads(inst, 2), partition(2, 1))
+
+
+def test_contradictory_fixings_have_no_view(two_step, two_step_result,
+                                            monkeypatch):
+    # x_d committed under an unbuilt z_d: no view, relaxation or
+    # confirmation; a root point rounding to that pair is no incumbent
+    jx, jz = two_step.col("x_d", "g1", 0), two_step.col("z_d", "g1")
+    solver = _NodeSolver(two_step)
+    clash = ((jx, 1.0), (jz, 0.0))
+    assert solver.view(clash) is None
+    assert solver.relax(clash, 1e-4) is None
+    assert solver.confirm(clash, two_step_result.solution) is None
+
+    relax, confirm = _NodeSolver.relax, _NodeSolver.confirm
+    confirmed = []
+
+    def rounding_to_the_clash(self, fixings, gap_tol):
+        sol = relax(self, fixings, gap_tol)
+        sol.x[jx], sol.x[jz] = 0.9, 0.1
+        return sol
+
+    def recorded(self, fixings, start):
+        confirmed.append((dict(fixings), confirm(self, fixings, start)))
+        return confirmed[-1][1]
+
+    monkeypatch.setattr(_NodeSolver, "relax", rounding_to_the_clash)
+    monkeypatch.setattr(_NodeSolver, "confirm", recorded)
+    res = solve_miqcqp(two_step, node_limit=1)
+    (fixings, sol), = confirmed
+    assert (fixings[jx], fixings[jz], sol) == (1.0, 0.0, None)
+    assert (res.status, res.nodes, res.binaries) == ("node-limit", 1, None)
+    assert res.objective == np.inf

@@ -10,6 +10,7 @@ import copy
 import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,38 @@ def test_equality_is_exact(rh42):
     assert not rh42.equals(other)
 
 
+def test_equality_reads_every_series(rh42):
+    key = ("p_b", "bat1")
+    fewer = copy.deepcopy(rh42)
+    del fewer.plan.series[key]
+    assert not rh42.equals(fewer) and not fewer.equals(rh42)
+    moved = copy.deepcopy(rh42)
+    moved.plan.series[key][1] += 1e-12
+    assert not rh42.equals(moved)
+
+
+def test_plan_checks_read_the_plan_shape(rh42, inst, loads4):
+    plan = rh42.plan
+    for bad, message in (
+            (dataclasses.replace(plan, start=1),
+             "plan must start at the horizon origin"),
+            (dataclasses.replace(plan, horizon=loads4.horizon + 1),
+             "plan is longer than the load profile"),
+            (dataclasses.replace(plan, series={
+                **plan.series, ("p_b", "bat1"): plan.series[("p_b", "bat1")][:-1]}),
+             "series p_b/bat1 has wrong length")):
+        with pytest.raises(FormulationError, match=f"^{re.escape(message)}$"):
+            check_feasibility(inst, loads4, bad)
+    # a plan lacking a series reads it as zeros
+    key = ("q_b", "bat1")
+    lacking = dataclasses.replace(plan, series={
+        k: v for k, v in plan.series.items() if k != key})
+    zeroed = dataclasses.replace(plan, series={**plan.series,
+                                               key: np.zeros(plan.horizon)})
+    assert check_feasibility(inst, loads4, lacking) \
+        == check_feasibility(inst, loads4, zeroed)
+
+
 def test_baseline_accounting(rh42, inst, loads4):
     assert len(rh42.stage_costs) == 2
     assert rh42.stage_costs[1][0] == 0.0   # build cost sits in stage one
@@ -358,6 +391,32 @@ def test_receding_horizon_survives_a_failed_bound(pair, monkeypatch, caplog):
     with pytest.raises(DecompositionError,
                        match=r"monolithic relaxation ended iteration-limit"):
         mpc_solve(inst, loads, plan, mode="dual-init")
+
+
+def test_relaxation_without_a_bound(inst, loads4, plan42, rh42, monkeypatch,
+                                    caplog):
+    # the relaxed monolith ends infeasible, with no bound: dual-init has
+    # no prices and raises, and zero-init warns and reports its NaN bound
+    solve = decomposition.solve_qcqp
+
+    def infeasible(prog):
+        return dataclasses.replace(solve(prog), status="infeasible",
+                                   detail="no start", bound=np.nan)
+
+    monkeypatch.setattr(decomposition, "solve_qcqp", infeasible)
+    with pytest.raises(DecompositionError,
+                       match=r"^monolithic relaxation ended infeasible "
+                             r"\(no start\)$"):
+        mpc_solve(inst, loads4, plan42, mode="dual-init")
+    with caplog.at_level(logging.WARNING, logger=decomposition.__name__):
+        got = mpc_solve(inst, loads4, plan42, iterations=1, mode="zero-init")
+    assert [r.getMessage() for r in caplog.records
+            if r.name == decomposition.__name__] == [
+        "monolithic relaxation ended infeasible (no start); the plan is "
+        "reported without a lower bound"]
+    assert got.bound_detail == "monolithic relaxation ended infeasible (no start)"
+    assert math.isnan(got.lower_bound) and math.isnan(got.gap_percent)
+    assert got.objective == rh42.objective
 
 
 def test_grid_import_is_checked_at_the_slack_bus(inst, loads4):
